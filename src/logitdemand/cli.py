@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import math
@@ -93,17 +92,6 @@ def format_coefficient_table(result: estimators.EstimateResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _results_csv_text(result) -> str:
-    import io
-
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["name", "estimate", "std_error", "t_value"])
-    for row in result.coefficient_rows():
-        writer.writerow([row[0], *(format(v, ".17g") for v in row[1:])])
-    return buf.getvalue()
-
-
 def _report_dropped_rows(data, row_indices):
     """Listwise deletion is silent in the API; the CLI reports it."""
     used = set(int(i) for i in row_indices)
@@ -175,7 +163,10 @@ def cmd_estimate(args) -> int:
         return _fail(EXIT_ESTIMATION, exc)
     _report_dropped_rows(data, result.row_indices)
 
-    text = _results_csv_text(result) if args.format == "csv" else format_coefficient_table(result)
+    if args.format == "csv":
+        text = dataio.results_csv_text(result)
+    else:
+        text = format_coefficient_table(result)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -190,6 +181,12 @@ def cmd_diagnose(args) -> int:
         spec_file, data, data_path = _prepare(args.spec, args.data)
     except (LogitDemandError, OSError, ValueError) as exc:
         return _fail(EXIT_VALIDATION, exc)
+    if spec_file.estimator == "two_way_fe":
+        return _fail(
+            EXIT_VALIDATION,
+            f"the spec's estimator is {spec_file.estimator!r}; diagnose tests a pooled first "
+            "stage, and first-stage diagnostics with fixed effects are not supported yet",
+        )
     if not spec_file.instruments:
         return _fail(EXIT_NO_INSTRUMENTS, "spec has no instruments; nothing to diagnose")
 
@@ -274,12 +271,14 @@ def cmd_simulate(args) -> int:
         return _fail(EXIT_BAD_PARAMS, exc)
 
     if args.emit_dataset:
+        # The Monte Carlo's first market, so with one replication the file is what it estimated.
+        first = dataclasses.replace(params, seed=simulate.replication_seeds(params.seed, 1)[0])
         try:
-            data, _ = simulate.generate_market(params)
+            data, _ = simulate.generate_market(first)
         except LogitDemandError as exc:
             return _fail(EXIT_BAD_PARAMS, exc)
         dataio.write_panel_csv(data, args.emit_dataset)
-        _write_manifest(args.emit_dataset, _command_line(args), seed=params.seed)
+        _write_manifest(args.emit_dataset, _command_line(args), seed=first.seed)
 
     try:
         summary = simulate.run_monte_carlo(params, spec, replications)

@@ -9,6 +9,7 @@ missing and excluded per estimation (listwise), never imputed.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import warnings
 from dataclasses import dataclass, field
@@ -414,10 +415,17 @@ def parse_spec(path, dataset: PanelDataset | None = None) -> SpecFile:
     return spec
 
 
-def write_results_csv(result, path):
+def results_csv_text(result) -> str:
     """One coefficient per row: name, estimate, std_error, t_value (full precision)."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["name", "estimate", "std_error", "t_value"])
+    for row in result.coefficient_rows():
+        writer.writerow([row[0], *(format(v, ".17g") for v in row[1:])])
+    return buf.getvalue()
+
+
+def write_results_csv(result, path):
+    """Write `results_csv_text(result)` to `path`."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["name", "estimate", "std_error", "t_value"])
-        for row in result.coefficient_rows():
-            writer.writerow([row[0], *(format(v, ".17g") for v in row[1:])])
+        fh.write(results_csv_text(result))

@@ -47,12 +47,12 @@ class InsufficientObservationsError(LogitDemandError):
 
 
 class CollinearWithFixedEffectsError(LogitDemandError):
-    """A regressor is absorbed by the unit/period dummies."""
+    """A regressor is absorbed by the unit/period fixed effects, or the panel is disconnected."""
 
     def __init__(self, column, message=None):
         self.column = column
         super().__init__(
-            message or f"regressor {column!r} is collinear with the fixed-effect dummies"
+            message or f"regressor {column!r} is collinear with the fixed effects"
         )
 
 

@@ -1,9 +1,11 @@
 """Demand-equation estimators: pooled OLS, two-way fixed effects, and 2SLS.
 
 All three regress the inverted mean utility on product characteristics and
-price. Fixed effects are estimated as explicit dummies (LSDV) so unbalanced
-panels are handled by row presence; 2SLS residuals always use the actual
-endogenous regressors, never the first-stage fitted values.
+price. Two-way fixed effects use the within transformation: unit effects are
+demeaned away and the periods enter as demeaned dummies, which reproduces the
+least-squares-dummy-variable (LSDV) fit exactly on unbalanced panels without
+building its n x (J + T) design. 2SLS residuals always use the
+actual endogenous regressors, never the first-stage fitted values.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .errors import (
     OrderConditionViolatedError,
     RankDeficientError,
 )
-from .matrix import as_matrix, as_vector, solve_least_squares
+from .matrix import DEFAULT_RANK_TOL, as_matrix, as_vector, solve_least_squares
 
 if TYPE_CHECKING:
     from .dataio import PanelDataset
@@ -216,91 +218,99 @@ def estimate_ols(spec: ModelSpec, data: "PanelDataset") -> EstimateResult:
     )
 
 
-def _dummy_design(units, periods):
-    unit_levels = sorted(set(units))
-    period_levels = sorted(set(periods))
-    n = len(units)
-    cols, names = [], []
-    for u in unit_levels:
-        cols.append(np.array([1.0 if w == u else 0.0 for w in units]))
-        names.append(f"unit[{u}]")
-    for t in period_levels[1:]:
-        cols.append(np.array([1.0 if s == t else 0.0 for s in periods]))
-        names.append(f"period[{t}]")
-    return np.column_stack(cols), names, unit_levels, period_levels
+def _group_demean(codes, counts, m):
+    """Subtract from each column of m its mean within each group of `codes`."""
+    sums = np.column_stack([np.bincount(codes, weights=c, minlength=counts.size) for c in m.T])
+    return m - (sums / counts[:, None])[codes]
+
+
+def _most_absorbed_slope(design, m, slope_names):
+    """The slope best explained by the other columns of `design` (the first m are dummies).
+
+    Once the dummies alone are known to have full rank, every linear
+    dependence in `design` involves a slope, and each slope in it is
+    explained exactly by the other columns.
+    """
+    shares = []
+    for j in range(len(slope_names)):
+        col = design[:, m + j]
+        others = np.delete(design, m + j, axis=1)
+        resid = col - others @ np.linalg.lstsq(others, col, rcond=None)[0]
+        shares.append(np.linalg.norm(resid) / np.linalg.norm(col))
+    return slope_names[int(np.argmin(shares))]
 
 
 def estimate_two_way_fe(spec: ModelSpec, data: "PanelDataset") -> EstimateResult:
-    """LSDV two-way fixed effects: slopes plus explicit unit and period dummies.
+    """Two-way fixed effects by within-transformation, exact by Frisch-Waugh-Lovell.
 
-    Unit dummies carry the levels (no intercept column); the first period is
-    the base category. The reported R-squared is the within R-squared, i.e.
-    computed against the variation left after projecting out both dummy sets.
+    Unit effects are absorbed by demeaning within units; the periods after
+    the first enter as dummies, demeaned the same way, beside the demeaned
+    slopes. This is the LSDV fit without the n x (J + T) dummy matrix: the
+    same slopes, residuals and covariances, and df_residual =
+    n - k - (J + T - 1) counts every absorbed level. Unit effects carry the
+    level and the first period is the base category. The reported R-squared
+    is the within R-squared, i.e. computed against the variation left after
+    projecting out both sets of effects.
     """
     if spec.estimator != "two_way_fe":
         raise ValueError(f"spec.estimator is {spec.estimator!r}, expected 'two_way_fe'")
     rows = _select_rows(data, spec)
-    units = [data.units[i] for i in rows]
-    periods = [data.periods[i] for i in rows]
-    if len(set(units)) < 2 or len(set(periods)) < 2:
+    unit_levels, unit_codes = np.unique(np.asarray(data.units)[rows], return_inverse=True)
+    period_levels, period_codes = np.unique(np.asarray(data.periods)[rows], return_inverse=True)
+    if unit_levels.size < 2 or period_levels.size < 2:
         raise InsufficientObservationsError("two-way fixed effects need >= 2 units and >= 2 periods")
 
     slope_x, slope_names = _stack(data, rows, spec.regressors, intercept=False)
-    dummies, dummy_names, unit_levels, period_levels = _dummy_design(units, periods)
-    x = np.column_stack([slope_x, dummies]) if slope_x.size else dummies
-    names = (*slope_names, *dummy_names)
     y = data.column(spec.dependent)[rows]
-    n, p = x.shape
+    n, k = slope_x.shape
+    p = k + unit_levels.size + period_levels.size - 1
     if n <= p:
         raise InsufficientObservationsError(f"{n} rows cannot support {p} coefficients")
 
+    m = period_levels.size - 1
+    dummy_names = tuple(f"period[{v}]" for v in period_levels[1:].tolist())
+    raw = np.column_stack([period_codes[:, None] == np.arange(1, m + 1), slope_x, y])
+    counts = np.bincount(unit_codes)
+    within = _group_demean(unit_codes, counts, raw)
+    design, y_within = within[:, :-1], within[:, -1]
+
+    for j, name in enumerate(slope_names):
+        if np.linalg.norm(design[:, m + j]) <= DEFAULT_RANK_TOL * np.linalg.norm(slope_x[:, j]):
+            raise CollinearWithFixedEffectsError(name, f"regressor {name!r} is constant within each unit")
+    # The demeaned dummies lose rank exactly when the panel is disconnected.
     try:
-        sol = solve_least_squares(x, y)
+        effects_only = solve_least_squares(design[:, :m], y_within)
     except RankDeficientError as exc:
-        offending = [names[c] for c in exc.columns]
-        slopes = [c for c in offending if c in slope_names]
-        culprit = slopes[0] if slopes else offending[0]
         raise CollinearWithFixedEffectsError(
-            culprit, f"columns {offending} are absorbed by the fixed-effect dummies"
+            dummy_names[exc.columns[0]],
+            "unit and period effects are not separately identified: the panel is not connected",
         ) from None
 
-    k = len(slope_names)
+    try:
+        sol = solve_least_squares(design, y_within)
+    except RankDeficientError:
+        name = _most_absorbed_slope(design, m, slope_names)
+        raise CollinearWithFixedEffectsError(
+            name, f"regressor {name!r} is collinear with the fixed effects and the other regressors"
+        ) from None
+
     if spec.covariance == "robust_hc0":
-        cov_full = robust_covariance(x, sol.residuals, sol.xtx_inverse)
+        cov = robust_covariance(design, sol.residuals, sol.xtx_inverse)
     else:
-        sigma2 = float(sol.residuals @ sol.residuals) / (n - p)
-        cov_full = sigma2 * sol.xtx_inverse
-    cov = cov_full[:k, :k]
+        cov = float(sol.residuals @ sol.residuals) / (n - p) * sol.xtx_inverse
+    beta = sol.coefficients[m:].copy()
 
-    # Within TSS: what the dummies alone leave unexplained in y.
-    dummies_only = solve_least_squares(dummies, y)
-    tss_within = float(dummies_only.residuals @ dummies_only.residuals)
-    rss = float(sol.residuals @ sol.residuals)
-    r2 = 1.0 - rss / tss_within if tss_within > 0 else float("nan")
-    adj = 1.0 - (1.0 - r2) * (n - 1) / (n - p) if tss_within > 0 else float("nan")
-
-    fe_unit = {u: float(sol.coefficients[k + j]) for j, u in enumerate(unit_levels)}
-    fe_period = {period_levels[0]: 0.0}
-    for j, t in enumerate(period_levels[1:]):
-        fe_period[t] = float(sol.coefficients[k + len(unit_levels) + j])
-
-    se = np.sqrt(np.clip(np.diag(cov), 0.0, None))
-    return EstimateResult(
-        names=slope_names,
-        coefficients=sol.coefficients[:k].copy(),
-        standard_errors=se,
-        covariance_matrix=cov,
-        residuals=sol.residuals,
-        fitted=sol.fitted,
-        row_indices=rows,
-        n_observations=n,
-        df_residual=n - p,
-        r_squared=r2,
-        adjusted_r_squared=adj,
-        residual_std_error=math.sqrt(rss / (n - p)),
-        estimator_tag="two_way_fe",
-        covariance_tag=spec.covariance,
-        fixed_effect_values={"unit": fe_unit, "period": fe_period},
+    period_fx = np.concatenate([[0.0], sol.coefficients[:m]])
+    unit_fx = np.bincount(unit_codes, weights=y - slope_x @ beta - period_fx[period_codes]) / counts
+    fe_values = {
+        "unit": dict(zip(unit_levels.tolist(), unit_fx.tolist())),
+        "period": dict(zip(period_levels.tolist(), period_fx.tolist())),
+    }
+    # The effects-only residuals have mean zero, so their centred sum of
+    # squares is the within TSS.
+    return _finish(
+        spec, slope_names, beta, cov[m:, m:], sol.residuals, y - sol.residuals, rows,
+        n, p, effects_only.residuals, True, "two_way_fe", fe_values,
     )
 
 

@@ -4,7 +4,9 @@ The data-generating process mirrors the estimation model: mean utility is
 x'beta - alpha * price + xi, with xi = unit effect + period effect + noise.
 Price loads on cost shifters (the instruments) and, through the endogeneity
 weight, on xi itself, so OLS is inconsistent while 2SLS is not. Everything is
-driven by a single seed; per-replication substreams are seed + replication.
+driven by a single seed; the Monte Carlo spawns one independent seed per
+replication from it with numpy's SeedSequence, so runs with different seeds
+share no market.
 """
 
 from __future__ import annotations
@@ -262,6 +264,12 @@ def default_model_spec(params: DgpParams, estimator="tsls", covariance=None) -> 
     )
 
 
+def replication_seeds(seed: int, replications: int) -> list:
+    """One independent seed per replication, spawned from `seed` by numpy's SeedSequence."""
+    children = np.random.SeedSequence(seed).spawn(replications)
+    return [int(child.generate_state(1, np.uint64)[0]) for child in children]
+
+
 def run_monte_carlo(params: DgpParams, spec: estimators.ModelSpec | None = None,
                     replications: int = 100) -> McSummary:
     """Generate, estimate and test `replications` markets; aggregate the results.
@@ -280,8 +288,8 @@ def run_monte_carlo(params: DgpParams, spec: estimators.ModelSpec | None = None,
     sargan_rejects = []
     failed = 0
     names = None
-    for r in range(replications):
-        rep_params = dataclasses.replace(params, seed=params.seed + r)
+    for rep_seed in replication_seeds(params.seed, replications):
+        rep_params = dataclasses.replace(params, seed=rep_seed)
         try:
             data, _ = generate_market(rep_params)
             data = dataio.compute_dependent(data)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from logitdemand.cli import main
-from logitdemand.dataio import DEPENDENT_COLUMN, load_panel, write_panel_csv
-from logitdemand.simulate import DgpParams, generate_market
+from logitdemand.dataio import DEPENDENT_COLUMN, compute_dependent, load_panel, write_panel_csv
+from logitdemand.estimators import estimate
+from logitdemand.simulate import DgpParams, default_model_spec, generate_market, replication_seeds
 
 GOOD_CSV = """unit,period,quantity,market_size,Price
 a,2014,50,200,399
@@ -192,6 +193,18 @@ def test_diagnose_without_instruments_exits_4(tmp_path, capsys):
     assert main(["diagnose", "--spec", str(spec_path)]) == 4
 
 
+def test_diagnose_on_fixed_effects_spec_exits_2(tmp_path, capsys):
+    spec_path, _ = _sim_inputs(tmp_path)
+    spec = json.loads(spec_path.read_text())
+    spec["estimator"] = "two_way_fe"
+    spec_path.write_text(json.dumps(spec), encoding="utf-8")
+    assert main(["diagnose", "--spec", str(spec_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "'two_way_fe'" in captured.err
+    assert "not supported yet" in captured.err
+
+
 def test_simulate_emits_loadable_dataset(tmp_path, capsys):
     params = {"n_products": 4, "n_periods": 3, "n_characteristics": 1,
               "beta": [1.0], "seed": 6, "replications": 1}
@@ -204,6 +217,27 @@ def test_simulate_emits_loadable_dataset(tmp_path, capsys):
     assert data.n_rows == 12
     assert (tmp_path / "synthetic.csv.manifest.json").exists()
     assert "Monte Carlo summary" in capsys.readouterr().out
+
+
+def test_simulate_emitted_dataset_is_the_first_replication(tmp_path, capsys):
+    params = {"n_products": 6, "n_periods": 8, "n_characteristics": 1,
+              "beta": [1.0], "xi_scale": 0.5, "seed": 6, "replications": 1}
+    params_path = tmp_path / "params.json"
+    params_path.write_text(json.dumps(params), encoding="utf-8")
+    out = tmp_path / "synthetic.csv"
+    assert main(["simulate", "--params", str(params_path), "--emit-dataset", str(out)]) == 0
+    summary = capsys.readouterr().out.splitlines()
+
+    dgp = DgpParams(n_products=6, n_periods=8, n_characteristics=1, beta=(1.0,), xi_scale=0.5,
+                    seed=6)
+    result = estimate(default_model_spec(dgp), compute_dependent(load_panel(out)))
+    estimates = dict(zip(result.names, result.coefficients))
+    table = [line.split() for line in summary[2:2 + len(estimates)]]
+    assert [row[0] for row in table] == list(result.names)
+    for name, truth, bias, *_ in table:
+        assert estimates[name] - float(truth) == pytest.approx(float(bias), abs=5.1e-5)
+    manifest = json.loads((tmp_path / "synthetic.csv.manifest.json").read_text(encoding="utf-8"))
+    assert manifest["seed"] == replication_seeds(6, 1)[0]
 
 
 def test_simulate_same_seed_same_bytes(tmp_path, capsys):

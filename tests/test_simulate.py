@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,11 +7,12 @@ import pytest
 from logitdemand.dataio import DEPENDENT_COLUMN, compute_dependent
 from logitdemand.demand import MeanUtilityTable, predict_shares
 from logitdemand.errors import DegenerateSharesError
-from logitdemand.estimators import estimate_tsls
+from logitdemand.estimators import estimate, estimate_tsls
 from logitdemand.simulate import (
     DgpParams,
     default_model_spec,
     generate_market,
+    replication_seeds,
     run_monte_carlo,
     sample_choices,
 )
@@ -149,6 +151,38 @@ def test_monte_carlo_is_deterministic():
     a = run_monte_carlo(params, replications=20)
     b = run_monte_carlo(params, replications=20)
     assert a == b
+
+
+def test_replication_seeds_are_deterministic():
+    assert replication_seeds(42, 500) == replication_seeds(42, 500)
+    assert replication_seeds(42, 10) == replication_seeds(42, 500)[:10]
+    assert len(set(replication_seeds(42, 500))) == 500
+
+
+def test_neighbouring_base_seeds_share_no_replication_market():
+    assert not set(replication_seeds(42, 500)) & set(replication_seeds(43, 500))
+    params = DgpParams(n_products=3, n_periods=3, n_characteristics=1, beta=(1.0,),
+                       xi_scale=0.5, seed=0)
+    prices = {
+        base: {
+            generate_market(dataclasses.replace(params, seed=s))[0].column("price").tobytes()
+            for s in replication_seeds(base, 20)
+        }
+        for base in (42, 43)
+    }
+    assert len(prices[42]) == len(prices[43]) == 20
+    assert not prices[42] & prices[43]
+
+
+def test_monte_carlo_runs_replications_on_spawned_seeds():
+    params = DgpParams(n_products=5, n_periods=5, n_characteristics=1, beta=(0.8,),
+                       xi_scale=0.4, seed=42)
+    spec = default_model_spec(params, estimator="ols")
+    summary = run_monte_carlo(params, spec, replications=1)
+    data, _ = generate_market(dataclasses.replace(params, seed=replication_seeds(42, 1)[0]))
+    result = estimate(spec, compute_dependent(data))
+    truth = params.true_coefficients()["price"]
+    assert summary.mean_bias["price"] == result.coefficient("price") - truth
 
 
 def test_monte_carlo_counts_failures():
