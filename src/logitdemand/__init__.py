@@ -19,10 +19,6 @@ from .dataio import (
     write_results_csv,
 )
 from .demand import (
-    MarketPeriod,
-    MeanUtilityTable,
-    PeriodShares,
-    ShareTable,
     binary_choice_probability,
     invert_shares,
     predict_shares,
@@ -45,12 +41,7 @@ from .estimators import (
     estimate_two_way_fe,
     robust_covariance,
 )
-from .matrix import (
-    LeastSquaresSolution,
-    invert_spd,
-    numerical_rank,
-    solve_least_squares,
-)
+from .matrix import LeastSquaresSolution, solve_least_squares
 from .simulate import (
     DgpParams,
     McSummary,
@@ -68,13 +59,9 @@ __all__ = [
     "FTestReport",
     "JTestReport",
     "LeastSquaresSolution",
-    "MarketPeriod",
     "McSummary",
-    "MeanUtilityTable",
     "ModelSpec",
     "PanelDataset",
-    "PeriodShares",
-    "ShareTable",
     "SpecFile",
     "TrueMarket",
     "binary_choice_probability",
@@ -89,9 +76,7 @@ __all__ = [
     "first_stage_f",
     "generate_market",
     "invert_shares",
-    "invert_spd",
     "load_panel",
-    "numerical_rank",
     "parse_spec",
     "predict_shares",
     "robust_covariance",

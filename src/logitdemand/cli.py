@@ -11,7 +11,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__, dataio, diagnostics, estimators, simulate
-from .errors import ExactlyIdentifiedError, LogitDemandError
+from .errors import ExactlyIdentifiedError, LogitDemandError, OrderConditionViolatedError
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -144,9 +144,15 @@ def cmd_estimate(args) -> int:
     except (LogitDemandError, OSError, ValueError) as exc:
         return _fail(EXIT_VALIDATION, exc)
 
-    spec = spec_file.to_model_spec()
-    if args.method:
-        method = _METHOD_ALIASES[args.method]
+    method = _METHOD_ALIASES[args.method] if args.method else spec_file.estimator
+    if method == "tsls" and spec_file.estimator == "two_way_fe":
+        return _fail(
+            EXIT_VALIDATION,
+            f"the spec's estimator is {spec_file.estimator!r}; --method 2sls fits a pooled "
+            "2SLS, and 2SLS with fixed effects is not supported yet",
+        )
+    try:
+        spec = spec_file.to_model_spec()
         if method != spec.estimator:
             spec = dataclasses.replace(
                 spec,
@@ -154,6 +160,8 @@ def cmd_estimate(args) -> int:
                 include_intercept=method != "two_way_fe",
                 covariance="robust_hc0" if method == "tsls" else "classical",
             )
+    except OrderConditionViolatedError as exc:
+        return _fail(EXIT_NO_INSTRUMENTS, exc)
     if args.robust:
         spec = dataclasses.replace(spec, covariance="robust_hc0")
 
@@ -190,7 +198,10 @@ def cmd_diagnose(args) -> int:
     if not spec_file.instruments:
         return _fail(EXIT_NO_INSTRUMENTS, "spec has no instruments; nothing to diagnose")
 
-    spec = dataclasses.replace(spec_file.to_model_spec(), estimator="tsls")
+    try:
+        spec = dataclasses.replace(spec_file.to_model_spec(), estimator="tsls")
+    except OrderConditionViolatedError as exc:
+        return _fail(EXIT_NO_INSTRUMENTS, exc)
     lines = []
     try:
         f_report = diagnostics.first_stage_f(spec, data)
@@ -237,11 +248,7 @@ def cmd_diagnose(args) -> int:
     return EXIT_OK
 
 
-_PARAM_KEYS = {
-    "n_products", "n_periods", "n_characteristics", "beta", "alpha", "xi_scale",
-    "unit_effects", "time_effects", "price_endogeneity", "instrument_strength",
-    "n_instruments", "consumers", "seed", "characteristic_loc", "characteristic_scale",
-    "cost_loc", "cost_scale", "price_intercept", "price_noise_scale",
+_PARAM_KEYS = {f.name for f in dataclasses.fields(simulate.DgpParams)} | {
     "estimator", "covariance", "replications",
 }
 

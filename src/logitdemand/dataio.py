@@ -26,14 +26,12 @@ from .errors import (
     UnknownColumnError,
     UnknownKeyError,
 )
+from .estimators import COVARIANCES, ESTIMATORS, ModelSpec
 
 #: Columns validated as 0/1 dummies unless the caller overrides.
 DEFAULT_DUMMY_COLUMNS = ("Alone", "Subscribe")
 
 DEPENDENT_COLUMN = "log_share_diff"
-
-_ESTIMATORS = ("ols", "two_way_fe", "tsls")
-_COVARIANCES = ("classical", "robust_hc0")
 
 
 @dataclass(frozen=True)
@@ -45,6 +43,9 @@ class PanelDataset:
     columns: dict
     column_kinds: dict
     source_lines: tuple | None = None
+    #: The sorted distinct periods, and each row's index into them; set on construction.
+    period_levels: np.ndarray = field(init=False, repr=False, compare=False)
+    period_codes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "units", tuple(str(u) for u in self.units))
@@ -64,6 +65,10 @@ class PanelDataset:
         object.__setattr__(self, "column_kinds", kinds)
         if len(self.units) != len(self.periods):
             raise ValueError("units and periods must align")
+        levels, codes = np.unique(np.array(self.periods, dtype=np.int64), return_inverse=True)
+        levels.flags.writeable = codes.flags.writeable = False
+        object.__setattr__(self, "period_levels", levels)
+        object.__setattr__(self, "period_codes", codes)
         _validate_dataset(self)
 
     @property
@@ -77,9 +82,6 @@ class PanelDataset:
         if name not in self.columns:
             raise KeyError(f"no column {name!r}")
         return self.columns[name]
-
-    def row_key(self, i):
-        return self.units[i], self.periods[i]
 
     def row_label(self, i) -> str:
         if self.source_lines is not None:
@@ -112,12 +114,16 @@ class PanelDataset:
 
 
 def _validate_dataset(data: PanelDataset):
-    seen = {}
-    for i in range(data.n_rows):
-        key = (data.units[i], data.periods[i])
-        if key in seen:
-            raise DuplicateKeyError(*key)
-        seen[key] = i
+    # The first row whose (unit, period) key an earlier row already has.
+    index = {u: i for i, u in enumerate(dict.fromkeys(data.units))}
+    unit_codes = np.fromiter(map(index.__getitem__, data.units), np.intp, data.n_rows)
+    keys = unit_codes * len(data.period_levels) + data.period_codes
+    _, first = np.unique(keys, return_index=True)
+    if first.size < data.n_rows:
+        repeated = np.ones(data.n_rows, dtype=bool)
+        repeated[first] = False
+        i = int(np.argmax(repeated))
+        raise DuplicateKeyError(data.units[i], data.periods[i])
 
     for name, kind in data.column_kinds.items():
         if kind != "dummy" or name not in data.columns:
@@ -137,26 +143,35 @@ def _validate_dataset(data: PanelDataset):
             i = int(np.argmax(bad))
             raise DomainViolationError(name, data.row_label(i), f"value {arr[i]:g} must be positive")
 
-    if "quantity" in data.columns and "market_size" in data.columns:
-        q = data.columns["quantity"]
-        n = data.columns["market_size"]
-        for t in sorted(set(data.periods)):
-            idx = [i for i in range(data.n_rows) if data.periods[i] == t]
-            sizes = {n[i] for i in idx if not np.isnan(n[i])}
-            if len(sizes) > 1:
-                raise DomainViolationError(
-                    "market_size", data.row_label(idx[0]),
-                    f"period {t} carries conflicting market sizes {sorted(sizes)}",
-                )
-            if not sizes:
-                continue
-            total = float(np.nansum([q[i] for i in idx]))
-            size = sizes.pop()
-            if total >= size:
-                raise DomainViolationError(
-                    "quantity", data.row_label(idx[0]),
-                    f"period {t}: total quantity {total:g} >= market size {size:g}",
-                )
+    if "quantity" not in data.columns or "market_size" not in data.columns:
+        return
+    # Per period, in sorted order: one market size, and total quantity below it.
+    q = data.columns["quantity"]
+    n = data.columns["market_size"]
+    codes, n_periods = data.period_codes, len(data.period_levels)
+    known = ~np.isnan(n)
+    low = np.full(n_periods, np.inf)
+    high = np.full(n_periods, -np.inf)
+    np.minimum.at(low, codes[known], n[known])
+    np.maximum.at(high, codes[known], n[known])
+    total = np.bincount(codes, weights=np.where(np.isnan(q), 0.0, q), minlength=n_periods)
+    conflicting = high > low
+    bad = conflicting | (total >= low)
+    if not np.any(bad):
+        return
+    t = int(np.argmax(bad))
+    rows = np.flatnonzero(codes == t)
+    period = int(data.period_levels[t])
+    if conflicting[t]:
+        sizes = sorted(set(n[rows][known[rows]]))
+        raise DomainViolationError(
+            "market_size", data.row_label(rows[0]),
+            f"period {period} carries conflicting market sizes {sizes}",
+        )
+    raise DomainViolationError(
+        "quantity", data.row_label(rows[0]),
+        f"period {period}: total quantity {total[t]:g} >= market size {low[t]:g}",
+    )
 
 
 def load_panel(path, unit_column="unit", period_column="period",
@@ -230,22 +245,13 @@ def load_panel(path, unit_column="unit", period_column="period",
 def write_panel_csv(data: PanelDataset, path):
     """Serialize a dataset back to the CSV schema; values round-trip bitwise."""
     names = list(data.columns)
+    fields = [data.units, map(str, data.periods)]
+    for name in names:
+        fields.append("" if v != v else repr(v) for v in data.columns[name].tolist())
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["unit", "period", *names])
-        for i in range(data.n_rows):
-            cells = [data.units[i], str(data.periods[i])]
-            for name in names:
-                v = data.columns[name][i]
-                cells.append("" if np.isnan(v) else repr(float(v)))
-            writer.writerow(cells)
-
-
-def _period_groups(data: PanelDataset):
-    groups = {}
-    for i in range(data.n_rows):
-        groups.setdefault(data.periods[i], []).append(i)
-    return groups
+        writer.writerows(zip(*fields))
 
 
 def compute_dependent(data: PanelDataset) -> PanelDataset:
@@ -255,60 +261,59 @@ def compute_dependent(data: PanelDataset) -> PanelDataset:
         return data
 
     from_quantities = data.has_column("quantity") and data.has_column("market_size")
-    if not from_quantities and not data.has_column("share"):
+    if from_quantities:
+        column, problem = "quantity", "missing quantity or market size for unit {unit!r}"
+        q = data.column("quantity")
+        n = data.column("market_size")
+        missing = np.isnan(q) | np.isnan(n)
+        inside = q / n
+    elif data.has_column("share"):
+        column, problem = "share", "missing share"
+        inside = data.column("share")
+        missing = np.isnan(inside)
+    else:
         raise DomainViolationError(
             "quantity", "dataset",
             "need quantity and market_size columns (or a share column) to build the dependent",
         )
 
-    out = np.full(data.n_rows, np.nan)
-    for t, idx in sorted(_period_groups(data).items()):
-        products = tuple(data.units[i] for i in idx)
-        if from_quantities:
-            q = np.array([data.column("quantity")[i] for i in idx])
-            n = np.array([data.column("market_size")[i] for i in idx])
-            missing = np.isnan(q) | np.isnan(n)
-            if np.any(missing):
-                i = idx[int(np.argmax(missing))]
-                raise DomainViolationError(
-                    "quantity", data.row_label(i),
-                    f"period {t}: missing quantity or market size for unit {data.units[i]!r}",
-                )
-            market = demand.MarketPeriod(
-                period=t, products=products, quantities=q, market_size=float(n[0])
+    codes = data.period_codes
+    sums = np.bincount(codes, weights=inside, minlength=len(data.period_levels))
+    outside = 1.0 - sums
+    # Per period in sorted order: a missing value, then no room for the outside option (quantities
+    # were checked against the market size), then a share outside (0, 1]: invert_shares raises.
+    flagged = missing | (outside <= 0.0)[codes] | (inside <= 0.0) | (inside > 1.0)
+    if np.any(flagged):
+        rows = np.flatnonzero(flagged)
+        i = int(rows[np.argmin(codes[rows])])
+        period_missing = missing & (codes == codes[i])
+        if np.any(period_missing):
+            i = int(np.argmax(period_missing))
+            raise DomainViolationError(
+                column, data.row_label(i),
+                f"period {data.periods[i]}: " + problem.format(unit=data.units[i]),
             )
-            table = demand.shares_from_quantities(market)
-        else:
-            s = np.array([data.column("share")[i] for i in idx])
-            if np.any(np.isnan(s)):
-                i = idx[int(np.argmax(np.isnan(s)))]
-                raise DomainViolationError(
-                    "share", data.row_label(i), f"period {t}: missing share"
-                )
-            outside = 1.0 - float(s.sum())
-            if outside <= 0.0:
-                raise DomainViolationError(
-                    "share", data.row_label(idx[0]),
-                    f"period {t}: inside shares sum to {s.sum():g}, outside share must be positive",
-                )
-            table = demand.ShareTable({t: demand.PeriodShares(products, s, outside)})
-        utilities = demand.invert_shares(table)
-        _, delta = utilities.periods[t]
-        for i, d in zip(idx, delta):
-            out[i] = d
-    return data.with_column(DEPENDENT_COLUMN, out)
+        if outside[codes[i]] <= 0.0 and not from_quantities:
+            raise DomainViolationError(
+                "share", data.row_label(i),
+                f"period {data.periods[i]}: inside shares sum to {sums[codes[i]]:g}, "
+                "outside share must be positive",
+            )
+    delta = demand.invert_shares(inside, outside, codes)
+    return data.with_column(DEPENDENT_COLUMN, delta)
 
 
 def outside_shares(data: PanelDataset) -> dict:
-    """Per-period outside share implied by quantity and market_size."""
-    result = {}
-    for t, idx in sorted(_period_groups(data).items()):
-        q = np.array([data.column("quantity")[i] for i in idx])
-        n = np.array([data.column("market_size")[i] for i in idx])
-        if np.any(np.isnan(q)) or np.any(np.isnan(n)):
-            continue
-        result[t] = 1.0 - float(q.sum() / n[0])
-    return result
+    """Per-period outside share 1 - sum(quantity / market_size), as the inversion uses it.
+
+    Periods with a missing quantity or market size are left out.
+    """
+    q = data.column("quantity")
+    n = data.column("market_size")
+    codes, n_periods = data.period_codes, len(data.period_levels)
+    complete = np.bincount(codes, weights=np.isnan(q) | np.isnan(n), minlength=n_periods) == 0
+    outside = 1.0 - np.bincount(codes, weights=q / n, minlength=n_periods)
+    return dict(zip(data.period_levels[complete].tolist(), outside[complete].tolist()))
 
 
 # --- model-spec files -------------------------------------------------------
@@ -337,8 +342,6 @@ class SpecFile:
         return (self.dependent, *self.exogenous, *self.endogenous, *self.instruments)
 
     def to_model_spec(self):
-        from .estimators import ModelSpec
-
         return ModelSpec(
             dependent=self.dependent,
             exogenous_regressors=self.exogenous,
@@ -380,11 +383,11 @@ def parse_spec(path, dataset: PanelDataset | None = None) -> SpecFile:
             raise MissingRequiredError(required)
 
     estimator = raw["estimator"]
-    if estimator not in _ESTIMATORS:
-        raise ValueError(f"estimator must be one of {_ESTIMATORS}, got {estimator!r}")
+    if estimator not in ESTIMATORS:
+        raise ValueError(f"estimator must be one of {ESTIMATORS}, got {estimator!r}")
     covariance = raw.get("covariance", "robust_hc0" if estimator == "tsls" else "classical")
-    if covariance not in _COVARIANCES:
-        raise ValueError(f"covariance must be one of {_COVARIANCES}, got {covariance!r}")
+    if covariance not in COVARIANCES:
+        raise ValueError(f"covariance must be one of {COVARIANCES}, got {covariance!r}")
     intercept = raw.get("intercept", estimator != "two_way_fe")
     if not isinstance(intercept, bool):
         raise ValueError("spec field 'intercept' must be a boolean")

@@ -5,12 +5,16 @@ mean utilities (log s_jt - log s_0t with the outside utility normalized to
 zero), and mean utilities map back to predicted shares in closed form. The
 share denominator includes the outside option's exp(0) = 1, which is the only
 convention under which inversion and prediction are exact inverses.
+
+The functions work on flat arrays: one entry per (product, period) row, plus
+an optional vector of period codes 0 .. T-1 per row. Per-period values (market
+size, outside share) are arrays of length T indexed by code. Without codes
+every row belongs to one period.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,126 +23,85 @@ from .errors import OutsideShareNonPositiveError, ZeroQuantityError
 _SHARE_SUM_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class MarketPeriod:
-    """One period's observed market: products, unit sales, potential consumers."""
-
-    period: int
-    products: tuple
-    quantities: np.ndarray
-    market_size: float
-
-    def __post_init__(self):
-        q = np.asarray(self.quantities, dtype=float).reshape(-1)
-        object.__setattr__(self, "quantities", q)
-        object.__setattr__(self, "products", tuple(self.products))
-        if len(self.products) != q.shape[0]:
-            raise ValueError("products and quantities must align")
-        if not np.all(np.isfinite(q)):
-            raise ValueError("quantities must be finite")
-        if self.market_size <= 0 or not math.isfinite(self.market_size):
-            raise ValueError("market_size must be positive and finite")
-        if np.any(q == 0):
-            bad = [p for p, v in zip(self.products, q) if v == 0]
-            raise ZeroQuantityError(
-                f"zero quantity for {bad} in period {self.period}; log share undefined"
-            )
-        if np.any(q < 0):
-            raise ValueError("quantities must be non-negative")
-        if float(q.sum()) >= self.market_size:
-            raise OutsideShareNonPositiveError(
-                f"period {self.period}: total quantity {q.sum():g} >= market size "
-                f"{self.market_size:g}; outside share must stay positive"
-            )
+def _rows(values, codes):
+    """Flat float values, each row's period code and the period count; no codes: one period."""
+    values = np.asarray(values, dtype=float).reshape(-1)
+    if codes is None:
+        return values, np.zeros(values.shape[0], dtype=np.intp), 1
+    codes = np.asarray(codes).reshape(-1)
+    return values, codes, int(codes.max()) + 1 if codes.size else 0
 
 
-@dataclass(frozen=True)
-class PeriodShares:
-    """Inside shares plus the outside share for a single period; sums to one."""
-
-    products: tuple
-    inside: np.ndarray
-    outside: float
-
-    def __post_init__(self):
-        s = np.asarray(self.inside, dtype=float).reshape(-1)
-        object.__setattr__(self, "inside", s)
-        object.__setattr__(self, "products", tuple(self.products))
-        if len(self.products) != s.shape[0]:
-            raise ValueError("products and inside shares must align")
-        # Strictly positive so logs exist; the top is closed because a share
-        # one ulp below 1.0 collapses to 1.0 in float64 at extreme utilities.
-        if np.any(s <= 0.0) or np.any(s > 1.0):
-            raise ValueError("inside shares must lie in (0, 1]")
-        if not 0.0 < self.outside <= 1.0:
-            raise ValueError("outside share must lie in (0, 1]")
-        if abs(float(s.sum()) + self.outside - 1.0) > _SHARE_SUM_TOL:
-            raise ValueError("shares must sum to one")
+def _check_shares(inside, outside, codes):
+    # Strictly positive so logs exist; the top is closed because a share
+    # one ulp below 1.0 collapses to 1.0 in float64 at extreme utilities.
+    if not (np.all(inside > 0.0) and np.all(inside <= 1.0)):
+        raise ValueError("inside shares must lie in (0, 1]")
+    if not (np.all(outside > 0.0) and np.all(outside <= 1.0)):
+        raise ValueError("outside share must lie in (0, 1]")
+    total = np.bincount(codes, weights=inside, minlength=outside.shape[0]) + outside
+    if np.any(np.abs(total - 1.0) > _SHARE_SUM_TOL):
+        raise ValueError("shares must sum to one")
 
 
-@dataclass(frozen=True)
-class ShareTable:
-    """Per-period share blocks keyed by period identifier."""
+def shares_from_quantities(quantities, market_size, codes=None):
+    """Observed shares s_jt = q_jt / N_t with outside share 1 - sum per period.
 
-    periods: dict
-
-    def __post_init__(self):
-        object.__setattr__(self, "periods", dict(self.periods))
-        for t, block in self.periods.items():
-            if not isinstance(block, PeriodShares):
-                raise TypeError(f"period {t}: expected PeriodShares")
-
-
-@dataclass(frozen=True)
-class MeanUtilityTable:
-    """Per-period mean utilities; the outside option is pinned at zero."""
-
-    periods: dict
-    outside_utility: float = field(default=0.0)
-
-    def __post_init__(self):
-        object.__setattr__(self, "periods", dict(self.periods))
-        if self.outside_utility != 0.0:
-            raise ValueError("outside utility is normalized to zero")
-        for t, (products, delta) in self.periods.items():
-            d = np.asarray(delta, dtype=float).reshape(-1)
-            if not np.all(np.isfinite(d)):
-                raise ValueError(f"period {t}: mean utilities must be finite")
-            self.periods[t] = (tuple(products), d)
-
-
-def shares_from_quantities(market: MarketPeriod) -> ShareTable:
-    """Observed shares s_jt = q_jt / N_t with outside share 1 - sum."""
-    inside = market.quantities / market.market_size
-    outside = 1.0 - float(inside.sum())
-    block = PeriodShares(products=market.products, inside=inside, outside=outside)
-    return ShareTable(periods={market.period: block})
+    `market_size` holds N_t per period code, or one N for every period.
+    Returns (inside shares per row, outside share per period).
+    """
+    q, codes, n_periods = _rows(quantities, codes)
+    size = np.broadcast_to(np.asarray(market_size, dtype=float), (n_periods,))
+    if not np.all(np.isfinite(q)):
+        raise ValueError("quantities must be finite")
+    if not np.all((size > 0) & np.isfinite(size)):
+        raise ValueError("market_size must be positive and finite")
+    if np.any(q == 0):
+        i = int(np.argmax(q == 0))
+        raise ZeroQuantityError(f"zero quantity in row {i}; log share undefined")
+    if np.any(q < 0):
+        raise ValueError("quantities must be non-negative")
+    total = np.bincount(codes, weights=q, minlength=n_periods)
+    if np.any(total >= size):
+        t = int(np.argmax(total >= size))
+        raise OutsideShareNonPositiveError(
+            f"period code {t}: total quantity {total[t]:g} >= market size "
+            f"{size[t]:g}; outside share must stay positive"
+        )
+    inside = q / size[codes]
+    outside = 1.0 - np.bincount(codes, weights=inside, minlength=n_periods)
+    _check_shares(inside, outside, codes)
+    return inside, outside
 
 
-def invert_shares(shares: ShareTable) -> MeanUtilityTable:
-    """Analytic inversion: delta_jt = log s_jt - log s_0t per period."""
-    out = {}
-    for t, block in shares.periods.items():
-        delta = np.log(block.inside) - math.log(block.outside)
-        out[t] = (block.products, delta)
-    return MeanUtilityTable(periods=out)
+def invert_shares(inside, outside, codes=None):
+    """Analytic inversion: delta_jt = log s_jt - log s_0t.
+
+    `outside` holds s_0t per period code, or one value for every period;
+    the shares of each period must sum to one within 1e-12.
+    """
+    s, codes, n_periods = _rows(inside, codes)
+    s0 = np.broadcast_to(np.asarray(outside, dtype=float), (n_periods,))
+    _check_shares(s, s0, codes)
+    return np.log(s) - np.log(s0)[codes]
 
 
-def predict_shares(delta: MeanUtilityTable, period) -> ShareTable:
-    """Closed-form logit shares for one period.
+def predict_shares(delta, codes=None):
+    """Closed-form logit shares; returns (inside shares per row, outside share per period).
 
     s_jt = exp(delta_jt) / (1 + sum_k exp(delta_kt)); the 1 is the outside
-    option's exp(0). Evaluated with a max shift so |delta| up to ~700 is safe.
+    option's exp(0). Each period is evaluated with its own max shift, so
+    |delta| up to ~700 is safe.
     """
-    if period not in delta.periods:
-        raise KeyError(f"period {period!r} not present")
-    products, d = delta.periods[period]
-    shift = max(0.0, float(np.max(d))) if d.size else 0.0
-    expd = np.exp(d - shift)
-    denom = math.exp(-shift) + float(expd.sum())
-    inside = expd / denom
-    outside = math.exp(-shift) / denom
-    return ShareTable(periods={period: PeriodShares(products, inside, outside)})
+    d, codes, n_periods = _rows(delta, codes)
+    if not np.all(np.isfinite(d)):
+        raise ValueError("mean utilities must be finite")
+    shift = np.zeros(n_periods)
+    np.maximum.at(shift, codes, d)
+    expd = np.exp(d - shift[codes])
+    base = np.exp(-shift)
+    denom = base + np.bincount(codes, weights=expd, minlength=n_periods)
+    return expd / denom[codes], base / denom
 
 
 def binary_choice_probability(delta_j: float, delta_k: float) -> float:

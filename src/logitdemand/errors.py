@@ -20,14 +20,6 @@ class RankDeficientError(LogitDemandError):
         )
 
 
-class NotPositiveDefiniteError(LogitDemandError):
-    """A symmetric matrix failed a Cholesky pivot (not positive definite)."""
-
-    def __init__(self, index, message=None):
-        self.index = index
-        super().__init__(message or f"leading minor of order {index + 1} is not positive definite")
-
-
 # --- demand / shares --------------------------------------------------------
 
 

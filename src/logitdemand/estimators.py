@@ -29,8 +29,8 @@ if TYPE_CHECKING:
 
 INTERCEPT_NAME = "const"
 
-_ESTIMATORS = ("ols", "two_way_fe", "tsls")
-_COVARIANCES = ("classical", "robust_hc0")
+ESTIMATORS = ("ols", "two_way_fe", "tsls")
+COVARIANCES = ("classical", "robust_hc0")
 
 
 @dataclass(frozen=True)
@@ -51,10 +51,10 @@ class ModelSpec:
         object.__setattr__(self, "instruments", tuple(self.instruments))
         if not self.dependent:
             raise ValueError("dependent column name is required")
-        if self.estimator not in _ESTIMATORS:
-            raise ValueError(f"estimator must be one of {_ESTIMATORS}")
-        if self.covariance not in _COVARIANCES:
-            raise ValueError(f"covariance must be one of {_COVARIANCES}")
+        if self.estimator not in ESTIMATORS:
+            raise ValueError(f"estimator must be one of {ESTIMATORS}")
+        if self.covariance not in COVARIANCES:
+            raise ValueError(f"covariance must be one of {COVARIANCES}")
         roles = (self.exogenous_regressors, self.endogenous_regressors, self.instruments)
         for group in roles:
             if len(set(group)) != len(group):

@@ -1,4 +1,4 @@
-"""Dense least-squares kernel: pivoted Householder QR, rank detection, SPD inverse.
+"""Dense least-squares kernel: pivoted Householder QR with rank detection.
 
 Matrices are plain 2-D float64 ndarrays (row-major). The solver deliberately
 avoids the normal equations: small econometric designs with near-collinear
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotPositiveDefiniteError, RankDeficientError
+from .errors import RankDeficientError
 
 #: Relative rank tolerance, applied against the largest column norm.
 DEFAULT_RANK_TOL = 1e-10
@@ -110,17 +110,6 @@ def _column_scale(x):
     return top if top > 0.0 else 1.0
 
 
-def numerical_rank(x, tol=DEFAULT_RANK_TOL):
-    """Numerical rank of X, counting pivoted-QR diagonals above tol * scale."""
-    x = as_matrix(x, "X")
-    if x.size == 0:
-        return 0
-    r, _, _ = _householder_qr_pivoted(x)
-    k = min(x.shape)
-    diag = np.abs(np.diag(r)[:k])
-    return int(np.sum(diag > tol * _column_scale(x)))
-
-
 def solve_least_squares(x, y, tol=DEFAULT_RANK_TOL):
     """Minimize ||y - X b|| via pivoted Householder QR.
 
@@ -176,37 +165,3 @@ def solve_least_squares(x, y, tol=DEFAULT_RANK_TOL):
         rank=rank,
         xtx_inverse=xtx_inv,
     )
-
-
-def invert_spd(a, symmetry_tol=1e-8):
-    """Invert a symmetric positive definite matrix via Cholesky.
-
-    Raises NotPositiveDefiniteError when a pivot fails, which signals a
-    degenerate covariance rather than a numerical slip.
-    """
-    a = as_matrix(a, "A")
-    p, q = a.shape
-    if p != q:
-        raise ValueError(f"matrix must be square, got {p} x {q}")
-    scale = max(1.0, float(np.max(np.abs(a)))) if a.size else 1.0
-    if p and float(np.max(np.abs(a - a.T))) > symmetry_tol * scale:
-        raise ValueError("matrix is not symmetric within tolerance")
-    a = 0.5 * (a + a.T)
-
-    chol = np.zeros_like(a)
-    for j in range(p):
-        d = a[j, j] - chol[j, :j] @ chol[j, :j]
-        if not (d > 0.0 and math.isfinite(d)):
-            raise NotPositiveDefiniteError(j)
-        chol[j, j] = math.sqrt(d)
-        if j + 1 < p:
-            chol[j + 1 :, j] = (a[j + 1 :, j] - chol[j + 1 :, :j] @ chol[j, :j]) / chol[j, j]
-
-    # A^-1 = L^-T L^-1 from the lower-triangular inverse.
-    linv = np.zeros_like(chol)
-    for j in range(p):
-        linv[j, j] = 1.0 / chol[j, j]
-        for i in range(j + 1, p):
-            linv[i, j] = -(chol[i, j:i] @ linv[j:i, j]) / chol[i, i]
-    inv = linv.T @ linv
-    return 0.5 * (inv + inv.T)

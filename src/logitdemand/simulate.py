@@ -196,36 +196,30 @@ def generate_market(params: DgpParams):
         )
         delta = (x @ np.array(params.beta) if k else np.zeros(n)) - params.alpha * price + xi
 
-        inside = np.empty(n)
-        outside = {}
-        quantity = np.empty(n)
-        market_size = np.empty(n)
-        ok = True
-        for ti in range(t):
-            rows = np.flatnonzero(time_idx == ti)
-            products = tuple(units[unit_idx[i]] for i in rows)
-            table = demand.predict_shares(
-                demand.MeanUtilityTable({ti: (products, delta[rows])}), ti
-            )
-            block = table.periods[ti]
-            if block.outside < _MIN_SHARE or float(np.min(block.inside)) < _MIN_SHARE:
-                ok = False
-                break
-            inside[rows] = block.inside
-            outside[2001 + ti] = block.outside
-            if params.consumers is None:
-                quantity[rows] = block.inside
-                market_size[rows] = 1.0
-            else:
-                probs = np.concatenate([block.inside, [block.outside]])
-                counts = rng.multinomial(params.consumers, probs / probs.sum())
-                if np.any(counts[:-1] == 0) or counts[-1] == 0:
-                    ok = False
+        inside, outside = demand.predict_shares(delta, time_idx)
+        by_period = inside.reshape(j, t).T
+        degenerate = (outside < _MIN_SHARE) | (by_period.min(axis=1) < _MIN_SHARE)
+        if params.consumers is None:
+            if np.any(degenerate):
+                continue
+            quantity = inside
+            market_size = np.ones(n)
+        else:
+            # One multinomial draw per period, in period order, up to the first
+            # degenerate period or failed draw: the re-draw continues the stream.
+            counts = []
+            for ti in range(t):
+                if degenerate[ti]:
                     break
-                quantity[rows] = counts[:-1]
-                market_size[rows] = params.consumers
-        if not ok:
-            continue
+                probs = np.append(by_period[ti], outside[ti])
+                draw = rng.multinomial(params.consumers, probs / probs.sum())
+                if np.any(draw == 0):
+                    break
+                counts.append(draw[:-1])
+            if len(counts) < t:
+                continue
+            quantity = np.array(counts).T.reshape(-1)
+            market_size = np.full(n, float(params.consumers))
 
         columns = {name: x[:, i] for i, name in enumerate(params.characteristic_names())}
         columns["price"] = price
@@ -235,12 +229,13 @@ def generate_market(params: DgpParams):
         columns["market_size"] = market_size
         data = dataio.PanelDataset(
             units=tuple(units[i] for i in unit_idx),
-            periods=tuple(2001 + ti for ti in time_idx),
+            periods=(2001 + time_idx).tolist(),
             columns=columns,
             column_kinds={},
         )
         truth = TrueMarket(
-            params=params, delta=delta, xi=xi, inside_shares=inside, outside_shares=outside
+            params=params, delta=delta, xi=xi, inside_shares=inside,
+            outside_shares=dict(zip(range(2001, 2001 + t), outside.tolist())),
         )
         return data, truth
 

@@ -15,13 +15,7 @@ import numpy as np
 import pytest
 
 from logitdemand.dataio import compute_dependent, load_panel
-from logitdemand.demand import (
-    MeanUtilityTable,
-    PeriodShares,
-    ShareTable,
-    invert_shares,
-    predict_shares,
-)
+from logitdemand.demand import invert_shares, predict_shares
 from logitdemand.diagnostics import (
     chi_square_upper_tail,
     f_upper_tail,
@@ -151,11 +145,8 @@ def test_criterion_5_inversion_round_trip():
         raw = rng.dirichlet(np.ones(j + 1))
         raw = 0.9 * raw + 0.1 / (j + 1)
         raw /= raw.sum()
-        products = tuple(f"p{k}" for k in range(j))
-        table = ShareTable({i: PeriodShares(products, raw[:j], float(raw[j]))})
-        back = predict_shares(invert_shares(table), i).periods[i]
-        worst = max(worst, float(np.max(np.abs(back.inside - raw[:j]))),
-                    abs(back.outside - raw[j]))
+        inside, outside = predict_shares(invert_shares(raw[:j], float(raw[j])))
+        worst = max(worst, float(np.max(np.abs(inside - raw[:j]))), abs(outside[0] - raw[j]))
     elapsed = time.perf_counter() - start
     assert worst <= 1e-10
     assert elapsed < 5.0
@@ -241,9 +232,7 @@ def test_criterion_8_sampling_matches_closed_form():
         j = int(rng.integers(1, 6))
         delta = rng.normal(0.0, 1.5, size=j)
         inside, outside = sample_choices(delta, n, rng)
-        table = predict_shares(MeanUtilityTable({0: (tuple(map(str, range(j))), delta)}), 0)
-        block = table.periods[0]
-        shares = np.concatenate([block.inside, [block.outside]])
+        shares = np.concatenate(predict_shares(delta))
         freqs = np.concatenate([inside, [outside]]) / n
         sd = np.sqrt(shares * (1.0 - shares) / n)
         worst_sigma = max(worst_sigma, float(np.max(np.abs(freqs - shares) / sd)))

@@ -126,6 +126,46 @@ def test_estimate_fe_method(tmp_path, capsys):
     assert "absorbed fixed effects: 6 units, 8 periods" in out
 
 
+@pytest.mark.parametrize("command", ["estimate", "diagnose"])
+def test_too_few_instruments_exits_4(tmp_path, capsys, command):
+    spec_path, _ = _sim_inputs(tmp_path)
+    spec = json.loads(spec_path.read_text())
+    spec["estimator"] = "ols"
+    # Two endogenous regressors, one instrument: the order condition fails.
+    spec["exogenous"], spec["endogenous"], spec["instruments"] = ["x1"], ["x2", "price"], ["cost1"]
+    spec_path.write_text(json.dumps(spec), encoding="utf-8")
+    argv = [command, "--spec", str(spec_path)] + (["--method", "2sls"] if command == "estimate" else [])
+    assert main(argv) == 4
+    assert "1 instruments cannot identify 2" in capsys.readouterr().err
+
+
+def test_estimate_2sls_without_instruments_exits_4(tmp_path, capsys):
+    spec_path, _ = _sim_inputs(tmp_path)
+    spec = json.loads(spec_path.read_text())
+    spec["instruments"] = []
+    spec["estimator"] = "ols"
+    spec_path.write_text(json.dumps(spec), encoding="utf-8")
+    assert main(["estimate", "--spec", str(spec_path), "--method", "2sls"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "0 instruments" in captured.err
+
+
+@pytest.mark.parametrize("instruments", [True, False], ids=["instruments", "no_instruments"])
+def test_estimate_2sls_on_fixed_effects_spec_exits_2(tmp_path, capsys, instruments):
+    spec_path, _ = _sim_inputs(tmp_path)
+    spec = json.loads(spec_path.read_text())
+    spec["estimator"] = "two_way_fe"
+    if not instruments:
+        spec["instruments"] = []
+    spec_path.write_text(json.dumps(spec), encoding="utf-8")
+    assert main(["estimate", "--spec", str(spec_path), "--method", "2sls"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "'two_way_fe'" in captured.err
+    assert "not supported yet" in captured.err
+
+
 def test_estimate_rank_deficient_exits_3(tmp_path, capsys):
     spec_path, csv_path = _sim_inputs(tmp_path)
     data = load_panel(csv_path)

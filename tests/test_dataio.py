@@ -133,6 +133,24 @@ def test_round_trip_is_bitwise(tmp_path):
         assert np.array_equal(a, b, equal_nan=True)
 
 
+def test_write_panel_csv_bytes(tmp_path):
+    data = PanelDataset(
+        units=("a", "b", "c"),
+        periods=(2014, 2014, 2015),
+        columns={"Price": [0.1, 1e-17, -3.141592653589793],
+                 "CPU": [np.nan, 0.30000000000000004, 1600.0]},
+        column_kinds={},
+    )
+    out = tmp_path / "panel.csv"
+    write_panel_csv(data, out)
+    assert out.read_bytes() == (
+        b"unit,period,Price,CPU\r\n"
+        b"a,2014,0.1,\r\n"
+        b"b,2014,1e-17,0.30000000000000004\r\n"
+        b"c,2015,-3.141592653589793,1600.0\r\n"
+    )
+
+
 def test_row_order_never_affects_estimates(tmp_path):
     rng = np.random.default_rng(12)
     lines = ["unit,period,y,x"]

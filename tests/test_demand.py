@@ -4,10 +4,6 @@ import numpy as np
 import pytest
 
 from logitdemand.demand import (
-    MarketPeriod,
-    MeanUtilityTable,
-    PeriodShares,
-    ShareTable,
     binary_choice_probability,
     invert_shares,
     predict_shares,
@@ -16,63 +12,63 @@ from logitdemand.demand import (
 from logitdemand.errors import OutsideShareNonPositiveError, ZeroQuantityError
 
 
-def _market(quantities, market_size, period=2014):
-    products = tuple(f"p{i}" for i in range(len(quantities)))
-    return MarketPeriod(period=period, products=products,
-                        quantities=np.asarray(quantities, dtype=float),
-                        market_size=market_size)
-
-
-def _random_share_table(rng, period=1):
+def _random_shares(rng):
     j = int(rng.integers(1, 8))
     raw = rng.dirichlet(np.ones(j + 1))
     # Keep every share comfortably inside (0, 1).
     raw = 0.9 * raw + 0.1 / (j + 1)
     raw /= raw.sum()
-    products = tuple(f"p{i}" for i in range(j))
-    return ShareTable({period: PeriodShares(products, raw[:j], float(raw[j]))})
+    return raw[:j], float(raw[j])
 
 
 def test_even_split_shares():
-    table = shares_from_quantities(_market([50.0, 50.0], 200.0))
-    block = table.periods[2014]
-    assert np.allclose(block.inside, [0.25, 0.25])
-    assert block.outside == pytest.approx(0.5)
+    inside, outside = shares_from_quantities([50.0, 50.0], 200.0)
+    assert np.allclose(inside, [0.25, 0.25])
+    assert outside[0] == pytest.approx(0.5)
 
 
 def test_single_product_shares():
-    block = shares_from_quantities(_market([100.0], 200.0)).periods[2014]
-    assert block.inside[0] == pytest.approx(0.5)
-    assert block.outside == pytest.approx(0.5)
+    inside, outside = shares_from_quantities([100.0], 200.0)
+    assert inside[0] == pytest.approx(0.5)
+    assert outside[0] == pytest.approx(0.5)
 
 
 def test_three_product_shares_match_arithmetic():
-    block = shares_from_quantities(_market([30.0, 20.0, 10.0], 120.0)).periods[2014]
-    assert np.allclose(block.inside, [0.25, 1.0 / 6.0, 1.0 / 12.0])
-    assert block.outside == pytest.approx(0.5)
+    inside, outside = shares_from_quantities([30.0, 20.0, 10.0], 120.0)
+    assert np.allclose(inside, [0.25, 1.0 / 6.0, 1.0 / 12.0])
+    assert outside[0] == pytest.approx(0.5)
+
+
+def test_shares_per_period_code():
+    # Rows interleave two periods with their own market sizes.
+    inside, outside = shares_from_quantities([30.0, 10.0, 20.0, 10.0], [120.0, 40.0],
+                                             codes=[0, 1, 0, 1])
+    assert np.allclose(inside, [0.25, 0.25, 1.0 / 6.0, 0.25])
+    assert np.allclose(outside, [1.0 - 0.25 - 1.0 / 6.0, 0.5])
 
 
 def test_zero_quantity_is_an_error():
     with pytest.raises(ZeroQuantityError):
-        _market([10.0, 0.0], 100.0)
+        shares_from_quantities([10.0, 0.0], 100.0)
 
 
 def test_saturated_market_is_an_error():
     with pytest.raises(OutsideShareNonPositiveError):
-        _market([150.0, 50.0], 200.0)
+        shares_from_quantities([150.0, 50.0], 200.0)
     with pytest.raises(OutsideShareNonPositiveError):
-        _market([100.0, 100.0], 200.0)  # exactly exhausted also fails
+        shares_from_quantities([100.0, 100.0], 200.0)  # exactly exhausted also fails
+    with pytest.raises(OutsideShareNonPositiveError):
+        # Only the second period is full.
+        shares_from_quantities([10.0, 30.0, 10.0], [100.0, 40.0], codes=[0, 1, 1])
 
 
 def test_equal_shares_invert_to_zero_utility():
-    table = ShareTable({1: PeriodShares(("a",), np.array([0.5]), 0.5)})
-    _, delta = invert_shares(table).periods[1]
+    delta = invert_shares([0.5], 0.5)
     assert delta[0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_quarter_shares_invert_to_log_half():
-    table = ShareTable({1: PeriodShares(("a", "b"), np.array([0.25, 0.25]), 0.5)})
-    _, delta = invert_shares(table).periods[1]
+    delta = invert_shares([0.25, 0.25], 0.5)
     assert np.allclose(delta, math.log(0.5))
     assert delta[0] == pytest.approx(-0.693147, abs=1e-6)
 
@@ -80,43 +76,60 @@ def test_quarter_shares_invert_to_log_half():
 def test_inversion_round_trip_on_random_tables():
     rng = np.random.default_rng(2024)
     for _ in range(200):
-        table = _random_share_table(rng)
-        predicted = predict_shares(invert_shares(table), 1).periods[1]
-        original = table.periods[1]
-        assert np.max(np.abs(predicted.inside - original.inside)) <= 1e-10
-        assert abs(predicted.outside - original.outside) <= 1e-10
+        inside, outside = _random_shares(rng)
+        predicted, predicted_outside = predict_shares(invert_shares(inside, outside))
+        assert np.max(np.abs(predicted - inside)) <= 1e-10
+        assert abs(predicted_outside[0] - outside) <= 1e-10
+
+
+def test_inversion_round_trip_with_interleaved_periods():
+    rng = np.random.default_rng(2025)
+    blocks = [_random_shares(rng) for _ in range(6)]
+    codes = np.concatenate([np.full(s.size, t) for t, (s, _) in enumerate(blocks)])
+    order = rng.permutation(codes.size)
+    inside = np.concatenate([s for s, _ in blocks])[order]
+    outside = np.array([s0 for _, s0 in blocks])
+    predicted, predicted_outside = predict_shares(invert_shares(inside, outside, codes[order]),
+                                                  codes[order])
+    assert np.max(np.abs(predicted - inside)) <= 1e-10
+    assert np.max(np.abs(predicted_outside - outside)) <= 1e-10
 
 
 def test_predict_single_zero_utility():
-    block = predict_shares(MeanUtilityTable({1: (("a",), np.array([0.0]))}), 1).periods[1]
-    assert block.inside[0] == pytest.approx(0.5)
-    assert block.outside == pytest.approx(0.5)
+    inside, outside = predict_shares([0.0])
+    assert inside[0] == pytest.approx(0.5)
+    assert outside[0] == pytest.approx(0.5)
 
 
 def test_predict_log_two_utility():
-    block = predict_shares(MeanUtilityTable({1: (("a",), np.array([math.log(2.0)]))}), 1).periods[1]
-    assert block.inside[0] == pytest.approx(2.0 / 3.0)
-    assert block.outside == pytest.approx(1.0 / 3.0)
+    inside, outside = predict_shares([math.log(2.0)])
+    assert inside[0] == pytest.approx(2.0 / 3.0)
+    assert outside[0] == pytest.approx(1.0 / 3.0)
 
 
 def test_predict_matches_direct_summation_oracle():
     delta = np.array([1.5, -0.3, 0.0])
-    block = predict_shares(MeanUtilityTable({1: (("a", "b", "c"), delta)}), 1).periods[1]
+    inside, outside = predict_shares(delta)
     denom = 1.0 + np.exp(delta).sum()
-    assert np.max(np.abs(block.inside - np.exp(delta) / denom)) <= 1e-12
-    assert block.outside == pytest.approx(1.0 / denom, abs=1e-12)
-    assert block.inside.sum() + block.outside == pytest.approx(1.0, abs=1e-12)
+    assert np.max(np.abs(inside - np.exp(delta) / denom)) <= 1e-12
+    assert outside[0] == pytest.approx(1.0 / denom, abs=1e-12)
+    assert inside.sum() + outside[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_predict_survives_extreme_utilities():
     # Max-shift evaluation keeps utilities up to +-700 against the outside
     # option finite and strictly inside (0, 1).
-    block = predict_shares(MeanUtilityTable({1: (("a", "b"), np.array([700.0, 699.0]))}), 1).periods[1]
-    assert math.isfinite(block.inside[0]) and 0.0 < block.inside[0] < 1.0
-    assert block.outside > 0.0
-    block = predict_shares(MeanUtilityTable({1: (("a",), np.array([-700.0]))}), 1).periods[1]
-    assert 0.0 < block.inside[0] < 1e-300
-    assert block.outside == pytest.approx(1.0, abs=1e-12)
+    inside, outside = predict_shares([700.0, 699.0])
+    assert math.isfinite(inside[0]) and 0.0 < inside[0] < 1.0
+    assert outside[0] > 0.0
+    inside, outside = predict_shares([-700.0])
+    assert 0.0 < inside[0] < 1e-300
+    assert outside[0] == pytest.approx(1.0, abs=1e-12)
+    # Each period takes its own shift: one at +700 leaves the other's -700 intact.
+    inside, outside = predict_shares([700.0, -700.0, 699.0], codes=[0, 1, 0])
+    assert 0.0 < inside[1] < 1e-300
+    assert outside[1] == pytest.approx(1.0, abs=1e-12)
+    assert outside[0] > 0.0 and np.all(np.isfinite(inside))
 
 
 def test_binary_choice_trivial_values():
@@ -141,41 +154,41 @@ def test_binary_choice_symmetric_complement():
 def test_share_ratios_obey_iia():
     # Dropping a third alternative leaves the remaining share ratio unchanged.
     delta = np.array([0.8, -0.2, 1.1])
-    full = predict_shares(MeanUtilityTable({1: (("a", "b", "c"), delta)}), 1).periods[1]
-    reduced = predict_shares(MeanUtilityTable({1: (("a", "b"), delta[:2])}), 1).periods[1]
-    ratio_full = full.inside[0] / full.inside[1]
-    ratio_reduced = reduced.inside[0] / reduced.inside[1]
+    full, _ = predict_shares(delta)
+    reduced, _ = predict_shares(delta[:2])
+    ratio_full = full[0] / full[1]
+    ratio_reduced = reduced[0] / reduced[1]
     assert ratio_full == pytest.approx(ratio_reduced, rel=1e-12)
 
 
 def test_raising_a_utility_is_monotone():
     delta = np.array([0.5, -0.5, 0.0])
-    base = predict_shares(MeanUtilityTable({1: (("a", "b", "c"), delta)}), 1).periods[1]
+    base, base_outside = predict_shares(delta)
     bumped_delta = delta.copy()
     bumped_delta[0] += 0.3
-    bumped = predict_shares(MeanUtilityTable({1: (("a", "b", "c"), bumped_delta)}), 1).periods[1]
-    assert bumped.inside[0] > base.inside[0]
-    assert bumped.inside[1] < base.inside[1]
-    assert bumped.inside[2] < base.inside[2]
-    assert bumped.outside < base.outside
+    bumped, bumped_outside = predict_shares(bumped_delta)
+    assert bumped[0] > base[0]
+    assert bumped[1] < base[1]
+    assert bumped[2] < base[2]
+    assert bumped_outside[0] < base_outside[0]
 
 
 def test_normalized_map_is_injective():
     # With the outside utility pinned at zero, translating delta moves shares.
     delta = np.array([0.2, -0.4])
-    base = predict_shares(MeanUtilityTable({1: (("a", "b"), delta)}), 1).periods[1]
-    shifted = predict_shares(MeanUtilityTable({1: (("a", "b"), delta + 1.0)}), 1).periods[1]
-    assert not np.allclose(base.inside, shifted.inside)
+    base, _ = predict_shares(delta)
+    shifted, _ = predict_shares(delta + 1.0)
+    assert not np.allclose(base, shifted)
     # Inside-share ratios are translation invariant all the same.
-    assert base.inside[0] / base.inside[1] == pytest.approx(
-        shifted.inside[0] / shifted.inside[1], rel=1e-12
-    )
+    assert base[0] / base[1] == pytest.approx(shifted[0] / shifted[1], rel=1e-12)
 
 
 def test_share_table_validation():
     with pytest.raises(ValueError):
-        PeriodShares(("a",), np.array([0.6]), 0.5)  # does not sum to one
+        invert_shares([0.6], 0.5)  # does not sum to one
     with pytest.raises(ValueError):
-        PeriodShares(("a", "b"), np.array([0.0, 0.5]), 0.5)  # boundary share
+        invert_shares([0.0, 0.5], 0.5)  # boundary share
     with pytest.raises(ValueError):
-        MeanUtilityTable({1: (("a",), np.array([np.nan]))})
+        invert_shares([0.25, 0.25, 0.5], [0.5, 0.4], codes=[0, 0, 1])  # second period sums to 0.9
+    with pytest.raises(ValueError):
+        predict_shares([np.nan])

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from logitdemand.errors import NotPositiveDefiniteError, RankDeficientError
-from logitdemand.matrix import invert_spd, numerical_rank, solve_least_squares
+from logitdemand.errors import RankDeficientError
+from logitdemand.matrix import solve_least_squares
 
 
 def test_identity_design_recovers_y_exactly():
@@ -96,14 +96,18 @@ def test_nonfinite_inputs_rejected():
 
 
 def test_rank_of_identity():
-    assert numerical_rank(np.eye(3)) == 3
+    assert solve_least_squares(np.eye(3), np.ones(3)).rank == 3
 
 
 def test_rank_with_duplicated_column():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(8, 4))
     x[:, 3] = x[:, 0]
-    assert numerical_rank(x) == 3
+    with pytest.raises(RankDeficientError) as err:
+        solve_least_squares(x, rng.normal(size=8))
+    # Rank 3: one of the twin columns is reported.
+    assert len(err.value.columns) == 1
+    assert set(err.value.columns) <= {0, 3}
 
 
 def test_rank_with_tiny_perturbation_matches_svd_oracle():
@@ -111,39 +115,28 @@ def test_rank_with_tiny_perturbation_matches_svd_oracle():
     x = rng.normal(size=(5, 3))
     x[:, 2] = x[:, 0] + 1e-14 * rng.normal(size=5)
     tol = 1e-10
-    assert numerical_rank(x, tol=tol) == 2
-    # Independent oracle: singular values from numpy.
+    with pytest.raises(RankDeficientError) as err:
+        solve_least_squares(x, rng.normal(size=5), tol=tol)
+    # Independent oracle: singular values from numpy give rank 2.
     s = np.linalg.svd(x, compute_uv=False)
-    assert int(np.sum(s > tol * np.max(np.linalg.norm(x, axis=0)))) == 2
+    svd_rank = int(np.sum(s > tol * np.max(np.linalg.norm(x, axis=0))))
+    assert svd_rank == 2
+    assert len(err.value.columns) == x.shape[1] - svd_rank
+    assert set(err.value.columns) <= {0, 2}
 
 
 def test_rank_is_deterministic():
     rng = np.random.default_rng(4)
     x = rng.normal(size=(10, 4))
-    assert numerical_rank(x) == numerical_rank(x.copy())
-
-
-def test_invert_spd_identity_and_diagonal():
-    assert np.allclose(invert_spd(np.eye(2)), np.eye(2))
-    assert np.allclose(invert_spd(np.diag([2.0, 4.0])), np.diag([0.5, 0.25]))
-
-
-def test_invert_spd_random_residual_check():
-    rng = np.random.default_rng(17)
-    b = rng.normal(size=(4, 4))
-    a = b.T @ b + np.eye(4)
-    inv = invert_spd(a)
-    assert np.max(np.abs(a @ inv - np.eye(4))) < 1e-8
-    assert np.max(np.abs(inv - inv.T)) == 0.0
-
-
-def test_invert_spd_rejects_indefinite():
-    with pytest.raises(NotPositiveDefiniteError):
-        invert_spd(np.array([[1.0, 2.0], [2.0, 1.0]]))
-    with pytest.raises(NotPositiveDefiniteError):
-        invert_spd(np.diag([1.0, 0.0]))
-
-
-def test_invert_spd_rejects_asymmetric():
-    with pytest.raises(ValueError):
-        invert_spd(np.array([[1.0, 0.5], [0.0, 1.0]]))
+    y = rng.normal(size=10)
+    a = solve_least_squares(x, y)
+    b = solve_least_squares(x.copy(), y.copy())
+    assert a.rank == b.rank == 4
+    assert np.array_equal(a.coefficients, b.coefficients)
+    x[:, 3] = x[:, 1]
+    reported = []
+    for _ in range(2):
+        with pytest.raises(RankDeficientError) as err:
+            solve_least_squares(x.copy(), y)
+        reported.append(err.value.columns)
+    assert reported[0] == reported[1]

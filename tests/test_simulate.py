@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from logitdemand.dataio import DEPENDENT_COLUMN, compute_dependent
-from logitdemand.demand import MeanUtilityTable, predict_shares
+from logitdemand.demand import predict_shares
 from logitdemand.errors import DegenerateSharesError
 from logitdemand.estimators import estimate, estimate_tsls
 from logitdemand.simulate import (
@@ -115,10 +115,10 @@ def test_sample_choices_dominant_option():
 def test_sample_choices_match_closed_form_shares():
     delta = np.array([1.5, -0.3, 0.0])
     inside, outside = sample_choices(delta, 10**6, np.random.default_rng(11))
-    table = predict_shares(MeanUtilityTable({0: (("a", "b", "c"), delta)}), 0).periods[0]
+    shares, outside_share = predict_shares(delta)
     freqs = inside / 10**6
-    assert np.max(np.abs(freqs - table.inside)) < 3e-3
-    assert outside / 10**6 == pytest.approx(table.outside, abs=3e-3)
+    assert np.max(np.abs(freqs - shares)) < 3e-3
+    assert outside / 10**6 == pytest.approx(outside_share[0], abs=3e-3)
 
 
 def test_noiseless_tsls_identifies_exactly():
