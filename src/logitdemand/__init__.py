@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .dataio import (
     DEPENDENT_COLUMN,
     PanelDataset,
-    SpecFile,
     compute_dependent,
     load_panel,
     parse_spec,
@@ -62,7 +61,6 @@ __all__ = [
     "McSummary",
     "ModelSpec",
     "PanelDataset",
-    "SpecFile",
     "TrueMarket",
     "binary_choice_probability",
     "chi_square_upper_tail",

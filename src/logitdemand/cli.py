@@ -10,6 +10,8 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__, dataio, diagnostics, estimators, simulate
 from .errors import ExactlyIdentifiedError, LogitDemandError, OrderConditionViolatedError
 
@@ -94,8 +96,9 @@ def format_coefficient_table(result: estimators.EstimateResult) -> str:
 
 def _report_dropped_rows(data, row_indices):
     """Listwise deletion is silent in the API; the CLI reports it."""
-    used = set(int(i) for i in row_indices)
-    dropped = [i for i in range(data.n_rows) if i not in used]
+    unused = np.ones(data.n_rows, dtype=bool)
+    unused[row_indices] = False
+    dropped = np.flatnonzero(unused).tolist()
     if not dropped:
         return
     shown = ", ".join(data.row_label(i) for i in dropped[:8])
@@ -106,62 +109,47 @@ def _report_dropped_rows(data, row_indices):
     )
 
 
-def _load_dataset(spec_path, data_override):
-    if data_override:
-        return dataio.load_panel(data_override), Path(data_override)
-    spec = dataio.parse_spec(spec_path)
-    return dataio.load_panel(spec.dataset_path), spec.dataset_path
-
-
-def _prepare(spec_path, data_override):
-    data, data_path = _load_dataset(spec_path, data_override)
-    if not data.has_column(dataio.DEPENDENT_COLUMN):
-        derivable = (
-            data.has_column("quantity") and data.has_column("market_size")
-        ) or data.has_column("share")
-        if derivable:
-            data = dataio.compute_dependent(data)
-    spec_file = dataio.parse_spec(spec_path, dataset=data)
-    return spec_file, data, data_path
+def _load(args):
+    """Parse the spec, load its dataset (or `--data`) and build the dependent if the spec needs it."""
+    spec, data_path = dataio.parse_spec(args.spec)
+    if args.data:
+        data_path = Path(args.data)
+    data = dataio.load_panel(data_path)
+    dataio.check_columns(spec, data)
+    if not data.has_column(spec.dependent):
+        data = dataio.compute_dependent(data)
+    return spec, data, data_path
 
 
 def cmd_invert(args) -> int:
     try:
-        data = dataio.load_panel(args.data)
-        data = dataio.compute_dependent(data)
+        data = dataio.compute_dependent(dataio.load_panel(args.data))
+        shares = dataio.outside_shares(data)
     except LogitDemandError as exc:
         return _fail(EXIT_VALIDATION, exc)
     dataio.write_panel_csv(data, args.output)
     _write_manifest(args.output, _command_line(args), dataset_path=args.data)
-    for t, s0 in sorted(dataio.outside_shares(data).items()):
+    for t, s0 in sorted(shares.items()):
         print(f"period {t}: outside share {s0:.6f}")
     return EXIT_OK
 
 
 def cmd_estimate(args) -> int:
     try:
-        spec_file, data, data_path = _prepare(args.spec, args.data)
-    except (LogitDemandError, OSError, ValueError) as exc:
-        return _fail(EXIT_VALIDATION, exc)
-
-    method = _METHOD_ALIASES[args.method] if args.method else spec_file.estimator
-    if method == "tsls" and spec_file.estimator == "two_way_fe":
-        return _fail(
-            EXIT_VALIDATION,
-            f"the spec's estimator is {spec_file.estimator!r}; --method 2sls fits a pooled "
-            "2SLS, and 2SLS with fixed effects is not supported yet",
-        )
-    try:
-        spec = spec_file.to_model_spec()
-        if method != spec.estimator:
-            spec = dataclasses.replace(
-                spec,
-                estimator=method,
-                include_intercept=method != "two_way_fe",
-                covariance="robust_hc0" if method == "tsls" else "classical",
+        spec, data, data_path = _load(args)
+        method = _METHOD_ALIASES[args.method] if args.method else spec.estimator
+        if method == "tsls" and spec.estimator == "two_way_fe":
+            return _fail(
+                EXIT_VALIDATION,
+                f"the spec's estimator is {spec.estimator!r}; --method 2sls fits a pooled "
+                "2SLS, and 2SLS with fixed effects is not supported yet",
             )
+        if method != spec.estimator:
+            spec = dataclasses.replace(spec, estimator=method, **estimators.estimator_defaults(method))
     except OrderConditionViolatedError as exc:
         return _fail(EXIT_NO_INSTRUMENTS, exc)
+    except (LogitDemandError, OSError, ValueError) as exc:
+        return _fail(EXIT_VALIDATION, exc)
     if args.robust:
         spec = dataclasses.replace(spec, covariance="robust_hc0")
 
@@ -172,36 +160,26 @@ def cmd_estimate(args) -> int:
     _report_dropped_rows(data, result.row_indices)
 
     if args.format == "csv":
-        text = dataio.results_csv_text(result)
-    else:
-        text = format_coefficient_table(result)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        _write_manifest(args.output, _command_line(args), spec_path=args.spec, dataset_path=data_path)
-    else:
-        print(text, end="")
-    return EXIT_OK
+        return _emit(args, dataio.results_csv_text(result), data_path)
+    return _emit(args, format_coefficient_table(result), data_path)
 
 
 def cmd_diagnose(args) -> int:
     try:
-        spec_file, data, data_path = _prepare(args.spec, args.data)
-    except (LogitDemandError, OSError, ValueError) as exc:
-        return _fail(EXIT_VALIDATION, exc)
-    if spec_file.estimator == "two_way_fe":
-        return _fail(
-            EXIT_VALIDATION,
-            f"the spec's estimator is {spec_file.estimator!r}; diagnose tests a pooled first "
-            "stage, and first-stage diagnostics with fixed effects are not supported yet",
-        )
-    if not spec_file.instruments:
-        return _fail(EXIT_NO_INSTRUMENTS, "spec has no instruments; nothing to diagnose")
-
-    try:
-        spec = dataclasses.replace(spec_file.to_model_spec(), estimator="tsls")
+        spec, data, data_path = _load(args)
+        if spec.estimator == "two_way_fe":
+            return _fail(
+                EXIT_VALIDATION,
+                f"the spec's estimator is {spec.estimator!r}; diagnose tests a pooled first "
+                "stage, and first-stage diagnostics with fixed effects are not supported yet",
+            )
+        if not spec.instruments:
+            return _fail(EXIT_NO_INSTRUMENTS, "spec has no instruments; nothing to diagnose")
+        spec = dataclasses.replace(spec, estimator="tsls")
     except OrderConditionViolatedError as exc:
         return _fail(EXIT_NO_INSTRUMENTS, exc)
+    except (LogitDemandError, OSError, ValueError) as exc:
+        return _fail(EXIT_VALIDATION, exc)
     lines = []
     try:
         f_report = diagnostics.first_stage_f(spec, data)
@@ -222,8 +200,7 @@ def cmd_diagnose(args) -> int:
         j_report = diagnostics.sargan_j(tsls_result, spec, data)
     except ExactlyIdentifiedError:
         lines.append("Sargan J test skipped: model is exactly identified (m = k)")
-        print("\n".join(lines))
-        return EXIT_OK
+        return _emit(args, "\n".join(lines) + "\n", data_path)
     except LogitDemandError as exc:
         return _fail(EXIT_ESTIMATION, exc)
 
@@ -238,7 +215,11 @@ def cmd_diagnose(args) -> int:
         f"  cross-checks:           instrument-block F {j_report.instrument_block_f:.3f}, "
         f"n*R^2 {j_report.n_r_squared:.3f}"
     )
-    text = "\n".join(lines) + "\n"
+    return _emit(args, "\n".join(lines) + "\n", data_path)
+
+
+def _emit(args, text, data_path):
+    """Write a spec command's report to `--output`, with its manifest, or else to stdout."""
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)

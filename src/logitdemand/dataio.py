@@ -26,7 +26,7 @@ from .errors import (
     UnknownColumnError,
     UnknownKeyError,
 )
-from .estimators import COVARIANCES, ESTIMATORS, ModelSpec
+from .estimators import ModelSpec, estimator_defaults
 
 #: Columns validated as 0/1 dummies unless the caller overrides.
 DEFAULT_DUMMY_COLUMNS = ("Alone", "Subscribe")
@@ -254,28 +254,32 @@ def write_panel_csv(data: PanelDataset, path):
         writer.writerows(zip(*fields))
 
 
+def _inside_shares(data: PanelDataset):
+    """Each row's inside share and the column it comes from: quantity / market_size where
+    both columns exist, else the share column."""
+    if data.has_column("quantity") and data.has_column("market_size"):
+        return "quantity", data.column("quantity") / data.column("market_size")
+    if data.has_column("share"):
+        return "share", data.column("share")
+    raise DomainViolationError(
+        "quantity", "dataset",
+        "need quantity and market_size columns (or a share column) to build the dependent",
+    )
+
+
 def compute_dependent(data: PanelDataset) -> PanelDataset:
     """Add the log-share-difference column from quantities or a share column."""
     if data.has_column(DEPENDENT_COLUMN):
         warnings.warn(f"column {DEPENDENT_COLUMN!r} already present; leaving it unchanged")
         return data
 
-    from_quantities = data.has_column("quantity") and data.has_column("market_size")
-    if from_quantities:
-        column, problem = "quantity", "missing quantity or market size for unit {unit!r}"
-        q = data.column("quantity")
-        n = data.column("market_size")
-        missing = np.isnan(q) | np.isnan(n)
-        inside = q / n
-    elif data.has_column("share"):
-        column, problem = "share", "missing share"
-        inside = data.column("share")
-        missing = np.isnan(inside)
+    column, inside = _inside_shares(data)
+    if column == "quantity":
+        problem = "missing quantity or market size for unit {unit!r}"
     else:
-        raise DomainViolationError(
-            "quantity", "dataset",
-            "need quantity and market_size columns (or a share column) to build the dependent",
-        )
+        problem = "missing share"
+    # Quantities and market sizes are positive or NaN, so q / N is NaN exactly where one is missing.
+    missing = np.isnan(inside)
 
     codes = data.period_codes
     sums = np.bincount(codes, weights=inside, minlength=len(data.period_levels))
@@ -293,7 +297,7 @@ def compute_dependent(data: PanelDataset) -> PanelDataset:
                 column, data.row_label(i),
                 f"period {data.periods[i]}: " + problem.format(unit=data.units[i]),
             )
-        if outside[codes[i]] <= 0.0 and not from_quantities:
+        if outside[codes[i]] <= 0.0 and column == "share":
             raise DomainViolationError(
                 "share", data.row_label(i),
                 f"period {data.periods[i]}: inside shares sum to {sums[codes[i]]:g}, "
@@ -304,67 +308,34 @@ def compute_dependent(data: PanelDataset) -> PanelDataset:
 
 
 def outside_shares(data: PanelDataset) -> dict:
-    """Per-period outside share 1 - sum(quantity / market_size), as the inversion uses it.
+    """Per-period outside share 1 - sum of the inside shares that `compute_dependent` inverts.
 
-    Periods with a missing quantity or market size are left out.
+    Periods with a missing inside share are left out.
     """
-    q = data.column("quantity")
-    n = data.column("market_size")
+    _, inside = _inside_shares(data)
     codes, n_periods = data.period_codes, len(data.period_levels)
-    complete = np.bincount(codes, weights=np.isnan(q) | np.isnan(n), minlength=n_periods) == 0
-    outside = 1.0 - np.bincount(codes, weights=q / n, minlength=n_periods)
+    complete = np.bincount(codes, weights=np.isnan(inside), minlength=n_periods) == 0
+    outside = 1.0 - np.bincount(codes, weights=inside, minlength=n_periods)
     return dict(zip(data.period_levels[complete].tolist(), outside[complete].tolist()))
 
 
 # --- model-spec files -------------------------------------------------------
 
-_SPEC_KEYS = {
-    "dataset", "dependent", "exogenous", "endogenous",
-    "instruments", "estimator", "covariance", "intercept",
+#: Every spec-file key but "dataset", and the `ModelSpec` field it sets.
+_SPEC_FIELDS = {
+    "dependent": "dependent", "exogenous": "exogenous_regressors",
+    "endogenous": "endogenous_regressors", "instruments": "instruments",
+    "estimator": "estimator", "covariance": "covariance", "intercept": "include_intercept",
 }
 
 
-@dataclass(frozen=True)
-class SpecFile:
-    """Parsed estimation spec: which columns play which role, and how to fit."""
+def parse_spec(path, dataset: PanelDataset | None = None) -> tuple:
+    """Read a JSON model spec; return its `ModelSpec` and the resolved dataset path.
 
-    dataset_path: Path
-    dependent: str
-    exogenous: tuple
-    endogenous: tuple
-    instruments: tuple
-    estimator: str
-    covariance: str
-    include_intercept: bool
-    source_path: Path | None = None
-
-    def required_columns(self):
-        return (self.dependent, *self.exogenous, *self.endogenous, *self.instruments)
-
-    def to_model_spec(self):
-        return ModelSpec(
-            dependent=self.dependent,
-            exogenous_regressors=self.exogenous,
-            endogenous_regressors=self.endogenous,
-            instruments=self.instruments,
-            include_intercept=self.include_intercept,
-            estimator=self.estimator,
-            covariance=self.covariance,
-        )
-
-
-def _require_str_list(raw, key):
-    if not isinstance(raw, list) or not all(isinstance(v, str) for v in raw):
-        raise ValueError(f"spec field {key!r} must be a list of column names")
-    return tuple(raw)
-
-
-def parse_spec(path, dataset: PanelDataset | None = None) -> SpecFile:
-    """Parse and validate a JSON model spec.
-
-    When a dataset is supplied, every referenced column must exist in it; the
-    dependent may alternatively be derivable (quantity/market_size or share
-    columns present).
+    This checks the JSON's shape; `ModelSpec` checks the estimator, the
+    covariance, the column roles and the order condition. Relative dataset
+    paths resolve against the spec file's directory. When a dataset is
+    supplied, `check_columns` checks the spec against it.
     """
     path = Path(path)
     with open(path, encoding="utf-8") as fh:
@@ -375,47 +346,45 @@ def parse_spec(path, dataset: PanelDataset | None = None) -> SpecFile:
     if not isinstance(raw, dict):
         raise ParseError(1, "", "spec must be a JSON object")
 
-    unknown = set(raw) - _SPEC_KEYS
+    unknown = set(raw) - {"dataset", *_SPEC_FIELDS}
     if unknown:
         raise UnknownKeyError(f"unknown spec keys: {sorted(unknown)}")
     for required in ("dataset", "dependent", "estimator"):
         if required not in raw:
             raise MissingRequiredError(required)
+    for key, kind, described in (
+        ("dataset", str, "a string"), ("dependent", str, "a string"), ("intercept", bool, "a boolean"),
+    ):
+        if key in raw and not isinstance(raw[key], kind):
+            raise ValueError(f"spec field {key!r} must be {described}")
+    for key in ("exogenous", "endogenous", "instruments"):
+        names = raw.get(key, [])
+        if not isinstance(names, list) or not all(isinstance(v, str) for v in names):
+            raise ValueError(f"spec field {key!r} must be a list of column names")
 
-    estimator = raw["estimator"]
-    if estimator not in ESTIMATORS:
-        raise ValueError(f"estimator must be one of {ESTIMATORS}, got {estimator!r}")
-    covariance = raw.get("covariance", "robust_hc0" if estimator == "tsls" else "classical")
-    if covariance not in COVARIANCES:
-        raise ValueError(f"covariance must be one of {COVARIANCES}, got {covariance!r}")
-    intercept = raw.get("intercept", estimator != "two_way_fe")
-    if not isinstance(intercept, bool):
-        raise ValueError("spec field 'intercept' must be a boolean")
-
-    spec = SpecFile(
-        dataset_path=(path.parent / raw["dataset"]).resolve()
-        if not Path(raw["dataset"]).is_absolute() else Path(raw["dataset"]),
-        dependent=str(raw["dependent"]),
-        exogenous=_require_str_list(raw.get("exogenous", []), "exogenous"),
-        endogenous=_require_str_list(raw.get("endogenous", []), "endogenous"),
-        instruments=_require_str_list(raw.get("instruments", []), "instruments"),
-        estimator=estimator,
-        covariance=covariance,
-        include_intercept=intercept,
-        source_path=path,
-    )
-
+    fields = estimator_defaults(raw["estimator"])
+    fields.update({_SPEC_FIELDS[key]: value for key, value in raw.items() if key != "dataset"})
+    spec = ModelSpec(**fields)
     if dataset is not None:
-        derivable = (
-            dataset.has_column("quantity") and dataset.has_column("market_size")
-        ) or dataset.has_column("share")
-        for name in spec.required_columns():
-            if dataset.has_column(name):
-                continue
-            if name == spec.dependent and name == DEPENDENT_COLUMN and derivable:
-                continue
+        check_columns(spec, dataset)
+    dataset_path = Path(raw["dataset"])
+    if not dataset_path.is_absolute():
+        dataset_path = (path.parent / dataset_path).resolve()
+    return spec, dataset_path
+
+
+def check_columns(spec: ModelSpec, data: PanelDataset):
+    """Raise `UnknownColumnError` for the first column the spec names that `data` lacks.
+
+    A missing log-share-difference dependent passes when `compute_dependent`
+    can build it, and raises its `DomainViolationError` when it cannot.
+    """
+    for name in (spec.dependent, *spec.regressors, *spec.instruments):
+        if data.has_column(name):
+            continue
+        if name != spec.dependent or name != DEPENDENT_COLUMN:
             raise UnknownColumnError(name)
-    return spec
+        _inside_shares(data)
 
 
 def results_csv_text(result) -> str:

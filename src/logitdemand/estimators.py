@@ -33,6 +33,15 @@ ESTIMATORS = ("ols", "two_way_fe", "tsls")
 COVARIANCES = ("classical", "robust_hc0")
 
 
+def estimator_defaults(estimator) -> dict:
+    """The covariance and intercept a spec for `estimator` gets unless it names its own:
+    HC0 for 2SLS and classical otherwise; no intercept under two-way fixed effects."""
+    return {
+        "covariance": "robust_hc0" if estimator == "tsls" else "classical",
+        "include_intercept": estimator != "two_way_fe",
+    }
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """Column roles and estimator options for one regression."""
@@ -52,23 +61,22 @@ class ModelSpec:
         if not self.dependent:
             raise ValueError("dependent column name is required")
         if self.estimator not in ESTIMATORS:
-            raise ValueError(f"estimator must be one of {ESTIMATORS}")
+            raise ValueError(f"estimator must be one of {ESTIMATORS}, got {self.estimator!r}")
         if self.covariance not in COVARIANCES:
-            raise ValueError(f"covariance must be one of {COVARIANCES}")
-        roles = (self.exogenous_regressors, self.endogenous_regressors, self.instruments)
-        for group in roles:
-            if len(set(group)) != len(group):
-                raise ValueError("duplicate column within a role")
-        flat = [c for group in roles for c in group]
-        if len(set(flat)) != len(flat):
-            raise ValueError("a column may appear in only one of exogenous/endogenous/instruments")
+            raise ValueError(f"covariance must be one of {COVARIANCES}, got {self.covariance!r}")
+        named = [*self.regressors, *self.instruments]
+        for name in named:
+            if named.count(name) > 1:
+                raise ValueError(f"column {name!r} is listed {named.count(name)} times across "
+                                 "exogenous/endogenous/instruments; each column plays one role once")
         if self.estimator == "tsls" and len(self.instruments) < len(self.endogenous_regressors):
             raise OrderConditionViolatedError(
                 f"{len(self.instruments)} instruments cannot identify "
                 f"{len(self.endogenous_regressors)} endogenous regressors"
             )
         if self.estimator == "two_way_fe" and self.include_intercept:
-            raise ValueError("two-way fixed effects absorb the intercept; set include_intercept=False")
+            raise ValueError("two-way fixed effects absorb the intercept: include_intercept must be "
+                             f"False, got {self.include_intercept!r}")
 
     @property
     def regressors(self):
@@ -325,10 +333,6 @@ def estimate_tsls(spec: ModelSpec, data: "PanelDataset") -> EstimateResult:
     """
     if spec.estimator != "tsls":
         raise ValueError(f"spec.estimator is {spec.estimator!r}, expected 'tsls'")
-    if len(spec.instruments) < len(spec.endogenous_regressors):
-        raise OrderConditionViolatedError(
-            f"{len(spec.instruments)} instruments for {len(spec.endogenous_regressors)} endogenous"
-        )
     rows = _select_rows(data, spec)
     y = data.column(spec.dependent)[rows]
 
@@ -346,11 +350,8 @@ def estimate_tsls(spec: ModelSpec, data: "PanelDataset") -> EstimateResult:
         fitted_endog.append(first.fitted)
 
     x_exog, _ = _stack(data, rows, spec.exogenous_regressors, spec.include_intercept)
-    names = (
-        (INTERCEPT_NAME,) if spec.include_intercept else ()
-    ) + spec.exogenous_regressors + spec.endogenous_regressors
     x_hat = np.column_stack([x_exog, *[f[:, None] for f in fitted_endog]]) if fitted_endog else x_exog
-    x_actual, _ = _stack(data, rows, spec.regressors, spec.include_intercept)
+    x_actual, names = _stack(data, rows, spec.regressors, spec.include_intercept)
 
     p = x_hat.shape[1]
     if n <= p:

@@ -246,16 +246,16 @@ def generate_market(params: DgpParams):
 
 def default_model_spec(params: DgpParams, estimator="tsls", covariance=None) -> estimators.ModelSpec:
     """The estimating equation implied by the generator's column names."""
-    if covariance is None:
-        covariance = "robust_hc0" if estimator == "tsls" else "classical"
+    options = estimators.estimator_defaults(estimator)
+    if covariance is not None:
+        options["covariance"] = covariance
     return estimators.ModelSpec(
         dependent=dataio.DEPENDENT_COLUMN,
         exogenous_regressors=params.characteristic_names(),
         endogenous_regressors=("price",),
         instruments=params.instrument_names() if estimator == "tsls" else (),
-        include_intercept=estimator != "two_way_fe",
         estimator=estimator,
-        covariance=covariance,
+        **options,
     )
 
 

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -57,6 +58,16 @@ def test_invert_adds_column_and_prints_outside_shares(tmp_path, capsys):
     data = load_panel(out)
     assert data.has_column(DEPENDENT_COLUMN)
     assert (tmp_path / "inverted.csv.manifest.json").exists()
+
+
+def test_invert_share_only_panel(tmp_path, capsys):
+    src = tmp_path / "panel.csv"
+    src.write_text("unit,period,share\na,2014,0.25\nb,2015,0.4\n", encoding="utf-8")
+    out = tmp_path / "inverted.csv"
+    assert main(["invert", "--data", str(src), "--output", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == ["period 2014: outside share 0.750000", "period 2015: outside share 0.600000"]
+    assert load_panel(out).has_column(DEPENDENT_COLUMN)
 
 
 def test_invert_rejects_saturated_period(tmp_path, capsys):
@@ -166,6 +177,42 @@ def test_estimate_2sls_on_fixed_effects_spec_exits_2(tmp_path, capsys, instrumen
     assert "not supported yet" in captured.err
 
 
+# Each fault: the spec fields it overrides, and what the one-line error must name.
+SPEC_FAULTS = {
+    "fixed_effects_with_intercept": ({"estimator": "two_way_fe", "intercept": True}, "got True"),
+    "column_repeated_in_a_role": ({"exogenous": ["x1", "x2", "x1"]}, "'x1' is listed 2 times"),
+    "column_in_two_roles": ({"exogenous": ["x1", "x2", "price"]}, "'price' is listed 2 times"),
+    "unknown_covariance": ({"covariance": "hc3"}, "got 'hc3'"),
+    "dataset_not_a_string": ({"dataset": 5}, "'dataset' must be a string"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(SPEC_FAULTS))
+@pytest.mark.parametrize("command", ["estimate", "diagnose"])
+def test_spec_fault_exits_2(tmp_path, capsys, command, fault):
+    spec_path, _ = _sim_inputs(tmp_path)
+    spec = json.loads(spec_path.read_text())
+    overrides, named = SPEC_FAULTS[fault]
+    spec.update(overrides)
+    spec_path.write_text(json.dumps(spec), encoding="utf-8")
+    assert main([command, "--spec", str(spec_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert named in captured.err
+
+
+@pytest.mark.parametrize("command", ["estimate", "diagnose"])
+def test_tsls_spec_with_too_few_instruments_exits_4(tmp_path, capsys, command):
+    spec_path, _ = _sim_inputs(tmp_path)
+    spec = json.loads(spec_path.read_text())
+    spec["exogenous"], spec["endogenous"], spec["instruments"] = ["x1"], ["x2", "price"], ["cost1"]
+    spec_path.write_text(json.dumps(spec), encoding="utf-8")
+    assert main([command, "--spec", str(spec_path)]) == 4
+    assert "1 instruments cannot identify 2" in capsys.readouterr().err
+
+
 def test_estimate_rank_deficient_exits_3(tmp_path, capsys):
     spec_path, csv_path = _sim_inputs(tmp_path)
     data = load_panel(csv_path)
@@ -222,6 +269,15 @@ def test_diagnose_exactly_identified_notes_skip(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "F:" in out
     assert "exactly identified" in out
+
+
+def test_diagnose_exactly_identified_writes_output(tmp_path, capsys):
+    spec_path, _ = _sim_inputs(tmp_path, n_instruments=1)
+    out = tmp_path / "report.txt"
+    assert main(["diagnose", "--spec", str(spec_path), "--output", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert "exactly identified" in out.read_text()
+    assert (tmp_path / "report.txt.manifest.json").exists()
 
 
 def test_diagnose_without_instruments_exits_4(tmp_path, capsys):
@@ -293,6 +349,12 @@ def test_simulate_same_seed_same_bytes(tmp_path, capsys):
     assert main(["simulate", "--params", str(params_path), "--seed", "13"]) == 0
     third = capsys.readouterr().out
     assert first != third
+
+
+def test_simulate_bundled_params(capsys):
+    params = Path(__file__).resolve().parents[1] / "specs" / "mc_endogenous_price.json"
+    assert main(["simulate", "--params", str(params), "--replications", "1"]) == 0
+    assert "Monte Carlo summary: 1/1 replications" in capsys.readouterr().out
 
 
 def test_simulate_rejects_unknown_keys(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -249,19 +250,19 @@ def _write_spec(tmp_path, body, name="spec.json"):
 
 def test_parse_spec_happy_path(tmp_path):
     _write(tmp_path, BASIC_CSV)
-    spec = parse_spec(_write_spec(tmp_path, _spec_dict()))
+    spec, dataset_path = parse_spec(_write_spec(tmp_path, _spec_dict()))
     assert spec.dependent == DEPENDENT_COLUMN
-    assert spec.exogenous == ("Subscribe",)
-    assert spec.endogenous == ("Price",)
+    assert spec.exogenous_regressors == ("Subscribe",)
+    assert spec.endogenous_regressors == ("Price",)
     assert spec.estimator == "ols"
     assert spec.covariance == "classical"
     assert spec.include_intercept is True
-    assert spec.dataset_path == (tmp_path / "panel.csv").resolve()
+    assert dataset_path == (tmp_path / "panel.csv").resolve()
 
 
 def test_parse_spec_tsls_defaults_to_robust(tmp_path):
     body = _spec_dict(estimator="tsls", instruments=["market_size"])
-    spec = parse_spec(_write_spec(tmp_path, body))
+    spec, _ = parse_spec(_write_spec(tmp_path, body))
     assert spec.covariance == "robust_hc0"
 
 
@@ -286,7 +287,7 @@ def test_parse_spec_unknown_column_against_dataset(tmp_path):
 
 def test_parse_spec_allows_derivable_dependent(tmp_path):
     data = load_panel(_write(tmp_path, BASIC_CSV))
-    spec = parse_spec(_write_spec(tmp_path, _spec_dict()), dataset=data)
+    spec, _ = parse_spec(_write_spec(tmp_path, _spec_dict()), dataset=data)
     assert spec.dependent == DEPENDENT_COLUMN
 
 
@@ -300,6 +301,16 @@ def test_parse_spec_rejects_invalid_json(tmp_path):
     path.write_text("{not json", encoding="utf-8")
     with pytest.raises(ParseError):
         parse_spec(path)
+
+
+@pytest.mark.parametrize("number", [1, 2, 3, 4])
+def test_bundled_specs_parse(number):
+    path = Path(__file__).resolve().parents[1] / "specs" / f"spec{number}.json"
+    spec, dataset_path = parse_spec(path)
+    assert spec.estimator == "tsls"
+    assert spec.instruments == ("CPU_cost", "RAM_cost")
+    assert spec.covariance == "robust_hc0"
+    assert dataset_path == path.parent.parent / "data" / "console_panel.csv"
 
 
 def test_write_results_csv(tmp_path, make_panel):
