@@ -125,7 +125,7 @@ def cmd_invert(args) -> int:
     try:
         data = dataio.compute_dependent(dataio.load_panel(args.data))
         shares = dataio.outside_shares(data)
-    except LogitDemandError as exc:
+    except (LogitDemandError, OSError, ValueError) as exc:
         return _fail(EXIT_VALIDATION, exc)
     dataio.write_panel_csv(data, args.output)
     _write_manifest(args.output, _command_line(args), dataset_path=args.data)

@@ -8,9 +8,12 @@ missing and excluded per estimation (listwise), never imputed.
 
 from __future__ import annotations
 
+import copy
 import csv
 import io
+import itertools
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -34,6 +37,10 @@ DEFAULT_DUMMY_COLUMNS = ("Alone", "Subscribe")
 DEPENDENT_COLUMN = "log_share_diff"
 
 
+#: Records read, converted and written per block by `load_panel` and `write_panel_csv`.
+BLOCK_RECORDS = 4096
+
+
 @dataclass(frozen=True)
 class PanelDataset:
     """Long-format panel: one row per (unit, period), numeric columns, NaN = missing."""
@@ -42,33 +49,33 @@ class PanelDataset:
     periods: tuple
     columns: dict
     column_kinds: dict
-    source_lines: tuple | None = None
-    #: The sorted distinct periods, and each row's index into them; set on construction.
+    source_lines: np.ndarray | None = None
+    #: The sorted distinct units and periods, and each row's index into them; set on construction.
+    unit_levels: np.ndarray = field(init=False, repr=False, compare=False)
+    unit_codes: np.ndarray = field(init=False, repr=False, compare=False)
     period_levels: np.ndarray = field(init=False, repr=False, compare=False)
     period_codes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "units", tuple(str(u) for u in self.units))
-        object.__setattr__(self, "periods", tuple(int(t) for t in self.periods))
-        cols = {}
-        for name, values in self.columns.items():
-            arr = np.asarray(values, dtype=float).reshape(-1)
-            if arr.shape[0] != self.n_rows:
-                raise ValueError(f"column {name!r} has {arr.shape[0]} rows, expected {self.n_rows}")
-            arr = arr.copy()
-            arr.flags.writeable = False
-            cols[name] = arr
-        object.__setattr__(self, "columns", cols)
+        units = tuple(map(str, self.units))
+        periods = tuple(map(int, self.periods))
+        columns = {name: _float_column(name, values, len(units))
+                   for name, values in self.columns.items()}
         kinds = dict(self.column_kinds)
-        for name in cols:
+        for name in columns:
             kinds.setdefault(name, "continuous")
-        object.__setattr__(self, "column_kinds", kinds)
-        if len(self.units) != len(self.periods):
+        if len(units) != len(periods):
             raise ValueError("units and periods must align")
-        levels, codes = np.unique(np.array(self.periods, dtype=np.int64), return_inverse=True)
-        levels.flags.writeable = codes.flags.writeable = False
-        object.__setattr__(self, "period_levels", levels)
-        object.__setattr__(self, "period_codes", codes)
+        unit_levels = sorted(set(units))
+        index = {u: i for i, u in enumerate(unit_levels)}
+        period_levels, period_codes = np.unique(np.array(periods, dtype=np.int64), return_inverse=True)
+        _fill(
+            self, units=units, periods=periods, columns=columns, column_kinds=kinds,
+            source_lines=None if self.source_lines is None else np.array(self.source_lines, np.int64),
+            unit_levels=np.array(unit_levels, dtype=object),
+            unit_codes=np.fromiter(map(index.__getitem__, units), np.intp, len(units)),
+            period_levels=period_levels, period_codes=period_codes,
+        )
         _validate_dataset(self)
 
     @property
@@ -96,37 +103,72 @@ class PanelDataset:
         return mask
 
     def with_column(self, name, values, kind="continuous") -> "PanelDataset":
-        cols = dict(self.columns)
-        cols[name] = np.asarray(values, dtype=float)
-        kinds = dict(self.column_kinds)
-        kinds[name] = kind
-        return PanelDataset(self.units, self.periods, cols, kinds, self.source_lines)
+        """A copy with column `name` added or replaced; only that column is validated."""
+        data = _fill(
+            copy.copy(self),
+            columns={**self.columns, name: _float_column(name, values, self.n_rows)},
+            column_kinds={**self.column_kinds, name: kind},
+        )
+        _validate_columns(data, (name,))
+        return data
 
     def subset(self, mask) -> "PanelDataset":
-        mask = np.asarray(mask, dtype=bool)
-        units = tuple(u for u, m in zip(self.units, mask) if m)
-        periods = tuple(t for t, m in zip(self.periods, mask) if m)
-        cols = {name: arr[mask] for name, arr in self.columns.items()}
-        lines = None
-        if self.source_lines is not None:
-            lines = tuple(ln for ln, m in zip(self.source_lines, mask) if m)
-        return PanelDataset(units, periods, cols, dict(self.column_kinds), lines)
+        """The rows where `mask` is true; a subset of a valid panel needs no validation."""
+        rows = np.flatnonzero(np.asarray(mask, dtype=bool))
+        unit_used, unit_codes = np.unique(self.unit_codes[rows], return_inverse=True)
+        period_used, period_codes = np.unique(self.period_codes[rows], return_inverse=True)
+        unit_levels, period_levels = self.unit_levels[unit_used], self.period_levels[period_used]
+        return _fill(
+            object.__new__(PanelDataset),
+            units=_labels(unit_levels, unit_codes), periods=_labels(period_levels, period_codes),
+            columns={name: arr[rows] for name, arr in self.columns.items()},
+            column_kinds=dict(self.column_kinds),
+            source_lines=None if self.source_lines is None else self.source_lines[rows],
+            unit_levels=unit_levels, unit_codes=unit_codes,
+            period_levels=period_levels, period_codes=period_codes,
+        )
+
+
+def _fill(data: PanelDataset, **fields) -> PanelDataset:
+    """Set fields of `data` from values already converted, coded and checked, and
+    owned by it: their arrays become read-only."""
+    for value in (*fields.values(), *fields.get("columns", {}).values()):
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    data.__dict__.update(fields)
+    return data
+
+
+def _float_column(name, values, n_rows) -> np.ndarray:
+    """A float copy of `values`, which must hold one value per row."""
+    arr = np.asarray(values, dtype=float).reshape(-1)
+    if arr.shape[0] != n_rows:
+        raise ValueError(f"column {name!r} has {arr.shape[0]} rows, expected {n_rows}")
+    return arr.copy()
+
+
+def _labels(levels: np.ndarray, codes: np.ndarray) -> tuple:
+    """Each row's level as a Python value; rows with one level share one object."""
+    return tuple(levels.astype(object)[codes].tolist())
 
 
 def _validate_dataset(data: PanelDataset):
     # The first row whose (unit, period) key an earlier row already has.
-    index = {u: i for i, u in enumerate(dict.fromkeys(data.units))}
-    unit_codes = np.fromiter(map(index.__getitem__, data.units), np.intp, data.n_rows)
-    keys = unit_codes * len(data.period_levels) + data.period_codes
+    keys = data.unit_codes * len(data.period_levels) + data.period_codes
     _, first = np.unique(keys, return_index=True)
     if first.size < data.n_rows:
         repeated = np.ones(data.n_rows, dtype=bool)
         repeated[first] = False
         i = int(np.argmax(repeated))
         raise DuplicateKeyError(data.units[i], data.periods[i])
+    _validate_columns(data, data.column_kinds)
 
-    for name, kind in data.column_kinds.items():
-        if kind != "dummy" or name not in data.columns:
+
+def _validate_columns(data: PanelDataset, names):
+    """Check the named columns: dummies are 0 or 1, quantities and market sizes
+    positive, and each period has one market size, above its total quantity."""
+    for name in names:
+        if data.column_kinds.get(name) != "dummy" or name not in data.columns:
             continue
         arr = data.columns[name]
         bad = ~np.isnan(arr) & (arr != 0.0) & (arr != 1.0)
@@ -135,7 +177,7 @@ def _validate_dataset(data: PanelDataset):
             raise DomainViolationError(name, data.row_label(i), f"dummy value {arr[i]:g} is not 0 or 1")
 
     for name in ("quantity", "market_size"):
-        if name not in data.columns:
+        if name not in names or name not in data.columns:
             continue
         arr = data.columns[name]
         bad = ~np.isnan(arr) & (arr <= 0.0)
@@ -143,7 +185,8 @@ def _validate_dataset(data: PanelDataset):
             i = int(np.argmax(bad))
             raise DomainViolationError(name, data.row_label(i), f"value {arr[i]:g} must be positive")
 
-    if "quantity" not in data.columns or "market_size" not in data.columns:
+    if ("quantity" not in names and "market_size" not in names
+            or "quantity" not in data.columns or "market_size" not in data.columns):
         return
     # Per period, in sorted order: one market size, and total quantity below it.
     q = data.columns["quantity"]
@@ -176,7 +219,17 @@ def _validate_dataset(data: PanelDataset):
 
 def load_panel(path, unit_column="unit", period_column="period",
                dummy_columns=DEFAULT_DUMMY_COLUMNS) -> PanelDataset:
-    """Load and validate a panel CSV; rows come back sorted by (unit, period)."""
+    """Load and validate a panel CSV; rows come back sorted by (unit, period).
+
+    Blank records (empty, whitespace-only or with every cell empty) are
+    skipped. A fault is reported as a `ParseError` on the
+    first faulty line (records are counted from the header, which is line 1)
+    and, within it, on the unit, then the period, then the first faulty value
+    column in header order. The file is read `BLOCK_RECORDS` records at a
+    time and each block is converted column by column; a block with a fault
+    or a blank record is scanned again row by row, which skips the blank
+    records and raises the fault.
+    """
     path = Path(path)
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -191,67 +244,187 @@ def load_panel(path, unit_column="unit", period_column="period",
             raise ParseError(1, period_column, "missing period column")
         u_pos = header.index(unit_column)
         t_pos = header.index(period_column)
-        value_names = [h for k, h in enumerate(header) if k not in (u_pos, t_pos)]
+        value_pos = [k for k in range(len(header)) if k not in (u_pos, t_pos)]
+        value_names = [header[k] for k in value_pos]
         if len(set(header)) != len(header):
             dupe = next(h for h in header if header.count(h) > 1)
             raise ParseError(1, dupe, "duplicated column name")
 
-        rows = []
-        for line_no, record in enumerate(reader, start=2):
-            if not record or all(cell.strip() == "" for cell in record):
-                continue
-            if len(record) != len(header):
-                raise ParseError(line_no, "", f"expected {len(header)} fields, got {len(record)}")
-            unit = record[u_pos].strip()
-            if not unit:
-                raise ParseError(line_no, unit_column, "empty unit identifier")
-            try:
-                period = int(record[t_pos].strip())
-            except ValueError:
-                raise ParseError(
-                    line_no, period_column, f"period {record[t_pos]!r} is not an integer"
-                ) from None
-            values = []
-            for k, h in enumerate(header):
-                if k in (u_pos, t_pos):
-                    continue
-                cell = record[k].strip()
-                if cell == "":
-                    values.append(float("nan"))
-                    continue
-                try:
-                    x = float(cell)
-                except ValueError:
-                    raise ParseError(line_no, h, f"cannot parse {cell!r} as a number") from None
-                if x != x or x in (float("inf"), float("-inf")):
-                    raise ParseError(line_no, h, f"non-finite value {cell!r}")
-                values.append(x)
-            rows.append((unit, period, line_no, values))
+        # Per block: unit codes (in order of first appearance), periods, lines, value columns.
+        index = {}
+        parts = [[np.empty(0, np.intp)], [np.empty(0, np.int64)], [np.empty(0, np.int64)],
+                 *([np.empty(0)] for _ in value_pos)]
+        first_line = 2
+        for block in _blocks(reader):
+            converted = _convert_block(block, first_line, len(header), u_pos, t_pos, value_pos, index)
+            if converted is None:
+                converted = _scan_block(block, first_line, header, u_pos, t_pos, index)
+            for part, array in zip(parts, converted):
+                part.append(array)
+            first_line += len(block)
 
-    rows.sort(key=lambda r: (r[0], r[1]))
-    units = tuple(r[0] for r in rows)
-    periods = tuple(r[1] for r in rows)
-    lines = tuple(r[2] for r in rows)
-    columns = {
-        name: np.array([r[3][j] for r in rows], dtype=float)
-        for j, name in enumerate(value_names)
-    }
+    unit_parts, period_parts, line_parts, *value_parts = parts
+    # A period that does not fit int64 raises OverflowError here, after every ParseError.
+    periods = np.concatenate([np.array(p, dtype=np.int64) for p in period_parts])
+    unit_levels = np.array(sorted(index), dtype=object)
+    rank = np.empty(len(index), np.intp)
+    rank[[index[u] for u in unit_levels]] = np.arange(len(index))
+    unit_codes = rank[np.concatenate(unit_parts)]
+    order = np.lexsort((periods, unit_codes))
+    unit_codes = unit_codes[order]
+    period_levels, period_codes = np.unique(periods[order], return_inverse=True)
     kinds = {name: ("dummy" if name in dummy_columns else "continuous") for name in value_names}
     kinds[unit_column] = "identifier"
     kinds[period_column] = "identifier"
-    return PanelDataset(units, periods, columns, kinds, lines)
+    data = _fill(
+        object.__new__(PanelDataset),
+        units=_labels(unit_levels, unit_codes), periods=_labels(period_levels, period_codes),
+        columns={name: np.concatenate(part)[order] for name, part in zip(value_names, value_parts)},
+        column_kinds=kinds, source_lines=np.concatenate(line_parts)[order],
+        unit_levels=unit_levels, unit_codes=unit_codes,
+        period_levels=period_levels, period_codes=period_codes,
+    )
+    _validate_dataset(data)
+    return data
+
+
+def _blocks(reader):
+    """The reader's records, `BLOCK_RECORDS` at a time. A decoding or CSV error is
+    raised after the records before it, as a row-by-row read would meet them."""
+    while True:
+        block = []
+        try:
+            block.extend(itertools.islice(reader, BLOCK_RECORDS))
+        except (csv.Error, ValueError):
+            yield block
+            raise
+        if not block:
+            return
+        yield block
+
+
+def _convert_block(block, first_line, width, u_pos, t_pos, value_pos, index):
+    """A block's unit codes, periods, lines and value columns, converted column by
+    column; None when a record is blank or ragged or a cell does not convert."""
+    if set(map(len, block)) != {width}:
+        return None
+    n = len(block)
+    cells = list(zip(*block))
+    units = _unit_codes(cells[u_pos], index)
+    if units is None:
+        return None
+    try:
+        periods = np.fromiter(map(int, cells[t_pos]), np.int64, n)
+    except (ValueError, OverflowError):
+        return None
+    values = []
+    for k in value_pos:
+        try:
+            x = np.fromiter(map(float, cells[k]), float, n)
+        except ValueError:
+            try:
+                x = np.fromiter(map(_number_or_nan, cells[k]), float, n)
+            except ValueError:
+                return None
+        # NaN is allowed only for a blank cell, never for a "nan" or "inf" literal.
+        if any(cells[k][i].strip() for i in np.flatnonzero(~np.isfinite(x)).tolist()):
+            return None
+        values.append(x)
+    return (units, periods, np.arange(first_line, first_line + n), *values)
+
+
+def _number_or_nan(cell) -> float:
+    return float(cell) if cell.strip() else math.nan
+
+
+def _unit_codes(cells, index):
+    """Each cell's code in `index` (stripped unit -> code, grown in order of first
+    appearance); None when a cell is blank."""
+    code = {}
+    for cell in set(cells):
+        unit = cell.strip()
+        if not unit:
+            return None
+        code[cell] = index.setdefault(unit, len(index))
+    return np.fromiter(map(code.__getitem__, cells), np.intp, len(cells))
+
+
+def _scan_block(block, first_line, header, u_pos, t_pos, index):
+    """`_convert_block` row by row: skips blank records and raises the `ParseError`
+    of the block's first faulty line."""
+    units, periods, lines, rows = [], [], [], []
+    for line_no, record in enumerate(block, start=first_line):
+        if not record or all(cell.strip() == "" for cell in record):
+            continue
+        if len(record) != len(header):
+            raise ParseError(line_no, "", f"expected {len(header)} fields, got {len(record)}")
+        unit = record[u_pos].strip()
+        if not unit:
+            raise ParseError(line_no, header[u_pos], "empty unit identifier")
+        try:
+            period = int(record[t_pos].strip())
+        except ValueError:
+            raise ParseError(
+                line_no, header[t_pos], f"period {record[t_pos]!r} is not an integer"
+            ) from None
+        values = []
+        for k, h in enumerate(header):
+            if k in (u_pos, t_pos):
+                continue
+            cell = record[k].strip()
+            if cell == "":
+                values.append(math.nan)
+                continue
+            try:
+                x = float(cell)
+            except ValueError:
+                raise ParseError(line_no, h, f"cannot parse {cell!r} as a number") from None
+            if x != x or x in (math.inf, -math.inf):
+                raise ParseError(line_no, h, f"non-finite value {cell!r}")
+            values.append(x)
+        units.append(unit)
+        periods.append(period)
+        lines.append(line_no)
+        rows.append(values)
+    values = np.array(rows, dtype=float).reshape(len(rows), len(header) - len({u_pos, t_pos}))
+    return (_unit_codes(units, index), periods, np.array(lines, dtype=np.int64), *values.T)
 
 
 def write_panel_csv(data: PanelDataset, path):
-    """Serialize a dataset back to the CSV schema; values round-trip bitwise."""
+    """Serialize a dataset back to the CSV schema; values round-trip bitwise.
+
+    The bytes are those `csv.writer` writes. Only unit ids can need quoting
+    (numbers and periods never hold a comma, quote or line break), so
+    `csv.writer` quotes each distinct unit once and the rows are joined
+    directly, `BLOCK_RECORDS` at a time, column by column.
+    """
     names = list(data.columns)
-    fields = [data.units, map(str, data.periods)]
-    for name in names:
-        fields.append("" if v != v else repr(v) for v in data.columns[name].tolist())
+    units = np.array(_csv_fields(data.unit_levels.tolist()), dtype=object)[data.unit_codes]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["unit", "period", *names])
-        writer.writerows(zip(*fields))
+        csv.writer(fh).writerow(["unit", "period", *names])
+        for start in range(0, data.n_rows, BLOCK_RECORDS):
+            rows = slice(start, start + BLOCK_RECORDS)
+            fields = [units[rows].tolist(), map(str, data.periods[rows])]
+            for name in names:
+                arr = data.columns[name][rows]
+                cells = list(map(repr, arr.tolist()))
+                for i in np.flatnonzero(np.isnan(arr)).tolist():
+                    cells[i] = ""
+                fields.append(cells)
+            fh.write("\r\n".join(map(",".join, zip(*fields))) + "\r\n")
+
+
+def _csv_fields(texts) -> list:
+    """Each text as `csv.writer` writes it as the first of several fields."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    fields = []
+    for text in texts:
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow([text, ""])
+        fields.append(buf.getvalue()[:-len(",\r\n")])
+    return fields
 
 
 def _inside_shares(data: PanelDataset):

@@ -65,6 +65,9 @@ class ModelSpec:
         if self.covariance not in COVARIANCES:
             raise ValueError(f"covariance must be one of {COVARIANCES}, got {self.covariance!r}")
         named = [*self.regressors, *self.instruments]
+        if self.dependent in named:
+            raise ValueError(f"dependent column {self.dependent!r} is also listed as a regressor "
+                             "or an instrument")
         for name in named:
             if named.count(name) > 1:
                 raise ValueError(f"column {name!r} is listed {named.count(name)} times across "
@@ -263,8 +266,9 @@ def estimate_two_way_fe(spec: ModelSpec, data: "PanelDataset") -> EstimateResult
     if spec.estimator != "two_way_fe":
         raise ValueError(f"spec.estimator is {spec.estimator!r}, expected 'two_way_fe'")
     rows = _select_rows(data, spec)
-    unit_levels, unit_codes = np.unique(np.asarray(data.units)[rows], return_inverse=True)
-    period_levels, period_codes = np.unique(np.asarray(data.periods)[rows], return_inverse=True)
+    unit_used, unit_codes = np.unique(data.unit_codes[rows], return_inverse=True)
+    period_used, period_codes = np.unique(data.period_codes[rows], return_inverse=True)
+    unit_levels, period_levels = data.unit_levels[unit_used], data.period_levels[period_used]
     if unit_levels.size < 2 or period_levels.size < 2:
         raise InsufficientObservationsError("two-way fixed effects need >= 2 units and >= 2 periods")
 

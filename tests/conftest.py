@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from logitdemand.dataio import PanelDataset, compute_dependent
 from logitdemand.simulate import DgpParams, default_model_spec, generate_market
+
+# Property tests are derandomized and keep no example database, so the suite is
+# deterministic and writes nothing; each test sets its own max_examples.
+settings.register_profile("logitdemand", deadline=None, database=None, derandomize=True)
+settings.load_profile("logitdemand")
 
 
 @pytest.fixture

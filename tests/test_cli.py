@@ -78,6 +78,20 @@ def test_invert_rejects_saturated_period(tmp_path, capsys):
     assert "2014" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content", [None, b"unit,period,share\na,2014,0.\xff25\n"],
+                         ids=["missing_file", "not_utf8"])
+def test_invert_unreadable_data_exits_2(tmp_path, capsys, content):
+    src = tmp_path / "panel.csv"
+    if content is not None:
+        src.write_bytes(content)
+    out = tmp_path / "inverted.csv"
+    assert main(["invert", "--data", str(src), "--output", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_estimate_text_table(tmp_path, capsys):
     spec_path, _ = _sim_inputs(tmp_path)
     code = main(["estimate", "--spec", str(spec_path)])
@@ -184,6 +198,8 @@ SPEC_FAULTS = {
     "column_in_two_roles": ({"exogenous": ["x1", "x2", "price"]}, "'price' is listed 2 times"),
     "unknown_covariance": ({"covariance": "hc3"}, "got 'hc3'"),
     "dataset_not_a_string": ({"dataset": 5}, "'dataset' must be a string"),
+    "dependent_is_a_regressor": ({"dependent": "x1"}, "'x1' is also listed"),
+    "dependent_is_an_instrument": ({"dependent": "cost1"}, "'cost1' is also listed"),
 }
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from logitdemand.dataio import (
+    BLOCK_RECORDS,
     DEPENDENT_COLUMN,
     PanelDataset,
     compute_dependent,
@@ -84,6 +85,79 @@ def test_non_integer_period_rejected(tmp_path):
 def test_ragged_row_rejected(tmp_path):
     with pytest.raises(ParseError):
         load_panel(_write(tmp_path, "unit,period,Price\na,2014\n"))
+
+
+# --- which fault is reported -------------------------------------------------
+# The first faulty line wins; within it the unit, then the period, then the
+# value columns in header order. Blocks of BLOCK_RECORDS records are converted
+# column by column, so these pin the row-major rule across and within blocks.
+
+
+def _clean_lines(n, header="unit,period,a,b"):
+    return [header] + [f"u{i:05d},{2000 + i % 7},{i}.5,{-i}" for i in range(n)]
+
+
+def _parse_error(tmp_path, lines):
+    with pytest.raises(ParseError) as err:
+        load_panel(_write(tmp_path, "\n".join(lines) + "\n"))
+    return err.value.line, err.value.column, str(err.value)
+
+
+@pytest.mark.parametrize("record, column, message", [
+    ("u,2014,1.5,oops", "b", "cannot parse 'oops' as a number"),
+    ("u,2014,nan,1", "a", "non-finite value 'nan'"),
+    (" ,2014,1,1", "unit", "empty unit identifier"),
+    ("u,2014.0,1,1", "period", "period '2014.0' is not an integer"),
+    ("u,2014,1", "", "expected 4 fields, got 3"),
+])
+def test_fault_past_the_first_block_is_reported_on_its_line(tmp_path, record, column, message):
+    lines = _clean_lines(2 * BLOCK_RECORDS + 10)
+    line = BLOCK_RECORDS + 7
+    lines[line - 1] = record
+    lines[2 * BLOCK_RECORDS + 3] = "u,2014,1,1,1"  # a later fault, in the third block
+    assert _parse_error(tmp_path, lines) == (line, column, f"line {line}, column {column!r}: {message}")
+
+
+def test_first_faulty_line_wins_over_an_earlier_column(tmp_path):
+    lines = _clean_lines(20)
+    lines[4] = "u00003,2003,3.5,bad"  # line 5, second value column
+    lines[8] = "u00007,2000,bad,-7"   # line 9, first value column
+    assert _parse_error(tmp_path, lines)[:2] == (5, "b")
+
+
+def test_within_a_line_identifiers_then_values_in_header_order(tmp_path):
+    lines = _clean_lines(5)
+    lines[3] = "u00002,2002,bad,worse"
+    assert _parse_error(tmp_path, lines)[:2] == (4, "a")
+    lines = ["a,unit,b,period", "1,u1,2,2001", "bad,u2,worse,spring"]
+    assert _parse_error(tmp_path, lines)[:2] == (3, "period")
+
+
+@pytest.mark.parametrize("literal", ["nan", "NaN", "inf", "-inf", "Infinity", "1e999"])
+def test_non_finite_literals_are_rejected(tmp_path, literal):
+    lines = _clean_lines(5)
+    lines[3] = f"u00002,2002,2.5,{literal}"
+    assert _parse_error(tmp_path, lines) == (
+        4, "b", f"line 4, column 'b': non-finite value {literal!r}")
+
+
+def test_whitespace_row_is_skipped_and_the_ragged_row_after_it_is_not(tmp_path):
+    lines = _clean_lines(4)
+    lines[2:2] = ["   ", ",,,", "u9,2014"]
+    assert _parse_error(tmp_path, lines) == (5, "", "line 5, column '': expected 4 fields, got 2")
+    del lines[4]
+    data = load_panel(_write(tmp_path, "\n".join(lines) + "\n"))
+    assert data.units == ("u00000", "u00001", "u00002", "u00003")
+    assert [int(v) for v in data.source_lines] == [2, 5, 6, 7]
+
+
+def test_blank_record_in_a_later_block_keeps_line_numbers(tmp_path):
+    lines = _clean_lines(BLOCK_RECORDS + 5)
+    lines.insert(BLOCK_RECORDS + 2, "")
+    data = load_panel(_write(tmp_path, "\n".join(lines) + "\n"))
+    assert data.n_rows == BLOCK_RECORDS + 5
+    assert data.source_lines[-1] == BLOCK_RECORDS + 7
+    assert data.source_lines[BLOCK_RECORDS + 1] == BLOCK_RECORDS + 4
 
 
 def test_duplicate_key_rejected(tmp_path):
@@ -324,6 +398,46 @@ def test_write_results_csv(tmp_path, make_panel):
     assert lines[0] == "name,estimate,std_error,t_value"
     assert lines[1].startswith("const,")
     assert float(lines[2].split(",")[1]) == pytest.approx(3.0, abs=1e-12)
+
+
+def test_unit_and_period_codes_follow_load_and_subset(tmp_path):
+    data = load_panel(_write(tmp_path, BASIC_CSV))
+    assert data.unit_levels.tolist() == ["ps4", "xbo"]
+    assert data.unit_codes.tolist() == [0, 0, 1, 1]
+    assert data.period_levels.tolist() == [2014, 2015]
+    assert data.period_codes.tolist() == [0, 1, 0, 1]
+    sub = data.subset([False, True, True, False])
+    assert sub.units == ("ps4", "xbo") and sub.periods == (2015, 2014)
+    assert [int(v) for v in sub.source_lines] == [2, 4]
+    assert sub.column("quantity").tolist() == [50.0, 40.0]
+    assert sub.unit_codes.tolist() == [0, 1] and sub.period_codes.tolist() == [1, 0]
+    only_xbo = data.subset([False, False, True, True])
+    assert only_xbo.unit_levels.tolist() == ["xbo"] and only_xbo.unit_codes.tolist() == [0, 0]
+    rebuilt = PanelDataset(sub.units, sub.periods, dict(sub.columns), dict(sub.column_kinds))
+    for name in ("unit_levels", "unit_codes", "period_levels", "period_codes", "source_lines"):
+        for panel in (data, sub, rebuilt):
+            array = getattr(panel, name)
+            assert array is None or not array.flags.writeable
+        if name != "source_lines":
+            assert getattr(rebuilt, name).tolist() == getattr(sub, name).tolist()
+    assert not any(arr.flags.writeable for panel in (data, sub) for arr in panel.columns.values())
+
+
+def test_with_column_validates_the_new_column(make_panel):
+    data = make_panel({"quantity": [1.0, 2.0], "market_size": [10.0, 10.0]})
+    with pytest.raises(DomainViolationError, match="is not 0 or 1"):
+        data.with_column("Subscribe", [0.0, 2.0], kind="dummy")
+    with pytest.raises(DomainViolationError, match="must be positive"):
+        data.with_column("quantity", [0.0, 1.0])
+    with pytest.raises(DomainViolationError, match="conflicting market sizes"):
+        data.with_column("market_size", [10.0, 12.0])
+    with pytest.raises(ValueError, match="has 3 rows, expected 2"):
+        data.with_column("x", [1.0, 2.0, 3.0])
+    values = np.array([1.0, 2.0])
+    added = data.with_column("x", values)
+    values[0] = 5.0
+    assert added.column("x").tolist() == [1.0, 2.0] and not added.column("x").flags.writeable
+    assert added.column_kinds["x"] == "continuous" and not data.has_column("x")
 
 
 def test_dataset_constructor_validates(make_panel):

@@ -275,6 +275,16 @@ def test_role_overlap_rejected():
                   endogenous_regressors=("x",), instruments=("z", "w"), estimator="tsls")
 
 
+@pytest.mark.parametrize("roles", [
+    {"exogenous_regressors": ("y", "x")},
+    {"endogenous_regressors": ("y",), "instruments": ("z",), "estimator": "tsls"},
+    {"endogenous_regressors": ("p",), "instruments": ("y",), "estimator": "tsls"},
+], ids=["exogenous", "endogenous", "instrument"])
+def test_dependent_in_another_role_rejected(roles):
+    with pytest.raises(ValueError, match="dependent column 'y' is also listed"):
+        ModelSpec(dependent="y", **roles)
+
+
 def test_robust_covariance_matches_triple_product():
     rng = np.random.default_rng(44)
     x = rng.normal(size=(30, 3))

@@ -14,8 +14,6 @@ from logitdemand.dataio import PanelDataset
 from logitdemand.errors import CollinearWithFixedEffectsError
 from logitdemand.estimators import ModelSpec, estimate_two_way_fe
 
-PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, database=None, derandomize=True)
-
 
 def _fe_spec(regressors, covariance="classical"):
     return ModelSpec(dependent="y", exogenous_regressors=tuple(regressors),
@@ -100,7 +98,7 @@ def _effects(fe, factor, levels):
     return np.array([fe[factor][level] for level in levels])
 
 
-@PROPERTY_SETTINGS
+@settings(max_examples=40)
 @given(fe_panels(), st.sampled_from(["classical", "robust_hc0"]))
 def test_fe_matches_lsdv_oracle(panel, covariance):
     data, regressors = panel
@@ -124,7 +122,7 @@ def test_fe_matches_lsdv_oracle(panel, covariance):
     assert result.fixed_effect_values["period"][periods[0]] == 0.0
 
 
-@PROPERTY_SETTINGS
+@settings(max_examples=40)
 @given(fe_panels(), st.integers(0, 2**32 - 1))
 def test_fe_slopes_ignore_unit_and_period_constants(panel, seed):
     data, regressors = panel
@@ -144,7 +142,7 @@ def test_fe_slopes_ignore_unit_and_period_constants(panel, seed):
         assert _close(b.residuals, a.residuals, 1e-8)
 
 
-@PROPERTY_SETTINGS
+@settings(max_examples=40)
 @given(fe_panels(), st.integers(0, 2**32 - 1))
 def test_fe_is_invariant_to_row_order(panel, seed):
     data, regressors = panel

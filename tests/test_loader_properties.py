@@ -1,0 +1,223 @@
+"""`load_panel` and `write_panel_csv` as properties over random panel files.
+
+Unit ids may hold commas, quotes, line breaks and non-ASCII characters, cells
+may be missing, and blank, whitespace-only or all-empty records may sit between
+the rows. A loaded panel is sorted by (unit, period), so the order of the rows
+in the file must not show in it, nor in the estimates made from it.
+"""
+
+import csv
+import io
+import math
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from logitdemand.dataio import PanelDataset, load_panel, write_panel_csv
+from logitdemand.estimators import ModelSpec, estimate
+
+UNIT_IDS = st.one_of(
+    st.sampled_from(["a", "a,b", 'say "hi"', "ñandú", "東京", "two\nlines", "z"]),
+    st.text(st.characters(exclude_categories=("Cs",), exclude_characters="\x00"),
+            min_size=1, max_size=5),
+).filter(lambda s: s == s.strip() and s != "")
+COLUMN_NAMES = ["x1", "Price", 'cost, "net"', "größe"]
+VALUES = st.one_of(st.none(), st.floats(allow_nan=False, allow_infinity=False))
+BLANK_RECORDS = ["", "   ", "\t", None]  # None: every cell empty, at the header's width
+
+
+@st.composite
+def panel_rows(draw):
+    """Distinct (unit, period) rows with values, None where a cell is missing."""
+    units = draw(st.lists(UNIT_IDS, min_size=1, max_size=5, unique=True))
+    periods = draw(st.lists(st.integers(-50, 3000), min_size=1, max_size=4, unique=True))
+    keys = draw(st.lists(st.tuples(st.sampled_from(units), st.sampled_from(periods)),
+                         min_size=1, max_size=12, unique=True))
+    names = draw(st.lists(st.sampled_from(COLUMN_NAMES), min_size=1, max_size=3, unique=True))
+    rows = [(unit, period, [draw(VALUES) for _ in names]) for unit, period in keys]
+    return names, rows
+
+
+def _csv_text(names, rows, order, blanks):
+    """The rows in `order` as CSV text, `blanks[k]` (or nothing) before the k-th.
+
+    Returns the text and each row's line as `load_panel` counts lines: its
+    record number plus one, so a quoted line break does not count.
+    """
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["unit", "period", *names])
+    line, lines = 2, {}
+    for k, i in enumerate(order):
+        blank = blanks[k] if k < len(blanks) else False
+        if blank is not False:
+            buf.write(("," * (len(names) + 1) if blank is None else blank) + "\r\n")
+            line += 1
+        unit, period, values = rows[i]
+        writer.writerow([unit, period, *("" if v is None else repr(v) for v in values)])
+        lines[(unit, period)] = line
+        line += 1
+    return buf.getvalue(), lines
+
+
+def _load(tmp_path, text, name="panel.csv"):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8", newline="")
+    return load_panel(path)
+
+
+def _bits(arr):
+    return np.asarray(arr, dtype=float).tobytes()
+
+
+def _assert_sorted_rows(data, names, rows):
+    """`data` holds exactly `rows`, sorted by (unit, period), bit for bit."""
+    expected = sorted(rows, key=lambda r: (r[0], r[1]))
+    assert data.units == tuple(r[0] for r in expected)
+    assert data.periods == tuple(r[1] for r in expected)
+    assert list(data.columns) == names
+    for j, name in enumerate(names):
+        values = [math.nan if r[2][j] is None else r[2][j] for r in expected]
+        assert _bits(data.column(name)) == _bits(values)
+
+
+@settings(max_examples=60)
+@given(panel_rows(), st.randoms(use_true_random=False),
+       st.lists(st.sampled_from([False, *BLANK_RECORDS]), max_size=12))
+def test_row_order_and_blank_records_do_not_change_the_panel(tmp_path_factory, panel, rnd, blanks):
+    tmp_path = tmp_path_factory.mktemp("perm")
+    names, rows = panel
+    order = list(range(len(rows)))
+    plain_text, plain_lines = _csv_text(names, rows, order, [])
+    rnd.shuffle(order)
+    shuffled_text, shuffled_lines = _csv_text(names, rows, order, blanks)
+
+    plain = _load(tmp_path, plain_text, "plain.csv")
+    shuffled = _load(tmp_path, shuffled_text, "shuffled.csv")
+    _assert_sorted_rows(plain, names, rows)
+    assert shuffled.units == plain.units and shuffled.periods == plain.periods
+    assert shuffled.column_kinds == plain.column_kinds
+    for name in names:
+        assert _bits(shuffled.column(name)) == _bits(plain.column(name))
+    for data, lines in ((plain, plain_lines), (shuffled, shuffled_lines)):
+        keys = list(zip(data.units, data.periods))
+        assert [int(v) for v in data.source_lines] == [lines[key] for key in keys]
+
+
+@settings(max_examples=60)
+@given(panel_rows())
+def test_write_then_load_round_trips_bitwise(tmp_path_factory, panel):
+    tmp_path = tmp_path_factory.mktemp("trip")
+    names, rows = panel
+    data = PanelDataset(
+        units=tuple(r[0] for r in rows),
+        periods=tuple(r[1] for r in rows),
+        columns={name: [math.nan if r[2][j] is None else r[2][j] for r in rows]
+                 for j, name in enumerate(names)},
+        column_kinds={},
+    )
+    path = tmp_path / "panel.csv"
+    write_panel_csv(data, path)
+    assert path.read_bytes() == _csv_writer_bytes(data)
+    _assert_sorted_rows(load_panel(path), names, rows)
+
+
+def _csv_writer_bytes(data):
+    """The reference for `write_panel_csv`: `csv.writer`, one row at a time."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["unit", "period", *data.columns])
+    values = [col.tolist() for col in data.columns.values()]
+    for i in range(data.n_rows):
+        writer.writerow([data.units[i], data.periods[i],
+                         *("" if math.isnan(col[i]) else repr(col[i]) for col in values)])
+    return buf.getvalue().encode("utf-8")
+
+
+# --- estimates -------------------------------------------------------------
+
+SPECS = [
+    ModelSpec(dependent="y", exogenous_regressors=("x1",), endogenous_regressors=("price",),
+              estimator="ols", covariance=covariance)
+    for covariance in ("classical", "robust_hc0")
+] + [
+    ModelSpec(dependent="y", exogenous_regressors=("x1",), endogenous_regressors=("price",),
+              instruments=("cost1", "cost2"), estimator="tsls", covariance=covariance)
+    for covariance in ("classical", "robust_hc0")
+]
+
+
+@st.composite
+def regression_panels(draw):
+    """A panel with y, x1, price and two cost shifters; some cells missing."""
+    n_units = draw(st.integers(4, 8))
+    n_periods = draw(st.integers(3, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u = np.repeat(np.arange(n_units), n_periods)
+    t = np.tile(np.arange(n_periods), n_units)
+    keep = rng.random(u.size) >= draw(st.sampled_from([0.0, 0.2]))
+    u, t = u[keep], t[keep]
+    n = u.size
+    cost = rng.normal(size=(n, 2))
+    x1 = rng.normal(size=n)
+    price = cost.sum(axis=1) + rng.normal(size=n)
+    y = 1.0 + 0.5 * x1 - price + rng.normal(size=n)
+    columns = {"y": y, "x1": x1, "price": price, "cost1": cost[:, 0], "cost2": cost[:, 1]}
+    missing = rng.random((n, len(columns))) < draw(st.sampled_from([0.0, 0.05]))
+    for j, name in enumerate(columns):
+        columns[name] = np.where(missing[:, j], np.nan, columns[name])
+    assume(np.sum(~missing.any(axis=1)) >= 10)
+    names = list(columns)
+    rows = [(f"u{u[i]:02d}", 2001 + int(t[i]),
+             [None if missing[i, j] else float(columns[c][i]) for j, c in enumerate(names)])
+            for i in range(n)]
+    return names, rows
+
+
+def _fits(data):
+    return [estimate(spec, data) for spec in SPECS]
+
+
+@settings(max_examples=40)
+@given(regression_panels(), st.randoms(use_true_random=False))
+def test_ols_and_tsls_ignore_the_row_order_of_the_file(tmp_path_factory, panel, rnd):
+    """Loading sorts the rows, so estimates from a shuffled file are identical, bit for bit."""
+    tmp_path = tmp_path_factory.mktemp("est")
+    names, rows = panel
+    order = list(range(len(rows)))
+    plain = _load(tmp_path, _csv_text(names, rows, order, [])[0], "plain.csv")
+    rnd.shuffle(order)
+    shuffled = _load(tmp_path, _csv_text(names, rows, order, [])[0], "shuffled.csv")
+    for a, b in zip(_fits(plain), _fits(shuffled)):
+        assert _bits(a.coefficients) == _bits(b.coefficients)
+        assert _bits(a.standard_errors) == _bits(b.standard_errors)
+
+
+def _close(a, b, rtol):
+    b = np.asarray(b, float)
+    return bool(np.allclose(a, b, rtol=0.0, atol=rtol * np.max(np.abs(b))))
+
+
+@settings(max_examples=40)
+@given(regression_panels(), st.randoms(use_true_random=False))
+def test_ols_and_tsls_ignore_the_row_order_of_the_dataset(panel, rnd):
+    """The estimators themselves, on a panel built in two row orders: equal up to
+    the rounding of a reordered sum, 1e-10 of the largest entry."""
+    names, rows = panel
+    order = list(range(len(rows)))
+    rnd.shuffle(order)
+
+    def dataset(order):
+        return PanelDataset(
+            units=tuple(rows[i][0] for i in order),
+            periods=tuple(rows[i][1] for i in order),
+            columns={name: [math.nan if rows[i][2][j] is None else rows[i][2][j] for i in order]
+                     for j, name in enumerate(names)},
+            column_kinds={},
+        )
+
+    for a, b in zip(_fits(dataset(range(len(rows)))), _fits(dataset(order))):
+        assert _close(b.coefficients, a.coefficients, 1e-10)
+        assert _close(b.standard_errors, a.standard_errors, 1e-10)
+        assert b.df_residual == a.df_residual

@@ -16,7 +16,6 @@ from logitdemand.dataio import DEPENDENT_COLUMN, PanelDataset, compute_dependent
 from logitdemand.errors import DomainViolationError, DuplicateKeyError
 from logitdemand.simulate import DgpParams, generate_market
 
-PROPERTY_SETTINGS = settings(max_examples=50, deadline=None, database=None, derandomize=True)
 EPS = np.finfo(float).eps
 
 
@@ -79,7 +78,7 @@ def _label(raw, i):
     return f"row {i} (unit {raw['units'][i]!r}, period {raw['periods'][i]})"
 
 
-@PROPERTY_SETTINGS
+@settings(max_examples=50)
 @given(quantity_panels())
 def test_dependent_matches_numpy_oracle(raw):
     delta = compute_dependent(_dataset(raw)).column(DEPENDENT_COLUMN)
@@ -87,7 +86,7 @@ def test_dependent_matches_numpy_oracle(raw):
     assert np.all(np.abs(delta - expected) <= _tolerance(outside, n_products))
 
 
-@PROPERTY_SETTINGS
+@settings(max_examples=50)
 @given(quantity_panels(), st.integers(0, 2**32 - 1))
 def test_dependent_ignores_row_order(raw, seed):
     perm = np.random.default_rng(seed).permutation(len(raw["units"]))
@@ -97,7 +96,7 @@ def test_dependent_ignores_row_order(raw, seed):
     assert np.all(np.abs(permuted - base[perm]) <= _tolerance(outside, n_products)[perm])
 
 
-@PROPERTY_SETTINGS
+@settings(max_examples=50)
 @given(quantity_panels())
 def test_inversion_then_prediction_returns_the_shares(raw):
     delta = compute_dependent(_dataset(raw)).column(DEPENDENT_COLUMN)
@@ -143,7 +142,7 @@ def bad_panels(draw):
     return raw, kind, sorted(int(y) for y in bad)
 
 
-@PROPERTY_SETTINGS
+@settings(max_examples=50)
 @given(bad_panels())
 def test_bad_period_is_named(case):
     raw, kind, bad = case
