@@ -277,9 +277,10 @@ def cmd_simulate(args) -> int:
 
 
 def format_mc_summary(summary: simulate.McSummary) -> str:
+    by_class = ", ".join(f"{name} {count}" for name, count in summary.failures.items())
     lines = [
         f"Monte Carlo summary: {summary.completed}/{summary.replications} replications "
-        f"({summary.failed} failed)"
+        f"({summary.failed} failed{': ' + by_class if by_class else ''})"
     ]
     headers = ("coefficient", "truth", "mean bias", "bias SE", "rmse", "95% coverage")
     rows = []
@@ -300,6 +301,7 @@ def format_mc_summary(summary: simulate.McSummary) -> str:
         lines.append(f"mean first-stage F: {summary.mean_first_stage_f:.3f}")
     if not math.isnan(summary.sargan_rejection_rate):
         lines.append(f"Sargan rejection rate at 5%: {summary.sargan_rejection_rate:.3f}")
+    lines.append(f"re-draws: {summary.redraws}")
     return "\n".join(lines) + "\n"
 
 

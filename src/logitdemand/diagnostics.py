@@ -20,7 +20,7 @@ from .errors import (
     InsufficientObservationsError,
     MultipleEndogenousError,
 )
-from .estimators import EstimateResult, ModelSpec, _solve_named, _stack
+from .estimators import EstimateResult, ModelSpec, _solve_named, _stack, sum_of_squares
 
 if TYPE_CHECKING:
     from .dataio import PanelDataset
@@ -66,18 +66,53 @@ def f_upper_tail(x: float, df1: int, df2: int) -> float:
     return float(special.betainc(df2 / 2.0, df1 / 2.0, df2 / (df2 + df1 * x)))
 
 
-def chi_square_upper_tail(x: float, df: int) -> float:
-    """P(chi2(df) > x) via the regularized upper incomplete gamma function."""
-    if x < 0:
+def chi_square_upper_tail(x, df: int):
+    """P(chi2(df) > x) via the regularized upper incomplete gamma function.
+
+    A float for a scalar `x`, an array of tail probabilities for an array.
+    """
+    x = np.asarray(x, dtype=float)
+    if np.any(x < 0):
         raise ValueError("chi-square statistic must be non-negative")
     if df < 1:
         raise ValueError("degrees of freedom must be at least 1")
-    return float(special.gammaincc(df / 2.0, x / 2.0))
+    p = special.gammaincc(df / 2.0, x / 2.0)
+    return float(p) if p.ndim == 0 else p
 
 
 def _rss(x, y, names):
     sol = _solve_named(x, y, names)
-    return float(sol.residuals @ sol.residuals), x.shape[1]
+    return float(sum_of_squares(sol.residuals)), x.shape[1]
+
+
+def f_statistic(rss_restricted, rss_unrestricted, q, df_unrestricted):
+    """F = [(RSS_r - RSS_u) / q] / [RSS_u / df_u], floored at 0; broadcasts over stacked fits.
+
+    A zero RSS_u gives inf or nan (0/0) with numpy arrays; Python floats raise
+    ZeroDivisionError instead.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.maximum(((rss_restricted - rss_unrestricted) / q)
+                          / (rss_unrestricted / df_unrestricted), 0.0)
+
+
+def residual_regression_stats(u, rss_full, rss_exog, n, p_full, m):
+    """Overall F, instrument-block F and R^2 of the regression of 2SLS residuals `u`.
+
+    `rss_full` is that regression's RSS (intercept, instruments and exogenous
+    regressors, p_full columns) and `rss_exog` the RSS without the m
+    instruments. The overall F tests every non-constant regressor; a constant
+    `u` gives R^2 = 0 and F = 0. Takes one fit or, with `u` of shape (R, n), a
+    stack; a perfect fit gives an infinite or undefined F.
+    """
+    dev = u - u.mean(axis=-1, keepdims=True)
+    tss = sum_of_squares(dev)
+    q = p_full - 1
+    df2 = n - p_full
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r2 = np.where(tss > 0, 1.0 - rss_full / tss, 0.0)
+        overall_f = np.where(tss > 0, np.maximum((r2 / q) / ((1.0 - r2) / df2), 0.0), 0.0)
+    return overall_f, f_statistic(rss_exog, rss_full, m, df2), r2
 
 
 def first_stage_f(spec: ModelSpec, data: "PanelDataset") -> FTestReport:
@@ -115,8 +150,7 @@ def first_stage_f(spec: ModelSpec, data: "PanelDataset") -> FTestReport:
     rss_r, p_r = _rss(xr, endog, names_r)
     df_u = n - p_u
     df_r = n - p_r
-    f = ((rss_r - rss_u) / m) / (rss_u / df_u)
-    f = max(f, 0.0)
+    f = float(f_statistic(rss_r, rss_u, m, df_u))
     return FTestReport(
         f_statistic=f,
         df_numerator=m,
@@ -158,18 +192,9 @@ def sargan_j(tsls_result: EstimateResult, spec: ModelSpec, data: "PanelDataset")
         raise InsufficientObservationsError(f"{n} rows cannot support the residual regression")
 
     rss_full, p_full = _rss(x_full, u, names_full)
-    # Overall F: all non-constant regressors jointly zero.
-    dev = u - u.mean()
-    tss = float(dev @ dev)
-    q = p_full - 1
-    df2 = n - p_full
-    r2 = 1.0 - rss_full / tss if tss > 0 else 0.0
-    overall_f = (r2 / q) / ((1.0 - r2) / df2) if tss > 0 else 0.0
-    overall_f = max(overall_f, 0.0)
-
-    # Instrument-block F: the m instrument coefficients jointly zero.
     rss_exog, _ = _rss(x_exog, u, names_exog)
-    block_f = max(((rss_exog - rss_full) / m) / (rss_full / df2), 0.0)
+    overall_f, block_f, r2 = (float(v) for v in residual_regression_stats(
+        u, rss_full, rss_exog, n, p_full, m))
 
     j = m * overall_f
     df = m - k

@@ -127,16 +127,43 @@ class EstimateResult:
 
 
 def robust_covariance(x, residuals, bread) -> np.ndarray:
-    """HC0 sandwich (X'X)^-1 X' diag(u^2) X (X'X)^-1."""
-    x = as_matrix(x, "X")
-    u = as_vector(residuals, "residuals")
-    bread = as_matrix(bread, "bread")
-    if x.shape[0] != u.shape[0] or bread.shape != (x.shape[1], x.shape[1]):
+    """HC0 sandwich (X'X)^-1 X' diag(u^2) X (X'X)^-1.
+
+    Given a stack of fits, X of shape (R, n, p), residuals (R, n) and breads
+    (R, p, p), returns one covariance per fit.
+    """
+    stacked = np.ndim(x) == 3
+    x = as_matrix(x, "X", ndim=2 + stacked)
+    u = as_matrix(residuals, "residuals") if stacked else as_vector(residuals, "residuals")
+    bread = as_matrix(bread, "bread", ndim=2 + stacked)
+    if x.shape[:-1] != u.shape or bread.shape != (*x.shape[:-2], x.shape[-1], x.shape[-1]):
         raise ValueError("dimension mismatch between design, residuals and bread")
-    xu = x * u[:, None]
-    meat = xu.T @ xu
+    xu = x * u[..., None]
+    meat = xu.mT @ xu
     cov = bread @ meat @ bread
-    return 0.5 * (cov + cov.T)
+    return 0.5 * (cov + cov.mT)
+
+
+def coefficient_covariance(kind, x, residuals, bread, df_residual) -> np.ndarray:
+    """Classical s^2 (X'X)^-1 with s^2 = u'u / df_residual, or the HC0 sandwich.
+
+    `kind` is a `COVARIANCES` entry and `bread` is (X'X)^-1. Like
+    `robust_covariance`, this takes one fit or a stack of fits.
+    """
+    if kind == "robust_hc0":
+        return robust_covariance(x, residuals, bread)
+    sigma2 = sum_of_squares(residuals) / df_residual
+    return sigma2[..., None, None] * bread
+
+
+def sum_of_squares(u):
+    """u'u over the last axis: a residual sum of squares, one per fit for a stack."""
+    return np.vecdot(u, u)
+
+
+def standard_errors(cov) -> np.ndarray:
+    """Square roots of the covariance diagonal (negative rounding clipped to 0); stacks too."""
+    return np.sqrt(np.clip(np.diagonal(cov, axis1=-2, axis2=-1), 0.0, None))
 
 
 def _solve_named(x, y, names):
@@ -153,22 +180,28 @@ def _select_rows(data: "PanelDataset", spec: ModelSpec):
 
 
 def _stack(data, rows, column_names, intercept):
-    cols, names = [], []
-    if intercept:
-        cols.append(np.ones(rows.shape[0]))
-        names.append(INTERCEPT_NAME)
-    for name in column_names:
-        cols.append(data.column(name)[rows])
-        names.append(name)
-    x = np.column_stack(cols) if cols else np.empty((rows.shape[0], 0))
-    return x, tuple(names)
+    return design_matrix({name: data.column(name)[rows] for name in column_names},
+                         column_names, intercept, rows.shape)
+
+
+def design_matrix(columns, column_names, intercept, shape):
+    """The design with an optional intercept, then `column_names` in order, and its names.
+
+    `columns` maps each name to an array of `shape`, the rows (n,) of one fit
+    or (R, n) for a stack of R fits; the design has a column axis appended.
+    """
+    cols = [np.ones(shape)] if intercept else []
+    cols += [columns[name] for name in column_names]
+    names = (INTERCEPT_NAME,) * bool(intercept) + tuple(column_names)
+    x = np.stack(cols, axis=-1) if cols else np.empty((*shape, 0))
+    return x, names
 
 
 def _fit_stats(y, residuals, n, p, centered):
-    rss = float(residuals @ residuals)
+    rss = float(sum_of_squares(residuals))
     if centered:
         dev = y - y.mean()
-        tss = float(dev @ dev)
+        tss = float(sum_of_squares(dev))
         adj_den = n - 1
     else:
         tss = float(y @ y)
@@ -182,11 +215,10 @@ def _fit_stats(y, residuals, n, p, centered):
 def _finish(spec, names, beta, cov, residuals, fitted, rows, n, p, y, centered,
             estimator_tag, fe_values=None):
     _, r2, adj, rse = _fit_stats(y, residuals, n, p, centered)
-    se = np.sqrt(np.clip(np.diag(cov), 0.0, None))
     return EstimateResult(
         names=names,
         coefficients=beta,
-        standard_errors=se,
+        standard_errors=standard_errors(cov),
         covariance_matrix=cov,
         residuals=residuals,
         fitted=fitted,
@@ -218,11 +250,7 @@ def estimate_ols(spec: ModelSpec, data: "PanelDataset") -> EstimateResult:
     if n <= p:
         raise InsufficientObservationsError(f"{n} rows cannot support {p} coefficients")
     sol = _solve_named(x, y, names)
-    if spec.covariance == "robust_hc0":
-        cov = robust_covariance(x, sol.residuals, sol.xtx_inverse)
-    else:
-        sigma2 = float(sol.residuals @ sol.residuals) / (n - p)
-        cov = sigma2 * sol.xtx_inverse
+    cov = coefficient_covariance(spec.covariance, x, sol.residuals, sol.xtx_inverse, n - p)
     return _finish(
         spec, names, sol.coefficients, cov, sol.residuals, sol.fitted, rows,
         n, p, y, spec.include_intercept, "ols",
@@ -306,10 +334,7 @@ def estimate_two_way_fe(spec: ModelSpec, data: "PanelDataset") -> EstimateResult
             name, f"regressor {name!r} is collinear with the fixed effects and the other regressors"
         ) from None
 
-    if spec.covariance == "robust_hc0":
-        cov = robust_covariance(design, sol.residuals, sol.xtx_inverse)
-    else:
-        cov = float(sol.residuals @ sol.residuals) / (n - p) * sol.xtx_inverse
+    cov = coefficient_covariance(spec.covariance, design, sol.residuals, sol.xtx_inverse, n - p)
     beta = sol.coefficients[m:].copy()
 
     period_fx = np.concatenate([[0.0], sol.coefficients[:m]])
@@ -365,11 +390,7 @@ def estimate_tsls(spec: ModelSpec, data: "PanelDataset") -> EstimateResult:
     residuals = y - x_actual @ beta
     fitted = x_actual @ beta
 
-    if spec.covariance == "robust_hc0":
-        cov = robust_covariance(x_hat, residuals, second.xtx_inverse)
-    else:
-        sigma2 = float(residuals @ residuals) / (n - p)
-        cov = sigma2 * second.xtx_inverse
+    cov = coefficient_covariance(spec.covariance, x_hat, residuals, second.xtx_inverse, n - p)
     return _finish(
         spec, names, beta, cov, residuals, fitted, rows,
         n, p, y, spec.include_intercept, "tsls",

@@ -2,7 +2,9 @@
 
 Matrices are plain 2-D float64 ndarrays (row-major). The solver deliberately
 avoids the normal equations: small econometric designs with near-collinear
-dummies lose half the available precision under X'X.
+dummies lose half the available precision under X'X. A stack of designs of one
+shape is solved at once by `solve_least_squares_stacked`, which certifies full
+rank per entry instead of pivoting.
 """
 
 from __future__ import annotations
@@ -16,13 +18,16 @@ from .errors import RankDeficientError
 
 #: Relative rank tolerance, applied against the largest column norm.
 DEFAULT_RANK_TOL = 1e-10
+#: Factor by which the stacked solver's rank certificate must clear the rank tolerance,
+#: leaving room for the rounding of two different factorizations.
+CERTIFY_MARGIN = 1e3
 
 
-def as_matrix(a, name="matrix"):
-    """Validate and return a 2-D float64 array with finite entries."""
+def as_matrix(a, name="matrix", ndim=2):
+    """Validate and return an `ndim`-D float64 array with finite entries (2-D by default)."""
     out = np.asarray(a, dtype=float)
-    if out.ndim != 2:
-        raise ValueError(f"{name} must be 2-D, got shape {out.shape}")
+    if out.ndim != ndim:
+        raise ValueError(f"{name} must be {ndim}-D, got shape {out.shape}")
     if not np.all(np.isfinite(out)):
         raise ValueError(f"{name} contains NaN or Inf")
     return out
@@ -38,7 +43,7 @@ def as_vector(a, name="vector"):
 
 @dataclass(frozen=True)
 class LeastSquaresSolution:
-    """Full-rank least-squares fit of y on X."""
+    """Full-rank least-squares fit of y on X; a stacked fit has a leading axis on every array."""
 
     coefficients: np.ndarray
     fitted: np.ndarray
@@ -165,3 +170,55 @@ def solve_least_squares(x, y, tol=DEFAULT_RANK_TOL):
         rank=rank,
         xtx_inverse=xtx_inv,
     )
+
+
+def solve_least_squares_stacked(x, y, tol=DEFAULT_RANK_TOL):
+    """Minimize ||y_r - X_r b_r|| for every entry r of a stack, via one LAPACK QR of [X | y].
+
+    Parameters
+    ----------
+    x : (R, n, p) array, n >= p
+    y : (R, n) array
+    tol : float
+        Relative rank tolerance, as in `solve_least_squares`.
+
+    Returns
+    -------
+    (LeastSquaresSolution, certified)
+        The solution's arrays carry the leading axis R and its rank is p.
+        `certified` is an (R,) bool array: entry r is certified full rank when
+        1 / ||R_r^-1||_F > CERTIFY_MARGIN * tol * (largest column norm of X_r).
+        Every |R_ii| of a pivoted QR is at least sigma_min(X) >= 1 / ||R^-1||_F,
+        so a certified entry has rank p under `solve_least_squares` too. The
+        values of an entry that is not certified mean nothing: refit it with
+        `solve_least_squares`, which finds and names the dependent columns.
+    """
+    x = as_matrix(x, "X", ndim=3)
+    y = as_matrix(y, "y")
+    stack, n, p = x.shape
+    if y.shape != (stack, n):
+        raise ValueError(f"X has shape {x.shape} but y has shape {y.shape}")
+    if n < p:
+        raise ValueError(f"need at least as many rows as columns, got {n} x {p}")
+
+    # Q'y is the top of the last column of the factor of [X | y].
+    factor = np.linalg.qr(np.concatenate([x, y[..., None]], axis=-1), mode="r")
+    upper, qty = factor[:, :p, :p], factor[:, :p, p]
+    scale = np.sqrt(np.einsum("rij,rij->rj", x, x)).max(axis=-1, initial=0.0)
+    threshold = CERTIFY_MARGIN * tol * np.where(scale > 0.0, scale, 1.0)
+    # 1 / ||R^-1||_F <= min |R_ii|, so an entry at or below the threshold there cannot be
+    # certified; its factor is swapped for I so that the batched inverse meets no zero pivot.
+    plausible = np.abs(np.diagonal(upper, axis1=1, axis2=2)).min(axis=-1, initial=np.inf) > threshold
+    rinv = np.linalg.inv(np.where(plausible[:, None, None], upper, np.eye(p)))
+    certified = plausible & (np.linalg.norm(rinv, axis=(1, 2)) * threshold < 1.0)
+
+    beta = np.matvec(rinv, qty)
+    fitted = np.matvec(x, beta)
+    solution = LeastSquaresSolution(
+        coefficients=beta,
+        fitted=fitted,
+        residuals=y - fitted,
+        rank=p,
+        xtx_inverse=rinv @ rinv.mT,
+    )
+    return solution, certified

@@ -11,17 +11,20 @@ share no market.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from . import dataio, demand, diagnostics, estimators
+from . import dataio, demand, diagnostics, estimators, matrix
 from .errors import DegenerateSharesError, ExactlyIdentifiedError, LogitDemandError
 
 _MIN_SHARE = 1e-12
 _MAX_REDRAWS = 100
 _CHOICE_BLOCK = 200_000
+#: Rows per stacked Monte Carlo chunk; bounds the memory of the chunk's designs.
+_STACK_ROWS = 5_000
 
 
 @dataclass(frozen=True)
@@ -113,11 +116,17 @@ class TrueMarket:
 
 @dataclass(frozen=True)
 class McSummary:
-    """Aggregated Monte Carlo results; deterministic for a fixed (params, R)."""
+    """Aggregated Monte Carlo results; deterministic for a fixed (params, R).
+
+    `failures` counts the failed replications by error class name; `redraws`
+    totals the draws that `draw_market` rejected and drew again.
+    """
 
     replications: int
     completed: int
     failed: int
+    failures: dict
+    redraws: int
     coefficient_names: tuple
     true_values: dict
     mean_bias: dict
@@ -161,22 +170,21 @@ def sample_choices(delta, consumers, rng=None):
     return counts[1:].copy(), int(counts[0])
 
 
-def generate_market(params: DgpParams):
-    """Draw one synthetic panel; returns (PanelDataset, TrueMarket).
+def draw_market(params: DgpParams, rng):
+    """Draw one market's arrays from `rng`; returns (columns, TrueMarket, redraws).
 
-    Output is identical for identical seeds. Draws whose inside or outside
-    share falls below 1e-12 (or whose sampled quantities hit zero) are
-    re-drawn up to a bounded retry count.
+    `columns` maps each generated column to its values, one row per (product,
+    period), units outer and periods inner. `params.seed` is not read: the
+    draw uses `rng` alone. A draw whose inside or outside share falls below
+    1e-12 (or whose sampled quantities hit zero) is rejected and drawn again,
+    up to a bounded retry count; `redraws` counts the rejected draws.
     """
-    rng = np.random.default_rng(params.seed)
     j, t, k = params.n_products, params.n_periods, params.n_characteristics
     n = j * t
-    width = max(2, len(str(j)))
-    units = [f"P{i + 1:0{width}d}" for i in range(j)]
     unit_eff = np.array(params.unit_effects) if params.unit_effects else np.zeros(j)
     time_eff = np.array(params.time_effects) if params.time_effects else np.zeros(t)
 
-    for _ in range(_MAX_REDRAWS):
+    for attempt in range(_MAX_REDRAWS):
         x = rng.normal(params.characteristic_loc, params.characteristic_scale, (n, k)) \
             if k else np.zeros((n, 0))
         costs = rng.normal(params.cost_loc, params.cost_scale, (n, params.n_instruments))
@@ -227,20 +235,37 @@ def generate_market(params: DgpParams):
             columns[name] = costs[:, i]
         columns["quantity"] = quantity
         columns["market_size"] = market_size
-        data = dataio.PanelDataset(
-            units=tuple(units[i] for i in unit_idx),
-            periods=(2001 + time_idx).tolist(),
-            columns=columns,
-            column_kinds={},
-        )
         truth = TrueMarket(
             params=params, delta=delta, xi=xi, inside_shares=inside,
             outside_shares=dict(zip(range(2001, 2001 + t), outside.tolist())),
         )
-        return data, truth
+        return columns, truth, attempt
 
     raise DegenerateSharesError(
         f"no draw produced shares above {_MIN_SHARE:g} within {_MAX_REDRAWS} attempts"
+    )
+
+
+def generate_market(params: DgpParams):
+    """Draw one synthetic panel; returns (PanelDataset, TrueMarket).
+
+    Output is identical for identical seeds: `draw_market` on
+    `default_rng(params.seed)`, as a panel of units P01, P02, ... and periods
+    2001, 2002, ...
+    """
+    columns, truth, _ = draw_market(params, np.random.default_rng(params.seed))
+    return _as_panel(params, columns), truth
+
+
+def _as_panel(params: DgpParams, columns) -> dataio.PanelDataset:
+    j, t = params.n_products, params.n_periods
+    width = max(2, len(str(j)))
+    units = [f"P{i + 1:0{width}d}" for i in range(j)]
+    return dataio.PanelDataset(
+        units=tuple(units[i] for i in np.repeat(np.arange(j), t)),
+        periods=(2001 + np.tile(np.arange(t), j)).tolist(),
+        columns=columns,
+        column_kinds={},
     )
 
 
@@ -269,65 +294,213 @@ def run_monte_carlo(params: DgpParams, spec: estimators.ModelSpec | None = None,
                     replications: int = 100) -> McSummary:
     """Generate, estimate and test `replications` markets; aggregate the results.
 
-    Per-replication estimator failures are counted, not fatal. Coverage uses
-    the +-1.96 * SE interval per coefficient.
+    Replication r draws its market from `default_rng` on the r-th seed of
+    `replication_seeds(params.seed, replications)`. OLS and 2SLS specs are
+    fitted in chunks of replications, at most `_STACK_ROWS` (5,000) rows
+    each: a chunk's markets are inverted together and every regression of
+    the chunk (both 2SLS stages, the first-stage F and the Sargan J) is one
+    stacked LAPACK QR (`matrix.solve_least_squares_stacked`). A replication
+    whose draw raises, whose chunk fails a share check, whose fits are not
+    certified full rank or whose F or J is not finite is fitted again on its
+    own, through `estimate`, `first_stage_f` and `sargan_j` as a single panel,
+    and so ends exactly as a lone fit would, failures included. Two-way
+    fixed-effects specs always run that way. The stacked numbers equal the
+    per-replication ones within 1e-10 relative (about 1e-15 in practice),
+    not bit for bit.
+
+    Per-replication estimator failures are counted by error class, not fatal.
+    Coverage uses the +-1.96 * SE interval per coefficient.
     """
     if replications < 1:
         raise ValueError("need at least one replication")
     if spec is None:
         spec = default_model_spec(params)
+    records = _replications(params, spec, replication_seeds(params.seed, replications))
+    return _summarize(params, replications, records)
 
-    estimates = []
-    ses = []
-    f_stats = []
-    sargan_rejects = []
-    failed = 0
-    names = None
-    for rep_seed in replication_seeds(params.seed, replications):
-        rep_params = dataclasses.replace(params, seed=rep_seed)
+
+class _Replication(NamedTuple):
+    """One replication's outcome; a failed one names its error class in `failure`.
+
+    A first-stage F computed before a later step failed is kept: the summary's
+    mean F has always counted it.
+    """
+
+    names: tuple = ()
+    coefficients: np.ndarray | None = None
+    standard_errors: np.ndarray | None = None
+    first_stage_f: float | None = None
+    sargan_j: float | None = None
+    sargan_p_value: float | None = None
+    redraws: int = 0
+    failure: str | None = None
+
+
+def _replicate(params: DgpParams, spec: estimators.ModelSpec, rep_seed: int) -> _Replication:
+    """One replication fitted on its own panel: the reference the stacked chunks must match."""
+    f = j = p_value = None
+    redraws = 0
+    try:
+        columns, _, redraws = draw_market(params, np.random.default_rng(rep_seed))
+        data = dataio.compute_dependent(_as_panel(params, columns))
+        result = estimators.estimate(spec, data)
+        if spec.instruments and len(spec.endogenous_regressors) == 1:
+            f = diagnostics.first_stage_f(spec, data).f_statistic
+            if result.estimator_tag == "tsls":
+                try:
+                    j_report = diagnostics.sargan_j(result, spec, data)
+                    j, p_value = j_report.j_statistic, j_report.p_value
+                except ExactlyIdentifiedError:
+                    pass
+    except LogitDemandError as exc:
+        return _Replication(first_stage_f=f, redraws=redraws, failure=type(exc).__name__)
+    return _Replication(result.names, result.coefficients, result.standard_errors,
+                        f, j, p_value, redraws)
+
+
+def _replications(params: DgpParams, spec: estimators.ModelSpec, seeds) -> list:
+    """Every replication's outcome in seed order, in stacked chunks where the spec allows."""
+    n = params.n_products * params.n_periods
+    generated = {*params.characteristic_names(), "price", *params.instrument_names(),
+                 "quantity", "market_size", dataio.DEPENDENT_COLUMN}
+    # No regression of the replication has more columns than `width`; at or below it, some
+    # fit has too few rows, and the single-panel path raises that error as it always has.
+    width = 1 + len(spec.regressors) + len(spec.instruments)
+    if (spec.estimator == "two_way_fe" or n <= width
+            or not {spec.dependent, *spec.regressors, *spec.instruments} <= generated):
+        return [_replicate(params, spec, seed) for seed in seeds]
+    per_chunk = max(1, _STACK_ROWS // n)
+    records = []
+    for start in range(0, len(seeds), per_chunk):
+        records += _fit_chunk(params, spec, seeds[start:start + per_chunk])
+    return records
+
+
+def _fit_chunk(params: DgpParams, spec: estimators.ModelSpec, seeds) -> list:
+    """One chunk's outcomes: stacked fits, and `_replicate` for every replication they miss."""
+    draws = {}
+    for i, seed in enumerate(seeds):
         try:
-            data, _ = generate_market(rep_params)
-            data = dataio.compute_dependent(data)
-            result = estimators.estimate(spec, data)
-            if spec.instruments and len(spec.endogenous_regressors) == 1:
-                f_stats.append(diagnostics.first_stage_f(spec, data).f_statistic)
-                if result.estimator_tag == "tsls":
-                    try:
-                        j_report = diagnostics.sargan_j(result, spec, data)
-                        sargan_rejects.append(j_report.reject_at_5pct)
-                    except ExactlyIdentifiedError:
-                        pass
-        except LogitDemandError:
-            failed += 1
-            continue
-        names = result.names
-        estimates.append(result.coefficients)
-        ses.append(result.standard_errors)
+            draws[i] = draw_market(params, np.random.default_rng(seed))
+        except Exception:  # `_replicate` draws it again, and fails or raises in seed order
+            pass
+    records = [None] * len(seeds)
+    if draws:
+        first = next(iter(draws.values()))[0]
+        columns = {name: np.stack([d[0][name] for d in draws.values()]) for name in first}
+        try:
+            columns[dataio.DEPENDENT_COLUMN] = _stacked_dependent(columns, params.n_periods)
+        except (LogitDemandError, ValueError):
+            pass  # a share check failed: the whole chunk goes through `_replicate`
+        else:
+            for i, record in zip(draws, _fit_stack(spec, columns)):
+                if record is not None:
+                    records[i] = record._replace(redraws=draws[i][2])
+    return [_replicate(params, spec, seed) if record is None else record
+            for seed, record in zip(seeds, records)]
 
-    completed = len(estimates)
-    if completed == 0:
+
+def _stacked_dependent(columns, n_periods):
+    """`compute_dependent` for a stack of markets: one inversion, period codes r * T + t."""
+    stack, n = columns["quantity"].shape
+    codes = np.arange(stack)[:, None] * n_periods + np.tile(np.arange(n_periods), n // n_periods)
+    codes = codes.reshape(-1)
+    market_size = np.empty(stack * n_periods)
+    market_size[codes] = columns["market_size"].reshape(-1)
+    inside, outside = demand.shares_from_quantities(columns["quantity"].reshape(-1), market_size, codes)
+    return demand.invert_shares(inside, outside, codes).reshape(stack, n)
+
+
+def _fit_stack(spec: estimators.ModelSpec, columns) -> list:
+    """`estimate`, `first_stage_f` and `sargan_j` on every market of a stack; None where a
+    replication's fits are not certified full rank or its F or J is not finite."""
+    stack, n = columns[spec.dependent].shape
+    certified = np.ones(stack, dtype=bool)
+    exog, endog, instruments = spec.exogenous_regressors, spec.endogenous_regressors, spec.instruments
+
+    def design(names, intercept=spec.include_intercept):
+        return estimators.design_matrix(columns, names, intercept, (stack, n))[0]
+
+    def solve(x, y):
+        sol, ok = matrix.solve_least_squares_stacked(x, y)
+        certified[:] &= ok
+        return sol
+
+    def rss(x, y):
+        return estimators.sum_of_squares(solve(x, y).residuals)
+
+    y = columns[spec.dependent]
+    x, names = estimators.design_matrix(columns, spec.regressors, spec.include_intercept, (stack, n))
+    if spec.estimator == "tsls":
+        z = design((*exog, *instruments))
+        fitted = [solve(z, columns[name]).fitted[..., None] for name in endog]
+        x_fit = np.concatenate([design(exog), *fitted], axis=-1)
+        sol = solve(x_fit, y)
+        residuals = y - np.matvec(x, sol.coefficients)
+    else:
+        x_fit, sol = x, solve(x, y)
+        residuals = sol.residuals
+    cov = estimators.coefficient_covariance(spec.covariance, x_fit, residuals, sol.xtx_inverse,
+                                            n - x_fit.shape[-1])
+    se = estimators.standard_errors(cov)
+
+    f = j = p_value = [None] * stack
+    if instruments and len(endog) == 1:
+        xu = design((*exog, *instruments))
+        rss_u, rss_r = rss(xu, columns[endog[0]]), rss(design(exog), columns[endog[0]])
+        f = diagnostics.f_statistic(rss_r, rss_u, len(instruments), n - xu.shape[-1])
+        certified &= np.isfinite(f)
+        if spec.estimator == "tsls" and len(instruments) > len(endog):
+            x_full = design((*instruments, *exog), intercept=True)
+            rss_full, rss_exog = rss(x_full, residuals), rss(design(exog, intercept=True), residuals)
+            overall_f, _, _ = diagnostics.residual_regression_stats(
+                residuals, rss_full, rss_exog, n, x_full.shape[-1], len(instruments))
+            j = len(instruments) * overall_f
+            certified &= np.isfinite(j)
+            p_value = diagnostics.chi_square_upper_tail(j, len(instruments) - len(endog))
+    return [
+        _Replication(names, sol.coefficients[r], se[r], _float(f[r]), _float(j[r]),
+                     _float(p_value[r])) if certified[r] else None
+        for r in range(stack)
+    ]
+
+
+def _float(value):
+    return None if value is None else float(value)
+
+
+def _summarize(params: DgpParams, replications: int, records) -> McSummary:
+    completed = [r for r in records if r.failure is None]
+    if not completed:
         raise DegenerateSharesError("every replication failed; nothing to summarize")
+    failures = Counter(r.failure for r in records if r.failure is not None)
+    f_stats = [r.first_stage_f for r in records if r.first_stage_f is not None]
+    sargan_rejects = [r.sargan_p_value < 0.05 for r in completed if r.sargan_p_value is not None]
 
-    est = np.vstack(estimates)
-    se = np.vstack(ses)
+    names = completed[-1].names
+    est = np.vstack([r.coefficients for r in completed])
+    se = np.vstack([r.standard_errors for r in completed])
     truths = params.true_coefficients()
     true_values = {name: truths.get(name, float("nan")) for name in names}
     truth_vec = np.array([true_values[name] for name in names])
 
+    n_done = len(completed)
     bias = est.mean(axis=0) - truth_vec
-    spread = est.std(axis=0, ddof=1) if completed > 1 else np.zeros(len(names))
+    spread = est.std(axis=0, ddof=1) if n_done > 1 else np.zeros(len(names))
     rmse = np.sqrt(np.mean((est - truth_vec) ** 2, axis=0))
     covered = np.abs(est - truth_vec) <= 1.96 * se
     coverage = covered.mean(axis=0)
 
     return McSummary(
         replications=replications,
-        completed=completed,
-        failed=failed,
+        completed=n_done,
+        failed=replications - n_done,
+        failures=dict(sorted(failures.items())),
+        redraws=sum(r.redraws for r in records),
         coefficient_names=tuple(names),
         true_values=true_values,
         mean_bias={n: float(b) for n, b in zip(names, bias)},
-        mean_bias_se={n: float(s / np.sqrt(completed)) for n, s in zip(names, spread)},
+        mean_bias_se={n: float(s / np.sqrt(n_done)) for n, s in zip(names, spread)},
         rmse={n: float(v) for n, v in zip(names, rmse)},
         ci_coverage_95={n: float(c) for n, c in zip(names, coverage)},
         mean_first_stage_f=float(np.mean(f_stats)) if f_stats else float("nan"),

@@ -7,7 +7,13 @@ import pytest
 from logitdemand.cli import main
 from logitdemand.dataio import DEPENDENT_COLUMN, compute_dependent, load_panel, write_panel_csv
 from logitdemand.estimators import estimate
-from logitdemand.simulate import DgpParams, default_model_spec, generate_market, replication_seeds
+from logitdemand.simulate import (
+    DgpParams,
+    default_model_spec,
+    generate_market,
+    replication_seeds,
+    run_monte_carlo,
+)
 
 GOOD_CSV = """unit,period,quantity,market_size,Price
 a,2014,50,200,399
@@ -384,3 +390,23 @@ def test_simulate_rejects_invalid_values(tmp_path, capsys):
     params_path = tmp_path / "params.json"
     params_path.write_text(json.dumps({"n_products": 0, "n_periods": 2}), encoding="utf-8")
     assert main(["simulate", "--params", str(params_path)]) == 5
+
+
+def test_simulate_reports_failures_by_class_and_redraws(tmp_path, capsys):
+    # A product with utility near 29 leaves the outside share near 1e-12: most draws are
+    # rejected, and some replications give up after the bounded number of re-draws.
+    params = {"n_products": 3, "n_periods": 2, "n_characteristics": 1, "beta": [1.0],
+              "xi_scale": 1.0, "unit_effects": [29.0, 0.0, 0.0], "seed": 5, "replications": 20}
+    params_path = tmp_path / "params.json"
+    params_path.write_text(json.dumps(params), encoding="utf-8")
+    assert main(["simulate", "--params", str(params_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+
+    dgp = DgpParams(n_products=3, n_periods=2, n_characteristics=1, beta=(1.0,), xi_scale=1.0,
+                    unit_effects=(29.0, 0.0, 0.0), seed=5)
+    summary = run_monte_carlo(dgp, default_model_spec(dgp), 20)
+    assert summary.failures == {"DegenerateSharesError": summary.failed} and summary.failed > 0
+    assert lines[0] == (f"Monte Carlo summary: {summary.completed}/20 replications "
+                        f"({summary.failed} failed: DegenerateSharesError {summary.failed})")
+    assert lines[-1] == f"re-draws: {summary.redraws}"
+    assert summary.redraws > 0

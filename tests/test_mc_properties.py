@@ -1,0 +1,217 @@
+"""The stacked Monte Carlo against its per-replication reference, as properties.
+
+`simulate._replications` fits chunks of replications with one stacked QR per
+regression; `simulate._replicate` fits one replication on its own panel through
+`estimate`, `first_stage_f` and `sargan_j`. The two must agree replication by
+replication: the same failures and re-draws, and the same numbers within 1e-10
+(the arithmetic differs in order, so not bit for bit). The chunk bound is
+lowered so that a few replications already span several chunks.
+"""
+
+import dataclasses
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from logitdemand import simulate
+from logitdemand.dataio import PanelDataset
+from logitdemand.errors import DegenerateSharesError
+from logitdemand.estimators import ModelSpec, estimate_ols, estimate_tsls
+from logitdemand.simulate import DgpParams, default_model_spec, replication_seeds
+
+TOL = 1e-10
+
+
+def _close(a, b, scale):
+    return np.max(np.abs(np.subtract(a, b)), initial=0.0) <= TOL * scale
+
+
+def _assert_same_replications(batched, reference):
+    assert len(batched) == len(reference)
+    # F and J are compared relative to the largest of the run: J's R^2 = 1 - RSS/TSS carries
+    # absolute rounding of a few eps in either path, which is large relative to a J near 0.
+    f_scale = max((abs(r.first_stage_f) for r in reference if r.first_stage_f is not None),
+                  default=0.0)
+    j_scale = max((r.sargan_j for r in reference if r.sargan_j is not None), default=0.0)
+    for got, want in zip(batched, reference):
+        assert got.failure == want.failure
+        assert got.redraws == want.redraws
+        assert (got.first_stage_f is None) == (want.first_stage_f is None)
+        if want.first_stage_f is not None:
+            assert _close(got.first_stage_f, want.first_stage_f, f_scale)
+        if want.failure is not None:
+            continue
+        assert got.names == want.names
+        assert _close(got.coefficients, want.coefficients, np.max(np.abs(want.coefficients)))
+        assert _close(got.standard_errors, want.standard_errors,
+                      np.max(np.abs(want.standard_errors)))
+        assert (got.sargan_j is None) == (want.sargan_j is None)
+        if want.sargan_j is not None:
+            assert _close(got.sargan_j, want.sargan_j, j_scale)
+            if abs(want.sargan_p_value - 0.05) > TOL:
+                assert (got.sargan_p_value < 0.05) == (want.sargan_p_value < 0.05)
+
+
+def _compare(params, spec, replications, chunk_markets):
+    seeds = replication_seeds(params.seed, replications)
+    reference = [simulate._replicate(params, spec, seed) for seed in seeds]
+    n = params.n_products * params.n_periods
+    with mock.patch.object(simulate, "_STACK_ROWS", chunk_markets * n):
+        batched = simulate._replications(params, spec, seeds)
+        try:
+            summary = simulate.run_monte_carlo(params, spec, replications)
+        except DegenerateSharesError:
+            summary = None
+    _assert_same_replications(batched, reference)
+    if summary is None:
+        assert all(r.failure is not None for r in reference)
+        return reference
+    want = simulate._summarize(params, replications, reference)
+    assert (summary.completed, summary.failed, summary.failures, summary.redraws) == (
+        want.completed, want.failed, want.failures, want.redraws)
+    return reference
+
+
+@st.composite
+def monte_carlos(draw):
+    k = draw(st.integers(0, 2))
+    estimator = draw(st.sampled_from(["ols", "tsls"]))
+    params = DgpParams(
+        n_products=draw(st.integers(2, 8)),
+        n_periods=draw(st.integers(1, 4)),
+        n_characteristics=k,
+        beta=tuple(draw(st.lists(st.floats(-1.5, 1.5), min_size=k, max_size=k))),
+        alpha=draw(st.floats(0.0, 2.0)),
+        # Without xi the fit is exact, and SEs, F and J are rounding noise on either path.
+        xi_scale=draw(st.sampled_from([0.5, 1.0])),
+        price_endogeneity=draw(st.floats(0.0, 1.0)),
+        instrument_strength=draw(st.sampled_from([0.0, 0.5, 2.0])),
+        n_instruments=draw(st.integers(1, 3)),
+        consumers=draw(st.sampled_from([None, None, 40, 1000])),
+        characteristic_scale=draw(st.sampled_from([1.0, 1.0, 1.0, 1.0, 0.0])),
+        characteristic_loc=draw(st.sampled_from([0.0, 1.0])),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    covariance = draw(st.sampled_from(["classical", "robust_hc0"]))
+    spec = dataclasses.replace(default_model_spec(params, estimator=estimator, covariance=covariance),
+                               include_intercept=draw(st.sampled_from([True, True, False])))
+    return params, spec, draw(st.integers(1, 12)), draw(st.integers(1, 4))
+
+
+@settings(max_examples=150)
+@given(monte_carlos())
+def test_stacked_monte_carlo_matches_per_replication_fits(case):
+    _compare(*case)
+
+
+@pytest.mark.parametrize("estimator", ["ols", "tsls"])
+@pytest.mark.parametrize("covariance", ["classical", "robust_hc0"])
+@pytest.mark.parametrize("include_intercept", [True, False])
+@pytest.mark.parametrize("consumers", [None, 500])
+def test_every_spec_variant_matches_per_replication_fits(estimator, covariance,
+                                                          include_intercept, consumers):
+    params = DgpParams(n_products=6, n_periods=5, n_characteristics=2, beta=(1.0, -0.5),
+                       xi_scale=0.7, price_endogeneity=0.6, n_instruments=3,
+                       consumers=consumers, seed=17)
+    spec = dataclasses.replace(default_model_spec(params, estimator, covariance),
+                               include_intercept=include_intercept)
+    reference = _compare(params, spec, replications=12, chunk_markets=5)
+    assert all(r.failure is None for r in reference)
+    assert all((r.sargan_j is not None) == (estimator == "tsls") for r in reference)
+    # Every one of these replications is certified: none is fitted on its own.
+    with mock.patch.object(simulate, "_replicate", wraps=simulate._replicate) as per_replication:
+        simulate._replications(params, spec, replication_seeds(params.seed, 12))
+    assert per_replication.call_count == 0
+
+
+def test_rank_deficient_markets_take_the_per_replication_path_and_fail_as_before():
+    # With no spread, x1 is the constant 1: collinear with the intercept in every market.
+    params = DgpParams(n_products=5, n_periods=4, n_characteristics=1, beta=(1.0,),
+                       xi_scale=0.5, characteristic_scale=0.0, characteristic_loc=1.0, seed=3)
+    spec = default_model_spec(params)
+    reference = _compare(params, spec, replications=6, chunk_markets=4)
+    assert [r.failure for r in reference] == ["RankDeficientError"] * 6
+    with mock.patch.object(simulate, "_replicate", wraps=simulate._replicate) as per_replication:
+        simulate._replications(params, spec, replication_seeds(params.seed, 6))
+    assert per_replication.call_count == 6
+
+
+@pytest.mark.parametrize("params", [
+    # Forty consumers over five products often leave one without a sale: a re-draw.
+    DgpParams(n_products=5, n_periods=3, n_characteristics=1, beta=(1.0,), xi_scale=0.5,
+              price_endogeneity=0.5, consumers=40, seed=11),
+    # A product with utility near 29 leaves the outside share near 1e-12: many draws are
+    # rejected, and some replications give up after the bounded number of re-draws.
+    DgpParams(n_products=3, n_periods=2, n_characteristics=1, beta=(1.0,), xi_scale=1.0,
+              unit_effects=(29.0, 0.0, 0.0), seed=5),
+])
+def test_failures_and_redraws_match_the_per_replication_sums(params):
+    spec = default_model_spec(params)
+    reference = _compare(params, spec, replications=40, chunk_markets=7)
+    summary = simulate.run_monte_carlo(params, spec, 40)
+    assert summary.redraws == sum(r.redraws for r in reference) > 0
+    assert summary.failed == sum(r.failure is not None for r in reference)
+    assert summary.failures == {name: sum(r.failure == name for r in reference)
+                                for name in {r.failure for r in reference} - {None}}
+    assert summary.failed == sum(summary.failures.values())
+
+
+def _copies(rng, stack, n):
+    """Exogenous x1, endogenous price and an instrument that is an exact copy of price."""
+    x1 = rng.normal(size=(stack, n))
+    price = rng.normal(size=(stack, n)) + 0.5 * x1
+    y = 1.0 + 0.7 * x1 - 1.2 * price + rng.normal(size=(stack, n))
+    return {"y": y, "x1": x1, "price": price, "z_price": price.copy()}
+
+
+def _specs(covariance):
+    common = dict(dependent="y", exogenous_regressors=("x1",), endogenous_regressors=("price",),
+                  covariance=covariance)
+    return (ModelSpec(estimator="ols", **common),
+            ModelSpec(estimator="tsls", instruments=("z_price",), **common))
+
+
+@settings(max_examples=30)
+@given(st.integers(0, 2**32 - 1), st.integers(6, 40),
+       st.sampled_from(["classical", "robust_hc0"]))
+def test_tsls_with_copied_regressors_as_instruments_is_ols(seed, n, covariance):
+    columns = _copies(np.random.default_rng(seed), 3, n)
+    ols_spec, tsls_spec = _specs(covariance)
+
+    # One fit on a panel.
+    data = PanelDataset(units=tuple(f"u{i:02d}" for i in range(n)), periods=(2001,) * n,
+                        columns={name: col[0] for name, col in columns.items()}, column_kinds={})
+    ols, tsls = estimate_ols(ols_spec, data), estimate_tsls(tsls_spec, data)
+    assert _close(tsls.coefficients, ols.coefficients, np.max(np.abs(ols.coefficients)))
+    assert _close(tsls.standard_errors, ols.standard_errors, np.max(ols.standard_errors))
+
+    # A stack of fits through the Monte Carlo's stacked path.
+    ols_stack = simulate._fit_stack(ols_spec, columns)
+    tsls_stack = simulate._fit_stack(tsls_spec, columns)
+    for a, b in zip(tsls_stack, ols_stack):
+        assert _close(a.coefficients, b.coefficients, np.max(np.abs(b.coefficients)))
+        assert _close(a.standard_errors, b.standard_errors, np.max(b.standard_errors))
+
+
+def test_cli_and_monte_carlo_do_not_load_scipy_linalg():
+    # Importing scipy.linalg alone added about 8 MB of peak RSS to the Monte Carlo benchmark.
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(src)!r})\n"
+        "import logitdemand.cli\n"
+        "from logitdemand import simulate\n"
+        "params = simulate.DgpParams(n_products=4, n_periods=3, xi_scale=0.5, seed=1)\n"
+        "for est in ('ols', 'tsls'):\n"
+        "    simulate.run_monte_carlo(params, simulate.default_model_spec(params, est), 5)\n"
+        "print('scipy.linalg' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert out.stdout.strip() == "False"

@@ -7,7 +7,8 @@ import pytest
 from logitdemand.dataio import DEPENDENT_COLUMN, compute_dependent
 from logitdemand.demand import predict_shares
 from logitdemand.errors import DegenerateSharesError
-from logitdemand.estimators import estimate, estimate_tsls
+from logitdemand.estimators import design_matrix, estimate, estimate_tsls
+from logitdemand.matrix import solve_least_squares_stacked
 from logitdemand.simulate import (
     DgpParams,
     default_model_spec,
@@ -180,9 +181,17 @@ def test_monte_carlo_runs_replications_on_spawned_seeds():
     spec = default_model_spec(params, estimator="ols")
     summary = run_monte_carlo(params, spec, replications=1)
     data, _ = generate_market(dataclasses.replace(params, seed=replication_seeds(42, 1)[0]))
-    result = estimate(spec, compute_dependent(data))
+    data = compute_dependent(data)
     truth = params.true_coefficients()["price"]
-    assert summary.mean_bias["price"] == result.coefficient("price") - truth
+    # Exactly the stacked fit of that one market: the same seed, draw and inversion.
+    x, _ = design_matrix({name: data.column(name)[None] for name in spec.regressors},
+                         spec.regressors, True, (1, data.n_rows))
+    stacked, _ = solve_least_squares_stacked(x, data.column(DEPENDENT_COLUMN)[None])
+    assert summary.mean_bias["price"] == stacked.coefficients[0, -1] - truth
+    # And the single-panel estimate within rounding of the other kernel.
+    result = estimate(spec, data)
+    assert summary.mean_bias["price"] == pytest.approx(result.coefficient("price") - truth,
+                                                       rel=0.0, abs=1e-10)
 
 
 def test_monte_carlo_counts_failures():
