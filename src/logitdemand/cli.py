@@ -125,9 +125,9 @@ def cmd_invert(args) -> int:
     try:
         data = dataio.compute_dependent(dataio.load_panel(args.data))
         shares = dataio.outside_shares(data)
+        dataio.write_panel_csv(data, args.output)
     except (LogitDemandError, OSError, ValueError) as exc:
         return _fail(EXIT_VALIDATION, exc)
-    dataio.write_panel_csv(data, args.output)
     _write_manifest(args.output, _command_line(args), dataset_path=args.data)
     for t, s0 in sorted(shares.items()):
         print(f"period {t}: outside share {s0:.6f}")
@@ -221,8 +221,11 @@ def cmd_diagnose(args) -> int:
 def _emit(args, text, data_path):
     """Write a spec command's report to `--output`, with its manifest, or else to stdout."""
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            return _fail(EXIT_VALIDATION, exc)
         _write_manifest(args.output, _command_line(args), spec_path=args.spec, dataset_path=data_path)
     else:
         print(text, end="")
@@ -254,6 +257,8 @@ def cmd_simulate(args) -> int:
             params = dataclasses.replace(params, seed=args.seed)
         if args.replications is not None:
             replications = args.replications
+        if replications < 1:
+            raise ValueError("need at least one replication")
         spec = simulate.default_model_spec(params, estimator=estimator, covariance=covariance)
     except (OSError, ValueError, TypeError, json.JSONDecodeError) as exc:
         return _fail(EXIT_BAD_PARAMS, exc)
@@ -263,9 +268,9 @@ def cmd_simulate(args) -> int:
         first = dataclasses.replace(params, seed=simulate.replication_seeds(params.seed, 1)[0])
         try:
             data, _ = simulate.generate_market(first)
-        except LogitDemandError as exc:
+            dataio.write_panel_csv(data, args.emit_dataset)
+        except (LogitDemandError, OSError) as exc:
             return _fail(EXIT_BAD_PARAMS, exc)
-        dataio.write_panel_csv(data, args.emit_dataset)
         _write_manifest(args.emit_dataset, _command_line(args), seed=first.seed)
 
     try:

@@ -20,7 +20,8 @@ from .errors import (
     InsufficientObservationsError,
     MultipleEndogenousError,
 )
-from .estimators import EstimateResult, ModelSpec, _solve_named, _stack, sum_of_squares
+from .estimators import (EstimateResult, ModelSpec, _columns, _first_stage_design, _least_squares,
+                         design_matrix, sum_of_squares)
 
 if TYPE_CHECKING:
     from .dataio import PanelDataset
@@ -80,11 +81,6 @@ def chi_square_upper_tail(x, df: int):
     return float(p) if p.ndim == 0 else p
 
 
-def _rss(x, y, names):
-    sol = _solve_named(x, y, names)
-    return float(sum_of_squares(sol.residuals)), x.shape[1]
-
-
 def f_statistic(rss_restricted, rss_unrestricted, q, df_unrestricted):
     """F = [(RSS_r - RSS_u) / q] / [RSS_u / df_u], floored at 0; broadcasts over stacked fits.
 
@@ -96,23 +92,47 @@ def f_statistic(rss_restricted, rss_unrestricted, q, df_unrestricted):
                           / (rss_unrestricted / df_unrestricted), 0.0)
 
 
-def residual_regression_stats(u, rss_full, rss_exog, n, p_full, m):
-    """Overall F, instrument-block F and R^2 of the regression of 2SLS residuals `u`.
+def _fit_rss(design, y):
+    """(RSS, residual df, certified) of `y` on `design`, a design and its names. One panel's
+    RSS is a Python float, so `f_statistic` raises ZeroDivisionError on an exact fit."""
+    x, names = design
+    sol, certified = _least_squares(x, y, names)
+    rss = sum_of_squares(sol.residuals)
+    return (float(rss) if rss.ndim == 0 else rss), y.shape[-1] - x.shape[-1], certified
 
-    `rss_full` is that regression's RSS (intercept, instruments and exogenous
-    regressors, p_full columns) and `rss_exog` the RSS without the m
-    instruments. The overall F tests every non-constant regressor; a constant
-    `u` gives R^2 = 0 and F = 0. Takes one fit or, with `u` of shape (R, n), a
-    stack; a perfect fit gives an infinite or undefined F.
+
+def first_stage_stats(spec: ModelSpec, columns):
+    """F of the instruments in the first stage of the spec's one endogenous regressor.
+
+    `columns` holds complete arrays (n,) of one panel or (R, n) of a stack.
+    The unrestricted design is 2SLS's first stage, the restricted one drops
+    the instruments. Returns (F, unrestricted df, restricted df, certified).
     """
-    dev = u - u.mean(axis=-1, keepdims=True)
-    tss = sum_of_squares(dev)
-    q = p_full - 1
-    df2 = n - p_full
+    endog = columns[spec.endogenous_regressors[0]]
+    rss_u, df_u, ok_u = _fit_rss(_first_stage_design(spec, columns, endog.shape), endog)
+    restricted = design_matrix(columns, spec.exogenous_regressors, spec.include_intercept, endog.shape)
+    rss_r, df_r, ok_r = _fit_rss(restricted, endog)
+    return f_statistic(rss_r, rss_u, len(spec.instruments), df_u), df_u, df_r, ok_u & ok_r
+
+
+def sargan_stats(spec: ModelSpec, columns, residuals):
+    """(J, p-value, overall F, instrument-block F, R^2, certified) of the regression of the
+    2SLS `residuals`, (n,) of one panel or (R, n) of a stack, on an intercept, the instruments
+    and the exogenous regressors. J = m * the overall F of every non-constant regressor; the
+    block F drops the instruments. A constant residual gives R^2 = 0 and F = 0, a perfect fit
+    an infinite or undefined F."""
+    m, shape = len(spec.instruments), residuals.shape
+    full, exog = (*spec.instruments, *spec.exogenous_regressors), spec.exogenous_regressors
+    rss_full, df, ok_full = _fit_rss(design_matrix(columns, full, True, shape), residuals)
+    rss_exog, _, ok_exog = _fit_rss(design_matrix(columns, exog, True, shape), residuals)
+    tss = sum_of_squares(residuals - residuals.mean(axis=-1, keepdims=True))
+    q = m + len(spec.exogenous_regressors)
     with np.errstate(divide="ignore", invalid="ignore"):
         r2 = np.where(tss > 0, 1.0 - rss_full / tss, 0.0)
-        overall_f = np.where(tss > 0, np.maximum((r2 / q) / ((1.0 - r2) / df2), 0.0), 0.0)
-    return overall_f, f_statistic(rss_exog, rss_full, m, df2), r2
+        overall_f = np.where(tss > 0, np.maximum((r2 / q) / ((1.0 - r2) / df), 0.0), 0.0)
+    j = m * overall_f
+    return (j, chi_square_upper_tail(j, m - len(spec.endogenous_regressors)), overall_f,
+            f_statistic(rss_exog, rss_full, m, df), r2, ok_full & ok_exog)
 
 
 def first_stage_f(spec: ModelSpec, data: "PanelDataset") -> FTestReport:
@@ -131,26 +151,12 @@ def first_stage_f(spec: ModelSpec, data: "PanelDataset") -> FTestReport:
     if not spec.instruments:
         raise ValueError("spec has no instruments")
 
-    mask = data.complete_rows(
-        (spec.dependent, *spec.regressors, *spec.instruments)
-    )
-    rows = np.flatnonzero(mask)
-    endog = data.column(spec.endogenous_regressors[0])[rows]
-
-    xu, names_u = _stack(
-        data, rows, (*spec.exogenous_regressors, *spec.instruments), spec.include_intercept
-    )
-    xr, names_r = _stack(data, rows, spec.exogenous_regressors, spec.include_intercept)
-    n = rows.shape[0]
-    m = len(spec.instruments)
-    if n <= xu.shape[1]:
+    rows = np.flatnonzero(data.complete_rows((spec.dependent, *spec.regressors, *spec.instruments)))
+    n, m = rows.shape[0], len(spec.instruments)
+    if n <= spec.include_intercept + len(spec.exogenous_regressors) + m:
         raise InsufficientObservationsError(f"{n} rows cannot support the unrestricted first stage")
-
-    rss_u, p_u = _rss(xu, endog, names_u)
-    rss_r, p_r = _rss(xr, endog, names_r)
-    df_u = n - p_u
-    df_r = n - p_r
-    f = float(f_statistic(rss_r, rss_u, m, df_u))
+    f, df_u, df_r, _ = first_stage_stats(spec, _columns(data, rows, (*spec.regressors, *spec.instruments)))
+    f = float(f)
     return FTestReport(
         f_statistic=f,
         df_numerator=m,
@@ -181,29 +187,17 @@ def sargan_j(tsls_result: EstimateResult, spec: ModelSpec, data: "PanelDataset")
         raise ValueError("sargan_j needs a 2SLS result")
 
     rows = tsls_result.row_indices
-    u = tsls_result.residuals
     n = rows.shape[0]
-
-    x_full, names_full = _stack(
-        data, rows, (*spec.instruments, *spec.exogenous_regressors), intercept=True
-    )
-    x_exog, names_exog = _stack(data, rows, spec.exogenous_regressors, intercept=True)
-    if n <= x_full.shape[1]:
+    if n <= 1 + m + len(spec.exogenous_regressors):
         raise InsufficientObservationsError(f"{n} rows cannot support the residual regression")
-
-    rss_full, p_full = _rss(x_full, u, names_full)
-    rss_exog, _ = _rss(x_exog, u, names_exog)
-    overall_f, block_f, r2 = (float(v) for v in residual_regression_stats(
-        u, rss_full, rss_exog, n, p_full, m))
-
-    j = m * overall_f
-    df = m - k
-    p_value = chi_square_upper_tail(j, df)
+    columns = _columns(data, rows, (*spec.instruments, *spec.exogenous_regressors))
+    j, p_value, overall_f, block_f, r2 = (
+        float(v) for v in sargan_stats(spec, columns, tsls_result.residuals)[:5])
     return JTestReport(
         j_statistic=j,
         m=m,
         k=k,
-        df=df,
+        df=m - k,
         p_value=p_value,
         reject_at_5pct=p_value < 0.05,
         residual_regression_f=overall_f,

@@ -22,7 +22,8 @@ from .errors import (
     OrderConditionViolatedError,
     RankDeficientError,
 )
-from .matrix import DEFAULT_RANK_TOL, as_matrix, as_vector, solve_least_squares
+from .matrix import (DEFAULT_RANK_TOL, as_matrix, as_vector, solve_least_squares,
+                     solve_least_squares_stacked)
 
 if TYPE_CHECKING:
     from .dataio import PanelDataset
@@ -166,9 +167,14 @@ def standard_errors(cov) -> np.ndarray:
     return np.sqrt(np.clip(np.diagonal(cov, axis1=-2, axis2=-1), 0.0, None))
 
 
-def _solve_named(x, y, names):
+def _least_squares(x, y, names):
+    """(solution, certified) of y on x. One design (n, p): `solve_least_squares`, which raises
+    `RankDeficientError` naming the dependent columns of `names`, and True. A stack (R, n, p):
+    `solve_least_squares_stacked` and its (R,) mask of entries certified full rank."""
+    if x.ndim == 3:
+        return solve_least_squares_stacked(x, y)
     try:
-        return solve_least_squares(x, y)
+        return solve_least_squares(x, y), True
     except RankDeficientError as exc:
         named = [names[c] for c in exc.columns]
         raise RankDeficientError(exc.columns, f"design is rank deficient in columns {named}") from None
@@ -179,9 +185,14 @@ def _select_rows(data: "PanelDataset", spec: ModelSpec):
     return np.flatnonzero(mask)
 
 
+def _columns(data, rows, column_names):
+    if rows.size == data.n_rows:  # every row is used: the columns themselves, not copies
+        return {name: data.column(name) for name in column_names}
+    return {name: data.column(name)[rows] for name in column_names}
+
+
 def _stack(data, rows, column_names, intercept):
-    return design_matrix({name: data.column(name)[rows] for name in column_names},
-                         column_names, intercept, rows.shape)
+    return design_matrix(_columns(data, rows, column_names), column_names, intercept, rows.shape)
 
 
 def design_matrix(columns, column_names, intercept, shape):
@@ -234,6 +245,54 @@ def _finish(spec, names, beta, cov, residuals, fitted, rows, n, p, y, centered,
     )
 
 
+def _first_stage_design(spec: ModelSpec, columns, shape):
+    """The first stage's design: the spec's intercept, exogenous regressors, then instruments."""
+    return design_matrix(columns, (*spec.exogenous_regressors, *spec.instruments),
+                         spec.include_intercept, shape)
+
+
+def pooled_fit(spec: ModelSpec, columns):
+    """OLS, or 2SLS for a `tsls` spec, on `columns`: complete arrays (n,) of one panel or
+    (R, n) of a stack of R markets, one fit per market.
+
+    Returns (names, coefficients, covariance, residuals, fitted, certified),
+    the arrays with the stack's leading axis; `certified` is True for one
+    panel and a stack's (R,) mask of markets whose every fit is certified.
+    2SLS regresses each endogenous column on `_first_stage_design`, then the
+    dependent on the exogenous columns beside the fitted endogenous ones. Its
+    residuals use the actual endogenous columns and its covariance takes the
+    fitted design as the bread. Either covariance has n - p residual df.
+    """
+    y = columns[spec.dependent]
+    x, names = design_matrix(columns, spec.regressors, spec.include_intercept, y.shape)
+    if spec.estimator != "tsls":
+        sol, certified = _least_squares(x, y, names)
+        x_fit, residuals, fitted = x, sol.residuals, sol.fitted
+    else:
+        z, z_names = _first_stage_design(spec, columns, y.shape)
+        certified, stage_one = True, []
+        for name in spec.endogenous_regressors:
+            first, ok = _least_squares(z, columns[name], z_names)
+            certified &= ok
+            stage_one.append(first.fitted[..., None])
+        x_exog, _ = design_matrix(columns, spec.exogenous_regressors, spec.include_intercept, y.shape)
+        x_fit = np.concatenate([x_exog, *stage_one], axis=-1)
+        sol, ok = _least_squares(x_fit, y, names)
+        certified &= ok
+        fitted = np.matvec(x, sol.coefficients)
+        residuals = y - fitted
+    cov = coefficient_covariance(spec.covariance, x_fit, residuals, sol.xtx_inverse,
+                                 y.shape[-1] - len(names))
+    return names, sol.coefficients, cov, residuals, fitted, certified
+
+
+def _estimate_pooled(spec: ModelSpec, data: "PanelDataset", rows) -> EstimateResult:
+    columns = _columns(data, rows, spec.required_columns())
+    names, beta, cov, residuals, fitted, _ = pooled_fit(spec, columns)
+    return _finish(spec, names, beta, cov, residuals, fitted, rows, rows.size, len(names),
+                   columns[spec.dependent], spec.include_intercept, spec.estimator)
+
+
 def estimate_ols(spec: ModelSpec, data: "PanelDataset") -> EstimateResult:
     """Least-squares fit of the dependent on intercept, exogenous and endogenous columns.
 
@@ -244,17 +303,10 @@ def estimate_ols(spec: ModelSpec, data: "PanelDataset") -> EstimateResult:
     if spec.estimator != "ols":
         raise ValueError(f"spec.estimator is {spec.estimator!r}, expected 'ols'")
     rows = _select_rows(data, spec)
-    x, names = _stack(data, rows, spec.regressors, spec.include_intercept)
-    y = data.column(spec.dependent)[rows]
-    n, p = x.shape
+    n, p = rows.size, spec.include_intercept + len(spec.regressors)
     if n <= p:
         raise InsufficientObservationsError(f"{n} rows cannot support {p} coefficients")
-    sol = _solve_named(x, y, names)
-    cov = coefficient_covariance(spec.covariance, x, sol.residuals, sol.xtx_inverse, n - p)
-    return _finish(
-        spec, names, sol.coefficients, cov, sol.residuals, sol.fitted, rows,
-        n, p, y, spec.include_intercept, "ols",
-    )
+    return _estimate_pooled(spec, data, rows)
 
 
 def _group_demean(codes, counts, m):
@@ -363,38 +415,11 @@ def estimate_tsls(spec: ModelSpec, data: "PanelDataset") -> EstimateResult:
     if spec.estimator != "tsls":
         raise ValueError(f"spec.estimator is {spec.estimator!r}, expected 'tsls'")
     rows = _select_rows(data, spec)
-    y = data.column(spec.dependent)[rows]
-
-    z1, z1_names = _stack(
-        data, rows, (*spec.exogenous_regressors, *spec.instruments), spec.include_intercept
-    )
-    n, p1 = z1.shape
+    # The second stage is never wider: the spec has at least as many instruments as endogenous.
+    n, p1 = rows.size, spec.include_intercept + len(spec.exogenous_regressors) + len(spec.instruments)
     if n <= p1:
         raise InsufficientObservationsError(f"{n} rows cannot support the {p1}-column first stage")
-
-    fitted_endog = []
-    for name in spec.endogenous_regressors:
-        e = data.column(name)[rows]
-        first = _solve_named(z1, e, z1_names)
-        fitted_endog.append(first.fitted)
-
-    x_exog, _ = _stack(data, rows, spec.exogenous_regressors, spec.include_intercept)
-    x_hat = np.column_stack([x_exog, *[f[:, None] for f in fitted_endog]]) if fitted_endog else x_exog
-    x_actual, names = _stack(data, rows, spec.regressors, spec.include_intercept)
-
-    p = x_hat.shape[1]
-    if n <= p:
-        raise InsufficientObservationsError(f"{n} rows cannot support {p} coefficients")
-    second = _solve_named(x_hat, y, names)
-    beta = second.coefficients
-    residuals = y - x_actual @ beta
-    fitted = x_actual @ beta
-
-    cov = coefficient_covariance(spec.covariance, x_hat, residuals, second.xtx_inverse, n - p)
-    return _finish(
-        spec, names, beta, cov, residuals, fitted, rows,
-        n, p, y, spec.include_intercept, "tsls",
-    )
+    return _estimate_pooled(spec, data, rows)
 
 
 def estimate(spec: ModelSpec, data: "PanelDataset") -> EstimateResult:

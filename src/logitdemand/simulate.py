@@ -17,8 +17,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import dataio, demand, diagnostics, estimators, matrix
-from .errors import DegenerateSharesError, ExactlyIdentifiedError, LogitDemandError
+from . import dataio, demand, diagnostics, estimators
+from .errors import DegenerateSharesError, LogitDemandError
 
 _MIN_SHARE = 1e-12
 _MAX_REDRAWS = 100
@@ -296,17 +296,16 @@ def run_monte_carlo(params: DgpParams, spec: estimators.ModelSpec | None = None,
 
     Replication r draws its market from `default_rng` on the r-th seed of
     `replication_seeds(params.seed, replications)`. OLS and 2SLS specs are
-    fitted in chunks of replications, at most `_STACK_ROWS` (5,000) rows
-    each: a chunk's markets are inverted together and every regression of
-    the chunk (both 2SLS stages, the first-stage F and the Sargan J) is one
-    stacked LAPACK QR (`matrix.solve_least_squares_stacked`). A replication
-    whose draw raises, whose chunk fails a share check, whose fits are not
-    certified full rank or whose F or J is not finite is fitted again on its
-    own, through `estimate`, `first_stage_f` and `sargan_j` as a single panel,
-    and so ends exactly as a lone fit would, failures included. Two-way
-    fixed-effects specs always run that way. The stacked numbers equal the
-    per-replication ones within 1e-10 relative (about 1e-15 in practice),
-    not bit for bit.
+    fitted in chunks of at most `_STACK_ROWS` (5,000) rows: a chunk's markets
+    are inverted together and fitted by the same regression code as a single
+    panel (`estimators.pooled_fit`, `diagnostics.first_stage_stats` and
+    `sargan_stats`), which solves a stack with one LAPACK QR per regression.
+    A replication whose draw raises, whose chunk fails a share check, whose
+    fits are not certified full rank or whose F or J is not finite is fitted
+    again on its own panel by `estimate`, `first_stage_f` and `sargan_j`, with
+    the pivoted QR, and so ends exactly as a lone fit would, failures
+    included; two-way fixed-effects specs always run that way. The two
+    solvers agree within 1e-10 relative (about 1e-15 in practice).
 
     Per-replication estimator failures are counted by error class, not fatal.
     Coverage uses the +-1.96 * SE interval per coefficient.
@@ -336,22 +335,27 @@ class _Replication(NamedTuple):
     failure: str | None = None
 
 
+def _reported_tests(spec: estimators.ModelSpec):
+    """Whether a replication reports the first-stage F and the Sargan J: F for one endogenous
+    regressor with instruments, J besides for an over-identified 2SLS spec."""
+    has_f = bool(spec.instruments) and len(spec.endogenous_regressors) == 1
+    return has_f, has_f and spec.estimator == "tsls" and len(spec.instruments) > 1
+
+
 def _replicate(params: DgpParams, spec: estimators.ModelSpec, rep_seed: int) -> _Replication:
     """One replication fitted on its own panel: the reference the stacked chunks must match."""
     f = j = p_value = None
     redraws = 0
+    has_f, has_j = _reported_tests(spec)
     try:
         columns, _, redraws = draw_market(params, np.random.default_rng(rep_seed))
         data = dataio.compute_dependent(_as_panel(params, columns))
         result = estimators.estimate(spec, data)
-        if spec.instruments and len(spec.endogenous_regressors) == 1:
+        if has_f:
             f = diagnostics.first_stage_f(spec, data).f_statistic
-            if result.estimator_tag == "tsls":
-                try:
-                    j_report = diagnostics.sargan_j(result, spec, data)
-                    j, p_value = j_report.j_statistic, j_report.p_value
-                except ExactlyIdentifiedError:
-                    pass
+        if has_j:
+            j_report = diagnostics.sargan_j(result, spec, data)
+            j, p_value = j_report.j_statistic, j_report.p_value
     except LogitDemandError as exc:
         return _Replication(first_stage_f=f, redraws=redraws, failure=type(exc).__name__)
     return _Replication(result.names, result.coefficients, result.standard_errors,
@@ -378,24 +382,25 @@ def _replications(params: DgpParams, spec: estimators.ModelSpec, seeds) -> list:
 
 def _fit_chunk(params: DgpParams, spec: estimators.ModelSpec, seeds) -> list:
     """One chunk's outcomes: stacked fits, and `_replicate` for every replication they miss."""
-    draws = {}
+    draws, redraws = [], {}
     for i, seed in enumerate(seeds):
         try:
-            draws[i] = draw_market(params, np.random.default_rng(seed))
+            columns, _, redraws[i] = draw_market(params, np.random.default_rng(seed))
         except Exception:  # `_replicate` draws it again, and fails or raises in seed order
-            pass
+            continue
+        draws.append(columns)
     records = [None] * len(seeds)
     if draws:
-        first = next(iter(draws.values()))[0]
-        columns = {name: np.stack([d[0][name] for d in draws.values()]) for name in first}
+        columns = {name: np.stack([d[name] for d in draws]) for name in draws[0]}
+        del draws, _  # only the stacked columns and the re-draw counts stay while the fits run
         try:
             columns[dataio.DEPENDENT_COLUMN] = _stacked_dependent(columns, params.n_periods)
         except (LogitDemandError, ValueError):
             pass  # a share check failed: the whole chunk goes through `_replicate`
         else:
-            for i, record in zip(draws, _fit_stack(spec, columns)):
+            for i, record in zip(redraws, _fit_stack(spec, columns)):
                 if record is not None:
-                    records[i] = record._replace(redraws=draws[i][2])
+                    records[i] = record._replace(redraws=redraws[i])
     return [_replicate(params, spec, seed) if record is None else record
             for seed, record in zip(seeds, records)]
 
@@ -412,54 +417,22 @@ def _stacked_dependent(columns, n_periods):
 
 
 def _fit_stack(spec: estimators.ModelSpec, columns) -> list:
-    """`estimate`, `first_stage_f` and `sargan_j` on every market of a stack; None where a
-    replication's fits are not certified full rank or its F or J is not finite."""
-    stack, n = columns[spec.dependent].shape
-    certified = np.ones(stack, dtype=bool)
-    exog, endog, instruments = spec.exogenous_regressors, spec.endogenous_regressors, spec.instruments
-
-    def design(names, intercept=spec.include_intercept):
-        return estimators.design_matrix(columns, names, intercept, (stack, n))[0]
-
-    def solve(x, y):
-        sol, ok = matrix.solve_least_squares_stacked(x, y)
-        certified[:] &= ok
-        return sol
-
-    def rss(x, y):
-        return estimators.sum_of_squares(solve(x, y).residuals)
-
-    y = columns[spec.dependent]
-    x, names = estimators.design_matrix(columns, spec.regressors, spec.include_intercept, (stack, n))
-    if spec.estimator == "tsls":
-        z = design((*exog, *instruments))
-        fitted = [solve(z, columns[name]).fitted[..., None] for name in endog]
-        x_fit = np.concatenate([design(exog), *fitted], axis=-1)
-        sol = solve(x_fit, y)
-        residuals = y - np.matvec(x, sol.coefficients)
-    else:
-        x_fit, sol = x, solve(x, y)
-        residuals = sol.residuals
-    cov = estimators.coefficient_covariance(spec.covariance, x_fit, residuals, sol.xtx_inverse,
-                                            n - x_fit.shape[-1])
-    se = estimators.standard_errors(cov)
-
+    """`estimate`, `first_stage_f` and `sargan_j` on every market of a stack, through the code
+    they share; None where a replication's fits are not certified full rank or its F or J is
+    not finite."""
+    names, coefficients, covariance, residuals, _, certified = estimators.pooled_fit(spec, columns)
+    stack = len(certified)
     f = j = p_value = [None] * stack
-    if instruments and len(endog) == 1:
-        xu = design((*exog, *instruments))
-        rss_u, rss_r = rss(xu, columns[endog[0]]), rss(design(exog), columns[endog[0]])
-        f = diagnostics.f_statistic(rss_r, rss_u, len(instruments), n - xu.shape[-1])
-        certified &= np.isfinite(f)
-        if spec.estimator == "tsls" and len(instruments) > len(endog):
-            x_full = design((*instruments, *exog), intercept=True)
-            rss_full, rss_exog = rss(x_full, residuals), rss(design(exog, intercept=True), residuals)
-            overall_f, _, _ = diagnostics.residual_regression_stats(
-                residuals, rss_full, rss_exog, n, x_full.shape[-1], len(instruments))
-            j = len(instruments) * overall_f
-            certified &= np.isfinite(j)
-            p_value = diagnostics.chi_square_upper_tail(j, len(instruments) - len(endog))
+    has_f, has_j = _reported_tests(spec)
+    if has_f:
+        f, _, _, ok = diagnostics.first_stage_stats(spec, columns)
+        certified = certified & ok & np.isfinite(f)
+    if has_j:
+        j, p_value, *_, ok = diagnostics.sargan_stats(spec, columns, residuals)
+        certified = certified & ok & np.isfinite(j)
+    se = estimators.standard_errors(covariance)
     return [
-        _Replication(names, sol.coefficients[r], se[r], _float(f[r]), _float(j[r]),
+        _Replication(names, coefficients[r], se[r], _float(f[r]), _float(j[r]),
                      _float(p_value[r])) if certified[r] else None
         for r in range(stack)
     ]

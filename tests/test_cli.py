@@ -410,3 +410,39 @@ def test_simulate_reports_failures_by_class_and_redraws(tmp_path, capsys):
                         f"({summary.failed} failed: DegenerateSharesError {summary.failed})")
     assert lines[-1] == f"re-draws: {summary.redraws}"
     assert summary.redraws > 0
+
+
+@pytest.mark.parametrize("override", [["--replications", "0"], ["--replications", "-3"], []])
+def test_simulate_without_replications_exits_5_and_writes_nothing(tmp_path, capsys, override):
+    params = {"n_products": 4, "n_periods": 3, "seed": 6, "replications": 0 if not override else 2}
+    params_path = tmp_path / "params.json"
+    params_path.write_text(json.dumps(params), encoding="utf-8")
+    out = tmp_path / "synthetic.csv"
+    argv = ["simulate", "--params", str(params_path), "--emit-dataset", str(out), *override]
+    assert main(argv) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: need at least one replication\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["params.json"]
+
+
+@pytest.mark.parametrize("command", ["invert", "estimate", "diagnose", "simulate"])
+def test_output_in_a_missing_directory_exits_without_writing(tmp_path, capsys, command):
+    spec_path, csv_path = _sim_inputs(tmp_path)
+    params_path = tmp_path / "params.json"
+    params_path.write_text(json.dumps({"n_products": 4, "n_periods": 3, "replications": 2}),
+                           encoding="utf-8")
+    target = str(tmp_path / "missing" / "out.csv")
+    argv = {
+        "invert": ["invert", "--data", str(csv_path), "--output", target],
+        "estimate": ["estimate", "--spec", str(spec_path), "--output", target],
+        "diagnose": ["diagnose", "--spec", str(spec_path), "--output", target],
+        "simulate": ["simulate", "--params", str(params_path), "--emit-dataset", target],
+    }[command]
+    before = sorted(tmp_path.rglob("*"))
+    assert main(argv) == (5 if command == "simulate" else 2)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+    assert "out.csv" in captured.err
+    assert sorted(tmp_path.rglob("*")) == before

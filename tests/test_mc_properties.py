@@ -1,11 +1,16 @@
 """The stacked Monte Carlo against its per-replication reference, as properties.
 
-`simulate._replications` fits chunks of replications with one stacked QR per
-regression; `simulate._replicate` fits one replication on its own panel through
-`estimate`, `first_stage_f` and `sargan_j`. The two must agree replication by
-replication: the same failures and re-draws, and the same numbers within 1e-10
-(the arithmetic differs in order, so not bit for bit). The chunk bound is
-lowered so that a few replications already span several chunks.
+Both paths run the same regression code (`estimators.pooled_fit`,
+`diagnostics.first_stage_stats` and `sargan_stats`); they differ in the
+solver. `simulate._replications` fits chunks of replications as stacks, one
+LAPACK QR per regression with a per-market full-rank certificate;
+`simulate._replicate` fits one replication on its own panel through
+`estimate`, `first_stage_f` and `sargan_j` with the pivoted QR. The two must
+agree replication by replication: the same failures and re-draws, and the
+same numbers within 1e-10 (the arithmetic differs in order, so not bit for
+bit). The chunk bound is lowered so that a few replications already span
+several chunks. The regression code itself is checked against an
+independent lstsq oracle in `test_regression_oracle.py`.
 """
 
 import dataclasses
