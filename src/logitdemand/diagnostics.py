@@ -92,47 +92,57 @@ def f_statistic(rss_restricted, rss_unrestricted, q, df_unrestricted):
                           / (rss_unrestricted / df_unrestricted), 0.0)
 
 
-def _fit_rss(design, y):
-    """(RSS, residual df, certified) of `y` on `design`, a design and its names. One panel's
-    RSS is a Python float, so `f_statistic` raises ZeroDivisionError on an exact fit."""
-    x, names = design
+def _fit_rss(x, y, names):
+    """(RSS, residual df, certified) of `y` on the design `x` with column `names`. One
+    panel's RSS is a Python float, so `f_statistic` raises ZeroDivisionError on an exact fit."""
     sol, certified = _least_squares(x, y, names)
     rss = sum_of_squares(sol.residuals)
     return (float(rss) if rss.ndim == 0 else rss), y.shape[-1] - x.shape[-1], certified
 
 
 def first_stage_stats(spec: ModelSpec, columns):
-    """F of the instruments in the first stage of the spec's one endogenous regressor.
-
-    `columns` holds complete arrays (n,) of one panel or (R, n) of a stack.
-    The unrestricted design is 2SLS's first stage, the restricted one drops
-    the instruments. Returns (F, unrestricted df, restricted df, certified).
-    """
+    """(F, unrestricted df, restricted df, certified) of the instruments in the first stage
+    of the spec's one endogenous regressor, on complete `columns` of shape (n,) or (R, n).
+    The unrestricted design is 2SLS's first stage; the restricted one drops the instruments."""
     endog = columns[spec.endogenous_regressors[0]]
-    rss_u, df_u, ok_u = _fit_rss(_first_stage_design(spec, columns, endog.shape), endog)
-    restricted = design_matrix(columns, spec.exogenous_regressors, spec.include_intercept, endog.shape)
-    rss_r, df_r, ok_r = _fit_rss(restricted, endog)
-    return f_statistic(rss_r, rss_u, len(spec.instruments), df_u), df_u, df_r, ok_u & ok_r
+    n = endog.shape[-1]
+    xu, names_u = _first_stage_design(spec, columns, endog.shape)
+    xr, names_r = design_matrix(columns, spec.exogenous_regressors, spec.include_intercept, endog.shape)
+    if n <= xu.shape[-1]:
+        raise InsufficientObservationsError(f"{n} rows cannot support the unrestricted first stage")
+
+    rss_u, df_u, ok_u = _fit_rss(xu, endog, names_u)
+    rss_r, df_r, ok_r = _fit_rss(xr, endog, names_r)
+    f = f_statistic(rss_r, rss_u, len(spec.instruments), df_u)
+    return f, df_u, df_r, ok_u & ok_r
 
 
 def sargan_stats(spec: ModelSpec, columns, residuals):
-    """(J, p-value, overall F, instrument-block F, R^2, certified) of the regression of the
-    2SLS `residuals`, (n,) of one panel or (R, n) of a stack, on an intercept, the instruments
-    and the exogenous regressors. J = m * the overall F of every non-constant regressor; the
-    block F drops the instruments. A constant residual gives R^2 = 0 and F = 0, a perfect fit
-    an infinite or undefined F."""
-    m, shape = len(spec.instruments), residuals.shape
-    full, exog = (*spec.instruments, *spec.exogenous_regressors), spec.exogenous_regressors
-    rss_full, df, ok_full = _fit_rss(design_matrix(columns, full, True, shape), residuals)
-    rss_exog, _, ok_exog = _fit_rss(design_matrix(columns, exog, True, shape), residuals)
-    tss = sum_of_squares(residuals - residuals.mean(axis=-1, keepdims=True))
-    q = m + len(spec.exogenous_regressors)
+    """(J, p-value, overall F, block F, R^2, certified) of the regression of the 2SLS
+    `residuals`, (n,) or (R, n), on an intercept, the instruments and the exogenous regressors.
+    J = m * its overall F; the block F drops the instruments. A constant residual gives
+    R^2 = 0 and F = 0, a perfect fit an infinite or undefined F."""
+    m = len(spec.instruments)
+    n = residuals.shape[-1]
+    x_full, names_full = design_matrix(columns, (*spec.instruments, *spec.exogenous_regressors),
+                                       True, residuals.shape)
+    x_exog, names_exog = design_matrix(columns, spec.exogenous_regressors, True, residuals.shape)
+    if n <= x_full.shape[-1]:
+        raise InsufficientObservationsError(f"{n} rows cannot support the residual regression")
+
+    rss_full, df2, ok_full = _fit_rss(x_full, residuals, names_full)
+    rss_exog, _, ok_exog = _fit_rss(x_exog, residuals, names_exog)
+    dev = residuals - residuals.mean(axis=-1, keepdims=True)
+    tss = sum_of_squares(dev)
+    q = x_full.shape[-1] - 1
     with np.errstate(divide="ignore", invalid="ignore"):
         r2 = np.where(tss > 0, 1.0 - rss_full / tss, 0.0)
-        overall_f = np.where(tss > 0, np.maximum((r2 / q) / ((1.0 - r2) / df), 0.0), 0.0)
+        overall_f = np.where(tss > 0, np.maximum((r2 / q) / ((1.0 - r2) / df2), 0.0), 0.0)
+    block_f = f_statistic(rss_exog, rss_full, m, df2)
+
     j = m * overall_f
-    return (j, chi_square_upper_tail(j, m - len(spec.endogenous_regressors)), overall_f,
-            f_statistic(rss_exog, rss_full, m, df), r2, ok_full & ok_exog)
+    p_value = chi_square_upper_tail(j, m - len(spec.endogenous_regressors))
+    return j, p_value, overall_f, block_f, r2, ok_full & ok_exog
 
 
 def first_stage_f(spec: ModelSpec, data: "PanelDataset") -> FTestReport:
@@ -151,11 +161,14 @@ def first_stage_f(spec: ModelSpec, data: "PanelDataset") -> FTestReport:
     if not spec.instruments:
         raise ValueError("spec has no instruments")
 
-    rows = np.flatnonzero(data.complete_rows((spec.dependent, *spec.regressors, *spec.instruments)))
-    n, m = rows.shape[0], len(spec.instruments)
-    if n <= spec.include_intercept + len(spec.exogenous_regressors) + m:
-        raise InsufficientObservationsError(f"{n} rows cannot support the unrestricted first stage")
-    f, df_u, df_r, _ = first_stage_stats(spec, _columns(data, rows, (*spec.regressors, *spec.instruments)))
+    mask = data.complete_rows(
+        (spec.dependent, *spec.regressors, *spec.instruments)
+    )
+    rows = np.flatnonzero(mask)
+    columns = _columns(data, rows, (*spec.regressors, *spec.instruments))
+    m = len(spec.instruments)
+
+    f, df_u, df_r, _ = first_stage_stats(spec, columns)
     f = float(f)
     return FTestReport(
         f_statistic=f,
@@ -188,16 +201,16 @@ def sargan_j(tsls_result: EstimateResult, spec: ModelSpec, data: "PanelDataset")
 
     rows = tsls_result.row_indices
     n = rows.shape[0]
-    if n <= 1 + m + len(spec.exogenous_regressors):
-        raise InsufficientObservationsError(f"{n} rows cannot support the residual regression")
     columns = _columns(data, rows, (*spec.instruments, *spec.exogenous_regressors))
-    j, p_value, overall_f, block_f, r2 = (
-        float(v) for v in sargan_stats(spec, columns, tsls_result.residuals)[:5])
+
+    stats = sargan_stats(spec, columns, tsls_result.residuals)
+    j, p_value, overall_f, block_f, r2 = (float(v) for v in stats[:5])
+    df = m - k
     return JTestReport(
         j_statistic=j,
         m=m,
         k=k,
-        df=m - k,
+        df=df,
         p_value=p_value,
         reject_at_5pct=p_value < 0.05,
         residual_regression_f=overall_f,

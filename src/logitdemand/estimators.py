@@ -168,9 +168,8 @@ def standard_errors(cov) -> np.ndarray:
 
 
 def _least_squares(x, y, names):
-    """(solution, certified) of y on x. One design (n, p): `solve_least_squares`, which raises
-    `RankDeficientError` naming the dependent columns of `names`, and True. A stack (R, n, p):
-    `solve_least_squares_stacked` and its (R,) mask of entries certified full rank."""
+    """(solution, certified) of y on x: `solve_least_squares_stacked` and its (R,) full-rank
+    mask for a stack (R, n, p); else `solve_least_squares`, naming rank loss from `names`."""
     if x.ndim == 3:
         return solve_least_squares_stacked(x, y)
     try:
@@ -186,8 +185,6 @@ def _select_rows(data: "PanelDataset", spec: ModelSpec):
 
 
 def _columns(data, rows, column_names):
-    if rows.size == data.n_rows:  # every row is used: the columns themselves, not copies
-        return {name: data.column(name) for name in column_names}
     return {name: data.column(name)[rows] for name in column_names}
 
 
@@ -252,41 +249,47 @@ def _first_stage_design(spec: ModelSpec, columns, shape):
 
 
 def pooled_fit(spec: ModelSpec, columns):
-    """OLS, or 2SLS for a `tsls` spec, on `columns`: complete arrays (n,) of one panel or
-    (R, n) of a stack of R markets, one fit per market.
+    """OLS, or 2SLS for a `tsls` spec, on complete `columns` of shape (n,) for one panel or
+    (R, n) for a stack of R markets.
 
-    Returns (names, coefficients, covariance, residuals, fitted, certified),
-    the arrays with the stack's leading axis; `certified` is True for one
-    panel and a stack's (R,) mask of markets whose every fit is certified.
-    2SLS regresses each endogenous column on `_first_stage_design`, then the
-    dependent on the exogenous columns beside the fitted endogenous ones. Its
-    residuals use the actual endogenous columns and its covariance takes the
-    fitted design as the bread. Either covariance has n - p residual df.
+    Returns (names, coefficients, covariance, residuals, fitted, certified);
+    `certified` is True for one panel, else the (R,) mask of markets whose
+    every fit is full rank. 2SLS replaces the endogenous columns by their
+    fits on `_first_stage_design`; its residuals use the actual columns and
+    its covariance (n - p df, as OLS's) takes the fitted design as the bread.
     """
     y = columns[spec.dependent]
+    n = y.shape[-1]
     x, names = design_matrix(columns, spec.regressors, spec.include_intercept, y.shape)
-    if spec.estimator != "tsls":
-        sol, certified = _least_squares(x, y, names)
-        x_fit, residuals, fitted = x, sol.residuals, sol.fitted
-    else:
+    x_fit = x
+    certified = True
+    if spec.estimator == "tsls":
         z, z_names = _first_stage_design(spec, columns, y.shape)
-        certified, stage_one = True, []
+        p1 = z.shape[-1]
+        if n <= p1:
+            raise InsufficientObservationsError(f"{n} rows cannot support the {p1}-column first stage")
+        fitted_endog = []
         for name in spec.endogenous_regressors:
             first, ok = _least_squares(z, columns[name], z_names)
             certified &= ok
-            stage_one.append(first.fitted[..., None])
-        x_exog, _ = design_matrix(columns, spec.exogenous_regressors, spec.include_intercept, y.shape)
-        x_fit = np.concatenate([x_exog, *stage_one], axis=-1)
-        sol, ok = _least_squares(x_fit, y, names)
-        certified &= ok
-        fitted = np.matvec(x, sol.coefficients)
-        residuals = y - fitted
-    cov = coefficient_covariance(spec.covariance, x_fit, residuals, sol.xtx_inverse,
-                                 y.shape[-1] - len(names))
+            fitted_endog.append(first.fitted[..., None])
+        n_exog = x.shape[-1] - len(fitted_endog)
+        x_fit = np.concatenate([x[..., :n_exog], *fitted_endog], axis=-1)
+    p = x_fit.shape[-1]
+    if n <= p:
+        raise InsufficientObservationsError(f"{n} rows cannot support {p} coefficients")
+    sol, ok = _least_squares(x_fit, y, names)
+    certified &= ok
+    fitted = np.matvec(x, sol.coefficients)
+    residuals = y - fitted
+    cov = coefficient_covariance(spec.covariance, x_fit, residuals, sol.xtx_inverse, n - p)
     return names, sol.coefficients, cov, residuals, fitted, certified
 
 
-def _estimate_pooled(spec: ModelSpec, data: "PanelDataset", rows) -> EstimateResult:
+def _estimate_pooled(spec: ModelSpec, data: "PanelDataset", estimator) -> EstimateResult:
+    if spec.estimator != estimator:
+        raise ValueError(f"spec.estimator is {spec.estimator!r}, expected {estimator!r}")
+    rows = _select_rows(data, spec)
     columns = _columns(data, rows, spec.required_columns())
     names, beta, cov, residuals, fitted, _ = pooled_fit(spec, columns)
     return _finish(spec, names, beta, cov, residuals, fitted, rows, rows.size, len(names),
@@ -300,13 +303,7 @@ def estimate_ols(spec: ModelSpec, data: "PanelDataset") -> EstimateResult:
     (inconsistent under price endogeneity) baseline the other estimators are
     compared against.
     """
-    if spec.estimator != "ols":
-        raise ValueError(f"spec.estimator is {spec.estimator!r}, expected 'ols'")
-    rows = _select_rows(data, spec)
-    n, p = rows.size, spec.include_intercept + len(spec.regressors)
-    if n <= p:
-        raise InsufficientObservationsError(f"{n} rows cannot support {p} coefficients")
-    return _estimate_pooled(spec, data, rows)
+    return _estimate_pooled(spec, data, "ols")
 
 
 def _group_demean(codes, counts, m):
@@ -412,14 +409,7 @@ def estimate_tsls(spec: ModelSpec, data: "PanelDataset") -> EstimateResult:
     and feed both the classical and the HC0 covariance (HC0 is the default,
     with the stage-2 design as the bread).
     """
-    if spec.estimator != "tsls":
-        raise ValueError(f"spec.estimator is {spec.estimator!r}, expected 'tsls'")
-    rows = _select_rows(data, spec)
-    # The second stage is never wider: the spec has at least as many instruments as endogenous.
-    n, p1 = rows.size, spec.include_intercept + len(spec.exogenous_regressors) + len(spec.instruments)
-    if n <= p1:
-        raise InsufficientObservationsError(f"{n} rows cannot support the {p1}-column first stage")
-    return _estimate_pooled(spec, data, rows)
+    return _estimate_pooled(spec, data, "tsls")
 
 
 def estimate(spec: ModelSpec, data: "PanelDataset") -> EstimateResult:

@@ -296,14 +296,13 @@ def run_monte_carlo(params: DgpParams, spec: estimators.ModelSpec | None = None,
 
     Replication r draws its market from `default_rng` on the r-th seed of
     `replication_seeds(params.seed, replications)`. OLS and 2SLS specs are
-    fitted in chunks of at most `_STACK_ROWS` (5,000) rows: a chunk's markets
-    are inverted together and fitted by the same regression code as a single
-    panel (`estimators.pooled_fit`, `diagnostics.first_stage_stats` and
-    `sargan_stats`), which solves a stack with one LAPACK QR per regression.
-    A replication whose draw raises, whose chunk fails a share check, whose
-    fits are not certified full rank or whose F or J is not finite is fitted
-    again on its own panel by `estimate`, `first_stage_f` and `sargan_j`, with
-    the pivoted QR, and so ends exactly as a lone fit would, failures
+    fitted in chunks of at most `_STACK_ROWS` (5,000) rows, inverted together
+    and fitted by the regression code of a single panel
+    (`estimators.pooled_fit`, `diagnostics.first_stage_stats`, `sargan_stats`)
+    with one stacked LAPACK QR per regression. A replication whose draw
+    raises, whose chunk fails a share check, whose fits are not certified
+    full rank or whose F or J is not finite is fitted again on its own panel
+    by `estimate`, `first_stage_f` and `sargan_j` with the pivoted QR, failures
     included; two-way fixed-effects specs always run that way. The two
     solvers agree within 1e-10 relative (about 1e-15 in practice).
 
@@ -382,7 +381,8 @@ def _replications(params: DgpParams, spec: estimators.ModelSpec, seeds) -> list:
 
 def _fit_chunk(params: DgpParams, spec: estimators.ModelSpec, seeds) -> list:
     """One chunk's outcomes: stacked fits, and `_replicate` for every replication they miss."""
-    draws, redraws = [], {}
+    draws = []
+    redraws = {}
     for i, seed in enumerate(seeds):
         try:
             columns, _, redraws[i] = draw_market(params, np.random.default_rng(seed))
@@ -417,9 +417,8 @@ def _stacked_dependent(columns, n_periods):
 
 
 def _fit_stack(spec: estimators.ModelSpec, columns) -> list:
-    """`estimate`, `first_stage_f` and `sargan_j` on every market of a stack, through the code
-    they share; None where a replication's fits are not certified full rank or its F or J is
-    not finite."""
+    """The code `estimate`, `first_stage_f` and `sargan_j` share, on every market of a stack;
+    None where a market's fits are not certified full rank or its F or J is not finite."""
     names, coefficients, covariance, residuals, _, certified = estimators.pooled_fit(spec, columns)
     stack = len(certified)
     f = j = p_value = [None] * stack
