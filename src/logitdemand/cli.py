@@ -263,19 +263,15 @@ def cmd_simulate(args) -> int:
     except (OSError, ValueError, TypeError, json.JSONDecodeError) as exc:
         return _fail(EXIT_BAD_PARAMS, exc)
 
-    if args.emit_dataset:
-        # The Monte Carlo's first market, so with one replication the file is what it estimated.
-        first = dataclasses.replace(params, seed=simulate.replication_seeds(params.seed, 1)[0])
-        try:
-            data, _ = simulate.generate_market(first)
-            dataio.write_panel_csv(data, args.emit_dataset)
-        except (LogitDemandError, OSError) as exc:
-            return _fail(EXIT_BAD_PARAMS, exc)
-        _write_manifest(args.emit_dataset, _command_line(args), seed=first.seed)
-
     try:
         summary = simulate.run_monte_carlo(params, spec, replications)
-    except LogitDemandError as exc:
+        if args.emit_dataset:
+            # The Monte Carlo's first market, so with one replication the file is what it estimated.
+            first = dataclasses.replace(params, seed=simulate.replication_seeds(params.seed, 1)[0])
+            data, _ = simulate.generate_market(first)
+            dataio.write_panel_csv(data, args.emit_dataset)
+            _write_manifest(args.emit_dataset, _command_line(args), seed=first.seed)
+    except (LogitDemandError, OSError) as exc:
         return _fail(EXIT_BAD_PARAMS, exc)
     print(format_mc_summary(summary), end="")
     return EXIT_OK

@@ -31,8 +31,8 @@ from .errors import (
 )
 from .estimators import ModelSpec, estimator_defaults
 
-#: Columns validated as 0/1 dummies unless the caller overrides.
-DEFAULT_DUMMY_COLUMNS = ("Alone", "Subscribe")
+#: Columns validated as 0/1 dummies.
+DUMMY_COLUMNS = ("Alone", "Subscribe")
 
 DEPENDENT_COLUMN = "log_share_diff"
 
@@ -217,9 +217,9 @@ def _validate_columns(data: PanelDataset, names):
     )
 
 
-def load_panel(path, unit_column="unit", period_column="period",
-               dummy_columns=DEFAULT_DUMMY_COLUMNS) -> PanelDataset:
-    """Load and validate a panel CSV; rows come back sorted by (unit, period).
+def load_panel(path) -> PanelDataset:
+    """Load and validate a panel CSV keyed by its `unit` and `period` columns; rows come back
+    sorted by (unit, period), and `DUMMY_COLUMNS` must hold 0/1.
 
     Blank records (empty, whitespace-only or with every cell empty) are
     skipped. A fault is reported as a `ParseError` on the
@@ -238,12 +238,11 @@ def load_panel(path, unit_column="unit", period_column="period",
         except StopIteration:
             raise ParseError(1, "", "file is empty") from None
         header = [h.strip() for h in header]
-        if unit_column not in header:
-            raise ParseError(1, unit_column, "missing unit column")
-        if period_column not in header:
-            raise ParseError(1, period_column, "missing period column")
-        u_pos = header.index(unit_column)
-        t_pos = header.index(period_column)
+        for key in ("unit", "period"):
+            if key not in header:
+                raise ParseError(1, key, f"missing {key} column")
+        u_pos = header.index("unit")
+        t_pos = header.index("period")
         value_pos = [k for k in range(len(header)) if k not in (u_pos, t_pos)]
         value_names = [header[k] for k in value_pos]
         if len(set(header)) != len(header):
@@ -273,9 +272,8 @@ def load_panel(path, unit_column="unit", period_column="period",
     order = np.lexsort((periods, unit_codes))
     unit_codes = unit_codes[order]
     period_levels, period_codes = np.unique(periods[order], return_inverse=True)
-    kinds = {name: ("dummy" if name in dummy_columns else "continuous") for name in value_names}
-    kinds[unit_column] = "identifier"
-    kinds[period_column] = "identifier"
+    kinds = {name: ("dummy" if name in DUMMY_COLUMNS else "continuous") for name in value_names}
+    kinds["unit"] = kinds["period"] = "identifier"
     data = _fill(
         object.__new__(PanelDataset),
         units=_labels(unit_levels, unit_codes), periods=_labels(period_levels, period_codes),
@@ -502,13 +500,13 @@ _SPEC_FIELDS = {
 }
 
 
-def parse_spec(path, dataset: PanelDataset | None = None) -> tuple:
+def parse_spec(path) -> tuple:
     """Read a JSON model spec; return its `ModelSpec` and the resolved dataset path.
 
     This checks the JSON's shape; `ModelSpec` checks the estimator, the
     covariance, the column roles and the order condition. Relative dataset
-    paths resolve against the spec file's directory. When a dataset is
-    supplied, `check_columns` checks the spec against it.
+    paths resolve against the spec file's directory. `check_columns` checks
+    the spec against the loaded dataset.
     """
     path = Path(path)
     with open(path, encoding="utf-8") as fh:
@@ -538,8 +536,6 @@ def parse_spec(path, dataset: PanelDataset | None = None) -> tuple:
     fields = estimator_defaults(raw["estimator"])
     fields.update({_SPEC_FIELDS[key]: value for key, value in raw.items() if key != "dataset"})
     spec = ModelSpec(**fields)
-    if dataset is not None:
-        check_columns(spec, dataset)
     dataset_path = Path(raw["dataset"])
     if not dataset_path.is_absolute():
         dataset_path = (path.parent / dataset_path).resolve()

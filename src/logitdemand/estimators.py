@@ -1,17 +1,19 @@
 """Demand-equation estimators: pooled OLS, two-way fixed effects, and 2SLS.
 
 All three regress the inverted mean utility on product characteristics and
-price. Two-way fixed effects use the within transformation: unit effects are
-demeaned away and the periods enter as demeaned dummies, which reproduces the
-least-squares-dummy-variable (LSDV) fit exactly on unbalanced panels without
-building its n x (J + T) design. 2SLS residuals always use the
-actual endogenous regressors, never the first-stage fitted values.
+price, through one regression code (`pooled_fit`) for a single panel and for
+a stack of Monte Carlo markets. Two-way fixed effects are a transform of the
+columns (`absorb`): unit effects are demeaned away and the periods enter as
+demeaned dummies, which reproduces the least-squares-dummy-variable (LSDV)
+fit exactly on unbalanced panels without building its n x (J + T) design.
+2SLS residuals always use the actual endogenous regressors, never the
+first-stage fitted values.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -188,10 +190,6 @@ def _columns(data, rows, column_names):
     return {name: data.column(name)[rows] for name in column_names}
 
 
-def _stack(data, rows, column_names, intercept):
-    return design_matrix(_columns(data, rows, column_names), column_names, intercept, rows.shape)
-
-
 def design_matrix(columns, column_names, intercept, shape):
     """The design with an optional intercept, then `column_names` in order, and its names.
 
@@ -205,7 +203,8 @@ def design_matrix(columns, column_names, intercept, shape):
     return x, names
 
 
-def _fit_stats(y, residuals, n, p, centered):
+def _finish(spec, names, beta, cov, residuals, fitted, rows, n, df, y, centered,
+            estimator_tag, fe_values=None):
     rss = float(sum_of_squares(residuals))
     if centered:
         dev = y - y.mean()
@@ -215,14 +214,7 @@ def _fit_stats(y, residuals, n, p, centered):
         tss = float(y @ y)
         adj_den = n
     r2 = 1.0 - rss / tss if tss > 0 else float("nan")
-    adj = 1.0 - (1.0 - r2) * adj_den / (n - p) if tss > 0 else float("nan")
-    rse = math.sqrt(rss / (n - p))
-    return rss, r2, adj, rse
-
-
-def _finish(spec, names, beta, cov, residuals, fitted, rows, n, p, y, centered,
-            estimator_tag, fe_values=None):
-    _, r2, adj, rse = _fit_stats(y, residuals, n, p, centered)
+    adj = 1.0 - (1.0 - r2) * adj_den / df if tss > 0 else float("nan")
     return EstimateResult(
         names=names,
         coefficients=beta,
@@ -232,10 +224,10 @@ def _finish(spec, names, beta, cov, residuals, fitted, rows, n, p, y, centered,
         fitted=fitted,
         row_indices=rows,
         n_observations=n,
-        df_residual=n - p,
+        df_residual=df,
         r_squared=r2,
         adjusted_r_squared=adj,
-        residual_std_error=rse,
+        residual_std_error=math.sqrt(rss / df),
         estimator_tag=estimator_tag,
         covariance_tag=spec.covariance,
         fixed_effect_values=fe_values,
@@ -248,15 +240,16 @@ def _first_stage_design(spec: ModelSpec, columns, shape):
                          spec.include_intercept, shape)
 
 
-def pooled_fit(spec: ModelSpec, columns):
+def pooled_fit(spec: ModelSpec, columns, absorbed):
     """OLS, or 2SLS for a `tsls` spec, on complete `columns` of shape (n,) for one panel or
-    (R, n) for a stack of R markets.
+    (R, n) for a stack of R markets, from which `absorb` took `absorbed` levels.
 
-    Returns (names, coefficients, covariance, residuals, fitted, certified);
-    `certified` is True for one panel, else the (R,) mask of markets whose
-    every fit is full rank. 2SLS replaces the endogenous columns by their
-    fits on `_first_stage_design`; its residuals use the actual columns and
-    its covariance (n - p df, as OLS's) takes the fitted design as the bread.
+    Returns (names, coefficients, covariance, residuals, fitted, df_residual,
+    certified); `certified` is True for one panel, else the (R,) mask of
+    markets whose every fit is full rank. The p of the row check and of
+    df_residual = n - p counts the absorbed levels. 2SLS replaces the
+    endogenous columns by their fits on `_first_stage_design`; its residuals
+    use the actual columns and its covariance takes the fitted design as the bread.
     """
     y = columns[spec.dependent]
     n = y.shape[-1]
@@ -275,7 +268,7 @@ def pooled_fit(spec: ModelSpec, columns):
             fitted_endog.append(first.fitted[..., None])
         n_exog = x.shape[-1] - len(fitted_endog)
         x_fit = np.concatenate([x[..., :n_exog], *fitted_endog], axis=-1)
-    p = x_fit.shape[-1]
+    p = x_fit.shape[-1] + absorbed
     if n <= p:
         raise InsufficientObservationsError(f"{n} rows cannot support {p} coefficients")
     sol, ok = _least_squares(x_fit, y, names)
@@ -283,7 +276,7 @@ def pooled_fit(spec: ModelSpec, columns):
     fitted = np.matvec(x, sol.coefficients)
     residuals = y - fitted
     cov = coefficient_covariance(spec.covariance, x_fit, residuals, sol.xtx_inverse, n - p)
-    return names, sol.coefficients, cov, residuals, fitted, certified
+    return names, sol.coefficients, cov, residuals, fitted, n - p, certified
 
 
 def _estimate_pooled(spec: ModelSpec, data: "PanelDataset", estimator) -> EstimateResult:
@@ -291,8 +284,8 @@ def _estimate_pooled(spec: ModelSpec, data: "PanelDataset", estimator) -> Estima
         raise ValueError(f"spec.estimator is {spec.estimator!r}, expected {estimator!r}")
     rows = _select_rows(data, spec)
     columns = _columns(data, rows, spec.required_columns())
-    names, beta, cov, residuals, fitted, _ = pooled_fit(spec, columns)
-    return _finish(spec, names, beta, cov, residuals, fitted, rows, rows.size, len(names),
+    names, beta, cov, residuals, fitted, df, _ = pooled_fit(spec, columns, 0)
+    return _finish(spec, names, beta, cov, residuals, fitted, rows, rows.size, df,
                    columns[spec.dependent], spec.include_intercept, spec.estimator)
 
 
@@ -306,10 +299,43 @@ def estimate_ols(spec: ModelSpec, data: "PanelDataset") -> EstimateResult:
     return _estimate_pooled(spec, data, "ols")
 
 
-def _group_demean(codes, counts, m):
-    """Subtract from each column of m its mean within each group of `codes`."""
-    sums = np.column_stack([np.bincount(codes, weights=c, minlength=counts.size) for c in m.T])
-    return m - (sums / counts[:, None])[codes]
+def _demean(c, codes, counts):
+    """`c` less its mean within each group of `codes`: one column (n,) or a stack (R, n)."""
+    stack = c.reshape(-1, codes.size)
+    means = (np.array([np.bincount(codes, weights=row) for row in stack]) / counts)[:, codes]
+    return np.subtract(stack, means, out=means).reshape(c.shape)
+
+
+def absorb(spec: ModelSpec, columns, units, periods):
+    """The OLS spec, the columns and the count of absorbed levels that `pooled_fit` fits.
+
+    A `two_way_fe` spec absorbs the units: each of its columns is demeaned
+    within units, and the periods after the first enter, demeaned the same
+    way, as dummies `period[...]` ahead of the exogenous regressors. By
+    Frisch-Waugh-Lovell this is the LSDV fit, with the absorbed unit levels
+    still counted as coefficients. A regressor constant within units leaves
+    only rounding noise, at most `DEFAULT_RANK_TOL` of its norm; it comes
+    back as zeros, so that both solvers see the rank loss. `columns` are
+    complete, (n,) for one panel or (R, n) for markets that share the row
+    labels `units` and `periods`. Any other spec comes back as it is, with
+    nothing absorbed.
+    """
+    if spec.estimator != "two_way_fe":
+        return spec, columns, 0
+    _, unit_codes = np.unique(units, return_inverse=True)
+    period_levels, period_codes = np.unique(periods, return_inverse=True)
+    counts = np.bincount(unit_codes)
+    later = period_codes == np.arange(1, period_levels.size)[:, None]
+    within = {f"period[{v}]": np.broadcast_to(d, columns[spec.dependent].shape)
+              for v, d in zip(period_levels[1:].tolist(), _demean(later, unit_codes, counts))}
+    dummies = tuple(within)
+    within[spec.dependent] = _demean(columns[spec.dependent], unit_codes, counts)
+    for name in spec.regressors:
+        c, w = columns[name], _demean(columns[name], unit_codes, counts)
+        noise = DEFAULT_RANK_TOL * np.linalg.norm(c, axis=-1, keepdims=True)
+        within[name] = np.where(np.linalg.norm(w, axis=-1, keepdims=True) <= noise, 0.0, w)
+    ols = replace(spec, exogenous_regressors=(*dummies, *spec.exogenous_regressors), estimator="ols")
+    return ols, within, counts.size
 
 
 def _most_absorbed_slope(design, m, slope_names):
@@ -329,16 +355,14 @@ def _most_absorbed_slope(design, m, slope_names):
 
 
 def estimate_two_way_fe(spec: ModelSpec, data: "PanelDataset") -> EstimateResult:
-    """Two-way fixed effects by within-transformation, exact by Frisch-Waugh-Lovell.
+    """Two-way fixed effects: `pooled_fit` on the columns that `absorb` transforms.
 
-    Unit effects are absorbed by demeaning within units; the periods after
-    the first enter as dummies, demeaned the same way, beside the demeaned
-    slopes. This is the LSDV fit without the n x (J + T) dummy matrix: the
-    same slopes, residuals and covariances, and df_residual =
-    n - k - (J + T - 1) counts every absorbed level. Unit effects carry the
-    level and the first period is the base category. The reported R-squared
-    is the within R-squared, i.e. computed against the variation left after
-    projecting out both sets of effects.
+    This is the LSDV fit without its n x (J + T) dummy matrix: the same slopes,
+    residuals and covariances, and df_residual = n - k - (J + T - 1). Around
+    the fit sit the checks that both effects are identified, the name of the
+    regressor they absorb, and the effects: unit effects carry the level and
+    the first period is the base category. The R-squared is the within
+    R-squared, against the variation left after projecting out both effects.
     """
     if spec.estimator != "two_way_fe":
         raise ValueError(f"spec.estimator is {spec.estimator!r}, expected 'two_way_fe'")
@@ -349,45 +373,40 @@ def estimate_two_way_fe(spec: ModelSpec, data: "PanelDataset") -> EstimateResult
     if unit_levels.size < 2 or period_levels.size < 2:
         raise InsufficientObservationsError("two-way fixed effects need >= 2 units and >= 2 periods")
 
-    slope_x, slope_names = _stack(data, rows, spec.regressors, intercept=False)
-    y = data.column(spec.dependent)[rows]
-    n, k = slope_x.shape
-    p = k + unit_levels.size + period_levels.size - 1
-    if n <= p:
-        raise InsufficientObservationsError(f"{n} rows cannot support {p} coefficients")
-
+    columns = _columns(data, rows, spec.required_columns())
+    ols, within, absorbed = absorb(spec, columns, unit_codes, period_levels[period_codes])
     m = period_levels.size - 1
-    dummy_names = tuple(f"period[{v}]" for v in period_levels[1:].tolist())
-    raw = np.column_stack([period_codes[:, None] == np.arange(1, m + 1), slope_x, y])
-    counts = np.bincount(unit_codes)
-    within = _group_demean(unit_codes, counts, raw)
-    design, y_within = within[:, :-1], within[:, -1]
-
-    for j, name in enumerate(slope_names):
-        if np.linalg.norm(design[:, m + j]) <= DEFAULT_RANK_TOL * np.linalg.norm(slope_x[:, j]):
+    dummy_names, slope_names = ols.regressors[:m], ols.regressors[m:]
+    try:
+        fit = pooled_fit(ols, within, absorbed)
+    except RankDeficientError:
+        fit = None  # named below, once both effects are known to be identified
+    for name in slope_names:
+        if not within[name].any():
             raise CollinearWithFixedEffectsError(name, f"regressor {name!r} is constant within each unit")
     # The demeaned dummies lose rank exactly when the panel is disconnected.
     try:
-        effects_only = solve_least_squares(design[:, :m], y_within)
+        effects_only = solve_least_squares(design_matrix(within, dummy_names, False, rows.shape)[0],
+                                           within[spec.dependent])
     except RankDeficientError as exc:
         raise CollinearWithFixedEffectsError(
             dummy_names[exc.columns[0]],
             "unit and period effects are not separately identified: the panel is not connected",
         ) from None
-
-    try:
-        sol = solve_least_squares(design, y_within)
-    except RankDeficientError:
-        name = _most_absorbed_slope(design, m, slope_names)
+    if fit is None:
+        name = _most_absorbed_slope(design_matrix(within, ols.regressors, False, rows.shape)[0],
+                                    m, slope_names)
         raise CollinearWithFixedEffectsError(
             name, f"regressor {name!r} is collinear with the fixed effects and the other regressors"
-        ) from None
+        )
 
-    cov = coefficient_covariance(spec.covariance, design, sol.residuals, sol.xtx_inverse, n - p)
-    beta = sol.coefficients[m:].copy()
-
-    period_fx = np.concatenate([[0.0], sol.coefficients[:m]])
-    unit_fx = np.bincount(unit_codes, weights=y - slope_x @ beta - period_fx[period_codes]) / counts
+    _, coefficients, cov, residuals, _, df, _ = fit
+    beta = coefficients[m:]
+    y = columns[spec.dependent]
+    period_fx = np.concatenate([[0.0], coefficients[:m]])
+    slope_fit = design_matrix(columns, spec.regressors, False, rows.shape)[0] @ beta
+    unit_sums = np.bincount(unit_codes, weights=y - slope_fit - period_fx[period_codes])
+    unit_fx = unit_sums / np.bincount(unit_codes)
     fe_values = {
         "unit": dict(zip(unit_levels.tolist(), unit_fx.tolist())),
         "period": dict(zip(period_levels.tolist(), period_fx.tolist())),
@@ -395,8 +414,8 @@ def estimate_two_way_fe(spec: ModelSpec, data: "PanelDataset") -> EstimateResult
     # The effects-only residuals have mean zero, so their centred sum of
     # squares is the within TSS.
     return _finish(
-        spec, slope_names, beta, cov[m:, m:], sol.residuals, y - sol.residuals, rows,
-        n, p, effects_only.residuals, True, "two_way_fe", fe_values,
+        spec, slope_names, beta, cov[m:, m:], residuals, y - residuals, rows,
+        rows.size, df, effects_only.residuals, True, "two_way_fe", fe_values,
     )
 
 

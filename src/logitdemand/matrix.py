@@ -89,30 +89,10 @@ def _householder_qr_pivoted(x, y=None):
     return r, pivots, qty
 
 
-def _back_substitute(r, b):
-    p = r.shape[0]
-    out = np.zeros(p)
-    for i in range(p - 1, -1, -1):
-        out[i] = (b[i] - r[i, i + 1 :] @ out[i + 1 :]) / r[i, i]
-    return out
-
-
-def _upper_triangular_inverse(r):
-    p = r.shape[0]
-    inv = np.zeros((p, p))
-    for j in range(p - 1, -1, -1):
-        inv[j, j] = 1.0 / r[j, j]
-        for i in range(j - 1, -1, -1):
-            inv[i, j] = -(r[i, i + 1 : j + 1] @ inv[i + 1 : j + 1, j]) / r[i, i]
-    return inv
-
-
 def _column_scale(x):
-    if x.size == 0:
-        return 1.0
-    norms = np.sqrt(np.einsum("ij,ij->j", x, x))
-    top = float(np.max(norms))
-    return top if top > 0.0 else 1.0
+    """The largest column norm of X, one per design for a stack; 1 where it is 0."""
+    scale = np.sqrt(np.einsum("...ij,...ij->...j", x, x)).max(axis=-1, initial=0.0)
+    return np.where(scale > 0.0, scale, 1.0)
 
 
 def solve_least_squares(x, y, tol=DEFAULT_RANK_TOL):
@@ -152,13 +132,13 @@ def solve_least_squares(x, y, tol=DEFAULT_RANK_TOL):
 
     upper = r[:p, :p]
     beta = np.zeros(p)
-    beta[pivots] = _back_substitute(upper, qty[:p])
+    beta[pivots] = np.linalg.solve(upper, qty[:p])
 
     fitted = x @ beta
     residuals = y - fitted
 
     # (X'X)^-1 = P (R'R)^-1 P' with R from the pivoted factorization.
-    rinv = _upper_triangular_inverse(upper)
+    rinv = np.linalg.inv(upper)
     w = rinv @ rinv.T
     xtx_inv = np.zeros((p, p))
     xtx_inv[np.ix_(pivots, pivots)] = w
@@ -204,8 +184,7 @@ def solve_least_squares_stacked(x, y, tol=DEFAULT_RANK_TOL):
     # Q'y is the top of the last column of the factor of [X | y].
     factor = np.linalg.qr(np.concatenate([x, y[..., None]], axis=-1), mode="r")
     upper, qty = factor[:, :p, :p], factor[:, :p, p]
-    scale = np.sqrt(np.einsum("rij,rij->rj", x, x)).max(axis=-1, initial=0.0)
-    threshold = CERTIFY_MARGIN * tol * np.where(scale > 0.0, scale, 1.0)
+    threshold = CERTIFY_MARGIN * tol * _column_scale(x)
     # 1 / ||R^-1||_F <= min |R_ii|, so an entry at or below the threshold there cannot be
     # certified; its factor is swapped for I so that the batched inverse meets no zero pivot.
     plausible = np.abs(np.diagonal(upper, axis1=1, axis2=2)).min(axis=-1, initial=np.inf) > threshold

@@ -6,7 +6,8 @@ Price loads on cost shifters (the instruments) and, through the endogeneity
 weight, on xi itself, so OLS is inconsistent while 2SLS is not. Everything is
 driven by a single seed; the Monte Carlo spawns one independent seed per
 replication from it with numpy's SeedSequence, so runs with different seeds
-share no market.
+share no market. It fits every estimator, two-way fixed effects included, on
+stacks of markets through the regression code of a single panel.
 """
 
 from __future__ import annotations
@@ -295,16 +296,16 @@ def run_monte_carlo(params: DgpParams, spec: estimators.ModelSpec | None = None,
     """Generate, estimate and test `replications` markets; aggregate the results.
 
     Replication r draws its market from `default_rng` on the r-th seed of
-    `replication_seeds(params.seed, replications)`. OLS and 2SLS specs are
-    fitted in chunks of at most `_STACK_ROWS` (5,000) rows, inverted together
-    and fitted by the regression code of a single panel
-    (`estimators.pooled_fit`, `diagnostics.first_stage_stats`, `sargan_stats`)
-    with one stacked LAPACK QR per regression. A replication whose draw
-    raises, whose chunk fails a share check, whose fits are not certified
-    full rank or whose F or J is not finite is fitted again on its own panel
-    by `estimate`, `first_stage_f` and `sargan_j` with the pivoted QR, failures
-    included; two-way fixed-effects specs always run that way. The two
-    solvers agree within 1e-10 relative (about 1e-15 in practice).
+    `replication_seeds(params.seed, replications)`. Replications are fitted
+    in chunks of at most `_STACK_ROWS` (5,000) rows, inverted together and
+    fitted by the regression code of a single panel (`estimators.absorb` and
+    `pooled_fit`, `diagnostics.first_stage_stats`, `sargan_stats`) with one
+    stacked LAPACK QR per regression. A replication whose draw raises, whose
+    chunk fails a share check or a fit, whose fits are not certified full
+    rank or whose F or J is not finite is fitted again on its own panel by
+    `estimate`, `first_stage_f` and `sargan_j` with the pivoted QR, failures
+    included. The two solvers agree within 1e-10 relative (about 1e-15 in
+    practice).
 
     Per-replication estimator failures are counted by error class, not fatal.
     Coverage uses the +-1.96 * SE interval per coefficient.
@@ -362,17 +363,12 @@ def _replicate(params: DgpParams, spec: estimators.ModelSpec, rep_seed: int) -> 
 
 
 def _replications(params: DgpParams, spec: estimators.ModelSpec, seeds) -> list:
-    """Every replication's outcome in seed order, in stacked chunks where the spec allows."""
-    n = params.n_products * params.n_periods
+    """Every replication's outcome in seed order, in stacked chunks if the spec's columns are drawn."""
     generated = {*params.characteristic_names(), "price", *params.instrument_names(),
                  "quantity", "market_size", dataio.DEPENDENT_COLUMN}
-    # No regression of the replication has more columns than `width`; at or below it, some
-    # fit has too few rows, and the single-panel path raises that error as it always has.
-    width = 1 + len(spec.regressors) + len(spec.instruments)
-    if (spec.estimator == "two_way_fe" or n <= width
-            or not {spec.dependent, *spec.regressors, *spec.instruments} <= generated):
+    if not {spec.dependent, *spec.regressors, *spec.instruments} <= generated:
         return [_replicate(params, spec, seed) for seed in seeds]
-    per_chunk = max(1, _STACK_ROWS // n)
+    per_chunk = max(1, _STACK_ROWS // (params.n_products * params.n_periods))
     records = []
     for start in range(0, len(seeds), per_chunk):
         records += _fit_chunk(params, spec, seeds[start:start + per_chunk])
@@ -395,10 +391,11 @@ def _fit_chunk(params: DgpParams, spec: estimators.ModelSpec, seeds) -> list:
         del draws, _  # only the stacked columns and the re-draw counts stay while the fits run
         try:
             columns[dataio.DEPENDENT_COLUMN] = _stacked_dependent(columns, params.n_periods)
+            stacked = _fit_stack(spec, columns, params.n_periods)
         except (LogitDemandError, ValueError):
-            pass  # a share check failed: the whole chunk goes through `_replicate`
+            pass  # a share check or a fit raised: the whole chunk goes through `_replicate`
         else:
-            for i, record in zip(redraws, _fit_stack(spec, columns)):
+            for i, record in zip(redraws, stacked):
                 if record is not None:
                     records[i] = record._replace(redraws=redraws[i])
     return [_replicate(params, spec, seed) if record is None else record
@@ -416,11 +413,17 @@ def _stacked_dependent(columns, n_periods):
     return demand.invert_shares(inside, outside, codes).reshape(stack, n)
 
 
-def _fit_stack(spec: estimators.ModelSpec, columns) -> list:
-    """The code `estimate`, `first_stage_f` and `sargan_j` share, on every market of a stack;
-    None where a market's fits are not certified full rank or its F or J is not finite."""
-    names, coefficients, covariance, residuals, _, certified = estimators.pooled_fit(spec, columns)
+def _fit_stack(spec: estimators.ModelSpec, columns, n_periods) -> list:
+    """The code `estimate`, `first_stage_f` and `sargan_j` share, on every market of a stack
+    whose rows run over units, `n_periods` periods inside; None where a market's fits are not
+    certified full rank or its F or J is not finite."""
+    rows = np.arange(columns[spec.dependent].shape[-1])
+    fit_spec, fit_columns, absorbed = estimators.absorb(spec, columns, rows // n_periods,
+                                                        rows % n_periods)
+    names, coefficients, covariance, residuals, _, _, certified = estimators.pooled_fit(
+        fit_spec, fit_columns, absorbed)
     stack = len(certified)
+    lead = len(fit_spec.regressors) - len(spec.regressors)  # the absorbed period dummies
     f = j = p_value = [None] * stack
     has_f, has_j = _reported_tests(spec)
     if has_f:
@@ -431,8 +434,8 @@ def _fit_stack(spec: estimators.ModelSpec, columns) -> list:
         certified = certified & ok & np.isfinite(j)
     se = estimators.standard_errors(covariance)
     return [
-        _Replication(names, coefficients[r], se[r], _float(f[r]), _float(j[r]),
-                     _float(p_value[r])) if certified[r] else None
+        _Replication(names[lead:], coefficients[r, lead:], se[r, lead:], _float(f[r]),
+                     _float(j[r]), _float(p_value[r])) if certified[r] else None
         for r in range(stack)
     ]
 
@@ -443,9 +446,10 @@ def _float(value):
 
 def _summarize(params: DgpParams, replications: int, records) -> McSummary:
     completed = [r for r in records if r.failure is None]
+    failures = dict(sorted(Counter(r.failure for r in records if r.failure is not None).items()))
     if not completed:
-        raise DegenerateSharesError("every replication failed; nothing to summarize")
-    failures = Counter(r.failure for r in records if r.failure is not None)
+        by_class = ", ".join(f"{name} {count}" for name, count in failures.items())
+        raise DegenerateSharesError(f"every replication failed ({by_class}); nothing to summarize")
     f_stats = [r.first_stage_f for r in records if r.first_stage_f is not None]
     sargan_rejects = [r.sargan_p_value < 0.05 for r in completed if r.sargan_p_value is not None]
 
@@ -467,7 +471,7 @@ def _summarize(params: DgpParams, replications: int, records) -> McSummary:
         replications=replications,
         completed=n_done,
         failed=replications - n_done,
-        failures=dict(sorted(failures.items())),
+        failures=failures,
         redraws=sum(r.redraws for r in records),
         coefficient_names=tuple(names),
         true_values=true_values,

@@ -426,6 +426,22 @@ def test_simulate_without_replications_exits_5_and_writes_nothing(tmp_path, caps
     assert [p.name for p in tmp_path.iterdir()] == ["params.json"]
 
 
+def test_simulate_that_fails_everywhere_exits_5_and_writes_nothing(tmp_path, capsys):
+    # A constant x1 beside the intercept: every replication is rank deficient.
+    params = {"n_products": 5, "n_periods": 4, "n_characteristics": 1, "beta": [1.0],
+              "xi_scale": 0.5, "characteristic_scale": 0.0, "characteristic_loc": 1.0,
+              "seed": 3, "replications": 3}
+    params_path = tmp_path / "params.json"
+    params_path.write_text(json.dumps(params), encoding="utf-8")
+    out = tmp_path / "out.csv"
+    assert main(["simulate", "--params", str(params_path), "--emit-dataset", str(out)]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: every replication failed (RankDeficientError 3); "
+                            "nothing to summarize\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["params.json"]
+
+
 @pytest.mark.parametrize("command", ["invert", "estimate", "diagnose", "simulate"])
 def test_output_in_a_missing_directory_exits_without_writing(tmp_path, capsys, command):
     spec_path, csv_path = _sim_inputs(tmp_path)

@@ -9,6 +9,7 @@ from logitdemand.dataio import (
     BLOCK_RECORDS,
     DEPENDENT_COLUMN,
     PanelDataset,
+    check_columns,
     compute_dependent,
     load_panel,
     parse_spec,
@@ -355,13 +356,15 @@ def test_parse_spec_unknown_key(tmp_path):
 def test_parse_spec_unknown_column_against_dataset(tmp_path):
     data = load_panel(_write(tmp_path, BASIC_CSV))
     body = _spec_dict(exogenous=["Weight"])
+    spec, _ = parse_spec(_write_spec(tmp_path, body))
     with pytest.raises(UnknownColumnError):
-        parse_spec(_write_spec(tmp_path, body), dataset=data)
+        check_columns(spec, data)
 
 
 def test_parse_spec_allows_derivable_dependent(tmp_path):
     data = load_panel(_write(tmp_path, BASIC_CSV))
-    spec, _ = parse_spec(_write_spec(tmp_path, _spec_dict()), dataset=data)
+    spec, _ = parse_spec(_write_spec(tmp_path, _spec_dict()))
+    check_columns(spec, data)
     assert spec.dependent == DEPENDENT_COLUMN
 
 

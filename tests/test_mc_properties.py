@@ -1,11 +1,12 @@
 """The stacked Monte Carlo against its per-replication reference, as properties.
 
-Both paths run the same regression code (`estimators.pooled_fit`,
-`diagnostics.first_stage_stats` and `sargan_stats`); they differ in the
-solver. `simulate._replications` fits chunks of replications as stacks, one
-LAPACK QR per regression with a per-market full-rank certificate;
-`simulate._replicate` fits one replication on its own panel through
-`estimate`, `first_stage_f` and `sargan_j` with the pivoted QR. The two must
+Both paths run the same regression code (`estimators.absorb` and
+`pooled_fit`, `diagnostics.first_stage_stats` and `sargan_stats`); they
+differ in the solver. `simulate._replications` fits chunks of replications
+as stacks, one LAPACK QR per regression with a per-market full-rank
+certificate; `simulate._replicate` fits one replication on its own panel
+through `estimate`, `first_stage_f` and `sargan_j` with the pivoted QR. Two-way
+fixed-effects specs take both paths too. The two must
 agree replication by replication: the same failures and re-draws, and the
 same numbers within 1e-10 (the arithmetic differs in order, so not bit for
 bit). The chunk bound is lowered so that a few replications already span
@@ -24,9 +25,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logitdemand import simulate
+from logitdemand import diagnostics, simulate
 from logitdemand.dataio import PanelDataset
-from logitdemand.errors import DegenerateSharesError
+from logitdemand.errors import CollinearWithFixedEffectsError, DegenerateSharesError
 from logitdemand.estimators import ModelSpec, estimate_ols, estimate_tsls
 from logitdemand.simulate import DgpParams, default_model_spec, replication_seeds
 
@@ -86,10 +87,17 @@ def _compare(params, spec, replications, chunk_markets):
 @st.composite
 def monte_carlos(draw):
     k = draw(st.integers(0, 2))
-    estimator = draw(st.sampled_from(["ols", "tsls"]))
+    estimator = draw(st.sampled_from(["ols", "tsls", "two_way_fe"]))
+    j, t = draw(st.integers(2, 8)), draw(st.integers(1, 4))
+    effects = st.sampled_from([None, 1.0, 3.0])
+    unit_scale, time_scale = draw(effects), draw(effects)
     params = DgpParams(
-        n_products=draw(st.integers(2, 8)),
-        n_periods=draw(st.integers(1, 4)),
+        n_products=j,
+        n_periods=t,
+        unit_effects=unit_scale and tuple(draw(st.lists(st.floats(-unit_scale, unit_scale),
+                                                        min_size=j, max_size=j))),
+        time_effects=time_scale and tuple(draw(st.lists(st.floats(-time_scale, time_scale),
+                                                        min_size=t, max_size=t))),
         n_characteristics=k,
         beta=tuple(draw(st.lists(st.floats(-1.5, 1.5), min_size=k, max_size=k))),
         alpha=draw(st.floats(0.0, 2.0)),
@@ -104,8 +112,9 @@ def monte_carlos(draw):
         seed=draw(st.integers(0, 2**32 - 1)),
     )
     covariance = draw(st.sampled_from(["classical", "robust_hc0"]))
-    spec = dataclasses.replace(default_model_spec(params, estimator=estimator, covariance=covariance),
-                               include_intercept=draw(st.sampled_from([True, True, False])))
+    spec = default_model_spec(params, estimator=estimator, covariance=covariance)
+    if estimator != "two_way_fe":
+        spec = dataclasses.replace(spec, include_intercept=draw(st.sampled_from([True, True, False])))
     return params, spec, draw(st.integers(1, 12)), draw(st.integers(1, 4))
 
 
@@ -133,6 +142,53 @@ def test_every_spec_variant_matches_per_replication_fits(estimator, covariance,
     with mock.patch.object(simulate, "_replicate", wraps=simulate._replicate) as per_replication:
         simulate._replications(params, spec, replication_seeds(params.seed, 12))
     assert per_replication.call_count == 0
+
+
+@pytest.mark.parametrize("covariance", ["classical", "robust_hc0"])
+@pytest.mark.parametrize("consumers", [None, 500])
+@pytest.mark.parametrize("effects", [False, True], ids=["no_effects", "unit_and_time_effects"])
+def test_two_way_fe_variants_match_per_replication_fits(covariance, consumers, effects):
+    params = DgpParams(n_products=6, n_periods=5, n_characteristics=2, beta=(1.0, -0.5),
+                       xi_scale=0.7, price_endogeneity=0.6, consumers=consumers, seed=23,
+                       unit_effects=(1.5, -1.0, 0.5, 0.0, -0.5, 1.0) if effects else None,
+                       time_effects=(0.3, -0.6, 0.9, 0.0, -0.3) if effects else None)
+    spec = default_model_spec(params, "two_way_fe", covariance)
+    reference = _compare(params, spec, replications=12, chunk_markets=5)
+    assert all(r.failure is None for r in reference)
+    assert all(r.names == ("x1", "x2", "price") for r in reference)
+    # Every one of these replications is certified: none is fitted on its own.
+    with mock.patch.object(simulate, "_replicate", wraps=simulate._replicate) as per_replication:
+        simulate._replications(params, spec, replication_seeds(params.seed, 12))
+    assert per_replication.call_count == 0
+
+
+@pytest.mark.parametrize("shape", [
+    (1, 5),  # one product: no unit effect to contrast
+    (5, 1),  # one period
+    (2, 2),  # 4 rows for 2 slopes and 3 effects
+])
+def test_two_way_fe_markets_too_small_fail_as_before(shape):
+    params = DgpParams(n_products=shape[0], n_periods=shape[1], n_characteristics=1, beta=(1.0,),
+                       xi_scale=0.5, seed=8)
+    reference = _compare(params, default_model_spec(params, "two_way_fe"), replications=5,
+                         chunk_markets=2)
+    assert [r.failure for r in reference] == ["InsufficientObservationsError"] * 5
+
+
+@pytest.mark.parametrize("beta, loc, scale", [
+    (1.0, 1.0, 0.0),  # x1 is the constant 1, which the unit effects absorb in every market
+    # x1 varies by 1e-12 of its level: the stacked QR certifies it, the single panel does not.
+    (0.0, 1e9, 1e-3),
+])
+def test_two_way_fe_constant_characteristic_fails_through_the_per_replication_path(beta, loc, scale):
+    params = DgpParams(n_products=5, n_periods=4, n_characteristics=1, beta=(beta,), xi_scale=0.5,
+                       characteristic_scale=scale, characteristic_loc=loc, seed=3)
+    spec = default_model_spec(params, "two_way_fe")
+    reference = _compare(params, spec, replications=6, chunk_markets=4)
+    assert [r.failure for r in reference] == [CollinearWithFixedEffectsError.__name__] * 6
+    with mock.patch.object(simulate, "_replicate", wraps=simulate._replicate) as per_replication:
+        simulate._replications(params, spec, replication_seeds(params.seed, 6))
+    assert per_replication.call_count == 6
 
 
 def test_rank_deficient_markets_take_the_per_replication_path_and_fail_as_before():
@@ -189,19 +245,25 @@ def test_tsls_with_copied_regressors_as_instruments_is_ols(seed, n, covariance):
     columns = _copies(np.random.default_rng(seed), 3, n)
     ols_spec, tsls_spec = _specs(covariance)
 
-    # One fit on a panel.
-    data = PanelDataset(units=tuple(f"u{i:02d}" for i in range(n)), periods=(2001,) * n,
-                        columns={name: col[0] for name, col in columns.items()}, column_kinds={})
-    ols, tsls = estimate_ols(ols_spec, data), estimate_tsls(tsls_spec, data)
-    assert _close(tsls.coefficients, ols.coefficients, np.max(np.abs(ols.coefficients)))
-    assert _close(tsls.standard_errors, ols.standard_errors, np.max(ols.standard_errors))
+    # One fit on each market's panel.
+    for r in range(3):
+        data = PanelDataset(units=tuple(f"u{i:02d}" for i in range(n)), periods=(2001,) * n,
+                            columns={name: col[r] for name, col in columns.items()}, column_kinds={})
+        ols, tsls = estimate_ols(ols_spec, data), estimate_tsls(tsls_spec, data)
+        assert _close(tsls.coefficients, ols.coefficients, np.max(np.abs(ols.coefficients)))
+        assert _close(tsls.standard_errors, ols.standard_errors, np.max(ols.standard_errors))
 
-    # A stack of fits through the Monte Carlo's stacked path.
-    ols_stack = simulate._fit_stack(ols_spec, columns)
-    tsls_stack = simulate._fit_stack(tsls_spec, columns)
-    for a, b in zip(tsls_stack, ols_stack):
-        assert _close(a.coefficients, b.coefficients, np.max(np.abs(b.coefficients)))
-        assert _close(a.standard_errors, b.standard_errors, np.max(b.standard_errors))
+    # A stack of fits through the Monte Carlo's stacked path. The copy makes the first stage an
+    # exact fit whose RSS can round to exactly 0 (seed 1, n 6): that market's F is infinite, and
+    # the stacked path leaves it to the single-panel fit, as it leaves every such market.
+    ols_stack = simulate._fit_stack(ols_spec, columns, n_periods=1)
+    tsls_stack = simulate._fit_stack(tsls_spec, columns, n_periods=1)
+    finite_f = np.isfinite(diagnostics.first_stage_stats(tsls_spec, columns)[0])
+    for a, b, stacked in zip(tsls_stack, ols_stack, finite_f):
+        assert (a is not None) == stacked
+        if stacked:
+            assert _close(a.coefficients, b.coefficients, np.max(np.abs(b.coefficients)))
+            assert _close(a.standard_errors, b.standard_errors, np.max(b.standard_errors))
 
 
 def test_cli_and_monte_carlo_do_not_load_scipy_linalg():
@@ -213,7 +275,7 @@ def test_cli_and_monte_carlo_do_not_load_scipy_linalg():
         "import logitdemand.cli\n"
         "from logitdemand import simulate\n"
         "params = simulate.DgpParams(n_products=4, n_periods=3, xi_scale=0.5, seed=1)\n"
-        "for est in ('ols', 'tsls'):\n"
+        "for est in ('ols', 'tsls', 'two_way_fe'):\n"
         "    simulate.run_monte_carlo(params, simulate.default_model_spec(params, est), 5)\n"
         "print('scipy.linalg' in sys.modules)\n"
     )

@@ -184,7 +184,7 @@ def test_stacked_fits_and_tests_match_the_lstsq_oracle(seed, stack, n, k, m, int
     columns = _market(np.random.default_rng(seed), (stack, n), k, m)
     for estimator in ("ols", "tsls"):
         spec = _spec(estimator, k, m, intercept, covariance)
-        records = simulate._fit_stack(spec, columns)
+        records = simulate._fit_stack(spec, columns, n_periods=1)
         for r, record in enumerate(records):
             market = {name: col[r] for name, col in columns.items()}
             beta, se, _, u = _oracle_fit(spec, market)
@@ -211,7 +211,7 @@ def _fits(spec, columns):
     tests = [first_stage_f(f_spec, data).f_statistic]
     if spec.estimator == "tsls":
         tests.append(sargan_j(result, spec, data).j_statistic)
-    stack = simulate._fit_stack(spec, columns)
+    stack = simulate._fit_stack(spec, columns, n_periods=1)
     return ([result.coefficients, *(r.coefficients for r in stack)],
             [result.standard_errors, *(r.standard_errors for r in stack)],
             tests + [t for r in stack for t in (r.first_stage_f, r.sargan_j) if t is not None])

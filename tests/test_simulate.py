@@ -203,6 +203,15 @@ def test_monte_carlo_counts_failures():
         run_monte_carlo(params, replications=3)
 
 
+def test_monte_carlo_that_fails_everywhere_names_the_failures_by_class():
+    # With no spread, x1 is the constant 1: collinear with the intercept in every market.
+    params = DgpParams(n_products=5, n_periods=4, n_characteristics=1, beta=(1.0,),
+                       xi_scale=0.5, characteristic_scale=0.0, characteristic_loc=1.0, seed=3)
+    with pytest.raises(DegenerateSharesError) as err:
+        run_monte_carlo(params, replications=3)
+    assert str(err.value) == "every replication failed (RankDeficientError 3); nothing to summarize"
+
+
 def test_monte_carlo_reports_diagnostics():
     params = DgpParams(n_products=6, n_periods=6, n_characteristics=1, beta=(1.0,),
                        xi_scale=0.5, price_endogeneity=0.5, instrument_strength=1.5,
