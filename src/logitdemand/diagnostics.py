@@ -9,11 +9,11 @@ and the instrument-block-only F are carried along as cross-checks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import special
 
 from .errors import (
     ExactlyIdentifiedError,
@@ -59,16 +59,57 @@ class JTestReport:
 
 
 def f_upper_tail(x: float, df1: int, df2: int) -> float:
-    """P(F(df1, df2) > x) via the regularized incomplete beta function."""
+    """P(F(df1, df2) > x) = I_w(df2/2, df1/2), w = df2 / (df2 + df1 x): the regularized
+    incomplete beta function by its continued fraction, on whichever side converges."""
     if x < 0:
         raise ValueError("F statistic must be non-negative")
     if df1 < 1 or df2 < 1:
         raise ValueError("degrees of freedom must be at least 1")
-    return float(special.betainc(df2 / 2.0, df1 / 2.0, df2 / (df2 + df1 * x)))
+    r = df1 * x / df2
+    if not 0.0 < r < math.inf:  # x is 0, inf or nan
+        return 1.0 if r == 0.0 else 0.0 if r > 0.0 else math.nan
+    a, b = df2 / 2.0, df1 / 2.0
+    # w and 1 - w each from r, so neither loses digits when the other is near 1.
+    w, w_upper = 1.0 / (1.0 + r), r / (1.0 + r)
+    front = math.exp(_log_inverse_beta(a, b) - a * math.log1p(r) + b * (math.log(r) - math.log1p(r)))
+    if w < (a + 1.0) / (a + b + 2.0):
+        return front * _beta_fraction(a, b, w) / a
+    return 1.0 - front * _beta_fraction(b, a, w_upper) / b
+
+
+def _log_inverse_beta(a, b):
+    """ln Gamma(a+b) - ln Gamma(a) - ln Gamma(b). From 100 on, the larger argument's part comes
+    from Stirling's series: the difference of two large lgamma values loses about 1e-9."""
+    big, small = max(a, b), min(a, b)
+    if big < 100.0:
+        return math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+    z = big + small
+    return ((big - 0.5) * math.log1p(small / big) + small * (math.log(z) - 1.0) - math.lgamma(small)
+            + sum(c * (z**-k - big**-k) for c, k in ((1 / 12, 1), (-1 / 360, 3), (1 / 1260, 5))))
+
+
+def _beta_fraction(a, b, x):
+    """Continued fraction of I_x(a, b) by the modified Lentz method (Numerical Recipes,
+    3rd ed., 6.4); it converges fast for x < (a + 1) / (a + b + 2)."""
+    tiny, c = 1e-300, 1.0
+    d = 1.0 - (a + b) * x / (a + 1.0)
+    h = d = 1.0 / (d if abs(d) > tiny else tiny)
+    for m in range(1, 10_000):
+        for step in (m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m)),
+                     -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0))):
+            d = 1.0 + step * d
+            d = 1.0 / (d if abs(d) > tiny else tiny)
+            c = 1.0 + step / c
+            c = c if abs(c) > tiny else tiny
+            h *= d * c
+        if abs(d * c - 1.0) < 3e-16:  # within a unit in the last place of 1
+            return h
+    raise ArithmeticError(f"incomplete beta fraction did not converge for a={a}, b={b}, x={x}")
 
 
 def chi_square_upper_tail(x, df: int):
-    """P(chi2(df) > x) via the regularized upper incomplete gamma function.
+    """P(chi2(df) > x) in closed form for integer df (Abramowitz & Stegun 26.4.4-5): a finite
+    Poisson sum for even df, erfc plus the half-integer terms for odd df.
 
     A float for a scalar `x`, an array of tail probabilities for an array.
     """
@@ -77,15 +118,23 @@ def chi_square_upper_tail(x, df: int):
         raise ValueError("chi-square statistic must be non-negative")
     if df < 1:
         raise ValueError("degrees of freedom must be at least 1")
-    p = special.gammaincc(df / 2.0, x / 2.0)
+    if df != int(df):
+        raise ValueError("chi-square degrees of freedom must be an integer")
+    h = np.minimum(x, np.finfo(float).max) / 2.0  # inf: terms 0 * finite = 0, not 0 * inf = nan
+    pairs, odd = divmod(int(df), 2)
+    term = np.exp(-h) * (2.0 * np.sqrt(h / np.pi) if odd else 1.0)
+    p = np.vectorize(math.erfc, otypes=[float])(np.sqrt(h)) if odd else np.zeros_like(h)
+    for j in range(pairs):
+        p = p + term
+        term = term * h / (j + 1.0 + odd / 2.0)
     return float(p) if p.ndim == 0 else p
 
 
 def f_statistic(rss_restricted, rss_unrestricted, q, df_unrestricted):
     """F = [(RSS_r - RSS_u) / q] / [RSS_u / df_u], floored at 0; broadcasts over stacked fits.
 
-    A zero RSS_u gives inf or nan (0/0) with numpy arrays; Python floats raise
-    ZeroDivisionError instead.
+    A zero RSS_u gives inf, or nan (0/0) where RSS_r is zero too; the RSS are numpy values,
+    so neither raises.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.maximum(((rss_restricted - rss_unrestricted) / q)
@@ -93,11 +142,10 @@ def f_statistic(rss_restricted, rss_unrestricted, q, df_unrestricted):
 
 
 def _fit_rss(x, y, names):
-    """(RSS, residual df, certified) of `y` on the design `x` with column `names`. One
-    panel's RSS is a Python float, so `f_statistic` raises ZeroDivisionError on an exact fit."""
+    """(RSS, residual df, certified) of `y` on the design `x` with column `names`. The RSS is a
+    numpy value for one panel as for a stack, so an exact fit gives `f_statistic` an F of inf."""
     sol, certified = _least_squares(x, y, names)
-    rss = sum_of_squares(sol.residuals)
-    return (float(rss) if rss.ndim == 0 else rss), y.shape[-1] - x.shape[-1], certified
+    return sum_of_squares(sol.residuals), y.shape[-1] - x.shape[-1], certified
 
 
 def first_stage_stats(spec: ModelSpec, columns):

@@ -32,7 +32,9 @@ _STACK_ROWS = 5_000
 class DgpParams:
     """Knobs of the synthetic market generator.
 
-    `alpha` enters utility as -alpha * price. With `consumers` unset the
+    `alpha` enters utility as -alpha * price. The cost shifters are standard
+    normal, and price is `instrument_strength` times their sum plus
+    `price_endogeneity` * xi plus noise. With `consumers` unset the
     generator emits exact logit shares (market_size 1.0); with it set,
     quantities are sampled for that many consumers per period.
     """
@@ -52,9 +54,6 @@ class DgpParams:
     seed: int = 0
     characteristic_loc: float = 0.0
     characteristic_scale: float = 1.0
-    cost_loc: float = 0.0
-    cost_scale: float = 1.0
-    price_intercept: float = 0.0
     price_noise_scale: float = 1.0
 
     def __post_init__(self):
@@ -65,8 +64,7 @@ class DgpParams:
             raise ValueError("beta must have one entry per characteristic")
         if self.n_instruments < 1:
             raise ValueError("need at least one cost shifter")
-        for name in ("xi_scale", "instrument_strength", "characteristic_scale",
-                     "cost_scale", "price_noise_scale"):
+        for name in ("xi_scale", "instrument_strength", "characteristic_scale", "price_noise_scale"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
         if self.alpha < 0:
@@ -91,8 +89,8 @@ class DgpParams:
         """True values of the estimating equation's coefficients.
 
         The intercept's truth is zero: xi is zero-mean noise (plus any fixed
-        effects, which bias the intercept but not the slopes), and the price
-        intercept acts through the price coefficient.
+        effects, which bias the intercept but not the slopes), and price has
+        no intercept of its own.
         """
         truths = {estimators.INTERCEPT_NAME: 0.0}
         for name, b in zip(self.characteristic_names(), self.beta):
@@ -144,8 +142,8 @@ def _gumbel(rng, shape):
     return -np.log(-np.log(u))
 
 
-def sample_choices(delta, consumers, rng=None):
-    """Simulate discrete choices for `consumers` individuals.
+def sample_choices(delta, consumers, rng):
+    """Simulate discrete choices for `consumers` individuals, drawing from the generator `rng`.
 
     Each consumer picks the option maximizing delta_j + Gumbel noise, with the
     outside option's utility fixed at zero. Returns (inside_counts,
@@ -156,8 +154,6 @@ def sample_choices(delta, consumers, rng=None):
         raise ValueError("mean utilities must be finite")
     if consumers < 1:
         raise ValueError("need at least one consumer")
-    if rng is None:
-        rng = np.random.default_rng()
 
     base = np.concatenate([[0.0], d])
     counts = np.zeros(base.shape[0], dtype=np.int64)
@@ -188,7 +184,7 @@ def draw_market(params: DgpParams, rng):
     for attempt in range(_MAX_REDRAWS):
         x = rng.normal(params.characteristic_loc, params.characteristic_scale, (n, k)) \
             if k else np.zeros((n, 0))
-        costs = rng.normal(params.cost_loc, params.cost_scale, (n, params.n_instruments))
+        costs = rng.normal(0.0, 1.0, (n, params.n_instruments))
         dxi = rng.normal(0.0, params.xi_scale, n) if params.xi_scale > 0 else np.zeros(n)
         noise = rng.normal(0.0, params.price_noise_scale, n) \
             if params.price_noise_scale > 0 else np.zeros(n)
@@ -198,8 +194,7 @@ def draw_market(params: DgpParams, rng):
         time_idx = np.tile(np.arange(t), j)
         xi = unit_eff[unit_idx] + time_eff[time_idx] + dxi
         price = (
-            params.price_intercept
-            + params.instrument_strength * costs.sum(axis=1)
+            params.instrument_strength * costs.sum(axis=1)
             + params.price_endogeneity * xi
             + noise
         )

@@ -302,6 +302,47 @@ def test_diagnose_exactly_identified_writes_output(tmp_path, capsys):
     assert (tmp_path / "report.txt.manifest.json").exists()
 
 
+def _small_tsls_inputs(tmp_path, columns, intercept=True):
+    """A one-period panel of `columns` (x1, price, then the instruments) and its 2SLS spec."""
+    n = len(columns["x1"])
+    header = ",".join(["unit", "period", DEPENDENT_COLUMN, *columns])
+    rows = [",".join([f"u{i}", "2001", f"{0.1 * i}", *(str(v[i]) for v in columns.values())])
+            for i in range(n)]
+    (tmp_path / "small.csv").write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+    spec = {"dataset": "small.csv", "dependent": DEPENDENT_COLUMN, "exogenous": ["x1"],
+            "endogenous": ["price"], "instruments": list(columns)[2:], "estimator": "tsls",
+            "intercept": intercept}
+    spec_path = tmp_path / "small.json"
+    spec_path.write_text(json.dumps(spec), encoding="utf-8")
+    return spec_path
+
+
+def test_diagnose_exact_first_stage_reports_infinite_f(tmp_path, capsys):
+    # The instrument is the price itself, so the unrestricted first stage fits exactly.
+    price = [1, 0, 1, 1, 2, 2]
+    spec_path = _small_tsls_inputs(tmp_path, {"x1": [2, 0, 0, 0, 1, 2], "price": price, "z": price})
+    assert main(["diagnose", "--spec", str(spec_path)]) == 0
+    captured = capsys.readouterr()
+    assert "  F:                      inf\n  Pr(>F):                 0.000\n" in captured.out
+    assert "exactly identified" in captured.out
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("columns, intercept, message", [
+    ({"x1": [0, 1, 0], "price": [1, 3, 2], "z": [1, 0, 2]}, True,
+     "3 rows cannot support the unrestricted first stage"),
+    # Without an intercept the first stage has 3 columns, the Sargan regression still 4.
+    ({"x1": [0, 1, 0, 2], "price": [1, 3, 2, 2], "z": [1, 0, 2, 1], "z2": [5, 1, 3, 2]}, False,
+     "4 rows cannot support the residual regression"),
+], ids=["first_stage", "residual_regression"])
+def test_diagnose_on_too_few_rows_exits_3(tmp_path, capsys, columns, intercept, message):
+    spec_path = _small_tsls_inputs(tmp_path, columns, intercept)
+    assert main(["diagnose", "--spec", str(spec_path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_diagnose_without_instruments_exits_4(tmp_path, capsys):
     spec_path, _ = _sim_inputs(tmp_path)
     spec = json.loads(spec_path.read_text())
@@ -379,11 +420,15 @@ def test_simulate_bundled_params(capsys):
     assert "Monte Carlo summary: 1/1 replications" in capsys.readouterr().out
 
 
-def test_simulate_rejects_unknown_keys(tmp_path, capsys):
+# The generator's cost shifters are standard normal and price has no intercept; the keys that
+# once set them are unknown like any other.
+@pytest.mark.parametrize("key", ["typo", "cost_loc", "cost_scale", "price_intercept"])
+def test_simulate_rejects_unknown_keys(tmp_path, capsys, key):
     params_path = tmp_path / "params.json"
-    params_path.write_text(json.dumps({"n_products": 2, "n_periods": 2, "typo": 1}),
+    params_path.write_text(json.dumps({"n_products": 2, "n_periods": 2, key: 1}),
                            encoding="utf-8")
     assert main(["simulate", "--params", str(params_path)]) == 5
+    assert f"unknown parameter keys: ['{key}']" in capsys.readouterr().err
 
 
 def test_simulate_rejects_invalid_values(tmp_path, capsys):

@@ -290,6 +290,13 @@ def test_compute_dependent_from_share_column(tmp_path):
     assert np.allclose(data.column(DEPENDENT_COLUMN), math.log(0.25) - math.log(0.5))
 
 
+def test_compute_dependent_share_period_summing_past_one_names_the_sum(tmp_path):
+    text = "unit,period,share\na,2014,0.2\na,2015,0.5\nb,2014,0.3\nb,2015,0.6\n"
+    with pytest.raises(DomainViolationError,
+                       match=r"period 2015: inside shares sum to 1\.1, outside share must be positive"):
+        compute_dependent(load_panel(_write(tmp_path, text)))
+
+
 def test_compute_dependent_requires_inputs(tmp_path):
     data = load_panel(_write(tmp_path, "unit,period,Price\na,2014,1\n"))
     with pytest.raises(DomainViolationError):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logitdemand.diagnostics import (
     chi_square_upper_tail,
@@ -74,6 +76,36 @@ def test_tail_domain_errors():
         chi_square_upper_tail(-1.0, 1)
     with pytest.raises(ValueError):
         chi_square_upper_tail(1.0, 0)
+    with pytest.raises(ValueError, match="integer"):
+        chi_square_upper_tail(1.0, 2.5)
+
+
+_STATISTICS = st.one_of(st.floats(0.0, 1e4), st.sampled_from([0.0, math.inf, math.nan]))
+
+
+def _matches_oracle(p, oracle):
+    if math.isnan(oracle):
+        return math.isnan(p)
+    return abs(p - oracle) <= 1e-11 and (oracle <= 1e-100 or abs(p - oracle) <= 1e-10 * oracle)
+
+
+@settings(max_examples=400)
+@given(x=_STATISTICS, df1=st.integers(1, 20), df2=st.integers(1, 200_000), df=st.integers(1, 50))
+def test_tails_match_scipy(x, df1, df2, df):
+    from scipy import special, stats
+
+    # stats.f.sf evaluates I_w(df2/2, df1/2) at w = df2 / (df2 + df1 x), which rounds near 1 for
+    # a tiny F: it is then off by up to 3e-11 (x = 1e-12, df 1 and 1), and
+    # special.betainc(df2/2, df1/2, w) by up to 1.5e-9. Where the tail exceeds 1/2 the oracle is
+    # 1 - I_v(df1/2, df2/2) with v = 1 - w taken from x, exact to rounding
+    # (special.betaincc(df1/2, df2/2, v) reads 1.0 for v = 2.4e-21).
+    v = df1 * x / (df2 + df1 * x)
+    lower = special.betainc(df1 / 2, df2 / 2, v)
+    oracle = 1.0 - lower if lower < 0.5 else stats.f.sf(x, df1, df2)
+    assert _matches_oracle(f_upper_tail(x, df1, df2), float(oracle))
+    assert _matches_oracle(chi_square_upper_tail(x, df), float(stats.chi2.sf(x, df)))
+    stack = chi_square_upper_tail(np.array([x, 2.0 * x]), df)
+    assert all(_matches_oracle(p, o) for p, o in zip(stack, stats.chi2.sf([x, 2.0 * x], df)))
 
 
 def test_first_stage_f_matches_rss_definition(simulated_market):
@@ -99,6 +131,19 @@ def test_first_stage_f_matches_rss_definition(simulated_market):
     assert report.restricted_df == n - xr.shape[1]
     assert report.unrestricted_df == df_u
     assert report.p_value == pytest.approx(f_upper_tail(oracle, m, df_u), abs=1e-14)
+
+
+def test_first_stage_f_of_an_exact_first_stage_is_infinite(make_panel):
+    # The instrument is the price itself, so the unrestricted first stage leaves RSS 0.
+    price = [1.0, 0.0, 1.0, 1.0, 2.0, 2.0]
+    data = make_panel({"y": np.arange(6.0), "x1": [2.0, 0.0, 0.0, 0.0, 1.0, 2.0],
+                       "price": price, "z": price})
+    spec = ModelSpec(dependent="y", exogenous_regressors=("x1",), endogenous_regressors=("price",),
+                     instruments=("z",), estimator="tsls")
+    report = first_stage_f(spec, data)
+    assert report.f_statistic == math.inf
+    assert report.p_value == 0.0
+    assert report.passes_rule_of_thumb
 
 
 def test_first_stage_f_weak_vs_strong(simulated_market):

@@ -15,6 +15,7 @@ independent lstsq oracle in `test_regression_oracle.py`.
 """
 
 import dataclasses
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -266,19 +267,30 @@ def test_tsls_with_copied_regressors_as_instruments_is_ols(seed, n, covariance):
             assert _close(a.standard_errors, b.standard_errors, np.max(b.standard_errors))
 
 
-def test_cli_and_monte_carlo_do_not_load_scipy_linalg():
-    # Importing scipy.linalg alone added about 8 MB of peak RSS to the Monte Carlo benchmark.
+def test_cli_and_monte_carlo_run_without_scipy(tmp_path):
+    # numpy is the only runtime dependency; importing scipy.linalg alone added about 8 MB of peak
+    # RSS to the Monte Carlo benchmark. With sys.modules["scipy"] = None any scipy import fails.
     src = Path(__file__).resolve().parents[1] / "src"
     code = (
         "import sys\n"
+        "sys.modules['scipy'] = None\n"
         f"sys.path.insert(0, {str(src)!r})\n"
         "import logitdemand.cli\n"
-        "from logitdemand import simulate\n"
+        "from logitdemand import dataio, simulate\n"
         "params = simulate.DgpParams(n_products=4, n_periods=3, xi_scale=0.5, seed=1)\n"
         "for est in ('ols', 'tsls', 'two_way_fe'):\n"
         "    simulate.run_monte_carlo(params, simulate.default_model_spec(params, est), 5)\n"
-        "print('scipy.linalg' in sys.modules)\n"
+        f"dataio.write_panel_csv(simulate.generate_market(params)[0], {str(tmp_path / 'm.csv')!r})\n"
+        f"spec = {str(tmp_path / 'spec.json')!r}\n"
+        "assert logitdemand.cli.main(['estimate', '--spec', spec, '--method', 'ols']) == 0\n"
+        "assert logitdemand.cli.main(['diagnose', '--spec', spec]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.')))\n"
     )
+    spec = {"dataset": "m.csv", "dependent": "log_share_diff", "exogenous": ["x1"],
+            "endogenous": ["price"], "instruments": ["cost1", "cost2"], "estimator": "tsls"}
+    (tmp_path / "spec.json").write_text(json.dumps(spec), encoding="utf-8")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, timeout=120)
-    assert out.stdout.strip() == "False"
+    assert "Student t(n-p)" in out.stdout
+    assert "Sargan J test (H0" in out.stdout
+    assert out.stdout.splitlines()[-1] == "[]"
