@@ -15,10 +15,8 @@ from .dataio import (
     load_panel,
     parse_spec,
     write_panel_csv,
-    write_results_csv,
 )
 from .demand import (
-    binary_choice_probability,
     invert_shares,
     predict_shares,
     shares_from_quantities,
@@ -62,7 +60,6 @@ __all__ = [
     "ModelSpec",
     "PanelDataset",
     "TrueMarket",
-    "binary_choice_probability",
     "chi_square_upper_tail",
     "compute_dependent",
     "default_model_spec",
@@ -84,5 +81,4 @@ __all__ = [
     "shares_from_quantities",
     "solve_least_squares",
     "write_panel_csv",
-    "write_results_csv",
 ]

@@ -248,10 +248,9 @@ def cmd_simulate(args) -> int:
             raise ValueError(f"unknown parameter keys: {sorted(unknown)}")
         estimator = raw.pop("estimator", "tsls")
         covariance = raw.pop("covariance", None)
-        replications = int(raw.pop("replications", 1))
-        for key in ("beta", "unit_effects", "time_effects"):
-            if key in raw and raw[key] is not None:
-                raw[key] = tuple(raw[key])
+        replications = raw.pop("replications", 1)
+        if isinstance(replications, bool) or not isinstance(replications, int):
+            raise ValueError("replications must be an integer")
         params = simulate.DgpParams(**raw)
         if args.seed is not None:
             params = dataclasses.replace(params, seed=args.seed)

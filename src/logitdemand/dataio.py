@@ -565,8 +565,3 @@ def results_csv_text(result) -> str:
         writer.writerow([row[0], *(format(v, ".17g") for v in row[1:])])
     return buf.getvalue()
 
-
-def write_results_csv(result, path):
-    """Write `results_csv_text(result)` to `path`."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(results_csv_text(result))

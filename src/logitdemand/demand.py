@@ -14,8 +14,6 @@ every row belongs to one period.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import OutsideShareNonPositiveError, ZeroQuantityError
@@ -103,12 +101,3 @@ def predict_shares(delta, codes=None):
     denom = base + np.bincount(codes, weights=expd, minlength=n_periods)
     return expd / denom[codes], base / denom
 
-
-def binary_choice_probability(delta_j: float, delta_k: float) -> float:
-    """Probability that option j beats option k under logit taste shocks."""
-    if not (math.isfinite(delta_j) and math.isfinite(delta_k)):
-        raise ValueError("utilities must be finite")
-    m = max(delta_j, delta_k)
-    ej = math.exp(delta_j - m)
-    ek = math.exp(delta_k - m)
-    return ej / (ej + ek)

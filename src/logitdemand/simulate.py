@@ -6,8 +6,9 @@ Price loads on cost shifters (the instruments) and, through the endogeneity
 weight, on xi itself, so OLS is inconsistent while 2SLS is not. Everything is
 driven by a single seed; the Monte Carlo spawns one independent seed per
 replication from it with numpy's SeedSequence, so runs with different seeds
-share no market. It fits every estimator, two-way fixed effects included, on
-stacks of markets through the regression code of a single panel.
+share no market. It draws its markets a chunk at a time, each from its own
+seed, and fits every estimator, two-way fixed effects included, on the
+chunk's stack through the regression code of a single panel.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import dataio, demand, diagnostics, estimators
-from .errors import DegenerateSharesError, LogitDemandError
+from .errors import DegenerateSharesError, LogitDemandError, UnknownColumnError
 
 _MIN_SHARE = 1e-12
 _MAX_REDRAWS = 100
@@ -58,13 +59,19 @@ class DgpParams:
 
     def __post_init__(self):
         object.__setattr__(self, "beta", tuple(float(b) for b in self.beta))
+        for name in ("n_products", "n_periods", "n_characteristics", "n_instruments", "seed",
+                     *(("consumers",) if self.consumers is not None else ())):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer")
         if self.n_products < 1 or self.n_periods < 1:
             raise ValueError("need at least one product and one period")
         if self.n_characteristics < 0 or len(self.beta) != self.n_characteristics:
             raise ValueError("beta must have one entry per characteristic")
         if self.n_instruments < 1:
             raise ValueError("need at least one cost shifter")
-        for name in ("xi_scale", "instrument_strength", "characteristic_scale", "price_noise_scale"):
+        for name in ("seed", "xi_scale", "instrument_strength", "characteristic_scale",
+                     "price_noise_scale"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
         if self.alpha < 0:
@@ -105,12 +112,8 @@ class TrueMarket:
 
     params: DgpParams
     delta: np.ndarray
-    xi: np.ndarray
     inside_shares: np.ndarray
     outside_shares: dict
-
-    def true_coefficients(self):
-        return self.params.true_coefficients()
 
 
 @dataclass(frozen=True)
@@ -118,7 +121,7 @@ class McSummary:
     """Aggregated Monte Carlo results; deterministic for a fixed (params, R).
 
     `failures` counts the failed replications by error class name; `redraws`
-    totals the draws that `draw_market` rejected and drew again.
+    totals the draws that `draw_markets` rejected and drew again.
     """
 
     replications: int
@@ -167,102 +170,116 @@ def sample_choices(delta, consumers, rng):
     return counts[1:].copy(), int(counts[0])
 
 
-def draw_market(params: DgpParams, rng):
-    """Draw one market's arrays from `rng`; returns (columns, TrueMarket, redraws).
+def draw_markets(params: DgpParams, seeds):
+    """Draw one market per seed, each from its own `default_rng(seed)`; `params.seed` is not read.
 
-    `columns` maps each generated column to its values, one row per (product,
-    period), units outer and periods inner. `params.seed` is not read: the
-    draw uses `rng` alone. A draw whose inside or outside share falls below
-    1e-12 (or whose sampled quantities hit zero) is rejected and drawn again,
-    up to a bounded retry count; `redraws` counts the rejected draws.
+    Returns (columns, delta, inside shares, outside shares, redraws) with one
+    leading row per seed: each column is (R, n), rows over units with periods
+    inside, and the outside shares are (R, T). A market whose `redraws`
+    reached `_MAX_REDRAWS` gave up; its rows hold its last rejected draw.
+
+    Each market makes its generator calls in a fixed order: characteristics,
+    cost shifters, xi noise and price noise, then, with `consumers` set, one
+    multinomial per period in period order, up to the first degenerate period
+    or product without a sale. Prices, mean utilities and shares are computed
+    for the whole chunk at once, with period codes r * T + t. A draw whose
+    inside or outside share falls below 1e-12 (or whose sampled quantities
+    hit zero) is rejected, and that market draws again from its own generator.
     """
     j, t, k = params.n_products, params.n_periods, params.n_characteristics
-    n = j * t
-    unit_eff = np.array(params.unit_effects) if params.unit_effects else np.zeros(j)
-    time_eff = np.array(params.time_effects) if params.time_effects else np.zeros(t)
+    n, stack = j * t, len(seeds)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    x = np.empty((stack, n, k))
+    costs = np.empty((stack, n, params.n_instruments))
+    dxi, noise, price, delta, inside = (np.zeros((stack, n)) for _ in range(5))
+    outside = np.empty((stack, t))
+    quantity = inside if params.consumers is None else np.zeros((stack, n), dtype=np.int64)
+    redraws = np.zeros(stack, dtype=np.int64)
+    # Row order: unit-major, periods inside, matching the loader's sort.
+    effects = np.add.outer(params.unit_effects or np.zeros(j), params.time_effects or np.zeros(t))
+    codes = np.arange(stack)[:, None] * t + np.tile(np.arange(t), j)
 
-    for attempt in range(_MAX_REDRAWS):
-        x = rng.normal(params.characteristic_loc, params.characteristic_scale, (n, k)) \
-            if k else np.zeros((n, 0))
-        costs = rng.normal(0.0, 1.0, (n, params.n_instruments))
-        dxi = rng.normal(0.0, params.xi_scale, n) if params.xi_scale > 0 else np.zeros(n)
-        noise = rng.normal(0.0, params.price_noise_scale, n) \
-            if params.price_noise_scale > 0 else np.zeros(n)
+    todo = np.arange(stack)
+    for _ in range(_MAX_REDRAWS):
+        for r in todo:
+            rng = rngs[r]
+            if k:
+                x[r] = rng.normal(params.characteristic_loc, params.characteristic_scale, (n, k))
+            costs[r] = rng.normal(0.0, 1.0, (n, params.n_instruments))
+            if params.xi_scale > 0:
+                dxi[r] = rng.normal(0.0, params.xi_scale, n)
+            if params.price_noise_scale > 0:
+                noise[r] = rng.normal(0.0, params.price_noise_scale, n)
 
-        # Row order: unit-major, periods inside, matching the loader's sort.
-        unit_idx = np.repeat(np.arange(j), t)
-        time_idx = np.tile(np.arange(t), j)
-        xi = unit_eff[unit_idx] + time_eff[time_idx] + dxi
-        price = (
-            params.instrument_strength * costs.sum(axis=1)
-            + params.price_endogeneity * xi
-            + noise
-        )
-        delta = (x @ np.array(params.beta) if k else np.zeros(n)) - params.alpha * price + xi
-
-        inside, outside = demand.predict_shares(delta, time_idx)
-        by_period = inside.reshape(j, t).T
-        degenerate = (outside < _MIN_SHARE) | (by_period.min(axis=1) < _MIN_SHARE)
+        xi = effects.reshape(-1) + dxi[todo]
+        p = (params.instrument_strength * costs[todo].sum(axis=2) + params.price_endogeneity * xi
+             + noise[todo])
+        d = (x[todo] @ np.array(params.beta) if k else np.zeros(p.shape)) - params.alpha * p + xi
+        s, s0 = demand.predict_shares(d, codes[:todo.size])
+        s, s0 = s.reshape(p.shape), s0.reshape(-1, t)
+        price[todo], delta[todo], inside[todo], outside[todo] = p, d, s, s0
+        degenerate = (s0 < _MIN_SHARE) | (s.reshape(-1, j, t).min(axis=1) < _MIN_SHARE)
         if params.consumers is None:
-            if np.any(degenerate):
-                continue
-            quantity = inside
-            market_size = np.ones(n)
+            drawn = ~degenerate.any(axis=1)
         else:
-            # One multinomial draw per period, in period order, up to the first
-            # degenerate period or failed draw: the re-draw continues the stream.
-            counts = []
-            for ti in range(t):
-                if degenerate[ti]:
-                    break
-                probs = np.append(by_period[ti], outside[ti])
-                draw = rng.multinomial(params.consumers, probs / probs.sum())
-                if np.any(draw == 0):
-                    break
-                counts.append(draw[:-1])
-            if len(counts) < t:
-                continue
-            quantity = np.array(counts).T.reshape(-1)
-            market_size = np.full(n, float(params.consumers))
+            drawn = np.zeros(todo.size, dtype=bool)
+            for i, r in enumerate(todo):
+                counts = quantity[r].reshape(j, t)
+                for ti in range(t):
+                    if degenerate[i, ti]:
+                        break
+                    probs = np.append(inside[r].reshape(j, t)[:, ti], s0[i, ti])
+                    draw = rngs[r].multinomial(params.consumers, probs / probs.sum())
+                    if np.any(draw == 0):
+                        break
+                    counts[:, ti] = draw[:-1]
+                else:
+                    drawn[i] = True
+        todo = todo[~drawn]
+        redraws[todo] += 1
+        if not todo.size:
+            break
 
-        columns = {name: x[:, i] for i, name in enumerate(params.characteristic_names())}
-        columns["price"] = price
-        for i, name in enumerate(params.instrument_names()):
-            columns[name] = costs[:, i]
-        columns["quantity"] = quantity
-        columns["market_size"] = market_size
-        truth = TrueMarket(
-            params=params, delta=delta, xi=xi, inside_shares=inside,
-            outside_shares=dict(zip(range(2001, 2001 + t), outside.tolist())),
-        )
-        return columns, truth, attempt
-
-    raise DegenerateSharesError(
-        f"no draw produced shares above {_MIN_SHARE:g} within {_MAX_REDRAWS} attempts"
-    )
+    columns = {name: x[..., i] for i, name in enumerate(params.characteristic_names())}
+    columns["price"] = price
+    for i, name in enumerate(params.instrument_names()):
+        columns[name] = costs[..., i]
+    columns["quantity"] = quantity
+    columns["market_size"] = np.full((stack, n), float(params.consumers or 1))
+    return columns, delta, inside, outside, redraws
 
 
 def generate_market(params: DgpParams):
     """Draw one synthetic panel; returns (PanelDataset, TrueMarket).
 
-    Output is identical for identical seeds: `draw_market` on
-    `default_rng(params.seed)`, as a panel of units P01, P02, ... and periods
-    2001, 2002, ...
+    Output is identical for identical seeds: `draw_markets` for a chunk of
+    one market on `params.seed`, as a panel of units P01, P02, ... and
+    periods 2001, 2002, ...
     """
-    columns, truth, _ = draw_market(params, np.random.default_rng(params.seed))
-    return _as_panel(params, columns), truth
+    data, delta, inside, outside, _ = _draw_panel(params, params.seed)
+    periods = range(2001, 2001 + params.n_periods)
+    return data, TrueMarket(params, delta, inside, dict(zip(periods, outside.tolist())))
 
 
-def _as_panel(params: DgpParams, columns) -> dataio.PanelDataset:
+def _draw_panel(params: DgpParams, seed):
+    """One market drawn as a chunk of one; returns (PanelDataset, delta, inside shares, outside
+    shares, redraws). Raises `DegenerateSharesError` if the market gave up."""
+    columns, *truth = draw_markets(params, [seed])
+    delta, inside, outside, redraws = (values[0] for values in truth)
+    if redraws == _MAX_REDRAWS:
+        raise DegenerateSharesError(
+            f"no draw produced shares above {_MIN_SHARE:g} within {_MAX_REDRAWS} attempts"
+        )
     j, t = params.n_products, params.n_periods
     width = max(2, len(str(j)))
     units = [f"P{i + 1:0{width}d}" for i in range(j)]
-    return dataio.PanelDataset(
+    data = dataio.PanelDataset(
         units=tuple(units[i] for i in np.repeat(np.arange(j), t)),
         periods=(2001 + np.tile(np.arange(t), j)).tolist(),
-        columns=columns,
+        columns={name: values[0] for name, values in columns.items()},
         column_kinds={},
     )
+    return data, delta, inside, outside, int(redraws)
 
 
 def default_model_spec(params: DgpParams, estimator="tsls", covariance=None) -> estimators.ModelSpec:
@@ -291,24 +308,32 @@ def run_monte_carlo(params: DgpParams, spec: estimators.ModelSpec | None = None,
     """Generate, estimate and test `replications` markets; aggregate the results.
 
     Replication r draws its market from `default_rng` on the r-th seed of
-    `replication_seeds(params.seed, replications)`. Replications are fitted
-    in chunks of at most `_STACK_ROWS` (5,000) rows, inverted together and
-    fitted by the regression code of a single panel (`estimators.absorb` and
+    `replication_seeds(params.seed, replications)`. Replications run in
+    chunks of at most `_STACK_ROWS` (5,000) rows: `draw_markets` draws a
+    chunk's markets together, and they are inverted together and fitted by
+    the regression code of a single panel (`estimators.absorb` and
     `pooled_fit`, `diagnostics.first_stage_stats`, `sargan_stats`) with one
-    stacked LAPACK QR per regression. A replication whose draw raises, whose
-    chunk fails a share check or a fit, whose fits are not certified full
-    rank or whose F or J is not finite is fitted again on its own panel by
-    `estimate`, `first_stage_f` and `sargan_j` with the pivoted QR, failures
-    included. The two solvers agree within 1e-10 relative (about 1e-15 in
-    practice).
+    stacked LAPACK QR per regression. A replication whose market gave up
+    re-drawing, whose chunk fails a share check or a fit, whose fits are not
+    certified full rank or whose F or J is not finite is drawn and fitted
+    again on its own panel by `estimate`, `first_stage_f` and `sargan_j` with
+    the pivoted QR, failures included. The two solvers agree within 1e-10
+    relative (about 1e-15 in practice).
 
     Per-replication estimator failures are counted by error class, not fatal.
-    Coverage uses the +-1.96 * SE interval per coefficient.
+    Coverage uses the +-1.96 * SE interval per coefficient. Raises
+    `UnknownColumnError` for the first column the spec names that the
+    generator does not make.
     """
     if replications < 1:
         raise ValueError("need at least one replication")
     if spec is None:
         spec = default_model_spec(params)
+    generated = {*params.characteristic_names(), "price", *params.instrument_names(),
+                 "quantity", "market_size", dataio.DEPENDENT_COLUMN}
+    for name in (spec.dependent, *spec.regressors, *spec.instruments):
+        if name not in generated:
+            raise UnknownColumnError(name)
     records = _replications(params, spec, replication_seeds(params.seed, replications))
     return _summarize(params, replications, records)
 
@@ -343,8 +368,8 @@ def _replicate(params: DgpParams, spec: estimators.ModelSpec, rep_seed: int) -> 
     redraws = 0
     has_f, has_j = _reported_tests(spec)
     try:
-        columns, _, redraws = draw_market(params, np.random.default_rng(rep_seed))
-        data = dataio.compute_dependent(_as_panel(params, columns))
+        data, *_, redraws = _draw_panel(params, rep_seed)
+        data = dataio.compute_dependent(data)
         result = estimators.estimate(spec, data)
         if has_f:
             f = diagnostics.first_stage_f(spec, data).f_statistic
@@ -358,11 +383,7 @@ def _replicate(params: DgpParams, spec: estimators.ModelSpec, rep_seed: int) -> 
 
 
 def _replications(params: DgpParams, spec: estimators.ModelSpec, seeds) -> list:
-    """Every replication's outcome in seed order, in stacked chunks if the spec's columns are drawn."""
-    generated = {*params.characteristic_names(), "price", *params.instrument_names(),
-                 "quantity", "market_size", dataio.DEPENDENT_COLUMN}
-    if not {spec.dependent, *spec.regressors, *spec.instruments} <= generated:
-        return [_replicate(params, spec, seed) for seed in seeds]
+    """Every replication's outcome in seed order, drawn and fitted in stacked chunks."""
     per_chunk = max(1, _STACK_ROWS // (params.n_products * params.n_periods))
     records = []
     for start in range(0, len(seeds), per_chunk):
@@ -371,28 +392,24 @@ def _replications(params: DgpParams, spec: estimators.ModelSpec, seeds) -> list:
 
 
 def _fit_chunk(params: DgpParams, spec: estimators.ModelSpec, seeds) -> list:
-    """One chunk's outcomes: stacked fits, and `_replicate` for every replication they miss."""
-    draws = []
-    redraws = {}
-    for i, seed in enumerate(seeds):
-        try:
-            columns, _, redraws[i] = draw_market(params, np.random.default_rng(seed))
-        except Exception:  # `_replicate` draws it again, and fails or raises in seed order
-            continue
-        draws.append(columns)
+    """One chunk's outcomes: stacked fits, and `_replicate` for every replication they miss.
+
+    A market that gave up is one they miss: `_replicate` fails it in seed order.
+    """
+    columns, *_, redraws = draw_markets(params, seeds)
+    drawn = np.flatnonzero(redraws < _MAX_REDRAWS)
     records = [None] * len(seeds)
-    if draws:
-        columns = {name: np.stack([d[name] for d in draws]) for name in draws[0]}
-        del draws, _  # only the stacked columns and the re-draw counts stay while the fits run
+    if drawn.size:
+        columns = {name: values[drawn] for name, values in columns.items()}
         try:
             columns[dataio.DEPENDENT_COLUMN] = _stacked_dependent(columns, params.n_periods)
             stacked = _fit_stack(spec, columns, params.n_periods)
         except (LogitDemandError, ValueError):
             pass  # a share check or a fit raised: the whole chunk goes through `_replicate`
         else:
-            for i, record in zip(redraws, stacked):
+            for i, record in zip(drawn, stacked):
                 if record is not None:
-                    records[i] = record._replace(redraws=redraws[i])
+                    records[i] = record._replace(redraws=int(redraws[i]))
     return [_replicate(params, spec, seed) if record is None else record
             for seed, record in zip(seeds, records)]
 

@@ -431,10 +431,23 @@ def test_simulate_rejects_unknown_keys(tmp_path, capsys, key):
     assert f"unknown parameter keys: ['{key}']" in capsys.readouterr().err
 
 
-def test_simulate_rejects_invalid_values(tmp_path, capsys):
+@pytest.mark.parametrize("override, message", [
+    ({"n_products": 0}, "need at least one product and one period"),
+    ({"n_products": 2.5}, "n_products must be an integer"),
+    ({"n_products": True}, "n_products must be an integer"),
+    ({"seed": -1}, "seed must be non-negative"),
+    ({"seed": 1.5}, "seed must be an integer"),
+    ({"consumers": 10.5}, "consumers must be an integer"),
+    ({"replications": 2.7}, "replications must be an integer"),
+])
+def test_simulate_rejects_invalid_values(tmp_path, capsys, override, message):
     params_path = tmp_path / "params.json"
-    params_path.write_text(json.dumps({"n_products": 0, "n_periods": 2}), encoding="utf-8")
+    params = {"n_products": 3, "n_periods": 2, "seed": 4, "replications": 3, **override}
+    params_path.write_text(json.dumps(params), encoding="utf-8")
     assert main(["simulate", "--params", str(params_path)]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_simulate_reports_failures_by_class_and_redraws(tmp_path, capsys):

@@ -13,8 +13,8 @@ from logitdemand.dataio import (
     compute_dependent,
     load_panel,
     parse_spec,
+    results_csv_text,
     write_panel_csv,
-    write_results_csv,
 )
 from logitdemand.errors import (
     DomainViolationError,
@@ -397,14 +397,12 @@ def test_bundled_specs_parse(number):
     assert dataset_path == path.parent.parent / "data" / "console_panel.csv"
 
 
-def test_write_results_csv(tmp_path, make_panel):
+def test_write_results_csv(make_panel):
     rng = np.random.default_rng(0)
     x = rng.normal(size=40)
     data = make_panel({"y": 2.0 + 3.0 * x, "x": x})
     result = estimate_ols(ModelSpec(dependent="y", exogenous_regressors=("x",)), data)
-    out = tmp_path / "coef.csv"
-    write_results_csv(result, out)
-    lines = out.read_text().strip().splitlines()
+    lines = results_csv_text(result).strip().splitlines()
     assert lines[0] == "name,estimate,std_error,t_value"
     assert lines[1].startswith("const,")
     assert float(lines[2].split(",")[1]) == pytest.approx(3.0, abs=1e-12)

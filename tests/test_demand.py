@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from logitdemand.demand import (
-    binary_choice_probability,
     invert_shares,
     predict_shares,
     shares_from_quantities,
@@ -130,25 +129,6 @@ def test_predict_survives_extreme_utilities():
     assert 0.0 < inside[1] < 1e-300
     assert outside[1] == pytest.approx(1.0, abs=1e-12)
     assert outside[0] > 0.0 and np.all(np.isfinite(inside))
-
-
-def test_binary_choice_trivial_values():
-    assert binary_choice_probability(0.0, 0.0) == pytest.approx(0.5)
-    assert binary_choice_probability(math.log(3.0), 0.0) == pytest.approx(0.75)
-
-
-def test_binary_choice_matches_direct_evaluation():
-    expected = math.exp(2.0) / (math.exp(2.0) + math.exp(-1.0))
-    assert binary_choice_probability(2.0, -1.0) == pytest.approx(expected, abs=1e-12)
-    assert binary_choice_probability(2.0, -1.0) == pytest.approx(0.952574, abs=1e-6)
-
-
-def test_binary_choice_symmetric_complement():
-    rng = np.random.default_rng(13)
-    for _ in range(50):
-        a, b = rng.normal(scale=5.0, size=2)
-        total = binary_choice_probability(a, b) + binary_choice_probability(b, a)
-        assert total == pytest.approx(1.0, abs=1e-14)
 
 
 def test_share_ratios_obey_iia():

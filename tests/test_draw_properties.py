@@ -9,6 +9,8 @@ the same columns, mean utilities, shares and re-draw count to the last bit,
 and a market the reference gives up on must be given up on too.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -80,16 +82,11 @@ def _reference_draw(params, rng):
 
 def _draw_chunk(params, seeds):
     """Each market of the chunk as `_reference_draw` returns it, or None where it gave up."""
-    markets = []
-    for seed in seeds:
-        try:
-            columns, truth, redraws = simulate.draw_market(params, np.random.default_rng(seed))
-        except DegenerateSharesError:
-            markets.append(None)
-            continue
-        outside = np.array(list(truth.outside_shares.values()))
-        markets.append((columns, truth.delta, truth.inside_shares, outside, redraws))
-    return markets
+    columns, delta, inside, outside, redraws = simulate.draw_markets(params, seeds)
+    return [None if redraws[r] == 100 else
+            ({name: values[r] for name, values in columns.items()}, delta[r], inside[r],
+             outside[r], redraws[r])
+            for r in range(len(seeds))]
 
 
 def _same_bits(a, b):
@@ -172,7 +169,12 @@ def test_chunk_draws_match_the_per_replication_draws(case):
               unit_effects=(40.0, 0.0), seed=9),
 ])
 def test_redraws_and_give_ups_match_the_per_replication_draws(params):
-    reference = _assert_chunk_matches(params, replication_seeds(params.seed, 25))
+    seeds = replication_seeds(params.seed, 25)
+    reference = _assert_chunk_matches(params, seeds)
+    for seed, market in zip(seeds, reference):
+        if market is None:  # a single panel on that seed gives up the same way
+            with pytest.raises(DegenerateSharesError, match="within 100 attempts"):
+                simulate.generate_market(dataclasses.replace(params, seed=seed))
     accepted = [market for market in reference if market is not None]
     if params.unit_effects == (40.0, 0.0):
         assert not accepted

@@ -2,16 +2,19 @@
 
 Both paths run the same regression code (`estimators.absorb` and
 `pooled_fit`, `diagnostics.first_stage_stats` and `sargan_stats`); they
-differ in the solver. `simulate._replications` fits chunks of replications
-as stacks, one LAPACK QR per regression with a per-market full-rank
-certificate; `simulate._replicate` fits one replication on its own panel
-through `estimate`, `first_stage_f` and `sargan_j` with the pivoted QR. Two-way
-fixed-effects specs take both paths too. The two must
-agree replication by replication: the same failures and re-draws, and the
-same numbers within 1e-10 (the arithmetic differs in order, so not bit for
-bit). The chunk bound is lowered so that a few replications already span
-several chunks. The regression code itself is checked against an
-independent lstsq oracle in `test_regression_oracle.py`.
+differ in how markets are drawn and in the solver. `simulate._replications`
+draws each chunk of replications with one `draw_markets` call and fits the
+chunk as a stack, one LAPACK QR per regression with a per-market full-rank
+certificate; `simulate._replicate` draws one replication as a chunk of one
+and fits it on its own panel through `estimate`, `first_stage_f` and
+`sargan_j` with the pivoted QR. Two-way fixed-effects specs take both paths
+too. The two must agree replication by replication: the same failures and
+re-draws, and the same numbers within 1e-10 (the arithmetic differs in
+order, so not bit for bit). The chunk bound is lowered so that a few
+replications already span several chunks. The draws themselves are checked
+bit for bit against the per-replication draw loop in
+`test_draw_properties.py`, and the regression code against an independent
+lstsq oracle in `test_regression_oracle.py`.
 """
 
 import dataclasses

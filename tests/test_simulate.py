@@ -1,12 +1,14 @@
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from logitdemand import simulate
 from logitdemand.dataio import DEPENDENT_COLUMN, compute_dependent
 from logitdemand.demand import predict_shares
-from logitdemand.errors import DegenerateSharesError
+from logitdemand.errors import DegenerateSharesError, UnknownColumnError
 from logitdemand.estimators import design_matrix, estimate, estimate_tsls
 from logitdemand.matrix import solve_least_squares_stacked
 from logitdemand.simulate import (
@@ -99,6 +101,12 @@ def test_param_validation():
         DgpParams(n_products=1, n_periods=1, xi_scale=-0.1)
     with pytest.raises(ValueError):
         DgpParams(n_products=2, n_periods=2, unit_effects=(1.0,))
+    # Counts and the seed are integers: numpy integers pass, bools and floats do not.
+    assert DgpParams(n_products=np.int64(2), n_periods=np.int32(3), seed=np.uint64(7)).n_products == 2
+    with pytest.raises(ValueError, match="n_periods must be an integer"):
+        DgpParams(n_products=1, n_periods=np.bool_(True))
+    with pytest.raises(ValueError, match="n_instruments must be an integer"):
+        DgpParams(n_products=1, n_periods=1, n_instruments=2.0)
 
 
 def test_sample_choices_binary_symmetric():
@@ -210,6 +218,16 @@ def test_monte_carlo_that_fails_everywhere_names_the_failures_by_class():
     with pytest.raises(DegenerateSharesError) as err:
         run_monte_carlo(params, replications=3)
     assert str(err.value) == "every replication failed (RankDeficientError 3); nothing to summarize"
+
+
+def test_monte_carlo_on_a_column_the_generator_does_not_make_raises_up_front():
+    params = DgpParams(n_products=4, n_periods=3, n_characteristics=1, beta=(1.0,),
+                       xi_scale=0.5, seed=2)
+    spec = dataclasses.replace(default_model_spec(params), exogenous_regressors=("x1", "Alone"))
+    with mock.patch.object(simulate, "draw_markets") as draws, \
+            pytest.raises(UnknownColumnError, match="'Alone'"):
+        run_monte_carlo(params, spec, replications=3)
+    assert draws.call_count == 0
 
 
 def test_monte_carlo_reports_diagnostics():
