@@ -135,6 +135,59 @@ def _csv_writer_bytes(data):
     return buf.getvalue().encode("utf-8")
 
 
+def _public(data):
+    """Every public attribute of a panel, as plain values."""
+    return {
+        "units": data.units, "periods": data.periods, "n_rows": data.n_rows,
+        **{name: getattr(data, name).tolist()
+           for name in ("unit_levels", "unit_codes", "period_levels", "period_codes")},
+        "row_labels": [data.row_label(i) for i in range(data.n_rows)],
+        "columns": {name: _bits(col) for name, col in data.columns.items()},
+        "source_lines": None if data.source_lines is None else data.source_lines.tolist(),
+    }
+
+
+def _columns(names, rows):
+    return {name: [math.nan if r[2][j] is None else r[2][j] for r in rows]
+            for j, name in enumerate(names)}
+
+
+@settings(max_examples=60)
+@given(panel_rows(), st.randoms(use_true_random=False))
+def test_label_constructor_and_loader_agree(tmp_path_factory, panel, rnd):
+    """A panel built from per-row labels equals the panel loaded from a shuffled file
+    of the same rows, and stays equal to it after `subset` and `with_column`."""
+    tmp_path = tmp_path_factory.mktemp("agree")
+    names, rows = panel
+    order = list(range(len(rows)))
+    rnd.shuffle(order)
+    text, lines = _csv_text(names, rows, order, [])
+    loaded = _load(tmp_path, text)
+    expected = sorted(rows, key=lambda r: (r[0], r[1]))
+    units, periods = [r[0] for r in expected], [r[1] for r in expected]
+    built = PanelDataset(units, periods, _columns(names, expected), {},
+                         source_lines=[lines[key] for key in zip(units, periods)])
+    assert _public(built) == _public(loaded)
+    mask = [rnd.random() < 0.6 for _ in rows]
+    assert _public(built.subset(mask)) == _public(loaded.subset(mask))
+    values = [rnd.uniform(-1.0, 1.0) for _ in rows]
+    for name in ("new", names[0]):
+        assert _public(built.with_column(name, values)) == _public(loaded.with_column(name, values))
+
+    # Rows in file order: the same levels, each row coded to its own labels.
+    shuffled = [rows[i] for i in order]
+    unsorted = PanelDataset([r[0] for r in shuffled], [r[1] for r in shuffled],
+                            _columns(names, shuffled), {})
+    assert unsorted.units == tuple(r[0] for r in shuffled)
+    assert unsorted.periods == tuple(r[1] for r in shuffled)
+    assert unsorted.unit_levels.tolist() == loaded.unit_levels.tolist()
+    assert unsorted.period_levels.tolist() == loaded.period_levels.tolist()
+    assert unsorted.unit_levels[unsorted.unit_codes].tolist() == list(unsorted.units)
+    assert unsorted.period_levels[unsorted.period_codes].tolist() == list(unsorted.periods)
+    assert [unsorted.row_label(i) for i in range(len(rows))] == [
+        f"row {i} (unit {r[0]!r}, period {r[1]})" for i, r in enumerate(shuffled)]
+
+
 # --- estimates -------------------------------------------------------------
 
 SPECS = [
