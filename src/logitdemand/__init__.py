@@ -46,7 +46,6 @@ from .simulate import (
     default_model_spec,
     generate_market,
     run_monte_carlo,
-    sample_choices,
 )
 
 __all__ = [
@@ -76,7 +75,6 @@ __all__ = [
     "predict_shares",
     "robust_covariance",
     "run_monte_carlo",
-    "sample_choices",
     "sargan_j",
     "shares_from_quantities",
     "solve_least_squares",

@@ -8,14 +8,13 @@ missing and excluded per estimation (listwise), never imputed.
 
 from __future__ import annotations
 
-import copy
 import csv
 import io
 import itertools
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -43,44 +42,60 @@ BLOCK_RECORDS = 4096
 
 @dataclass(frozen=True)
 class PanelDataset:
-    """Long-format panel: one row per (unit, period), numeric columns, NaN = missing."""
+    """Long-format panel keyed by codes: one row per (unit, period), numeric columns, NaN = missing.
 
-    units: tuple
-    periods: tuple
+    `unit_levels` (str) and `period_levels` (int) are sorted and distinct, and
+    each row's `unit_codes` and `period_codes` index them. The panel owns the
+    arrays it is given, which become read-only, and the whole panel is
+    validated on construction: no repeated (unit, period) key, `DUMMY_COLUMNS`
+    0 or 1, quantities and market sizes positive, and each period one market
+    size above its total quantity. `from_rows` builds a panel from per-row labels.
+    """
+
+    unit_levels: np.ndarray
+    unit_codes: np.ndarray
+    period_levels: np.ndarray
+    period_codes: np.ndarray
     columns: dict
-    column_kinds: dict
     source_lines: np.ndarray | None = None
-    #: The sorted distinct units and periods, and each row's index into them; set on construction.
-    unit_levels: np.ndarray = field(init=False, repr=False, compare=False)
-    unit_codes: np.ndarray = field(init=False, repr=False, compare=False)
-    period_levels: np.ndarray = field(init=False, repr=False, compare=False)
-    period_codes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        units = tuple(map(str, self.units))
-        periods = tuple(map(int, self.periods))
-        columns = {name: _float_column(name, values, len(units))
-                   for name, values in self.columns.items()}
-        kinds = dict(self.column_kinds)
-        for name in columns:
-            kinds.setdefault(name, "continuous")
-        if len(units) != len(periods):
+        n = len(self.unit_codes)
+        if len(self.period_codes) != n:
             raise ValueError("units and periods must align")
-        unit_levels = sorted(set(units))
-        index = {u: i for i, u in enumerate(unit_levels)}
-        period_levels, period_codes = np.unique(np.array(periods, dtype=np.int64), return_inverse=True)
-        _fill(
-            self, units=units, periods=periods, columns=columns, column_kinds=kinds,
-            source_lines=None if self.source_lines is None else np.array(self.source_lines, np.int64),
-            unit_levels=np.array(unit_levels, dtype=object),
-            unit_codes=np.fromiter(map(index.__getitem__, units), np.intp, len(units)),
-            period_levels=period_levels, period_codes=period_codes,
-        )
+        for name, arr in self.columns.items():
+            if arr.shape != (n,):
+                raise ValueError(f"column {name!r} has {arr.size} rows, expected {n}")
+        for arr in (self.unit_levels, self.unit_codes, self.period_levels, self.period_codes,
+                    self.source_lines, *self.columns.values()):
+            if arr is not None:
+                arr.flags.writeable = False
         _validate_dataset(self)
+
+    @classmethod
+    def from_rows(cls, units, periods, columns, source_lines=None) -> "PanelDataset":
+        """A panel from each row's unit and period label and column values, rows kept in order."""
+        unit_levels, unit_codes = np.unique(np.array(list(map(str, units)), dtype=object),
+                                            return_inverse=True)
+        period_levels, period_codes = np.unique(np.array(list(map(int, periods)), dtype=np.int64),
+                                                return_inverse=True)
+        return cls(unit_levels, unit_codes, period_levels, period_codes,
+                   {name: _float_column(values) for name, values in columns.items()},
+                   None if source_lines is None else np.array(source_lines, np.int64))
 
     @property
     def n_rows(self) -> int:
-        return len(self.units)
+        return len(self.unit_codes)
+
+    @property
+    def units(self) -> tuple:
+        """Each row's unit label."""
+        return tuple(self.unit_levels[self.unit_codes].tolist())
+
+    @property
+    def periods(self) -> tuple:
+        """Each row's period label."""
+        return tuple(self.period_levels[self.period_codes].tolist())
 
     def has_column(self, name) -> bool:
         return name in self.columns
@@ -90,10 +105,15 @@ class PanelDataset:
             raise KeyError(f"no column {name!r}")
         return self.columns[name]
 
+    def _key(self, i) -> tuple:
+        """Row `i`'s unit and period labels."""
+        return self.unit_levels[self.unit_codes[i]], int(self.period_levels[self.period_codes[i]])
+
     def row_label(self, i) -> str:
         if self.source_lines is not None:
             return f"line {self.source_lines[i]}"
-        return f"row {i} (unit {self.units[i]!r}, period {self.periods[i]})"
+        unit, period = self._key(i)
+        return f"row {i} (unit {unit!r}, period {period})"
 
     def complete_rows(self, names) -> np.ndarray:
         """Mask of rows with no missing value in any of the named columns."""
@@ -102,54 +122,25 @@ class PanelDataset:
             mask &= ~np.isnan(self.column(name))
         return mask
 
-    def with_column(self, name, values, kind="continuous") -> "PanelDataset":
-        """A copy with column `name` added or replaced; only that column is validated."""
-        data = _fill(
-            copy.copy(self),
-            columns={**self.columns, name: _float_column(name, values, self.n_rows)},
-            column_kinds={**self.column_kinds, name: kind},
-        )
-        _validate_columns(data, (name,))
-        return data
+    def with_column(self, name, values) -> "PanelDataset":
+        """A copy with column `name` added or replaced."""
+        return replace(self, columns={**self.columns, name: _float_column(values)})
 
     def subset(self, mask) -> "PanelDataset":
-        """The rows where `mask` is true; a subset of a valid panel needs no validation."""
+        """The rows where `mask` is true."""
         rows = np.flatnonzero(np.asarray(mask, dtype=bool))
         unit_used, unit_codes = np.unique(self.unit_codes[rows], return_inverse=True)
         period_used, period_codes = np.unique(self.period_codes[rows], return_inverse=True)
-        unit_levels, period_levels = self.unit_levels[unit_used], self.period_levels[period_used]
-        return _fill(
-            object.__new__(PanelDataset),
-            units=_labels(unit_levels, unit_codes), periods=_labels(period_levels, period_codes),
-            columns={name: arr[rows] for name, arr in self.columns.items()},
-            column_kinds=dict(self.column_kinds),
-            source_lines=None if self.source_lines is None else self.source_lines[rows],
-            unit_levels=unit_levels, unit_codes=unit_codes,
-            period_levels=period_levels, period_codes=period_codes,
+        return PanelDataset(
+            self.unit_levels[unit_used], unit_codes, self.period_levels[period_used], period_codes,
+            {name: arr[rows] for name, arr in self.columns.items()},
+            None if self.source_lines is None else self.source_lines[rows],
         )
 
 
-def _fill(data: PanelDataset, **fields) -> PanelDataset:
-    """Set fields of `data` from values already converted, coded and checked, and
-    owned by it: their arrays become read-only."""
-    for value in (*fields.values(), *fields.get("columns", {}).values()):
-        if isinstance(value, np.ndarray):
-            value.flags.writeable = False
-    data.__dict__.update(fields)
-    return data
-
-
-def _float_column(name, values, n_rows) -> np.ndarray:
-    """A float copy of `values`, which must hold one value per row."""
-    arr = np.asarray(values, dtype=float).reshape(-1)
-    if arr.shape[0] != n_rows:
-        raise ValueError(f"column {name!r} has {arr.shape[0]} rows, expected {n_rows}")
-    return arr.copy()
-
-
-def _labels(levels: np.ndarray, codes: np.ndarray) -> tuple:
-    """Each row's level as a Python value; rows with one level share one object."""
-    return tuple(levels.astype(object)[codes].tolist())
+def _float_column(values) -> np.ndarray:
+    """A flat float copy of `values`."""
+    return np.array(values, dtype=float).reshape(-1)
 
 
 def _validate_dataset(data: PanelDataset):
@@ -159,34 +150,20 @@ def _validate_dataset(data: PanelDataset):
     if first.size < data.n_rows:
         repeated = np.ones(data.n_rows, dtype=bool)
         repeated[first] = False
-        i = int(np.argmax(repeated))
-        raise DuplicateKeyError(data.units[i], data.periods[i])
-    _validate_columns(data, data.column_kinds)
+        raise DuplicateKeyError(*data._key(int(np.argmax(repeated))))
 
-
-def _validate_columns(data: PanelDataset, names):
-    """Check the named columns: dummies are 0 or 1, quantities and market sizes
-    positive, and each period has one market size, above its total quantity."""
-    for name in names:
-        if data.column_kinds.get(name) != "dummy" or name not in data.columns:
+    for name in (*DUMMY_COLUMNS, "quantity", "market_size"):
+        if name not in data.columns:
             continue
         arr = data.columns[name]
-        bad = ~np.isnan(arr) & (arr != 0.0) & (arr != 1.0)
+        dummy = name in DUMMY_COLUMNS
+        bad = ~np.isnan(arr) & (((arr != 0.0) & (arr != 1.0)) if dummy else (arr <= 0.0))
         if np.any(bad):
             i = int(np.argmax(bad))
-            raise DomainViolationError(name, data.row_label(i), f"dummy value {arr[i]:g} is not 0 or 1")
+            reason = "dummy value {:g} is not 0 or 1" if dummy else "value {:g} must be positive"
+            raise DomainViolationError(name, data.row_label(i), reason.format(arr[i]))
 
-    for name in ("quantity", "market_size"):
-        if name not in names or name not in data.columns:
-            continue
-        arr = data.columns[name]
-        bad = ~np.isnan(arr) & (arr <= 0.0)
-        if np.any(bad):
-            i = int(np.argmax(bad))
-            raise DomainViolationError(name, data.row_label(i), f"value {arr[i]:g} must be positive")
-
-    if ("quantity" not in names and "market_size" not in names
-            or "quantity" not in data.columns or "market_size" not in data.columns):
+    if "quantity" not in data.columns or "market_size" not in data.columns:
         return
     # Per period, in sorted order: one market size, and total quantity below it.
     q = data.columns["quantity"]
@@ -272,18 +249,11 @@ def load_panel(path) -> PanelDataset:
     order = np.lexsort((periods, unit_codes))
     unit_codes = unit_codes[order]
     period_levels, period_codes = np.unique(periods[order], return_inverse=True)
-    kinds = {name: ("dummy" if name in DUMMY_COLUMNS else "continuous") for name in value_names}
-    kinds["unit"] = kinds["period"] = "identifier"
-    data = _fill(
-        object.__new__(PanelDataset),
-        units=_labels(unit_levels, unit_codes), periods=_labels(period_levels, period_codes),
-        columns={name: np.concatenate(part)[order] for name, part in zip(value_names, value_parts)},
-        column_kinds=kinds, source_lines=np.concatenate(line_parts)[order],
-        unit_levels=unit_levels, unit_codes=unit_codes,
-        period_levels=period_levels, period_codes=period_codes,
+    return PanelDataset(
+        unit_levels, unit_codes, period_levels, period_codes,
+        {name: np.concatenate(part)[order] for name, part in zip(value_names, value_parts)},
+        np.concatenate(line_parts)[order],
     )
-    _validate_dataset(data)
-    return data
 
 
 def _blocks(reader):
@@ -398,11 +368,12 @@ def write_panel_csv(data: PanelDataset, path):
     """
     names = list(data.columns)
     units = np.array(_csv_fields(data.unit_levels.tolist()), dtype=object)[data.unit_codes]
+    periods = np.array(list(map(str, data.period_levels.tolist())), dtype=object)[data.period_codes]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(["unit", "period", *names])
         for start in range(0, data.n_rows, BLOCK_RECORDS):
             rows = slice(start, start + BLOCK_RECORDS)
-            fields = [units[rows].tolist(), map(str, data.periods[rows])]
+            fields = [units[rows].tolist(), periods[rows].tolist()]
             for name in names:
                 arr = data.columns[name][rows]
                 cells = list(map(repr, arr.tolist()))
@@ -464,14 +435,14 @@ def compute_dependent(data: PanelDataset) -> PanelDataset:
         period_missing = missing & (codes == codes[i])
         if np.any(period_missing):
             i = int(np.argmax(period_missing))
+            unit, period = data._key(i)
             raise DomainViolationError(
-                column, data.row_label(i),
-                f"period {data.periods[i]}: " + problem.format(unit=data.units[i]),
+                column, data.row_label(i), f"period {period}: " + problem.format(unit=unit),
             )
         if outside[codes[i]] <= 0.0 and column == "share":
             raise DomainViolationError(
                 "share", data.row_label(i),
-                f"period {data.periods[i]}: inside shares sum to {sums[codes[i]]:g}, "
+                f"period {data._key(i)[1]}: inside shares sum to {sums[codes[i]]:g}, "
                 "outside share must be positive",
             )
     delta = demand.invert_shares(inside, outside, codes)

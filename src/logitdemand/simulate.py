@@ -24,7 +24,6 @@ from .errors import DegenerateSharesError, LogitDemandError, UnknownColumnError
 
 _MIN_SHARE = 1e-12
 _MAX_REDRAWS = 100
-_CHOICE_BLOCK = 200_000
 #: Rows per stacked Monte Carlo chunk; bounds the memory of the chunk's designs.
 _STACK_ROWS = 5_000
 
@@ -78,6 +77,8 @@ class DgpParams:
             raise ValueError("alpha must be non-negative (it enters utility as -alpha * price)")
         if self.consumers is not None and self.consumers < 1:
             raise ValueError("consumers must be at least 1 when set")
+        if self.consumers is not None and self.consumers > np.iinfo(np.int64).max:
+            raise ValueError("consumers must fit a 64-bit integer")
         for name, length in (("unit_effects", self.n_products), ("time_effects", self.n_periods)):
             eff = getattr(self, name)
             if eff is not None:
@@ -139,37 +140,6 @@ class McSummary:
     sargan_rejection_rate: float
 
 
-def _gumbel(rng, shape):
-    # Inverse-CDF Gumbel draws: exact, portable, reproducible.
-    u = np.maximum(rng.random(shape), 1e-300)
-    return -np.log(-np.log(u))
-
-
-def sample_choices(delta, consumers, rng):
-    """Simulate discrete choices for `consumers` individuals, drawing from the generator `rng`.
-
-    Each consumer picks the option maximizing delta_j + Gumbel noise, with the
-    outside option's utility fixed at zero. Returns (inside_counts,
-    outside_count); frequencies converge to the closed-form logit shares.
-    """
-    d = np.asarray(delta, dtype=float).reshape(-1)
-    if not np.all(np.isfinite(d)):
-        raise ValueError("mean utilities must be finite")
-    if consumers < 1:
-        raise ValueError("need at least one consumer")
-
-    base = np.concatenate([[0.0], d])
-    counts = np.zeros(base.shape[0], dtype=np.int64)
-    remaining = int(consumers)
-    while remaining > 0:
-        block = min(remaining, _CHOICE_BLOCK)
-        noise = _gumbel(rng, (block, base.shape[0]))
-        picks = np.argmax(base[None, :] + noise, axis=1)
-        counts += np.bincount(picks, minlength=base.shape[0])
-        remaining -= block
-    return counts[1:].copy(), int(counts[0])
-
-
 def draw_markets(params: DgpParams, seeds):
     """Draw one market per seed, each from its own `default_rng(seed)`; `params.seed` is not read.
 
@@ -183,8 +153,9 @@ def draw_markets(params: DgpParams, seeds):
     multinomial per period in period order, up to the first degenerate period
     or product without a sale. Prices, mean utilities and shares are computed
     for the whole chunk at once, with period codes r * T + t. A draw whose
-    inside or outside share falls below 1e-12 (or whose sampled quantities
-    hit zero) is rejected, and that market draws again from its own generator.
+    mean utilities are not all finite, whose inside or outside share falls
+    below 1e-12 or whose sampled quantities hit zero is rejected, and that
+    market draws again from its own generator.
     """
     j, t, k = params.n_products, params.n_periods, params.n_characteristics
     n, stack = j * t, len(seeds)
@@ -211,14 +182,18 @@ def draw_markets(params: DgpParams, seeds):
             if params.price_noise_scale > 0:
                 noise[r] = rng.normal(0.0, params.price_noise_scale, n)
 
-        xi = effects.reshape(-1) + dxi[todo]
-        p = (params.instrument_strength * costs[todo].sum(axis=2) + params.price_endogeneity * xi
-             + noise[todo])
-        d = (x[todo] @ np.array(params.beta) if k else np.zeros(p.shape)) - params.alpha * p + xi
-        s, s0 = demand.predict_shares(d, codes[:todo.size])
+        # An overflow leaves a utility that is not finite or a share of 0: a rejected draw.
+        with np.errstate(over="ignore", invalid="ignore"):
+            xi = effects.reshape(-1) + dxi[todo]
+            p = (params.instrument_strength * costs[todo].sum(axis=2) + params.price_endogeneity * xi
+                 + noise[todo])
+            d = (x[todo] @ np.array(params.beta) if k else np.zeros(p.shape)) - params.alpha * p + xi
+            finite = np.isfinite(d)
+            s, s0 = demand.predict_shares(np.where(finite, d, 0.0), codes[:todo.size])
         s, s0 = s.reshape(p.shape), s0.reshape(-1, t)
         price[todo], delta[todo], inside[todo], outside[todo] = p, d, s, s0
-        degenerate = (s0 < _MIN_SHARE) | (s.reshape(-1, j, t).min(axis=1) < _MIN_SHARE)
+        degenerate = ((s0 < _MIN_SHARE) | (s.reshape(-1, j, t).min(axis=1) < _MIN_SHARE)
+                      | ~finite.reshape(-1, j, t).all(axis=1))
         if params.consumers is None:
             drawn = ~degenerate.any(axis=1)
         else:
@@ -272,12 +247,10 @@ def _draw_panel(params: DgpParams, seed):
         )
     j, t = params.n_products, params.n_periods
     width = max(2, len(str(j)))
-    units = [f"P{i + 1:0{width}d}" for i in range(j)]
     data = dataio.PanelDataset(
-        units=tuple(units[i] for i in np.repeat(np.arange(j), t)),
-        periods=(2001 + np.tile(np.arange(t), j)).tolist(),
-        columns={name: values[0] for name, values in columns.items()},
-        column_kinds={},
+        np.array([f"P{i + 1:0{width}d}" for i in range(j)], dtype=object), np.repeat(np.arange(j), t),
+        np.arange(2001, 2001 + t), np.tile(np.arange(t), j),
+        {name: values[0].astype(float) for name, values in columns.items()},
     )
     return data, delta, inside, outside, int(redraws)
 
@@ -314,11 +287,12 @@ def run_monte_carlo(params: DgpParams, spec: estimators.ModelSpec | None = None,
     the regression code of a single panel (`estimators.absorb` and
     `pooled_fit`, `diagnostics.first_stage_stats`, `sargan_stats`) with one
     stacked LAPACK QR per regression. A replication whose market gave up
-    re-drawing, whose chunk fails a share check or a fit, whose fits are not
-    certified full rank or whose F or J is not finite is drawn and fitted
-    again on its own panel by `estimate`, `first_stage_f` and `sargan_j` with
-    the pivoted QR, failures included. The two solvers agree within 1e-10
-    relative (about 1e-15 in practice).
+    re-drawing fails with `DegenerateSharesError`. One whose chunk fails a
+    share check or a fit, whose fits are not certified full rank or whose F
+    or J is not finite is drawn and fitted again on its own panel by
+    `estimate`, `first_stage_f` and `sargan_j` with the pivoted QR, failures
+    included. The two solvers agree within 1e-10 relative (about 1e-15 in
+    practice).
 
     Per-replication estimator failures are counted by error class, not fatal.
     Coverage uses the +-1.96 * SE interval per coefficient. Raises
@@ -394,11 +368,13 @@ def _replications(params: DgpParams, spec: estimators.ModelSpec, seeds) -> list:
 def _fit_chunk(params: DgpParams, spec: estimators.ModelSpec, seeds) -> list:
     """One chunk's outcomes: stacked fits, and `_replicate` for every replication they miss.
 
-    A market that gave up is one they miss: `_replicate` fails it in seed order.
+    A market that gave up fails with `DegenerateSharesError` and 0 re-draws, as
+    `_replicate` would fail it.
     """
     columns, *_, redraws = draw_markets(params, seeds)
     drawn = np.flatnonzero(redraws < _MAX_REDRAWS)
-    records = [None] * len(seeds)
+    records = [None if r < _MAX_REDRAWS else _Replication(failure=DegenerateSharesError.__name__)
+               for r in redraws]
     if drawn.size:
         columns = {name: values[drawn] for name, values in columns.items()}
         try:

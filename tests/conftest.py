@@ -15,17 +15,16 @@ settings.load_profile("logitdemand")
 def make_panel():
     """Build a PanelDataset from raw column arrays; one unit per row by default."""
 
-    def build(columns, units=None, periods=None, kinds=None):
+    def build(columns, units=None, periods=None):
         n = len(next(iter(columns.values())))
         if units is None:
             units = [f"u{i:03d}" for i in range(n)]
         if periods is None:
             periods = [2001] * n
-        return PanelDataset(
+        return PanelDataset.from_rows(
             units=tuple(units),
             periods=tuple(periods),
             columns={k: np.asarray(v, dtype=float) for k, v in columns.items()},
-            column_kinds=kinds or {},
         )
 
     return build

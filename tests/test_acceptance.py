@@ -32,9 +32,9 @@ from logitdemand.estimators import (
 from logitdemand.simulate import (
     DgpParams,
     default_model_spec,
+    draw_markets,
     generate_market,
     run_monte_carlo,
-    sample_choices,
 )
 
 DATASET = Path(
@@ -225,14 +225,19 @@ def test_criterion_7_monte_carlo_consistency():
 
 
 def test_criterion_8_sampling_matches_closed_form():
+    # The generator's sampled quantities: with no characteristics and alpha = 0, each
+    # product's mean utility is its xi draw, N(0, 1.5^2).
     rng = np.random.default_rng(88)
     n = 10**6
     worst_sigma = 0.0
     for _ in range(20):
         j = int(rng.integers(1, 6))
-        delta = rng.normal(0.0, 1.5, size=j)
-        inside, outside = sample_choices(delta, n, rng)
-        shares = np.concatenate(predict_shares(delta))
+        params = DgpParams(n_products=j, n_periods=1, n_characteristics=0, beta=(), alpha=0.0,
+                           xi_scale=1.5, consumers=n)
+        columns, delta, *_ = draw_markets(params, [int(rng.integers(2**32))])
+        inside = columns["quantity"][0]
+        outside = n - int(inside.sum())
+        shares = np.concatenate(predict_shares(delta[0]))
         freqs = np.concatenate([inside, [outside]]) / n
         sd = np.sqrt(shares * (1.0 - shares) / n)
         worst_sigma = max(worst_sigma, float(np.max(np.abs(freqs - shares) / sd)))

@@ -439,6 +439,10 @@ def test_simulate_rejects_unknown_keys(tmp_path, capsys, key):
     ({"seed": 1.5}, "seed must be an integer"),
     ({"consumers": 10.5}, "consumers must be an integer"),
     ({"replications": 2.7}, "replications must be an integer"),
+    ({"consumers": 10**30}, "consumers must fit a 64-bit integer"),
+    # Utilities overflow in every draw: each replication gives up re-drawing.
+    ({"alpha": 1e308, "n_characteristics": 1, "beta": [1.0]},
+     "every replication failed (DegenerateSharesError 3); nothing to summarize"),
 ])
 def test_simulate_rejects_invalid_values(tmp_path, capsys, override, message):
     params_path = tmp_path / "params.json"

@@ -46,8 +46,6 @@ def test_load_sorts_and_types(tmp_path):
     assert data.units == ("ps4", "ps4", "xbo", "xbo")
     assert data.periods == (2014, 2015, 2014, 2015)
     assert data.column("quantity").tolist() == [60.0, 50.0, 40.0, 30.0]
-    assert data.column_kinds["Subscribe"] == "dummy"
-    assert data.column_kinds["Price"] == "continuous"
 
 
 def test_missing_cells_become_nan(tmp_path):
@@ -210,12 +208,11 @@ def test_round_trip_is_bitwise(tmp_path):
 
 
 def test_write_panel_csv_bytes(tmp_path):
-    data = PanelDataset(
+    data = PanelDataset.from_rows(
         units=("a", "b", "c"),
         periods=(2014, 2014, 2015),
         columns={"Price": [0.1, 1e-17, -3.141592653589793],
                  "CPU": [np.nan, 0.30000000000000004, 1600.0]},
-        column_kinds={},
     )
     out = tmp_path / "panel.csv"
     write_panel_csv(data, out)
@@ -421,7 +418,7 @@ def test_unit_and_period_codes_follow_load_and_subset(tmp_path):
     assert sub.unit_codes.tolist() == [0, 1] and sub.period_codes.tolist() == [1, 0]
     only_xbo = data.subset([False, False, True, True])
     assert only_xbo.unit_levels.tolist() == ["xbo"] and only_xbo.unit_codes.tolist() == [0, 0]
-    rebuilt = PanelDataset(sub.units, sub.periods, dict(sub.columns), dict(sub.column_kinds))
+    rebuilt = PanelDataset.from_rows(sub.units, sub.periods, dict(sub.columns))
     for name in ("unit_levels", "unit_codes", "period_levels", "period_codes", "source_lines"):
         for panel in (data, sub, rebuilt):
             array = getattr(panel, name)
@@ -434,7 +431,7 @@ def test_unit_and_period_codes_follow_load_and_subset(tmp_path):
 def test_with_column_validates_the_new_column(make_panel):
     data = make_panel({"quantity": [1.0, 2.0], "market_size": [10.0, 10.0]})
     with pytest.raises(DomainViolationError, match="is not 0 or 1"):
-        data.with_column("Subscribe", [0.0, 2.0], kind="dummy")
+        data.with_column("Subscribe", [0.0, 2.0])
     with pytest.raises(DomainViolationError, match="must be positive"):
         data.with_column("quantity", [0.0, 1.0])
     with pytest.raises(DomainViolationError, match="conflicting market sizes"):
@@ -445,11 +442,11 @@ def test_with_column_validates_the_new_column(make_panel):
     added = data.with_column("x", values)
     values[0] = 5.0
     assert added.column("x").tolist() == [1.0, 2.0] and not added.column("x").flags.writeable
-    assert added.column_kinds["x"] == "continuous" and not data.has_column("x")
+    assert not data.has_column("x")
 
 
 def test_dataset_constructor_validates(make_panel):
     with pytest.raises(DuplicateKeyError):
-        PanelDataset(("a", "a"), (2014, 2014), {"x": np.array([1.0, 2.0])}, {})
+        PanelDataset.from_rows(("a", "a"), (2014, 2014), {"x": np.array([1.0, 2.0])})
     with pytest.raises(DomainViolationError):
-        make_panel({"Subscribe": [0.5]}, kinds={"Subscribe": "dummy"})
+        make_panel({"Subscribe": [0.5]})

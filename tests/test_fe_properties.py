@@ -21,11 +21,10 @@ def _fe_spec(regressors, covariance="classical"):
 
 
 def _panel(units, periods, columns):
-    return PanelDataset(
+    return PanelDataset.from_rows(
         units=tuple(f"u{u:02d}" for u in units),
         periods=tuple(2001 + int(t) for t in periods),
         columns=columns,
-        column_kinds={},
     )
 
 
@@ -147,11 +146,10 @@ def test_fe_slopes_ignore_unit_and_period_constants(panel, seed):
 def test_fe_is_invariant_to_row_order(panel, seed):
     data, regressors = panel
     perm = np.random.default_rng(seed).permutation(data.n_rows)
-    permuted = PanelDataset(
+    permuted = PanelDataset.from_rows(
         units=tuple(data.units[i] for i in perm),
         periods=tuple(data.periods[i] for i in perm),
         columns={name: col[perm] for name, col in data.columns.items()},
-        column_kinds={},
     )
     for covariance in ("classical", "robust_hc0"):
         spec = _fe_spec(regressors, covariance)

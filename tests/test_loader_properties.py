@@ -11,10 +11,12 @@ import io
 import math
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from logitdemand.dataio import PanelDataset, load_panel, write_panel_csv
+from logitdemand.dataio import DUMMY_COLUMNS, PanelDataset, load_panel, write_panel_csv
+from logitdemand.errors import DomainViolationError
 from logitdemand.estimators import ModelSpec, estimate
 
 UNIT_IDS = st.one_of(
@@ -97,7 +99,6 @@ def test_row_order_and_blank_records_do_not_change_the_panel(tmp_path_factory, p
     shuffled = _load(tmp_path, shuffled_text, "shuffled.csv")
     _assert_sorted_rows(plain, names, rows)
     assert shuffled.units == plain.units and shuffled.periods == plain.periods
-    assert shuffled.column_kinds == plain.column_kinds
     for name in names:
         assert _bits(shuffled.column(name)) == _bits(plain.column(name))
     for data, lines in ((plain, plain_lines), (shuffled, shuffled_lines)):
@@ -110,12 +111,11 @@ def test_row_order_and_blank_records_do_not_change_the_panel(tmp_path_factory, p
 def test_write_then_load_round_trips_bitwise(tmp_path_factory, panel):
     tmp_path = tmp_path_factory.mktemp("trip")
     names, rows = panel
-    data = PanelDataset(
+    data = PanelDataset.from_rows(
         units=tuple(r[0] for r in rows),
         periods=tuple(r[1] for r in rows),
         columns={name: [math.nan if r[2][j] is None else r[2][j] for r in rows]
                  for j, name in enumerate(names)},
-        column_kinds={},
     )
     path = tmp_path / "panel.csv"
     write_panel_csv(data, path)
@@ -165,7 +165,7 @@ def test_label_constructor_and_loader_agree(tmp_path_factory, panel, rnd):
     loaded = _load(tmp_path, text)
     expected = sorted(rows, key=lambda r: (r[0], r[1]))
     units, periods = [r[0] for r in expected], [r[1] for r in expected]
-    built = PanelDataset(units, periods, _columns(names, expected), {},
+    built = PanelDataset.from_rows(units, periods, _columns(names, expected),
                          source_lines=[lines[key] for key in zip(units, periods)])
     assert _public(built) == _public(loaded)
     mask = [rnd.random() < 0.6 for _ in rows]
@@ -176,8 +176,8 @@ def test_label_constructor_and_loader_agree(tmp_path_factory, panel, rnd):
 
     # Rows in file order: the same levels, each row coded to its own labels.
     shuffled = [rows[i] for i in order]
-    unsorted = PanelDataset([r[0] for r in shuffled], [r[1] for r in shuffled],
-                            _columns(names, shuffled), {})
+    unsorted = PanelDataset.from_rows([r[0] for r in shuffled], [r[1] for r in shuffled],
+                            _columns(names, shuffled))
     assert unsorted.units == tuple(r[0] for r in shuffled)
     assert unsorted.periods == tuple(r[1] for r in shuffled)
     assert unsorted.unit_levels.tolist() == loaded.unit_levels.tolist()
@@ -186,6 +186,19 @@ def test_label_constructor_and_loader_agree(tmp_path_factory, panel, rnd):
     assert unsorted.period_levels[unsorted.period_codes].tolist() == list(unsorted.periods)
     assert [unsorted.row_label(i) for i in range(len(rows))] == [
         f"row {i} (unit {r[0]!r}, period {r[1]})" for i, r in enumerate(shuffled)]
+
+
+@pytest.mark.parametrize("name", DUMMY_COLUMNS)
+def test_a_dummy_is_checked_by_its_name_however_the_panel_is_built(tmp_path, name):
+    path = tmp_path / "panel.csv"
+    path.write_text(f"unit,period,{name}\na,2001,0\nb,2001,2\n", encoding="utf-8")
+    with pytest.raises(DomainViolationError, match="dummy value 2 is not 0 or 1"):
+        load_panel(path)
+    with pytest.raises(DomainViolationError, match="dummy value 2 is not 0 or 1"):
+        PanelDataset.from_rows(("a", "b"), (2001, 2001), {name: [0.0, 2.0]})
+    data = PanelDataset.from_rows(("a", "b"), (2001, 2001), {name: [0.0, 1.0]})
+    with pytest.raises(DomainViolationError, match="dummy value 2 is not 0 or 1"):
+        data.with_column(name, [0, 2])
 
 
 # --- estimates -------------------------------------------------------------
@@ -262,12 +275,11 @@ def test_ols_and_tsls_ignore_the_row_order_of_the_dataset(panel, rnd):
     rnd.shuffle(order)
 
     def dataset(order):
-        return PanelDataset(
+        return PanelDataset.from_rows(
             units=tuple(rows[i][0] for i in order),
             periods=tuple(rows[i][1] for i in order),
             columns={name: [math.nan if rows[i][2][j] is None else rows[i][2][j] for i in order]
                      for j, name in enumerate(names)},
-            column_kinds={},
         )
 
     for a, b in zip(_fits(dataset(range(len(rows)))), _fits(dataset(order))):

@@ -227,6 +227,19 @@ def test_failures_and_redraws_match_the_per_replication_sums(params):
     assert summary.failed == sum(summary.failures.values())
 
 
+def test_a_market_that_gave_up_fails_without_the_per_replication_path():
+    params = DgpParams(n_products=3, n_periods=2, n_characteristics=1, beta=(1.0,), xi_scale=1.0,
+                       unit_effects=(29.0, 0.0, 0.0), seed=5)
+    seeds = replication_seeds(params.seed, 40)
+    gave_up = simulate.draw_markets(params, seeds)[-1] == simulate._MAX_REDRAWS
+    assert 0 < gave_up.sum() < len(seeds)
+    with mock.patch.object(simulate, "_replicate", wraps=simulate._replicate) as per_replication:
+        records = simulate._replications(params, default_model_spec(params), seeds)
+    assert [(r.failure, r.redraws) for r, g in zip(records, gave_up) if g] == (
+        [(DegenerateSharesError.__name__, 0)] * int(gave_up.sum()))
+    replicated = {call.args[2] for call in per_replication.call_args_list}
+    assert not replicated & {seed for seed, g in zip(seeds, gave_up) if g}
+
 def _copies(rng, stack, n):
     """Exogenous x1, endogenous price and an instrument that is an exact copy of price."""
     x1 = rng.normal(size=(stack, n))
@@ -251,8 +264,8 @@ def test_tsls_with_copied_regressors_as_instruments_is_ols(seed, n, covariance):
 
     # One fit on each market's panel.
     for r in range(3):
-        data = PanelDataset(units=tuple(f"u{i:02d}" for i in range(n)), periods=(2001,) * n,
-                            columns={name: col[r] for name, col in columns.items()}, column_kinds={})
+        data = PanelDataset.from_rows(units=tuple(f"u{i:02d}" for i in range(n)), periods=(2001,) * n,
+                            columns={name: col[r] for name, col in columns.items()})
         ols, tsls = estimate_ols(ols_spec, data), estimate_tsls(tsls_spec, data)
         assert _close(tsls.coefficients, ols.coefficients, np.max(np.abs(ols.coefficients)))
         assert _close(tsls.standard_errors, ols.standard_errors, np.max(ols.standard_errors))

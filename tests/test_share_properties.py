@@ -53,11 +53,10 @@ def quantity_panels(draw):
 
 def _dataset(raw, order=None):
     order = np.arange(len(raw["units"])) if order is None else order
-    return PanelDataset(
+    return PanelDataset.from_rows(
         units=tuple(raw["units"][i] for i in order),
         periods=tuple(raw["periods"][i] for i in order),
         columns={"quantity": raw["quantity"][order], "market_size": raw["market_size"][order]},
-        column_kinds={},
     )
 
 

@@ -7,7 +7,6 @@ import pytest
 
 from logitdemand import simulate
 from logitdemand.dataio import DEPENDENT_COLUMN, compute_dependent
-from logitdemand.demand import predict_shares
 from logitdemand.errors import DegenerateSharesError, UnknownColumnError
 from logitdemand.estimators import design_matrix, estimate, estimate_tsls
 from logitdemand.matrix import solve_least_squares_stacked
@@ -17,7 +16,6 @@ from logitdemand.simulate import (
     generate_market,
     replication_seeds,
     run_monte_carlo,
-    sample_choices,
 )
 
 
@@ -107,27 +105,6 @@ def test_param_validation():
         DgpParams(n_products=1, n_periods=np.bool_(True))
     with pytest.raises(ValueError, match="n_instruments must be an integer"):
         DgpParams(n_products=1, n_periods=1, n_instruments=2.0)
-
-
-def test_sample_choices_binary_symmetric():
-    inside, outside = sample_choices(np.array([0.0]), 100_000, np.random.default_rng(0))
-    assert inside[0] + outside == 100_000
-    assert inside[0] / 100_000 == pytest.approx(0.5, abs=0.01)
-
-
-def test_sample_choices_dominant_option():
-    inside, outside = sample_choices(np.array([20.0]), 50_000, np.random.default_rng(1))
-    assert inside[0] == 50_000
-    assert outside == 0
-
-
-def test_sample_choices_match_closed_form_shares():
-    delta = np.array([1.5, -0.3, 0.0])
-    inside, outside = sample_choices(delta, 10**6, np.random.default_rng(11))
-    shares, outside_share = predict_shares(delta)
-    freqs = inside / 10**6
-    assert np.max(np.abs(freqs - shares)) < 3e-3
-    assert outside / 10**6 == pytest.approx(outside_share[0], abs=3e-3)
 
 
 def test_noiseless_tsls_identifies_exactly():
