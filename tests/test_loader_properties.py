@@ -166,7 +166,7 @@ def test_label_constructor_and_loader_agree(tmp_path_factory, panel, rnd):
     expected = sorted(rows, key=lambda r: (r[0], r[1]))
     units, periods = [r[0] for r in expected], [r[1] for r in expected]
     built = PanelDataset.from_rows(units, periods, _columns(names, expected),
-                         source_lines=[lines[key] for key in zip(units, periods)])
+                                   source_lines=[lines[key] for key in zip(units, periods)])
     assert _public(built) == _public(loaded)
     mask = [rnd.random() < 0.6 for _ in rows]
     assert _public(built.subset(mask)) == _public(loaded.subset(mask))
@@ -177,7 +177,7 @@ def test_label_constructor_and_loader_agree(tmp_path_factory, panel, rnd):
     # Rows in file order: the same levels, each row coded to its own labels.
     shuffled = [rows[i] for i in order]
     unsorted = PanelDataset.from_rows([r[0] for r in shuffled], [r[1] for r in shuffled],
-                            _columns(names, shuffled))
+                                      _columns(names, shuffled))
     assert unsorted.units == tuple(r[0] for r in shuffled)
     assert unsorted.periods == tuple(r[1] for r in shuffled)
     assert unsorted.unit_levels.tolist() == loaded.unit_levels.tolist()

@@ -240,6 +240,7 @@ def test_a_market_that_gave_up_fails_without_the_per_replication_path():
     replicated = {call.args[2] for call in per_replication.call_args_list}
     assert not replicated & {seed for seed, g in zip(seeds, gave_up) if g}
 
+
 def _copies(rng, stack, n):
     """Exogenous x1, endogenous price and an instrument that is an exact copy of price."""
     x1 = rng.normal(size=(stack, n))
@@ -264,8 +265,9 @@ def test_tsls_with_copied_regressors_as_instruments_is_ols(seed, n, covariance):
 
     # One fit on each market's panel.
     for r in range(3):
-        data = PanelDataset.from_rows(units=tuple(f"u{i:02d}" for i in range(n)), periods=(2001,) * n,
-                            columns={name: col[r] for name, col in columns.items()})
+        data = PanelDataset.from_rows(units=tuple(f"u{i:02d}" for i in range(n)),
+                                      periods=(2001,) * n,
+                                      columns={name: col[r] for name, col in columns.items()})
         ols, tsls = estimate_ols(ols_spec, data), estimate_tsls(tsls_spec, data)
         assert _close(tsls.coefficients, ols.coefficients, np.max(np.abs(ols.coefficients)))
         assert _close(tsls.standard_errors, ols.standard_errors, np.max(ols.standard_errors))

@@ -115,8 +115,8 @@ def _spec(estimator, k, m, intercept, covariance):
 
 def _panel(columns):
     n = len(columns["y"])
-    return PanelDataset.from_rows(units=tuple(f"u{i:03d}" for i in range(n)), periods=(2001,) * n,
-                        columns=columns)
+    return PanelDataset.from_rows(units=tuple(f"u{i:03d}" for i in range(n)),
+                                  periods=(2001,) * n, columns=columns)
 
 
 cases = st.fixed_dictionaries({
