@@ -60,16 +60,26 @@ class PanelDataset:
     source_lines: np.ndarray | None = None
 
     def __post_init__(self):
-        n = len(self.unit_codes)
-        if len(self.period_codes) != n:
-            raise ValueError("units and periods must align")
-        for name, arr in self.columns.items():
-            if arr.shape != (n,):
-                raise ValueError(f"column {name!r} has {arr.size} rows, expected {n}")
-        for arr in (self.unit_levels, self.unit_codes, self.period_levels, self.period_codes,
-                    self.source_lines, *self.columns.values()):
-            if arr is not None:
-                arr.flags.writeable = False
+        rows = {"unit_codes": self.unit_codes, "period_codes": self.period_codes,
+                **{f"column {name!r}": arr for name, arr in self.columns.items()}}
+        if self.source_lines is not None:
+            rows["source_lines"] = self.source_lines
+        arrays = (self.unit_levels, self.period_levels, *rows.values())
+        if not all(isinstance(arr, np.ndarray) and arr.ndim == 1 for arr in arrays):
+            raise ValueError("levels, codes, columns and source lines must be flat numpy arrays")
+        n = self.unit_codes.size
+        for name, arr in rows.items():
+            if arr.size != n:
+                raise ValueError(f"{name} has {arr.size} rows, expected {n}")
+        for what, levels, codes in (("unit", self.unit_levels, self.unit_codes),
+                                    ("period", self.period_levels, self.period_codes)):
+            if codes.dtype.kind not in "iu" or (
+                    n and not 0 <= codes.min() <= codes.max() < levels.size):
+                raise ValueError(f"{what}_codes must be integers indexing {what}_levels")
+            if np.any(levels[1:] <= levels[:-1]):
+                raise ValueError(f"{what}_levels must be sorted and distinct")
+        for arr in arrays:
+            arr.flags.writeable = False
         _validate_dataset(self)
 
     @classmethod
@@ -89,12 +99,12 @@ class PanelDataset:
 
     @property
     def units(self) -> tuple:
-        """Each row's unit label."""
+        """Each row's unit label: a new n-row tuple built from the codes on every read."""
         return tuple(self.unit_levels[self.unit_codes].tolist())
 
     @property
     def periods(self) -> tuple:
-        """Each row's period label."""
+        """Each row's period label: a new n-row tuple built from the codes on every read."""
         return tuple(self.period_levels[self.period_codes].tolist())
 
     def has_column(self, name) -> bool:

@@ -32,7 +32,6 @@ from logitdemand.estimators import (
 from logitdemand.simulate import (
     DgpParams,
     default_model_spec,
-    draw_markets,
     generate_market,
     run_monte_carlo,
 )
@@ -224,20 +223,29 @@ def test_criterion_7_monte_carlo_consistency():
     )
 
 
+def _gumbel_argmax_choices(delta, consumers, rng, block=200_000):
+    """Counts of each option when every consumer picks the largest delta_j + Gumbel noise,
+    the outside option's utility fixed at zero: (inside counts, outside count)."""
+    base = np.concatenate([[0.0], delta])
+    counts = np.zeros(base.size, dtype=np.int64)
+    for start in range(0, consumers, block):
+        u = np.maximum(rng.random((min(block, consumers - start), base.size)), 1e-300)
+        picks = np.argmax(base - np.log(-np.log(u)), axis=1)
+        counts += np.bincount(picks, minlength=base.size)
+    return counts[1:], int(counts[0])
+
+
 def test_criterion_8_sampling_matches_closed_form():
-    # The generator's sampled quantities: with no characteristics and alpha = 0, each
-    # product's mean utility is its xi draw, N(0, 1.5^2).
+    # Reference: the random-utility model the logit formula comes from, not the
+    # generator's multinomial draw.
     rng = np.random.default_rng(88)
     n = 10**6
     worst_sigma = 0.0
     for _ in range(20):
         j = int(rng.integers(1, 6))
-        params = DgpParams(n_products=j, n_periods=1, n_characteristics=0, beta=(), alpha=0.0,
-                           xi_scale=1.5, consumers=n)
-        columns, delta, *_ = draw_markets(params, [int(rng.integers(2**32))])
-        inside = columns["quantity"][0]
-        outside = n - int(inside.sum())
-        shares = np.concatenate(predict_shares(delta[0]))
+        delta = rng.normal(0.0, 1.5, size=j)
+        inside, outside = _gumbel_argmax_choices(delta, n, rng)
+        shares = np.concatenate(predict_shares(delta))
         freqs = np.concatenate([inside, [outside]]) / n
         sd = np.sqrt(shares * (1.0 - shares) / n)
         worst_sigma = max(worst_sigma, float(np.max(np.abs(freqs - shares) / sd)))

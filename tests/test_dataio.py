@@ -265,8 +265,9 @@ def test_compute_dependent_matches_inversion_exactly(tmp_path):
     data = compute_dependent(data)
     q = data.column("quantity")
     n = data.column("market_size")
-    for t in set(data.periods):
-        idx = [i for i in range(data.n_rows) if data.periods[i] == t]
+    periods = data.periods
+    for t in set(periods):
+        idx = [i for i in range(data.n_rows) if periods[i] == t]
         s = np.array([q[i] / n[i] for i in idx])
         expected = np.log(s) - math.log(1.0 - s.sum())
         got = np.array([data.column(DEPENDENT_COLUMN)[i] for i in idx])
@@ -450,3 +451,21 @@ def test_dataset_constructor_validates(make_panel):
         PanelDataset.from_rows(("a", "a"), (2014, 2014), {"x": np.array([1.0, 2.0])})
     with pytest.raises(DomainViolationError):
         make_panel({"Subscribe": [0.5]})
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("unit_codes", np.array([0, -1]), "unit_codes must be integers indexing unit_levels"),
+    ("period_codes", np.array([0, 2]), "period_codes must be integers indexing period_levels"),
+    ("unit_codes", np.array([0.0, 1.0]), "unit_codes must be integers"),
+    ("unit_levels", np.array(["b", "a"], dtype=object), "unit_levels must be sorted and distinct"),
+    ("period_levels", np.array([2014, 2014]), "period_levels must be sorted and distinct"),
+    ("unit_codes", [0, 1], "must be flat numpy arrays"),
+    ("columns", {"x": [1.0, 2.0]}, "must be flat numpy arrays"),
+])
+def test_coded_constructor_checks_codes_and_levels(field, value, message):
+    fields = {"unit_levels": np.array(["a", "b"], dtype=object), "unit_codes": np.array([0, 1]),
+              "period_levels": np.array([2014, 2015]), "period_codes": np.array([0, 1]),
+              "columns": {"x": np.array([1.0, 2.0])}}
+    PanelDataset(**fields)
+    with pytest.raises(ValueError, match=message):
+        PanelDataset(**{**fields, field: value})

@@ -147,8 +147,8 @@ def test_fe_is_invariant_to_row_order(panel, seed):
     data, regressors = panel
     perm = np.random.default_rng(seed).permutation(data.n_rows)
     permuted = PanelDataset.from_rows(
-        units=tuple(data.units[i] for i in perm),
-        periods=tuple(data.periods[i] for i in perm),
+        units=data.unit_levels[data.unit_codes[perm]],
+        periods=data.period_levels[data.period_codes[perm]],
         columns={name: col[perm] for name, col in data.columns.items()},
     )
     for covariance in ("classical", "robust_hc0"):

@@ -129,8 +129,9 @@ def _csv_writer_bytes(data):
     writer = csv.writer(buf)
     writer.writerow(["unit", "period", *data.columns])
     values = [col.tolist() for col in data.columns.values()]
+    units, periods = data.units, data.periods
     for i in range(data.n_rows):
-        writer.writerow([data.units[i], data.periods[i],
+        writer.writerow([units[i], periods[i],
                          *("" if math.isnan(col[i]) else repr(col[i]) for col in values)])
     return buf.getvalue().encode("utf-8")
 
