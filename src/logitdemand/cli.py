@@ -13,7 +13,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, dataio, diagnostics, estimators, simulate
-from .errors import ExactlyIdentifiedError, LogitDemandError, OrderConditionViolatedError
+from .errors import (EstimationError, ExactlyIdentifiedError, LogitDemandError,
+                     OrderConditionViolatedError)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -22,11 +23,6 @@ EXIT_NO_INSTRUMENTS = 4
 EXIT_BAD_PARAMS = 5
 
 _METHOD_ALIASES = {"ols": "ols", "fe": "two_way_fe", "2sls": "tsls"}
-
-
-def _fail(code, message):
-    print(f"error: {message}", file=sys.stderr)
-    return code
 
 
 def _write_manifest(output_path, command, spec_path=None, dataset_path=None, seed=None):
@@ -39,9 +35,7 @@ def _write_manifest(output_path, command, spec_path=None, dataset_path=None, see
         "created": datetime.now(timezone.utc).isoformat(),
     }
     path = Path(str(output_path) + ".manifest.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
 
 
 def _two_sided_p(t, df, robust):
@@ -122,12 +116,9 @@ def _load(args):
 
 
 def cmd_invert(args) -> int:
-    try:
-        data = dataio.compute_dependent(dataio.load_panel(args.data))
-        shares = dataio.outside_shares(data)
-        dataio.write_panel_csv(data, args.output)
-    except (LogitDemandError, OSError, ValueError) as exc:
-        return _fail(EXIT_VALIDATION, exc)
+    data = dataio.compute_dependent(dataio.load_panel(args.data))
+    shares = dataio.outside_shares(data)
+    dataio.write_panel_csv(data, args.output)
     _write_manifest(args.output, _command_line(args), dataset_path=args.data)
     for t, s0 in sorted(shares.items()):
         print(f"period {t}: outside share {s0:.6f}")
@@ -135,57 +126,34 @@ def cmd_invert(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    try:
-        spec, data, data_path = _load(args)
-        method = _METHOD_ALIASES[args.method] if args.method else spec.estimator
-        if method == "tsls" and spec.estimator == "two_way_fe":
-            return _fail(
-                EXIT_VALIDATION,
-                f"the spec's estimator is {spec.estimator!r}; --method 2sls fits a pooled "
-                "2SLS, and 2SLS with fixed effects is not supported yet",
-            )
-        if method != spec.estimator:
-            spec = dataclasses.replace(spec, estimator=method, **estimators.estimator_defaults(method))
-    except OrderConditionViolatedError as exc:
-        return _fail(EXIT_NO_INSTRUMENTS, exc)
-    except (LogitDemandError, OSError, ValueError) as exc:
-        return _fail(EXIT_VALIDATION, exc)
+    spec, data, data_path = _load(args)
+    method = _METHOD_ALIASES[args.method] if args.method else spec.estimator
+    if method == "tsls" and spec.estimator == "two_way_fe":
+        raise ValueError(f"the spec's estimator is {spec.estimator!r}; --method 2sls fits a pooled "
+                         "2SLS, and 2SLS with fixed effects is not supported yet")
+    if method != spec.estimator:
+        spec = dataclasses.replace(spec, estimator=method, **estimators.estimator_defaults(method))
     if args.robust:
         spec = dataclasses.replace(spec, covariance="robust_hc0")
 
-    try:
-        result = estimators.estimate(spec, data)
-    except LogitDemandError as exc:
-        return _fail(EXIT_ESTIMATION, exc)
+    result = estimators.estimate(spec, data)
     _report_dropped_rows(data, result.row_indices)
 
-    if args.format == "csv":
-        return _emit(args, dataio.results_csv_text(result), data_path)
-    return _emit(args, format_coefficient_table(result), data_path)
+    table = dataio.results_csv_text if args.format == "csv" else format_coefficient_table
+    return _emit(args, table(result), data_path)
 
 
 def cmd_diagnose(args) -> int:
-    try:
-        spec, data, data_path = _load(args)
-        if spec.estimator == "two_way_fe":
-            return _fail(
-                EXIT_VALIDATION,
-                f"the spec's estimator is {spec.estimator!r}; diagnose tests a pooled first "
-                "stage, and first-stage diagnostics with fixed effects are not supported yet",
-            )
-        if not spec.instruments:
-            return _fail(EXIT_NO_INSTRUMENTS, "spec has no instruments; nothing to diagnose")
-        spec = dataclasses.replace(spec, estimator="tsls")
-    except OrderConditionViolatedError as exc:
-        return _fail(EXIT_NO_INSTRUMENTS, exc)
-    except (LogitDemandError, OSError, ValueError) as exc:
-        return _fail(EXIT_VALIDATION, exc)
-    lines = []
-    try:
-        f_report = diagnostics.first_stage_f(spec, data)
-    except LogitDemandError as exc:
-        return _fail(EXIT_ESTIMATION, exc)
-    lines.append("First-stage F test (H0: all instrument coefficients are zero)")
+    spec, data, data_path = _load(args)
+    if spec.estimator == "two_way_fe":
+        raise ValueError(f"the spec's estimator is {spec.estimator!r}; diagnose tests a pooled "
+                         "first stage, and first-stage diagnostics with fixed effects are not "
+                         "supported yet")
+    if not spec.instruments:
+        raise OrderConditionViolatedError("spec has no instruments; nothing to diagnose")
+    spec = dataclasses.replace(spec, estimator="tsls")
+    f_report = diagnostics.first_stage_f(spec, data)
+    lines = ["First-stage F test (H0: all instrument coefficients are zero)"]
     lines.append(f"  restrictions (m):       {f_report.df_numerator}")
     lines.append(f"  Res.Df restricted:      {f_report.restricted_df}")
     lines.append(f"  Res.Df unrestricted:    {f_report.unrestricted_df}")
@@ -201,8 +169,6 @@ def cmd_diagnose(args) -> int:
     except ExactlyIdentifiedError:
         lines.append("Sargan J test skipped: model is exactly identified (m = k)")
         return _emit(args, "\n".join(lines) + "\n", data_path)
-    except LogitDemandError as exc:
-        return _fail(EXIT_ESTIMATION, exc)
 
     decision = "reject exogeneity" if j_report.reject_at_5pct else "fail to reject"
     lines.append("Sargan J test (H0: instruments uncorrelated with the structural error)")
@@ -221,11 +187,7 @@ def cmd_diagnose(args) -> int:
 def _emit(args, text, data_path):
     """Write a spec command's report to `--output`, with its manifest, or else to stdout."""
     if args.output:
-        try:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            return _fail(EXIT_VALIDATION, exc)
+        Path(args.output).write_text(text, encoding="utf-8")
         _write_manifest(args.output, _command_line(args), spec_path=args.spec, dataset_path=data_path)
     else:
         print(text, end="")
@@ -238,40 +200,33 @@ _PARAM_KEYS = {f.name for f in dataclasses.fields(simulate.DgpParams)} | {
 
 
 def cmd_simulate(args) -> int:
+    with open(args.params, encoding="utf-8") as fh:
+        raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError("params file must be a JSON object")
+    unknown = set(raw) - _PARAM_KEYS
+    if unknown:
+        raise ValueError(f"unknown parameter keys: {sorted(unknown)}")
+    estimator = raw.pop("estimator", "tsls")
+    covariance = raw.pop("covariance", None)
+    replications = raw.pop("replications", 1)
     try:
-        with open(args.params, encoding="utf-8") as fh:
-            raw = json.load(fh)
-        if not isinstance(raw, dict):
-            raise ValueError("params file must be a JSON object")
-        unknown = set(raw) - _PARAM_KEYS
-        if unknown:
-            raise ValueError(f"unknown parameter keys: {sorted(unknown)}")
-        estimator = raw.pop("estimator", "tsls")
-        covariance = raw.pop("covariance", None)
-        replications = raw.pop("replications", 1)
-        if isinstance(replications, bool) or not isinstance(replications, int):
-            raise ValueError("replications must be an integer")
         params = simulate.DgpParams(**raw)
-        if args.seed is not None:
-            params = dataclasses.replace(params, seed=args.seed)
-        if args.replications is not None:
-            replications = args.replications
-        if replications < 1:
-            raise ValueError("need at least one replication")
-        spec = simulate.default_model_spec(params, estimator=estimator, covariance=covariance)
-    except (OSError, ValueError, TypeError, json.JSONDecodeError) as exc:
-        return _fail(EXIT_BAD_PARAMS, exc)
+    except TypeError as exc:  # a missing field or a value of the wrong type
+        raise ValueError(exc) from None
+    if args.seed is not None:
+        params = dataclasses.replace(params, seed=args.seed)
+    if args.replications is not None:
+        replications = args.replications
+    spec = simulate.default_model_spec(params, estimator=estimator, covariance=covariance)
 
-    try:
-        summary = simulate.run_monte_carlo(params, spec, replications)
-        if args.emit_dataset:
-            # The Monte Carlo's first market, so with one replication the file is what it estimated.
-            first = dataclasses.replace(params, seed=simulate.replication_seeds(params.seed, 1)[0])
-            data, _ = simulate.generate_market(first)
-            dataio.write_panel_csv(data, args.emit_dataset)
-            _write_manifest(args.emit_dataset, _command_line(args), seed=first.seed)
-    except (LogitDemandError, OSError) as exc:
-        return _fail(EXIT_BAD_PARAMS, exc)
+    summary = simulate.run_monte_carlo(params, spec, replications)
+    if args.emit_dataset:
+        # The Monte Carlo's first market, so with one replication the file is what it estimated.
+        first = dataclasses.replace(params, seed=simulate.replication_seeds(params.seed, 1)[0])
+        data, _ = simulate.generate_market(first)
+        dataio.write_panel_csv(data, args.emit_dataset)
+        _write_manifest(args.emit_dataset, _command_line(args), seed=first.seed)
     print(format_mc_summary(summary), end="")
     return EXIT_OK
 
@@ -351,7 +306,20 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     args._raw_argv = argv
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (LogitDemandError, OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return _exit_code(args.command, exc)
+
+
+def _exit_code(command, exc) -> int:
+    """The exit code of a failed command: by the command for `simulate`, else by error class."""
+    if command == "simulate":
+        return EXIT_BAD_PARAMS
+    if isinstance(exc, OrderConditionViolatedError):
+        return EXIT_NO_INSTRUMENTS
+    return EXIT_ESTIMATION if isinstance(exc, EstimationError) else EXIT_VALIDATION
 
 
 if __name__ == "__main__":

@@ -40,7 +40,7 @@ DEPENDENT_COLUMN = "log_share_diff"
 BLOCK_RECORDS = 4096
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PanelDataset:
     """Long-format panel keyed by codes: one row per (unit, period), numeric columns, NaN = missing.
 
@@ -241,16 +241,18 @@ def load_panel(path) -> PanelDataset:
         parts = [[np.empty(0, np.intp)], [np.empty(0, np.int64)], [np.empty(0, np.int64)],
                  *([np.empty(0)] for _ in value_pos)]
         first_line = 2
-        for block in _blocks(reader):
-            converted = _convert_block(block, first_line, len(header), u_pos, t_pos, value_pos, index)
-            if converted is None:
-                converted = _scan_block(block, first_line, header, u_pos, t_pos, index)
-            for part, array in zip(parts, converted):
-                part.append(array)
-            first_line += len(block)
+        try:
+            for block in _blocks(reader):
+                converted = _convert_block(block, first_line, header, u_pos, t_pos, value_pos, index)
+                if converted is None:
+                    converted = _scan_block(block, first_line, header, u_pos, t_pos, index)
+                for part, array in zip(parts, converted):
+                    part.append(array)
+                first_line += len(block)
+        except csv.Error as exc:  # raised by the reader on the record at `first_line`
+            raise ParseError(first_line, "", str(exc)) from None
 
     unit_parts, period_parts, line_parts, *value_parts = parts
-    # A period that does not fit int64 raises OverflowError here, after every ParseError.
     periods = np.concatenate([np.array(p, dtype=np.int64) for p in period_parts])
     unit_levels = np.array(sorted(index), dtype=object)
     rank = np.empty(len(index), np.intp)
@@ -281,10 +283,10 @@ def _blocks(reader):
         yield block
 
 
-def _convert_block(block, first_line, width, u_pos, t_pos, value_pos, index):
+def _convert_block(block, first_line, header, u_pos, t_pos, value_pos, index):
     """A block's unit codes, periods, lines and value columns, converted column by
     column; None when a record is blank or ragged or a cell does not convert."""
-    if set(map(len, block)) != {width}:
+    if set(map(len, block)) != {len(header)}:
         return None
     n = len(block)
     cells = list(zip(*block))
@@ -345,6 +347,8 @@ def _scan_block(block, first_line, header, u_pos, t_pos, index):
             raise ParseError(
                 line_no, header[t_pos], f"period {record[t_pos]!r} is not an integer"
             ) from None
+        if not -2**63 <= period < 2**63:
+            raise ParseError(line_no, header[t_pos], f"period {period} does not fit 64 bits")
         values = []
         for k, h in enumerate(header):
             if k in (u_pos, t_pos):

@@ -22,6 +22,7 @@ from .errors import (
 )
 from .estimators import (EstimateResult, ModelSpec, _columns, _first_stage_design, _least_squares,
                          design_matrix, sum_of_squares)
+from .matrix import DEFAULT_RANK_TOL
 
 if TYPE_CHECKING:
     from .dataio import PanelDataset
@@ -142,10 +143,13 @@ def f_statistic(rss_restricted, rss_unrestricted, q, df_unrestricted):
 
 
 def _fit_rss(x, y, names):
-    """(RSS, residual df, certified) of `y` on the design `x` with column `names`. The RSS is a
-    numpy value for one panel as for a stack, so an exact fit gives `f_statistic` an F of inf."""
+    """(RSS, residual df, certified) of `y` on the design `x` with column `names`. An RSS at or
+    below (DEFAULT_RANK_TOL * ||y||)^2 is an exact fit's rounding and counts as 0, one panel or a
+    stack alike, so an exact fit gives `f_statistic` an F of inf."""
     sol, certified = _least_squares(x, y, names)
-    return sum_of_squares(sol.residuals), y.shape[-1] - x.shape[-1], certified
+    rss = sum_of_squares(sol.residuals)
+    rss = np.where(rss <= DEFAULT_RANK_TOL**2 * sum_of_squares(y), 0.0, rss)
+    return rss, y.shape[-1] - x.shape[-1], certified
 
 
 def first_stage_stats(spec: ModelSpec, columns):

@@ -7,10 +7,14 @@ class LogitDemandError(Exception):
     """Base class for all package errors."""
 
 
+class EstimationError(LogitDemandError):
+    """A fit or an instrument test failed on a valid spec and panel; the CLI exits 3."""
+
+
 # --- linear algebra ---------------------------------------------------------
 
 
-class RankDeficientError(LogitDemandError):
+class RankDeficientError(EstimationError):
     """Design matrix is numerically rank deficient (perfect multicollinearity)."""
 
     def __init__(self, columns, message=None):
@@ -34,11 +38,11 @@ class OutsideShareNonPositiveError(LogitDemandError):
 # --- estimation -------------------------------------------------------------
 
 
-class InsufficientObservationsError(LogitDemandError):
+class InsufficientObservationsError(EstimationError):
     """Fewer usable rows than estimated coefficients."""
 
 
-class CollinearWithFixedEffectsError(LogitDemandError):
+class CollinearWithFixedEffectsError(EstimationError):
     """A regressor is absorbed by the unit/period fixed effects, or the panel is disconnected."""
 
     def __init__(self, column, message=None):
@@ -55,11 +59,11 @@ class OrderConditionViolatedError(LogitDemandError):
 # --- diagnostics ------------------------------------------------------------
 
 
-class MultipleEndogenousError(LogitDemandError):
+class MultipleEndogenousError(EstimationError):
     """The first-stage F test supports exactly one endogenous regressor."""
 
 
-class ExactlyIdentifiedError(LogitDemandError):
+class ExactlyIdentifiedError(EstimationError):
     """Over-identification test is undefined when m = k."""
 
 

@@ -95,7 +95,7 @@ class ModelSpec:
         return cols
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EstimateResult:
     """Coefficients, covariance and fit statistics from one estimation."""
 

@@ -41,7 +41,7 @@ def as_vector(a, name="vector"):
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LeastSquaresSolution:
     """Full-rank least-squares fit of y on X; a stacked fit has a leading axis on every array."""
 

@@ -107,7 +107,7 @@ class DgpParams:
         return truths
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrueMarket:
     """Ground truth behind a generated dataset, aligned to its rows."""
 
@@ -296,9 +296,12 @@ def run_monte_carlo(params: DgpParams, spec: estimators.ModelSpec | None = None,
 
     Per-replication estimator failures are counted by error class, not fatal.
     Coverage uses the +-1.96 * SE interval per coefficient. Raises
+    `ValueError` unless `replications` is an integer of at least 1, and
     `UnknownColumnError` for the first column the spec names that the
     generator does not make.
     """
+    if isinstance(replications, bool) or not isinstance(replications, (int, np.integer)):
+        raise ValueError("replications must be an integer")
     if replications < 1:
         raise ValueError("need at least one replication")
     if spec is None:

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from logitdemand import dataio, errors, simulate
 from logitdemand.cli import main
 from logitdemand.dataio import DEPENDENT_COLUMN, compute_dependent, load_panel, write_panel_csv
 from logitdemand.estimators import estimate
@@ -84,8 +85,12 @@ def test_invert_rejects_saturated_period(tmp_path, capsys):
     assert "2014" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("content", [None, b"unit,period,share\na,2014,0.\xff25\n"],
-                         ids=["missing_file", "not_utf8"])
+@pytest.mark.parametrize("content", [
+    None,
+    b"unit,period,share\na,2014,0.\xff25\n",
+    b"unit,period,share\na,99999999999999999999,0.25\n",
+    b"unit,period,share\na,2014,0." + b"2" * 131_073 + b"\n",
+], ids=["missing_file", "not_utf8", "period_overflow", "field_too_long"])
 def test_invert_unreadable_data_exits_2(tmp_path, capsys, content):
     src = tmp_path / "panel.csv"
     if content is not None:
@@ -524,3 +529,52 @@ def test_output_in_a_missing_directory_exits_without_writing(tmp_path, capsys, c
     assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
     assert "out.csv" in captured.err
     assert sorted(tmp_path.rglob("*")) == before
+
+
+# --- the exit-code policy ------------------------------------------------------
+# Each error class `main` catches and the code it exits with: (spec command, simulate).
+# A package error class missing here fails the test, so each new one gets its code on purpose.
+EXIT_CODES = {
+    "LogitDemandError": (2, 5),
+    "EstimationError": (3, 5),
+    "RankDeficientError": (3, 5),
+    "InsufficientObservationsError": (3, 5),
+    "CollinearWithFixedEffectsError": (3, 5),
+    "MultipleEndogenousError": (3, 5),
+    "ExactlyIdentifiedError": (3, 5),
+    "OrderConditionViolatedError": (4, 5),
+    "ZeroQuantityError": (2, 5),
+    "OutsideShareNonPositiveError": (2, 5),
+    "ParseError": (2, 5),
+    "DuplicateKeyError": (2, 5),
+    "DomainViolationError": (2, 5),
+    "UnknownKeyError": (2, 5),
+    "MissingRequiredError": (2, 5),
+    "UnknownColumnError": (2, 5),
+    "DegenerateSharesError": (2, 5),
+    "OSError": (2, 5),
+    "ValueError": (2, 5),
+}
+CAUGHT = [c for c in vars(errors).values()
+          if isinstance(c, type) and issubclass(c, errors.LogitDemandError)] + [OSError, ValueError]
+
+
+@pytest.mark.parametrize("error", CAUGHT, ids=lambda c: c.__name__)
+@pytest.mark.parametrize("command", ["estimate", "simulate"])
+def test_each_error_class_exits_with_its_code(tmp_path, capsys, monkeypatch, command, error):
+    exc = error.__new__(error)
+    Exception.__init__(exc, "boom")
+
+    def fail(*args, **kwargs):
+        raise exc
+
+    if command == "estimate":
+        monkeypatch.setattr(dataio, "parse_spec", fail)
+        argv = ["estimate", "--spec", str(tmp_path / "spec.json")]
+    else:
+        params_path = tmp_path / "params.json"
+        params_path.write_text(json.dumps({"n_products": 2, "n_periods": 2}), encoding="utf-8")
+        monkeypatch.setattr(simulate, "run_monte_carlo", fail)
+        argv = ["simulate", "--params", str(params_path)]
+    assert main(argv) == EXIT_CODES[error.__name__][command == "simulate"]
+    assert capsys.readouterr() == ("", "error: boom\n")

@@ -108,6 +108,10 @@ def _parse_error(tmp_path, lines):
     (" ,2014,1,1", "unit", "empty unit identifier"),
     ("u,2014.0,1,1", "period", "period '2014.0' is not an integer"),
     ("u,2014,1", "", "expected 4 fields, got 3"),
+    ("u,99999999999999999999,oops,1", "period",
+     "period 99999999999999999999 does not fit 64 bits"),
+    pytest.param("u,2014,1," + "9" * 131_073, "", "field larger than field limit (131072)",
+                 id="field_too_long"),
 ])
 def test_fault_past_the_first_block_is_reported_on_its_line(tmp_path, record, column, message):
     lines = _clean_lines(2 * BLOCK_RECORDS + 10)

@@ -15,6 +15,7 @@ from logitdemand.estimators import (
     estimate_two_way_fe,
     robust_covariance,
 )
+from logitdemand.matrix import solve_least_squares
 
 
 def test_exact_linear_data_recovers_line(make_panel):
@@ -328,3 +329,15 @@ def test_listwise_deletion_counts_rows(make_panel):
     data = make_panel({"y": y, "x": x_missing})
     result = estimate_ols(ModelSpec(dependent="y", exogenous_regressors=("x",)), data)
     assert result.n_observations == 9
+
+
+def test_equality_of_array_holders_is_identity(simulated_market):
+    # Their fields hold numpy arrays, on which a field-by-field `==` would raise.
+    (spec, data, truth), (_, data2, truth2) = simulated_market(), simulated_market()
+    x = np.column_stack([np.ones(data.n_rows), data.column("x1")])
+    y = data.column("price")
+    pairs = [(data, data2), (truth, truth2), (estimate(spec, data), estimate(spec, data2)),
+             (solve_least_squares(x, y), solve_least_squares(x, y))]
+    for a, b in pairs:
+        assert a is not b
+        assert (a == b, a != b, a == a) == (False, True, True)

@@ -19,6 +19,7 @@ lstsq oracle in `test_regression_oracle.py`.
 
 import dataclasses
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -30,7 +31,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logitdemand import diagnostics, simulate
-from logitdemand.dataio import PanelDataset
+from logitdemand.dataio import DEPENDENT_COLUMN, PanelDataset
 from logitdemand.errors import CollinearWithFixedEffectsError, DegenerateSharesError
 from logitdemand.estimators import ModelSpec, estimate_ols, estimate_tsls
 from logitdemand.simulate import DgpParams, default_model_spec, replication_seeds
@@ -164,6 +165,26 @@ def test_two_way_fe_variants_match_per_replication_fits(covariance, consumers, e
     with mock.patch.object(simulate, "_replicate", wraps=simulate._replicate) as per_replication:
         simulate._replications(params, spec, replication_seeds(params.seed, 12))
     assert per_replication.call_count == 0
+
+
+def test_exact_first_stage_gives_an_infinite_f_on_both_paths():
+    # Price is exactly the instruments' sum, so the unrestricted first stage fits exactly. Both
+    # solvers leave rounding residuals, which count as RSS 0: F is inf, not noise near 1e31.
+    params = DgpParams(n_products=4, n_periods=3, n_characteristics=1, beta=(1.0,), xi_scale=0.5,
+                       price_endogeneity=0.0, price_noise_scale=0.0, seed=7)
+    spec = default_model_spec(params)
+    seeds = replication_seeds(params.seed, 6)
+    columns, *_ = simulate.draw_markets(params, seeds)
+    columns[DEPENDENT_COLUMN] = simulate._stacked_dependent(columns, params.n_periods)
+    assert np.all(diagnostics.first_stage_stats(spec, columns)[0] == math.inf)
+
+    reference = [simulate._replicate(params, spec, seed) for seed in seeds]
+    with mock.patch.object(simulate, "_STACK_ROWS", 4 * params.n_products * params.n_periods):
+        batched = simulate._replications(params, spec, seeds)
+    assert [r.first_stage_f for r in batched] == [r.first_stage_f for r in reference]
+    assert [r.first_stage_f for r in reference] == [math.inf] * 6
+    assert [r.failure for r in batched] == [r.failure for r in reference] == [None] * 6
+    assert simulate.run_monte_carlo(params, spec, 6).mean_first_stage_f == math.inf
 
 
 @pytest.mark.parametrize("shape", [

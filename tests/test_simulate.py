@@ -207,6 +207,13 @@ def test_monte_carlo_on_a_column_the_generator_does_not_make_raises_up_front():
     assert draws.call_count == 0
 
 
+@pytest.mark.parametrize("replications", [2.5, True])
+def test_monte_carlo_replications_must_be_an_integer(replications):
+    params = DgpParams(n_products=4, n_periods=3, seed=2)
+    with pytest.raises(ValueError, match="^replications must be an integer$"):
+        run_monte_carlo(params, replications=replications)
+
+
 def test_monte_carlo_reports_diagnostics():
     params = DgpParams(n_products=6, n_periods=6, n_characteristics=1, beta=(1.0,),
                        xi_scale=0.5, price_endogeneity=0.5, instrument_strength=1.5,
