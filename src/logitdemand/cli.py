@@ -56,33 +56,38 @@ def _stars(p):
     return ""
 
 
+def _table(headers, rows, rule=False) -> list:
+    """Columns two spaces apart, each padded to its widest cell; `rule` dashes under the headers."""
+    widths = [max(len(h), *(len(r[i]) for r in rows)) for i, h in enumerate(headers)]
+    lines = ["  ".join(c.ljust(w) for c, w in zip(row, widths)) for row in (headers, *rows)]
+    return lines[:1] + ["-" * len(lines[0])] * rule + lines[1:]
+
+
+def _block(pairs, indent="") -> list:
+    """One `label: value` line per pair whose value is not None. An indented block pads
+    each `label:` so that its values line up two columns after the longest."""
+    pairs = [(f"{label}:", value) for label, value in pairs if value is not None]
+    width = max(len(label) for label, _ in pairs) + 1 if indent else 0
+    return [f"{indent}{label:<{width}} {value}" for label, value in pairs]
+
+
 def format_coefficient_table(result: estimators.EstimateResult) -> str:
     robust = result.covariance_tag == "robust_hc0"
     rows = []
     for name, est, se, t in result.coefficient_rows():
         p = _two_sided_p(t, result.df_residual, robust)
         rows.append((name, f"{est:.3f}{_stars(p)}", f"({se:.3f})", f"{t:.3f}", f"{p:.3f}"))
-
-    headers = ("coefficient", "estimate", "std.error", "t value", "Pr(>|t|)")
-    widths = [max(len(h), *(len(r[i]) for r in rows)) for i, h in enumerate(headers)]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths))]
-    lines.append("-" * len(lines[0]))
-    for r in rows:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(r, widths)))
-    lines.append("")
-    lines.append(f"observations: {result.n_observations}")
     r2_label = "within R-squared" if result.estimator_tag == "two_way_fe" else "R-squared"
-    lines.append(
-        f"{r2_label}: {result.r_squared:.3f}   adjusted: {result.adjusted_r_squared:.3f}"
-    )
-    lines.append(
-        f"residual std. error: {result.residual_std_error:.3f} (df = {result.df_residual})"
-    )
-    if result.fixed_effect_values:
-        n_u = len(result.fixed_effect_values["unit"])
-        n_t = len(result.fixed_effect_values["period"])
-        lines.append(f"absorbed fixed effects: {n_u} units, {n_t} periods")
-    lines.append("note: * p<0.1; ** p<0.05; *** p<0.01")
+    effects = result.fixed_effect_values
+    headers = ("coefficient", "estimate", "std.error", "t value", "Pr(>|t|)")
+    lines = [*_table(headers, rows, rule=True), "", *_block([
+        ("observations", result.n_observations),
+        (r2_label, f"{result.r_squared:.3f}   adjusted: {result.adjusted_r_squared:.3f}"),
+        ("residual std. error", f"{result.residual_std_error:.3f} (df = {result.df_residual})"),
+        ("absorbed fixed effects", f"{len(effects['unit'])} units, {len(effects['period'])} periods"
+         if effects else None),
+        ("note", "* p<0.1; ** p<0.05; *** p<0.01"),
+    ])]
     se_note = "normal approximation (HC0)" if robust else "Student t(n-p)"
     lines.append(f"      p-values from {se_note}")
     return "\n".join(lines) + "\n"
@@ -153,15 +158,15 @@ def cmd_diagnose(args) -> int:
         raise OrderConditionViolatedError("spec has no instruments; nothing to diagnose")
     spec = dataclasses.replace(spec, estimator="tsls")
     f_report = diagnostics.first_stage_f(spec, data)
-    lines = ["First-stage F test (H0: all instrument coefficients are zero)"]
-    lines.append(f"  restrictions (m):       {f_report.df_numerator}")
-    lines.append(f"  Res.Df restricted:      {f_report.restricted_df}")
-    lines.append(f"  Res.Df unrestricted:    {f_report.unrestricted_df}")
-    lines.append(f"  F:                      {f_report.f_statistic:.3f}")
-    lines.append(f"  Pr(>F):                 {f_report.p_value:.3f}")
     verdict = "pass" if f_report.passes_rule_of_thumb else "FAIL (possible weak instruments)"
-    lines.append(f"  rule of thumb (F>=10):  {verdict}")
-    lines.append("")
+    lines = ["First-stage F test (H0: all instrument coefficients are zero)", *_block([
+        ("restrictions (m)", f_report.df_numerator),
+        ("Res.Df restricted", f_report.restricted_df),
+        ("Res.Df unrestricted", f_report.unrestricted_df),
+        ("F", f"{f_report.f_statistic:.3f}"),
+        ("Pr(>F)", f"{f_report.p_value:.3f}"),
+        ("rule of thumb (F>=10)", verdict),
+    ], "  "), ""]
 
     try:
         tsls_result = estimators.estimate_tsls(spec, data)
@@ -171,16 +176,15 @@ def cmd_diagnose(args) -> int:
         return _emit(args, "\n".join(lines) + "\n", data_path)
 
     decision = "reject exogeneity" if j_report.reject_at_5pct else "fail to reject"
-    lines.append("Sargan J test (H0: instruments uncorrelated with the structural error)")
-    lines.append(f"  residual-regression F:  {j_report.residual_regression_f:.3f}")
-    lines.append(f"  J = m * F:              {j_report.j_statistic:.3f}")
-    lines.append(f"  df (m - k):             {j_report.df}")
-    lines.append(f"  p-value:                {j_report.p_value:.3f}")
-    lines.append(f"  decision at 5%:         {decision}")
-    lines.append(
-        f"  cross-checks:           instrument-block F {j_report.instrument_block_f:.3f}, "
-        f"n*R^2 {j_report.n_r_squared:.3f}"
-    )
+    lines += ["Sargan J test (H0: instruments uncorrelated with the structural error)", *_block([
+        ("residual-regression F", f"{j_report.residual_regression_f:.3f}"),
+        ("J = m * F", f"{j_report.j_statistic:.3f}"),
+        ("df (m - k)", j_report.df),
+        ("p-value", f"{j_report.p_value:.3f}"),
+        ("decision at 5%", decision),
+        ("cross-checks", f"instrument-block F {j_report.instrument_block_f:.3f}, "
+                         f"n*R^2 {j_report.n_r_squared:.3f}"),
+    ], "  ")]
     return _emit(args, "\n".join(lines) + "\n", data_path)
 
 
@@ -194,26 +198,15 @@ def _emit(args, text, data_path):
     return EXIT_OK
 
 
-_PARAM_KEYS = {f.name for f in dataclasses.fields(simulate.DgpParams)} | {
-    "estimator", "covariance", "replications",
-}
-
-
 def cmd_simulate(args) -> int:
-    with open(args.params, encoding="utf-8") as fh:
-        raw = json.load(fh)
-    if not isinstance(raw, dict):
-        raise ValueError("params file must be a JSON object")
-    unknown = set(raw) - _PARAM_KEYS
-    if unknown:
-        raise ValueError(f"unknown parameter keys: {sorted(unknown)}")
+    fields = dataclasses.fields(simulate.DgpParams)
+    raw = dataio.read_json_object(
+        args.params, "parameter", {f.name for f in fields} | {"estimator", "covariance", "replications"},
+        [f.name for f in fields if f.default is dataclasses.MISSING])
     estimator = raw.pop("estimator", "tsls")
     covariance = raw.pop("covariance", None)
     replications = raw.pop("replications", 1)
-    try:
-        params = simulate.DgpParams(**raw)
-    except TypeError as exc:  # a missing field or a value of the wrong type
-        raise ValueError(exc) from None
+    params = simulate.DgpParams(**raw)
     if args.seed is not None:
         params = dataclasses.replace(params, seed=args.seed)
     if args.replications is not None:
@@ -238,25 +231,20 @@ def format_mc_summary(summary: simulate.McSummary) -> str:
         f"({summary.failed} failed{': ' + by_class if by_class else ''})"
     ]
     headers = ("coefficient", "truth", "mean bias", "bias SE", "rmse", "95% coverage")
-    rows = []
-    for name in summary.coefficient_names:
-        rows.append((
-            name,
-            f"{summary.true_values[name]:.4f}",
-            f"{summary.mean_bias[name]:+.4f}",
-            f"{summary.mean_bias_se[name]:.4f}",
-            f"{summary.rmse[name]:.4f}",
-            f"{summary.ci_coverage_95[name]:.3f}",
-        ))
-    widths = [max(len(h), *(len(r[i]) for r in rows)) for i, h in enumerate(headers)]
-    lines.append("  ".join(h.ljust(w) for h, w in zip(headers, widths)))
-    for r in rows:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(r, widths)))
-    if not math.isnan(summary.mean_first_stage_f):
-        lines.append(f"mean first-stage F: {summary.mean_first_stage_f:.3f}")
-    if not math.isnan(summary.sargan_rejection_rate):
-        lines.append(f"Sargan rejection rate at 5%: {summary.sargan_rejection_rate:.3f}")
-    lines.append(f"re-draws: {summary.redraws}")
+    lines += _table(headers, [(
+        name,
+        f"{summary.true_values[name]:.4f}",
+        f"{summary.mean_bias[name]:+.4f}",
+        f"{summary.mean_bias_se[name]:.4f}",
+        f"{summary.rmse[name]:.4f}",
+        f"{summary.ci_coverage_95[name]:.3f}",
+    ) for name in summary.coefficient_names])
+    f, rate = summary.mean_first_stage_f, summary.sargan_rejection_rate
+    lines += _block([
+        ("mean first-stage F", None if math.isnan(f) else f"{f:.3f}"),
+        ("Sargan rejection rate at 5%", None if math.isnan(rate) else f"{rate:.3f}"),
+        ("re-draws", summary.redraws),
+    ])
     return "\n".join(lines) + "\n"
 
 

@@ -1,4 +1,4 @@
-"""Panel CSV ingestion, validation, and model-spec configuration files.
+"""Panel CSV ingestion and validation, and the JSON spec and parameter files.
 
 The on-disk format is a UTF-8 CSV with a header row, comma delimiter and `.`
 decimals. Every file needs a `unit` column (product identifier) and an integer
@@ -13,6 +13,7 @@ import io
 import itertools
 import json
 import math
+import re
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -208,30 +209,30 @@ def load_panel(path) -> PanelDataset:
     """Load and validate a panel CSV keyed by its `unit` and `period` columns; rows come back
     sorted by (unit, period), and `DUMMY_COLUMNS` must hold 0/1.
 
-    Blank records (empty, whitespace-only or with every cell empty) are
-    skipped. A fault is reported as a `ParseError` on the
-    first faulty line (records are counted from the header, which is line 1)
-    and, within it, on the unit, then the period, then the first faulty value
-    column in header order. The file is read `BLOCK_RECORDS` records at a
-    time and each block is converted column by column; a block with a fault
-    or a blank record is scanned again row by row, which skips the blank
-    records and raises the fault.
+    Blank records (empty, whitespace-only or with every cell empty) are skipped. A fault,
+    a byte that is not UTF-8 included, is a `ParseError` on the first faulty line (the
+    header is line 1) and, within it, on the unit, then the period, then the first faulty
+    value column in header order. Each block of `BLOCK_RECORDS` records is converted
+    column by column; when it does not convert, `_find_fault` raises its first fault, or
+    finds none, and the block is converted again without its blank records.
     """
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise ParseError(1, "", "file is empty") from None
         header = [h.strip() for h in header]
+        for h in header:
+            if _UNDECODED.search(h):
+                raise ParseError(1, h, "not valid UTF-8")
         for key in ("unit", "period"):
             if key not in header:
                 raise ParseError(1, key, f"missing {key} column")
         u_pos = header.index("unit")
         t_pos = header.index("period")
         value_pos = [k for k in range(len(header)) if k not in (u_pos, t_pos)]
-        value_names = [header[k] for k in value_pos]
         if len(set(header)) != len(header):
             dupe = next(h for h in header if header.count(h) > 1)
             raise ParseError(1, dupe, "duplicated column name")
@@ -243,9 +244,13 @@ def load_panel(path) -> PanelDataset:
         first_line = 2
         try:
             for block in _blocks(reader):
-                converted = _convert_block(block, first_line, header, u_pos, t_pos, value_pos, index)
+                lines = np.arange(first_line, first_line + len(block))
+                converted = _convert_block(block, lines, header, u_pos, t_pos, value_pos, index)
                 if converted is None:
-                    converted = _scan_block(block, first_line, header, u_pos, t_pos, index)
+                    _find_fault(block, first_line, header, u_pos, t_pos, value_pos)
+                    kept = [k for k, record in enumerate(block) if any(c.strip() for c in record)]
+                    converted = kept and _convert_block([block[k] for k in kept], lines[kept],
+                                                        header, u_pos, t_pos, value_pos, index)
                 for part, array in zip(parts, converted):
                     part.append(array)
                 first_line += len(block)
@@ -253,7 +258,7 @@ def load_panel(path) -> PanelDataset:
             raise ParseError(first_line, "", str(exc)) from None
 
     unit_parts, period_parts, line_parts, *value_parts = parts
-    periods = np.concatenate([np.array(p, dtype=np.int64) for p in period_parts])
+    periods = np.concatenate(period_parts)
     unit_levels = np.array(sorted(index), dtype=object)
     rank = np.empty(len(index), np.intp)
     rank[[index[u] for u in unit_levels]] = np.arange(len(index))
@@ -263,19 +268,23 @@ def load_panel(path) -> PanelDataset:
     period_levels, period_codes = np.unique(periods[order], return_inverse=True)
     return PanelDataset(
         unit_levels, unit_codes, period_levels, period_codes,
-        {name: np.concatenate(part)[order] for name, part in zip(value_names, value_parts)},
+        {header[k]: np.concatenate(part)[order] for k, part in zip(value_pos, value_parts)},
         np.concatenate(line_parts)[order],
     )
 
 
+#: A byte that is not UTF-8, which `errors="surrogateescape"` decodes to a lone surrogate.
+_UNDECODED = re.compile("[\udc80-\udcff]")
+
+
 def _blocks(reader):
-    """The reader's records, `BLOCK_RECORDS` at a time. A decoding or CSV error is
-    raised after the records before it, as a row-by-row read would meet them."""
+    """The reader's records, `BLOCK_RECORDS` at a time. A CSV error is raised after
+    the records before it, as a row-by-row read would meet them."""
     while True:
         block = []
         try:
             block.extend(itertools.islice(reader, BLOCK_RECORDS))
-        except (csv.Error, ValueError):
+        except csv.Error:
             yield block
             raise
         if not block:
@@ -283,16 +292,24 @@ def _blocks(reader):
         yield block
 
 
-def _convert_block(block, first_line, header, u_pos, t_pos, value_pos, index):
-    """A block's unit codes, periods, lines and value columns, converted column by
-    column; None when a record is blank or ragged or a cell does not convert."""
+def _convert_block(block, lines, header, u_pos, t_pos, value_pos, index):
+    """A block's unit codes, periods, lines and value columns, converted column by column;
+    None when a record is blank or ragged or a cell does not convert. Units are coded in
+    `index` (stripped unit -> code, grown in order of first appearance)."""
     if set(map(len, block)) != {len(header)}:
         return None
     n = len(block)
     cells = list(zip(*block))
-    units = _unit_codes(cells[u_pos], index)
-    if units is None:
+    code = {}
+    for cell in set(cells[u_pos]):
+        unit = cell.strip()
+        if not unit:
+            return None
+        code[cell] = index.setdefault(unit, len(index))
+    # A unit with a byte that is not UTF-8 converts; one search of the block's units finds it.
+    if _UNDECODED.search("".join(code)):
         return None
+    units = np.fromiter(map(code.__getitem__, cells[u_pos]), np.intp, n)
     try:
         periods = np.fromiter(map(int, cells[t_pos]), np.int64, n)
     except (ValueError, OverflowError):
@@ -303,73 +320,44 @@ def _convert_block(block, first_line, header, u_pos, t_pos, value_pos, index):
             x = np.fromiter(map(float, cells[k]), float, n)
         except ValueError:
             try:
-                x = np.fromiter(map(_number_or_nan, cells[k]), float, n)
+                x = np.fromiter((float(c) if c.strip() else math.nan for c in cells[k]), float, n)
             except ValueError:
                 return None
         # NaN is allowed only for a blank cell, never for a "nan" or "inf" literal.
         if any(cells[k][i].strip() for i in np.flatnonzero(~np.isfinite(x)).tolist()):
             return None
         values.append(x)
-    return (units, periods, np.arange(first_line, first_line + n), *values)
+    return (units, periods, lines, *values)
 
 
-def _number_or_nan(cell) -> float:
-    return float(cell) if cell.strip() else math.nan
-
-
-def _unit_codes(cells, index):
-    """Each cell's code in `index` (stripped unit -> code, grown in order of first
-    appearance); None when a cell is blank."""
-    code = {}
-    for cell in set(cells):
-        unit = cell.strip()
-        if not unit:
-            return None
-        code[cell] = index.setdefault(unit, len(index))
-    return np.fromiter(map(code.__getitem__, cells), np.intp, len(cells))
-
-
-def _scan_block(block, first_line, header, u_pos, t_pos, index):
-    """`_convert_block` row by row: skips blank records and raises the `ParseError`
-    of the block's first faulty line."""
-    units, periods, lines, rows = [], [], [], []
-    for line_no, record in enumerate(block, start=first_line):
-        if not record or all(cell.strip() == "" for cell in record):
+def _find_fault(block, first_line, header, u_pos, t_pos, value_pos):
+    """Raise the `ParseError` of the block's first faulty record, checking its cells in
+    the order `load_panel` documents; return if every record is whole or blank."""
+    for line, record in enumerate(block, start=first_line):
+        if not any(cell.strip() for cell in record):
             continue
         if len(record) != len(header):
-            raise ParseError(line_no, "", f"expected {len(header)} fields, got {len(record)}")
-        unit = record[u_pos].strip()
-        if not unit:
-            raise ParseError(line_no, header[u_pos], "empty unit identifier")
-        try:
-            period = int(record[t_pos].strip())
-        except ValueError:
-            raise ParseError(
-                line_no, header[t_pos], f"period {record[t_pos]!r} is not an integer"
-            ) from None
-        if not -2**63 <= period < 2**63:
-            raise ParseError(line_no, header[t_pos], f"period {period} does not fit 64 bits")
-        values = []
-        for k, h in enumerate(header):
-            if k in (u_pos, t_pos):
-                continue
+            raise ParseError(line, "", f"expected {len(header)} fields, got {len(record)}")
+        for k in (u_pos, t_pos, *value_pos):
             cell = record[k].strip()
-            if cell == "":
-                values.append(math.nan)
-                continue
-            try:
-                x = float(cell)
-            except ValueError:
-                raise ParseError(line_no, h, f"cannot parse {cell!r} as a number") from None
-            if x != x or x in (math.inf, -math.inf):
-                raise ParseError(line_no, h, f"non-finite value {cell!r}")
-            values.append(x)
-        units.append(unit)
-        periods.append(period)
-        lines.append(line_no)
-        rows.append(values)
-    values = np.array(rows, dtype=float).reshape(len(rows), len(header) - len({u_pos, t_pos}))
-    return (_unit_codes(units, index), periods, np.array(lines, dtype=np.int64), *values.T)
+            if _UNDECODED.search(cell):
+                raise ParseError(line, header[k], "not valid UTF-8")
+            if k == u_pos and not cell:
+                raise ParseError(line, header[k], "empty unit identifier")
+            if k == t_pos:
+                try:
+                    period = int(cell)
+                except ValueError:
+                    raise ParseError(line, header[k], f"period {record[k]!r} is not an integer") from None
+                if not -2**63 <= period < 2**63:
+                    raise ParseError(line, header[k], f"period {period} does not fit 64 bits")
+            elif k != u_pos and cell:
+                try:
+                    x = float(cell)
+                except ValueError:
+                    raise ParseError(line, header[k], f"cannot parse {cell!r} as a number") from None
+                if not math.isfinite(x):
+                    raise ParseError(line, header[k], f"non-finite value {cell!r}")
 
 
 def write_panel_csv(data: PanelDataset, path):
@@ -475,7 +463,7 @@ def outside_shares(data: PanelDataset) -> dict:
     return dict(zip(data.period_levels[complete].tolist(), outside[complete].tolist()))
 
 
-# --- model-spec files -------------------------------------------------------
+# --- spec and parameter files -----------------------------------------------
 
 #: Every spec-file key but "dataset", and the `ModelSpec` field it sets.
 _SPEC_FIELDS = {
@@ -483,6 +471,24 @@ _SPEC_FIELDS = {
     "endogenous": "endogenous_regressors", "instruments": "instruments",
     "estimator": "estimator", "covariance": "covariance", "intercept": "include_intercept",
 }
+
+
+def read_json_object(path, kind, keys, required) -> dict:
+    """The JSON object of a spec or parameter file (`kind`): keys among `keys`, `required` present."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            raw = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(exc.lineno, "", f"invalid JSON: {exc.msg}") from None
+    if not isinstance(raw, dict):
+        raise ParseError(1, "", f"{kind} must be a JSON object")
+    unknown = set(raw) - set(keys)
+    if unknown:
+        raise UnknownKeyError(f"unknown {kind} keys: {sorted(unknown)}")
+    for key in required:
+        if key not in raw:
+            raise MissingRequiredError(kind, key)
+    return raw
 
 
 def parse_spec(path) -> tuple:
@@ -494,20 +500,8 @@ def parse_spec(path) -> tuple:
     the spec against the loaded dataset.
     """
     path = Path(path)
-    with open(path, encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(exc.lineno, "", f"invalid JSON: {exc.msg}") from None
-    if not isinstance(raw, dict):
-        raise ParseError(1, "", "spec must be a JSON object")
-
-    unknown = set(raw) - {"dataset", *_SPEC_FIELDS}
-    if unknown:
-        raise UnknownKeyError(f"unknown spec keys: {sorted(unknown)}")
-    for required in ("dataset", "dependent", "estimator"):
-        if required not in raw:
-            raise MissingRequiredError(required)
+    raw = read_json_object(path, "spec", {"dataset", *_SPEC_FIELDS},
+                           ("dataset", "dependent", "estimator"))
     for key, kind, described in (
         ("dataset", str, "a string"), ("dependent", str, "a string"), ("intercept", bool, "a boolean"),
     ):

@@ -97,19 +97,19 @@ class DomainViolationError(LogitDemandError):
         super().__init__(f"column {column!r}, row {row}: {reason}")
 
 
-# --- model-spec files -------------------------------------------------------
+# --- spec and parameter files -----------------------------------------------
 
 
 class UnknownKeyError(LogitDemandError):
-    """Spec file contains a key outside the schema."""
+    """A spec or parameter file contains a key outside its schema."""
 
 
 class MissingRequiredError(LogitDemandError):
-    """Spec file lacks a required field."""
+    """A spec or parameter file lacks a required field."""
 
-    def __init__(self, field):
+    def __init__(self, kind, field):
         self.field = field
-        super().__init__(f"spec is missing required field {field!r}")
+        super().__init__(f"{kind} is missing required field {field!r}")
 
 
 class UnknownColumnError(LogitDemandError):

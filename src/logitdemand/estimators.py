@@ -83,6 +83,8 @@ class ModelSpec:
         if self.estimator == "two_way_fe" and self.include_intercept:
             raise ValueError("two-way fixed effects absorb the intercept: include_intercept must be "
                              f"False, got {self.include_intercept!r}")
+        if not self.regressors and not self.include_intercept:
+            raise ValueError("spec has nothing to estimate: no regressors and no intercept")
 
     @property
     def regressors(self):

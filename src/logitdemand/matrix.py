@@ -95,6 +95,8 @@ def _column_scale(x):
     return np.where(scale > 0.0, scale, 1.0)
 
 
+# Huge entries can overflow in the factorization; the rank check then refuses the design.
+@np.errstate(over="ignore", invalid="ignore")
 def solve_least_squares(x, y, tol=DEFAULT_RANK_TOL):
     """Minimize ||y - X b|| via pivoted Householder QR.
 
@@ -152,6 +154,7 @@ def solve_least_squares(x, y, tol=DEFAULT_RANK_TOL):
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def solve_least_squares_stacked(x, y, tol=DEFAULT_RANK_TOL):
     """Minimize ||y_r - X_r b_r|| for every entry r of a stack, via one LAPACK QR of [X | y].
 

@@ -13,8 +13,10 @@ chunk's stack through the regression code of a single panel.
 
 from __future__ import annotations
 
+import numbers
+import sys
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -57,12 +59,20 @@ class DgpParams:
     price_noise_scale: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "beta", tuple(float(b) for b in self.beta))
-        for name in ("n_products", "n_periods", "n_characteristics", "n_instruments", "seed",
-                     *(("consumers",) if self.consumers is not None else ())):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer")
+        # Each field by its annotation: an integer, a finite number or a sequence of finite numbers.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is None and f.type.endswith("None"):
+                continue
+            if f.type.startswith("int") and (isinstance(value, bool)
+                                             or not isinstance(value, (int, np.integer))):
+                raise ValueError(f"{f.name} must be an integer")
+            if f.type == "float" and not _is_finite(value):
+                raise ValueError(f"{f.name} must be a finite number")
+            if f.type.startswith("tuple"):
+                if not isinstance(value, (list, tuple, np.ndarray)) or not all(map(_is_finite, value)):
+                    raise ValueError(f"{f.name} must be a sequence of finite numbers")
+                object.__setattr__(self, f.name, tuple(map(float, value)))
         if self.n_products < 1 or self.n_periods < 1:
             raise ValueError("need at least one product and one period")
         if self.n_characteristics < 0 or len(self.beta) != self.n_characteristics:
@@ -80,12 +90,8 @@ class DgpParams:
         if self.consumers is not None and self.consumers > np.iinfo(np.int64).max:
             raise ValueError("consumers must fit a 64-bit integer")
         for name, length in (("unit_effects", self.n_products), ("time_effects", self.n_periods)):
-            eff = getattr(self, name)
-            if eff is not None:
-                eff = tuple(float(v) for v in eff)
-                object.__setattr__(self, name, eff)
-                if len(eff) != length:
-                    raise ValueError(f"{name} must have length {length}")
+            if getattr(self, name) is not None and len(getattr(self, name)) != length:
+                raise ValueError(f"{name} must have length {length}")
 
     def characteristic_names(self):
         return tuple(f"x{i + 1}" for i in range(self.n_characteristics))
@@ -105,6 +111,12 @@ class DgpParams:
             truths[name] = b
         truths["price"] = -self.alpha
         return truths
+
+
+def _is_finite(value) -> bool:
+    """Whether `value` is a finite real number, not a bool (a huge int is compared, not converted)."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
 @dataclass(frozen=True, eq=False)

@@ -202,6 +202,44 @@ def test_estimate_2sls_on_fixed_effects_spec_exits_2(tmp_path, capsys, instrumen
     assert "not supported yet" in captured.err
 
 
+@pytest.mark.parametrize("command", ["estimate", "diagnose"])
+def test_data_option_reads_the_file_a_spec_would_name(tmp_path, capsys, command):
+    spec_path, csv_path = _sim_inputs(tmp_path)
+    assert main([command, "--spec", str(spec_path)]) == 0
+    named = capsys.readouterr()
+    spec = json.loads(spec_path.read_text())
+    spec["dataset"] = "missing.csv"
+    spec_path.write_text(json.dumps(spec), encoding="utf-8")
+    assert main([command, "--spec", str(spec_path), "--data", str(csv_path)]) == 0
+    assert capsys.readouterr() == named
+
+
+def test_robust_option_equals_a_robust_spec(tmp_path, capsys):
+    spec_path, _ = _sim_inputs(tmp_path)
+    spec = json.loads(spec_path.read_text())
+    spec["estimator"], spec["covariance"] = "ols", "classical"
+    spec_path.write_text(json.dumps(spec), encoding="utf-8")
+    assert main(["estimate", "--spec", str(spec_path), "--robust"]) == 0
+    forced = capsys.readouterr().out
+    spec["covariance"] = "robust_hc0"
+    spec_path.write_text(json.dumps(spec), encoding="utf-8")
+    assert main(["estimate", "--spec", str(spec_path)]) == 0
+    assert capsys.readouterr().out == forced
+    assert "normal approximation (HC0)" in forced
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+@pytest.mark.parametrize("estimator", ["ols", "two_way_fe"])
+def test_spec_with_nothing_to_estimate_exits_2(tmp_path, capsys, fmt, estimator):
+    spec_path, _ = _sim_inputs(tmp_path)
+    spec = json.loads(spec_path.read_text())
+    spec.update(exogenous=[], endogenous=[], instruments=[], estimator=estimator, intercept=False)
+    spec_path.write_text(json.dumps(spec), encoding="utf-8")
+    assert main(["estimate", "--spec", str(spec_path), "--format", fmt]) == 2
+    assert capsys.readouterr() == (
+        "", "error: spec has nothing to estimate: no regressors and no intercept\n")
+
+
 # Each fault: the spec fields it overrides, and what the one-line error must name.
 SPEC_FAULTS = {
     "fixed_effects_with_intercept": ({"estimator": "two_way_fe", "intercept": True}, "got True"),
@@ -448,6 +486,15 @@ def test_simulate_rejects_unknown_keys(tmp_path, capsys, key):
     # Utilities overflow in every draw: each replication gives up re-drawing.
     ({"alpha": 1e308, "n_characteristics": 1, "beta": [1.0]},
      "every replication failed (DegenerateSharesError 3); nothing to summarize"),
+    ({"alpha": "x"}, "alpha must be a finite number"),
+    ({"characteristic_loc": "a"}, "characteristic_loc must be a finite number"),
+    ({"beta": 1}, "beta must be a sequence of finite numbers"),
+    ({"unit_effects": "ab"}, "unit_effects must be a sequence of finite numbers"),
+    ({"xi_scale": float("nan")}, "xi_scale must be a finite number"),
+    ({"xi_scale": True}, "xi_scale must be a finite number"),
+    ({"price_endogeneity": float("nan")}, "price_endogeneity must be a finite number"),
+    ({"alpha": float("inf")}, "alpha must be a finite number"),
+    ({"time_effects": [0.0, 10**400]}, "time_effects must be a sequence of finite numbers"),
 ])
 def test_simulate_rejects_invalid_values(tmp_path, capsys, override, message):
     params_path = tmp_path / "params.json"
@@ -457,6 +504,30 @@ def test_simulate_rejects_invalid_values(tmp_path, capsys, override, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("content, message", [
+    ("[1, 2]", "line 1, column '': parameter must be a JSON object"),
+    ('{"n_periods": 2}', "parameter is missing required field 'n_products'"),
+    ('{"n_products": 2,\n "n_periods": }', "line 2, column '': invalid JSON: Expecting value"),
+])
+def test_simulate_params_file_faults_exit_5(tmp_path, capsys, content, message):
+    params_path = tmp_path / "params.json"
+    params_path.write_text(content, encoding="utf-8")
+    assert main(["simulate", "--params", str(params_path)]) == 5
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+# Entries near 1e308 overflow inside both solvers; the failure is reported on one line.
+@pytest.mark.filterwarnings("error")
+def test_simulate_on_huge_regressors_warns_nothing(tmp_path, capsys):
+    params = {"n_products": 3, "n_periods": 2, "seed": 4, "replications": 3,
+              "characteristic_scale": 1e308, "n_characteristics": 1, "beta": [0.0], "consumers": 100}
+    params_path = tmp_path / "params.json"
+    params_path.write_text(json.dumps(params), encoding="utf-8")
+    assert main(["simulate", "--params", str(params_path)]) == 5
+    assert capsys.readouterr() == (
+        "", "error: every replication failed (RankDeficientError 3); nothing to summarize\n")
 
 
 def test_simulate_reports_failures_by_class_and_redraws(tmp_path, capsys):

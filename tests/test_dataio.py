@@ -163,6 +163,44 @@ def test_blank_record_in_a_later_block_keeps_line_numbers(tmp_path):
     assert data.source_lines[BLOCK_RECORDS + 1] == BLOCK_RECORDS + 4
 
 
+@pytest.mark.parametrize("content, line, column, message", [
+    (b"unit,period,share\na,2014,0.25\nb,2015,0.\xff25\n", 3, "share", "not valid UTF-8"),
+    (b"unit,period,share\na,2014,0.25\nb\xff,2015,0.25\n", 3, "unit", "not valid UTF-8"),
+    (b"unit,period,share\na,2014,0.25\nb,20\xff15,0.25\n", 3, "period", "not valid UTF-8"),
+    # Ranked like any fault on its line: the period comes before the value columns.
+    (b"unit,period,share\na,2014,0.25\nb,spring,0.\xff25\n", 3, "period",
+     "period 'spring' is not an integer"),
+    (b"unit,period,sh\xffare\na,2014,0.25\n", 1, "sh\udcffare", "not valid UTF-8"),
+], ids=["value", "unit", "period", "period_first", "header"])
+def test_byte_that_is_not_utf8_is_reported_on_its_cell(tmp_path, content, line, column, message):
+    path = tmp_path / "panel.csv"
+    path.write_bytes(content)
+    with pytest.raises(ParseError) as err:
+        load_panel(path)
+    assert (err.value.line, err.value.column) == (line, column)
+    assert str(err.value) == f"line {line}, column {column!r}: {message}"
+
+
+@pytest.mark.parametrize("record, column", [("u\xff,2014,1,1", "unit"), ("u,2014,1,\xff", "b")],
+                         ids=["unit", "value"])
+def test_byte_that_is_not_utf8_past_the_first_block_is_reported_on_its_line(tmp_path, record,
+                                                                            column):
+    lines = _clean_lines(2 * BLOCK_RECORDS + 10)
+    line = BLOCK_RECORDS + 7
+    lines[line - 1] = record
+    path = tmp_path / "panel.csv"
+    path.write_bytes("\n".join(lines).encode("latin-1") + b"\n")
+    assert len("\n".join(lines[:line - 1])) > 8192
+    with pytest.raises(ParseError) as err:
+        load_panel(path)
+    assert str(err.value) == f"line {line}, column {column!r}: not valid UTF-8"
+
+
+def test_duplicated_header_name_is_a_parse_error(tmp_path):
+    with pytest.raises(ParseError, match=r"^line 1, column 'a': duplicated column name$"):
+        load_panel(_write(tmp_path, "unit,period,a,b,a\nu,2014,1,2,3\n"))
+
+
 def test_duplicate_key_rejected(tmp_path):
     text = "unit,period,Price\nps4,2015,1\nps4,2015,2\n"
     with pytest.raises(DuplicateKeyError):
@@ -387,6 +425,20 @@ def test_parse_spec_rejects_invalid_json(tmp_path):
     path.write_text("{not json", encoding="utf-8")
     with pytest.raises(ParseError):
         parse_spec(path)
+
+
+@pytest.mark.parametrize("body, error, message", [
+    ([], ParseError, "line 1, column '': spec must be a JSON object"),
+    ({**_spec_dict(), "weights": "huber"}, UnknownKeyError, "unknown spec keys: ['weights']"),
+    ({"dataset": "panel.csv", "estimator": "ols"}, MissingRequiredError,
+     "spec is missing required field 'dependent'"),
+    (_spec_dict(exogenous="Subscribe"), ValueError,
+     "spec field 'exogenous' must be a list of column names"),
+], ids=["array", "unknown_key", "missing_key", "role_string"])
+def test_parse_spec_faults_name_the_spec(tmp_path, body, error, message):
+    with pytest.raises(error) as err:
+        parse_spec(_write_spec(tmp_path, body))
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("number", [1, 2, 3, 4])

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logitdemand.errors import RankDeficientError
-from logitdemand.matrix import solve_least_squares
+from logitdemand.matrix import (DEFAULT_RANK_TOL, _column_scale, _householder_qr_pivoted,
+                                solve_least_squares)
 
 
 def test_identity_design_recovers_y_exactly():
@@ -140,3 +143,54 @@ def test_rank_is_deterministic():
             solve_least_squares(x.copy(), y)
         reported.append(err.value.columns)
     assert reported[0] == reported[1]
+
+
+# --- a LAPACK factor, then pivoting on the small factor -------------------------
+# Q is orthogonal, so the p x p factor R of [X | y] has X's column norms and R'R = X'X:
+# pivoting on R and on X must agree on the rank, the dependent columns and the fit.
+
+
+def _pivoted_fit(x, y, scale):
+    """(rank, dependent columns, coefficients or None) from the pivoted QR of `x`, with the
+    rank decided as `solve_least_squares` decides it against the column scale `scale`."""
+    p = x.shape[1]
+    r, pivots, qty = _householder_qr_pivoted(x, y)
+    rank = int(np.sum(np.abs(np.diag(r)[:p]) > DEFAULT_RANK_TOL * scale))
+    if rank < p:
+        return rank, sorted(pivots[rank:].tolist()), None
+    beta = np.zeros(p)
+    beta[pivots] = np.linalg.solve(r[:p, :p], qty[:p])
+    return rank, [], beta
+
+
+@st.composite
+def designs(draw):
+    """A random design with columns on scales 0.01 to 100 and at most one exactly dependent
+    column: zero, or a multiple other than -1 or 1 of another column. (Among three or more
+    dependent columns, pivoting can meet an exact tie, and rounding then picks the column.)"""
+    p = draw(st.integers(1, 6))
+    n = draw(st.integers(p + 1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(size=(n, p)) * 10.0 ** rng.uniform(-2, 2, size=p)
+    dependency = draw(st.sampled_from(["none", "zero", "multiple"]))
+    j = draw(st.integers(0, p - 1))
+    if dependency == "zero":
+        x[:, j] = 0.0
+    elif dependency == "multiple" and p > 1:
+        a = draw(st.sampled_from([k for k in range(p) if k != j]))
+        x[:, j] = draw(st.sampled_from([-3.0, 0.5, 2.0])) * x[:, a]
+    return x, rng.normal(size=n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(designs())
+def test_pivoting_on_the_factor_of_x_y_agrees_with_pivoting_on_x(design):
+    x, y = design
+    p = x.shape[1]
+    scale = _column_scale(x)
+    factor = np.linalg.qr(np.column_stack([x, y]), mode="r")
+    rank, dependent, beta = _pivoted_fit(x, y, scale)
+    factor_rank, factor_dependent, factor_beta = _pivoted_fit(factor[:p, :p], factor[:p, p], scale)
+    assert (factor_rank, factor_dependent) == (rank, dependent)
+    if beta is not None:
+        assert np.max(np.abs(factor_beta - beta)) <= 1e-10 * np.max(np.abs(beta))
