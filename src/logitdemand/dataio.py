@@ -475,11 +475,15 @@ _SPEC_FIELDS = {
 
 def read_json_object(path, kind, keys, required) -> dict:
     """The JSON object of a spec or parameter file (`kind`): keys among `keys`, `required` present."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(exc.lineno, "", f"invalid JSON: {exc.msg}") from None
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        text = fh.read()
+    undecoded = _UNDECODED.search(text)
+    if undecoded:
+        raise ParseError(text.count("\n", 0, undecoded.start()) + 1, "", "not valid UTF-8")
+    try:
+        raw = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(exc.lineno, "", f"invalid JSON: {exc.msg}") from None
     if not isinstance(raw, dict):
         raise ParseError(1, "", f"{kind} must be a JSON object")
     unknown = set(raw) - set(keys)

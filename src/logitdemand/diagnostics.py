@@ -20,9 +20,9 @@ from .errors import (
     InsufficientObservationsError,
     MultipleEndogenousError,
 )
-from .estimators import (EstimateResult, ModelSpec, _columns, _first_stage_design, _least_squares,
-                         design_matrix, sum_of_squares)
-from .matrix import DEFAULT_RANK_TOL
+from .estimators import (EstimateResult, ModelSpec, _columns, _first_stage_design, design_matrix,
+                         sum_of_squares)
+from .matrix import DEFAULT_RANK_TOL, solve_least_squares
 
 if TYPE_CHECKING:
     from .dataio import PanelDataset
@@ -146,10 +146,10 @@ def _fit_rss(x, y, names):
     """(RSS, residual df, certified) of `y` on the design `x` with column `names`. An RSS at or
     below (DEFAULT_RANK_TOL * ||y||)^2 is an exact fit's rounding and counts as 0, one panel or a
     stack alike, so an exact fit gives `f_statistic` an F of inf."""
-    sol, certified = _least_squares(x, y, names)
+    sol = solve_least_squares(x, y, names)
     rss = sum_of_squares(sol.residuals)
     rss = np.where(rss <= DEFAULT_RANK_TOL**2 * sum_of_squares(y), 0.0, rss)
-    return rss, y.shape[-1] - x.shape[-1], certified
+    return rss, y.shape[-1] - x.shape[-1], sol.certified
 
 
 def first_stage_stats(spec: ModelSpec, columns):

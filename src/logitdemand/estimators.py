@@ -24,8 +24,7 @@ from .errors import (
     OrderConditionViolatedError,
     RankDeficientError,
 )
-from .matrix import (DEFAULT_RANK_TOL, as_matrix, as_vector, solve_least_squares,
-                     solve_least_squares_stacked)
+from .matrix import DEFAULT_RANK_TOL, as_matrix, as_vector, solve_least_squares
 
 if TYPE_CHECKING:
     from .dataio import PanelDataset
@@ -171,18 +170,6 @@ def standard_errors(cov) -> np.ndarray:
     return np.sqrt(np.clip(np.diagonal(cov, axis1=-2, axis2=-1), 0.0, None))
 
 
-def _least_squares(x, y, names):
-    """(solution, certified) of y on x: `solve_least_squares_stacked` and its (R,) full-rank
-    mask for a stack (R, n, p); else `solve_least_squares`, naming rank loss from `names`."""
-    if x.ndim == 3:
-        return solve_least_squares_stacked(x, y)
-    try:
-        return solve_least_squares(x, y), True
-    except RankDeficientError as exc:
-        named = [names[c] for c in exc.columns]
-        raise RankDeficientError(exc.columns, f"design is rank deficient in columns {named}") from None
-
-
 def _select_rows(data: "PanelDataset", spec: ModelSpec):
     mask = data.complete_rows(spec.required_columns())
     return np.flatnonzero(mask)
@@ -265,16 +252,16 @@ def pooled_fit(spec: ModelSpec, columns, absorbed):
             raise InsufficientObservationsError(f"{n} rows cannot support the {p1}-column first stage")
         fitted_endog = []
         for name in spec.endogenous_regressors:
-            first, ok = _least_squares(z, columns[name], z_names)
-            certified &= ok
+            first = solve_least_squares(z, columns[name], z_names)
+            certified &= first.certified
             fitted_endog.append(first.fitted[..., None])
         n_exog = x.shape[-1] - len(fitted_endog)
         x_fit = np.concatenate([x[..., :n_exog], *fitted_endog], axis=-1)
     p = x_fit.shape[-1] + absorbed
     if n <= p:
         raise InsufficientObservationsError(f"{n} rows cannot support {p} coefficients")
-    sol, ok = _least_squares(x_fit, y, names)
-    certified &= ok
+    sol = solve_least_squares(x_fit, y, names)
+    certified &= sol.certified
     fitted = np.matvec(x, sol.coefficients)
     residuals = y - fitted
     cov = coefficient_covariance(spec.covariance, x_fit, residuals, sol.xtx_inverse, n - p)
@@ -317,7 +304,7 @@ def absorb(spec: ModelSpec, columns, units, periods):
     Frisch-Waugh-Lovell this is the LSDV fit, with the absorbed unit levels
     still counted as coefficients. A regressor constant within units leaves
     only rounding noise, at most `DEFAULT_RANK_TOL` of its norm; it comes
-    back as zeros, so that both solvers see the rank loss. `columns` are
+    back as zeros, so that both kernels see the rank loss. `columns` are
     complete, (n,) for one panel or (R, n) for markets that share the row
     labels `units` and `periods`. Any other spec comes back as it is, with
     nothing absorbed.

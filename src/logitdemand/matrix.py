@@ -1,10 +1,12 @@
 """Dense least-squares kernel: pivoted Householder QR with rank detection.
 
-Matrices are plain 2-D float64 ndarrays (row-major). The solver deliberately
+Matrices are plain float64 ndarrays (row-major). The solver deliberately
 avoids the normal equations: small econometric designs with near-collinear
-dummies lose half the available precision under X'X. A stack of designs of one
-shape is solved at once by `solve_least_squares_stacked`, which certifies full
-rank per entry instead of pivoting.
+dummies lose half the available precision under X'X. `solve_least_squares` takes
+one design (n, p) or a stack of designs of one shape (R, n, p), and the shape
+picks the kernel: one design takes the pivoted QR, which names the dependent
+columns of a rank-deficient design; a stack takes one LAPACK QR, which
+certifies full rank per entry instead of pivoting.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from .errors import RankDeficientError
 
 #: Relative rank tolerance, applied against the largest column norm.
 DEFAULT_RANK_TOL = 1e-10
-#: Factor by which the stacked solver's rank certificate must clear the rank tolerance,
+#: Factor by which a stack's full-rank certificate must clear the rank tolerance,
 #: leaving room for the rounding of two different factorizations.
 CERTIFY_MARGIN = 1e3
 
@@ -43,12 +45,16 @@ def as_vector(a, name="vector"):
 
 @dataclass(frozen=True, eq=False)
 class LeastSquaresSolution:
-    """Full-rank least-squares fit of y on X; a stacked fit has a leading axis on every array."""
+    """Full-rank least-squares fit of y on X; a stacked fit has a leading axis on every array.
+
+    `certified` is True for one design, which is full rank or refused, and the
+    (R,) mask of entries certified full rank for a stack.
+    """
 
     coefficients: np.ndarray
     fitted: np.ndarray
     residuals: np.ndarray
-    rank: int
+    certified: bool | np.ndarray
     xtx_inverse: np.ndarray
 
 
@@ -97,40 +103,46 @@ def _column_scale(x):
 
 # Huge entries can overflow in the factorization; the rank check then refuses the design.
 @np.errstate(over="ignore", invalid="ignore")
-def solve_least_squares(x, y, tol=DEFAULT_RANK_TOL):
-    """Minimize ||y - X b|| via pivoted Householder QR.
+def solve_least_squares(x, y, names=None):
+    """Minimize ||y - X b|| for one design, or for every entry of a stack of designs.
 
     Parameters
     ----------
-    x : (n, p) array, n >= p
-    y : (n,) array
-    tol : float
-        Relative rank tolerance.
+    x : (n, p) array, or an (R, n, p) stack; n >= p
+    y : (n,) array, or (R, n) for a stack
+    names : sequence of p column names, optional
+        The names under which a rank-deficient design's columns are reported.
 
     Returns
     -------
     LeastSquaresSolution
-        Coefficients, fitted values, residuals, rank and (X'X)^-1.
+        Coefficients, fitted values, residuals, full-rank certificate and (X'X)^-1.
 
     Raises
     ------
     RankDeficientError
-        When the numerical rank is below p. Columns are reported, never
-        silently dropped.
+        When the numerical rank of one design is below p. Columns are
+        reported, never silently dropped. A stack raises nothing: an entry
+        that is not full rank is not certified (`_solve_stack`).
     """
-    x = as_matrix(x, "X")
-    y = as_vector(y, "y")
-    n, p = x.shape
-    if y.shape[0] != n:
-        raise ValueError(f"X has {n} rows but y has {y.shape[0]}")
+    stacked = np.ndim(x) == 3
+    x = as_matrix(x, "X", ndim=2 + stacked)
+    y = as_matrix(y, "y") if stacked else as_vector(y, "y")
+    n, p = x.shape[-2:]
+    if y.shape != x.shape[:-1]:
+        raise ValueError(f"X has shape {x.shape} but y has shape {y.shape}")
     if n < p:
         raise ValueError(f"need at least as many rows as columns, got {n} x {p}")
+    if stacked:
+        return _solve_stack(x, y)
 
     r, pivots, qty = _householder_qr_pivoted(x, y)
     diag = np.abs(np.diag(r)[:p])
-    rank = int(np.sum(diag > tol * _column_scale(x)))
+    rank = int(np.sum(diag > DEFAULT_RANK_TOL * _column_scale(x)))
     if rank < p:
-        raise RankDeficientError(sorted(int(c) for c in pivots[rank:]))
+        columns = sorted(int(c) for c in pivots[rank:])
+        raise RankDeficientError(columns, None if names is None else
+                                 f"design is rank deficient in columns {[names[c] for c in columns]}")
 
     upper = r[:p, :p]
     beta = np.zeros(p)
@@ -149,58 +161,37 @@ def solve_least_squares(x, y, tol=DEFAULT_RANK_TOL):
         coefficients=beta,
         fitted=fitted,
         residuals=residuals,
-        rank=rank,
+        certified=True,
         xtx_inverse=xtx_inv,
     )
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def solve_least_squares_stacked(x, y, tol=DEFAULT_RANK_TOL):
-    """Minimize ||y_r - X_r b_r|| for every entry r of a stack, via one LAPACK QR of [X | y].
+def _solve_stack(x, y):
+    """The fit of every entry r of a stack x (R, n, p), y (R, n), via one LAPACK QR of [X | y].
 
-    Parameters
-    ----------
-    x : (R, n, p) array, n >= p
-    y : (R, n) array
-    tol : float
-        Relative rank tolerance, as in `solve_least_squares`.
-
-    Returns
-    -------
-    (LeastSquaresSolution, certified)
-        The solution's arrays carry the leading axis R and its rank is p.
-        `certified` is an (R,) bool array: entry r is certified full rank when
-        1 / ||R_r^-1||_F > CERTIFY_MARGIN * tol * (largest column norm of X_r).
-        Every |R_ii| of a pivoted QR is at least sigma_min(X) >= 1 / ||R^-1||_F,
-        so a certified entry has rank p under `solve_least_squares` too. The
-        values of an entry that is not certified mean nothing: refit it with
-        `solve_least_squares`, which finds and names the dependent columns.
+    Entry r is certified full rank when 1 / ||R_r^-1||_F > CERTIFY_MARGIN *
+    DEFAULT_RANK_TOL * (largest column norm of X_r). Every |R_ii| of a pivoted
+    QR is at least sigma_min(X) >= 1 / ||R^-1||_F, so a certified entry has
+    rank p as one design too. The values of an entry that is not certified
+    mean nothing: refit it as one design, which finds and names the dependent
+    columns.
     """
-    x = as_matrix(x, "X", ndim=3)
-    y = as_matrix(y, "y")
-    stack, n, p = x.shape
-    if y.shape != (stack, n):
-        raise ValueError(f"X has shape {x.shape} but y has shape {y.shape}")
-    if n < p:
-        raise ValueError(f"need at least as many rows as columns, got {n} x {p}")
-
+    p = x.shape[-1]
     # Q'y is the top of the last column of the factor of [X | y].
     factor = np.linalg.qr(np.concatenate([x, y[..., None]], axis=-1), mode="r")
     upper, qty = factor[:, :p, :p], factor[:, :p, p]
-    threshold = CERTIFY_MARGIN * tol * _column_scale(x)
+    threshold = CERTIFY_MARGIN * DEFAULT_RANK_TOL * _column_scale(x)
     # 1 / ||R^-1||_F <= min |R_ii|, so an entry at or below the threshold there cannot be
     # certified; its factor is swapped for I so that the batched inverse meets no zero pivot.
     plausible = np.abs(np.diagonal(upper, axis1=1, axis2=2)).min(axis=-1, initial=np.inf) > threshold
     rinv = np.linalg.inv(np.where(plausible[:, None, None], upper, np.eye(p)))
-    certified = plausible & (np.linalg.norm(rinv, axis=(1, 2)) * threshold < 1.0)
 
     beta = np.matvec(rinv, qty)
     fitted = np.matvec(x, beta)
-    solution = LeastSquaresSolution(
+    return LeastSquaresSolution(
         coefficients=beta,
         fitted=fitted,
         residuals=y - fitted,
-        rank=p,
+        certified=plausible & (np.linalg.norm(rinv, axis=(1, 2)) * threshold < 1.0),
         xtx_inverse=rinv @ rinv.mT,
     )
-    return solution, certified

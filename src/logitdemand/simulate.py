@@ -303,7 +303,7 @@ def run_monte_carlo(params: DgpParams, spec: estimators.ModelSpec | None = None,
     share check or a fit, whose fits are not certified full rank or whose F
     or J is not finite is drawn and fitted again on its own panel by
     `estimate`, `first_stage_f` and `sargan_j` with the pivoted QR, failures
-    included. The two solvers agree within 1e-10 relative (about 1e-15 in
+    included. The two kernels agree within 1e-10 relative (about 1e-15 in
     practice).
 
     Per-replication estimator failures are counted by error class, not fatal.

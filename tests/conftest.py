@@ -31,6 +31,16 @@ def make_panel():
 
 
 @pytest.fixture
+def twin_panel(make_panel):
+    """A 12-row panel, 3 units by 4 periods, whose x2 is exactly 2 * x1."""
+    rng = np.random.default_rng(0)
+    x1 = rng.normal(size=12)
+    return make_panel({"y": 1.0 + x1 + rng.normal(size=12), "x1": x1, "x2": 2.0 * x1},
+                      units=[f"u{j}" for j in range(3) for _ in range(4)],
+                      periods=[2001 + t for _ in range(3) for t in range(4)])
+
+
+@pytest.fixture
 def simulated_market():
     """Generate a clean simulated panel with the dependent column attached."""
 

@@ -292,6 +292,16 @@ def test_estimate_rank_deficient_exits_3(tmp_path, capsys):
     assert "x1" in err
 
 
+def test_estimate_names_the_dependent_column_of_one_panel(tmp_path, capsys, twin_panel):
+    write_panel_csv(twin_panel, tmp_path / "twin.csv")
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"dataset": "twin.csv", "dependent": "y",
+                                     "exogenous": ["x1", "x2"], "estimator": "ols"}),
+                         encoding="utf-8")
+    assert main(["estimate", "--spec", str(spec_path)]) == 3
+    assert capsys.readouterr() == ("", "error: design is rank deficient in columns ['x1']\n")
+
+
 def test_estimate_reports_dropped_rows(tmp_path, capsys):
     spec_path, csv_path = _sim_inputs(tmp_path)
     text = csv_path.read_text().splitlines()
@@ -516,6 +526,22 @@ def test_simulate_params_file_faults_exit_5(tmp_path, capsys, content, message):
     params_path.write_text(content, encoding="utf-8")
     assert main(["simulate", "--params", str(params_path)]) == 5
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+# A byte that is not UTF-8 is reported on its line, as in a panel CSV, with the command's code.
+@pytest.mark.parametrize("command, option, content, line", [
+    ("estimate", "--spec",
+     b'{"dataset": "x.csv", "dependent": "y\xff", "estimator": "ols"}', 1),
+    ("estimate", "--spec",
+     b'{"dataset": "x.csv",\n "estimator": "ols",\n "dependent": "y\xff"}\n', 3),
+    ("simulate", "--params", b'{"n_products": 2, "n_periods": 2, "alpha": "\xff"}', 1),
+    ("simulate", "--params", b'{"n_products": 2,\n "n_periods": 2,\n "alpha": "\xff"\n}\n', 3),
+], ids=["spec_line_1", "spec_line_3", "params_line_1", "params_line_3"])
+def test_json_file_that_is_not_utf8_names_its_line(tmp_path, capsys, command, option, content, line):
+    path = tmp_path / "file.json"
+    path.write_bytes(content)
+    assert main([command, option, str(path)]) == (2 if command == "estimate" else 5)
+    assert capsys.readouterr() == ("", f"error: line {line}, column '': not valid UTF-8\n")
 
 
 # Entries near 1e308 overflow inside both solvers; the failure is reported on one line.

@@ -82,6 +82,15 @@ def test_ols_rank_deficiency_names_columns(make_panel):
     assert "x1" in str(err.value) or "x2" in str(err.value)
 
 
+def test_rank_loss_on_one_panel_is_named_by_column(twin_panel):
+    spec = ModelSpec(dependent="y", exogenous_regressors=("x1", "x2"))
+    with pytest.raises(RankDeficientError) as err:
+        estimate(spec, twin_panel)
+    # Pivoting takes x2 (the largest column) and then the intercept, so x1 is left over.
+    assert str(err.value) == "design is rank deficient in columns ['x1']"
+    assert err.value.columns == (1,)
+
+
 def _fe_panel(make_panel, n_units=10, n_periods=10, slope=2.0, noise=0.01, seed=0,
               drop=()):
     rng = np.random.default_rng(seed)

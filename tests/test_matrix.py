@@ -12,7 +12,7 @@ def test_identity_design_recovers_y_exactly():
     sol = solve_least_squares(np.eye(3), np.array([1.0, 2.0, 3.0]))
     assert np.allclose(sol.coefficients, [1.0, 2.0, 3.0])
     assert np.allclose(sol.residuals, 0.0)
-    assert sol.rank == 3
+    assert sol.certified is True
 
 
 def test_intercept_only_fit_is_the_mean():
@@ -99,7 +99,7 @@ def test_nonfinite_inputs_rejected():
 
 
 def test_rank_of_identity():
-    assert solve_least_squares(np.eye(3), np.ones(3)).rank == 3
+    assert solve_least_squares(np.eye(3), np.ones(3)).certified is True
 
 
 def test_rank_with_duplicated_column():
@@ -119,7 +119,7 @@ def test_rank_with_tiny_perturbation_matches_svd_oracle():
     x[:, 2] = x[:, 0] + 1e-14 * rng.normal(size=5)
     tol = 1e-10
     with pytest.raises(RankDeficientError) as err:
-        solve_least_squares(x, rng.normal(size=5), tol=tol)
+        solve_least_squares(x, rng.normal(size=5))
     # Independent oracle: singular values from numpy give rank 2.
     s = np.linalg.svd(x, compute_uv=False)
     svd_rank = int(np.sum(s > tol * np.max(np.linalg.norm(x, axis=0))))
@@ -134,7 +134,6 @@ def test_rank_is_deterministic():
     y = rng.normal(size=10)
     a = solve_least_squares(x, y)
     b = solve_least_squares(x.copy(), y.copy())
-    assert a.rank == b.rank == 4
     assert np.array_equal(a.coefficients, b.coefficients)
     x[:, 3] = x[:, 1]
     reported = []
@@ -194,3 +193,19 @@ def test_pivoting_on_the_factor_of_x_y_agrees_with_pivoting_on_x(design):
     assert (factor_rank, factor_dependent) == (rank, dependent)
     if beta is not None:
         assert np.max(np.abs(factor_beta - beta)) <= 1e-10 * np.max(np.abs(beta))
+
+
+@settings(max_examples=300, deadline=None)
+@given(designs(), st.integers(1, 4))
+def test_a_certified_stack_entry_is_full_rank_as_one_design(design, copies):
+    x, y = design
+    stack = solve_least_squares(np.stack([x] * copies), np.stack([y] * copies))
+    assert stack.certified.shape == (copies,)
+    try:
+        one = solve_least_squares(x, y)
+    except RankDeficientError:
+        assert not stack.certified.any()
+        return
+    for certified, beta in zip(stack.certified, stack.coefficients):
+        if certified:
+            assert np.max(np.abs(beta - one.coefficients)) <= 1e-10 * np.max(np.abs(one.coefficients))

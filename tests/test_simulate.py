@@ -9,7 +9,7 @@ from logitdemand import simulate
 from logitdemand.dataio import DEPENDENT_COLUMN, compute_dependent
 from logitdemand.errors import DegenerateSharesError, UnknownColumnError
 from logitdemand.estimators import design_matrix, estimate, estimate_tsls
-from logitdemand.matrix import solve_least_squares_stacked
+from logitdemand.matrix import solve_least_squares
 from logitdemand.simulate import (
     DgpParams,
     default_model_spec,
@@ -171,7 +171,7 @@ def test_monte_carlo_runs_replications_on_spawned_seeds():
     # Exactly the stacked fit of that one market: the same seed, draw and inversion.
     x, _ = design_matrix({name: data.column(name)[None] for name in spec.regressors},
                          spec.regressors, True, (1, data.n_rows))
-    stacked, _ = solve_least_squares_stacked(x, data.column(DEPENDENT_COLUMN)[None])
+    stacked = solve_least_squares(x, data.column(DEPENDENT_COLUMN)[None])
     assert summary.mean_bias["price"] == stacked.coefficients[0, -1] - truth
     # And the single-panel estimate within rounding of the other kernel.
     result = estimate(spec, data)
