@@ -93,11 +93,9 @@ def format_coefficient_table(result: estimators.EstimateResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _report_dropped_rows(data, row_indices):
+def _report_dropped_rows(data, spec):
     """Listwise deletion is silent in the API; the CLI reports it."""
-    unused = np.ones(data.n_rows, dtype=bool)
-    unused[row_indices] = False
-    dropped = np.flatnonzero(unused).tolist()
+    dropped = np.flatnonzero(~data.complete_rows(spec.required_columns())).tolist()
     if not dropped:
         return
     shown = ", ".join(data.row_label(i) for i in dropped[:8])
@@ -142,7 +140,7 @@ def cmd_estimate(args) -> int:
         spec = dataclasses.replace(spec, covariance="robust_hc0")
 
     result = estimators.estimate(spec, data)
-    _report_dropped_rows(data, result.row_indices)
+    _report_dropped_rows(data, spec)
 
     table = dataio.results_csv_text if args.format == "csv" else format_coefficient_table
     return _emit(args, table(result), data_path)

@@ -213,10 +213,7 @@ def first_stage_f(spec: ModelSpec, data: "PanelDataset") -> FTestReport:
     if not spec.instruments:
         raise ValueError("spec has no instruments")
 
-    mask = data.complete_rows(
-        (spec.dependent, *spec.regressors, *spec.instruments)
-    )
-    rows = np.flatnonzero(mask)
+    rows = np.flatnonzero(data.complete_rows((spec.dependent, *spec.regressors, *spec.instruments)))
     columns = _columns(data, rows, (*spec.regressors, *spec.instruments))
     m = len(spec.instruments)
 
@@ -236,11 +233,12 @@ def first_stage_f(spec: ModelSpec, data: "PanelDataset") -> FTestReport:
 def sargan_j(tsls_result: EstimateResult, spec: ModelSpec, data: "PanelDataset") -> JTestReport:
     """Sargan over-identification test from the 2SLS residual regression.
 
-    Regresses the 2SLS residuals on an intercept, the instruments and the
-    exogenous regressors, takes that regression's overall F, and sets
-    J = m * F with J ~ chi2(m - k) under instrument exogeneity. Requires
-    m > k; the 5% decision uses the upper-tail chi-square critical value
-    (equivalently, p_value < 0.05).
+    Takes the 2SLS residuals y - X b, with the actual regressors X, on the
+    spec's complete rows of `data`, regresses them on an intercept, the
+    instruments and the exogenous regressors, takes that regression's
+    overall F, and sets J = m * F with J ~ chi2(m - k) under instrument
+    exogeneity. Requires m > k; the 5% decision uses the upper-tail
+    chi-square critical value (equivalently, p_value < 0.05).
     """
     m = len(spec.instruments)
     k = len(spec.endogenous_regressors)
@@ -251,11 +249,13 @@ def sargan_j(tsls_result: EstimateResult, spec: ModelSpec, data: "PanelDataset")
     if tsls_result.estimator_tag != "tsls":
         raise ValueError("sargan_j needs a 2SLS result")
 
-    rows = tsls_result.row_indices
-    n = rows.shape[0]
-    columns = _columns(data, rows, (*spec.instruments, *spec.exogenous_regressors))
+    rows = np.flatnonzero(data.complete_rows((spec.dependent, *spec.regressors, *spec.instruments)))
+    n = rows.size
+    columns = _columns(data, rows, (spec.dependent, *spec.regressors, *spec.instruments))
+    x, _ = design_matrix(columns, spec.regressors, spec.include_intercept, rows.shape)
+    residuals = columns[spec.dependent] - np.matvec(x, tsls_result.coefficients)
 
-    stats = sargan_stats(spec, columns, tsls_result.residuals)
+    stats = sargan_stats(spec, columns, residuals)
     j, p_value, overall_f, block_f, r2 = (float(v) for v in stats[:5])
     df = m - k
     return JTestReport(

@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import (
     CollinearWithFixedEffectsError,
+    EstimationError,
     InsufficientObservationsError,
     OrderConditionViolatedError,
     RankDeficientError,
@@ -104,9 +105,6 @@ class EstimateResult:
     coefficients: np.ndarray
     standard_errors: np.ndarray
     covariance_matrix: np.ndarray
-    residuals: np.ndarray
-    fitted: np.ndarray
-    row_indices: np.ndarray
     n_observations: int
     df_residual: int
     r_squared: float
@@ -176,6 +174,9 @@ def _select_rows(data: "PanelDataset", spec: ModelSpec):
 
 
 def _columns(data, rows, column_names):
+    """The named columns at `rows`: the panel's own arrays when every row is used."""
+    if rows.size == data.n_rows:
+        return {name: data.column(name) for name in column_names}
     return {name: data.column(name)[rows] for name in column_names}
 
 
@@ -192,8 +193,7 @@ def design_matrix(columns, column_names, intercept, shape):
     return x, names
 
 
-def _finish(spec, names, beta, cov, residuals, fitted, rows, n, df, y, centered,
-            estimator_tag, fe_values=None):
+def _finish(spec, names, beta, cov, residuals, n, df, y, centered, estimator_tag, fe_values=None):
     rss = float(sum_of_squares(residuals))
     if centered:
         dev = y - y.mean()
@@ -209,9 +209,6 @@ def _finish(spec, names, beta, cov, residuals, fitted, rows, n, df, y, centered,
         coefficients=beta,
         standard_errors=standard_errors(cov),
         covariance_matrix=cov,
-        residuals=residuals,
-        fitted=fitted,
-        row_indices=rows,
         n_observations=n,
         df_residual=df,
         r_squared=r2,
@@ -233,12 +230,16 @@ def pooled_fit(spec: ModelSpec, columns, absorbed):
     """OLS, or 2SLS for a `tsls` spec, on complete `columns` of shape (n,) for one panel or
     (R, n) for a stack of R markets, from which `absorb` took `absorbed` levels.
 
-    Returns (names, coefficients, covariance, residuals, fitted, df_residual,
+    Returns (names, coefficients, covariance, residuals, df_residual,
     certified); `certified` is True for one panel, else the (R,) mask of
-    markets whose every fit is full rank. The p of the row check and of
+    markets whose every fit is full rank and whose residual sum of squares
+    and covariance are finite. The p of the row check and of
     df_residual = n - p counts the absorbed levels. 2SLS replaces the
     endogenous columns by their fits on `_first_stage_design`; its residuals
     use the actual columns and its covariance takes the fitted design as the bread.
+
+    Raises EstimationError when one panel's residual sum of squares or
+    covariance overflows.
     """
     y = columns[spec.dependent]
     n = y.shape[-1]
@@ -261,11 +262,16 @@ def pooled_fit(spec: ModelSpec, columns, absorbed):
     if n <= p:
         raise InsufficientObservationsError(f"{n} rows cannot support {p} coefficients")
     sol = solve_least_squares(x_fit, y, names)
-    certified &= sol.certified
-    fitted = np.matvec(x, sol.coefficients)
-    residuals = y - fitted
-    cov = coefficient_covariance(spec.covariance, x_fit, residuals, sol.xtx_inverse, n - p)
-    return names, sol.coefficients, cov, residuals, fitted, n - p, certified
+    with np.errstate(over="ignore", invalid="ignore"):
+        residuals = y - np.matvec(x, sol.coefficients)
+        rss = sum_of_squares(residuals)
+        cov = coefficient_covariance(spec.covariance, x_fit, residuals, sol.xtx_inverse, n - p)
+    finite = np.isfinite(rss) & np.isfinite(cov).all(axis=(-2, -1))
+    if y.ndim == 1 and not finite:
+        what = "coefficient covariance" if np.isfinite(rss) else "residual sum of squares"
+        raise EstimationError(f"the fit overflows: its {what} is not finite; rescale the "
+                              "dependent or the regressors")
+    return names, sol.coefficients, cov, residuals, n - p, certified & sol.certified & finite
 
 
 def _estimate_pooled(spec: ModelSpec, data: "PanelDataset", estimator) -> EstimateResult:
@@ -273,9 +279,9 @@ def _estimate_pooled(spec: ModelSpec, data: "PanelDataset", estimator) -> Estima
         raise ValueError(f"spec.estimator is {spec.estimator!r}, expected {estimator!r}")
     rows = _select_rows(data, spec)
     columns = _columns(data, rows, spec.required_columns())
-    names, beta, cov, residuals, fitted, df, _ = pooled_fit(spec, columns, 0)
-    return _finish(spec, names, beta, cov, residuals, fitted, rows, rows.size, df,
-                   columns[spec.dependent], spec.include_intercept, spec.estimator)
+    names, beta, cov, residuals, df, _ = pooled_fit(spec, columns, 0)
+    return _finish(spec, names, beta, cov, residuals, rows.size, df, columns[spec.dependent],
+                   spec.include_intercept, spec.estimator)
 
 
 def estimate_ols(spec: ModelSpec, data: "PanelDataset") -> EstimateResult:
@@ -389,7 +395,7 @@ def estimate_two_way_fe(spec: ModelSpec, data: "PanelDataset") -> EstimateResult
             name, f"regressor {name!r} is collinear with the fixed effects and the other regressors"
         )
 
-    _, coefficients, cov, residuals, _, df, _ = fit
+    _, coefficients, cov, residuals, df, _ = fit
     beta = coefficients[m:]
     y = columns[spec.dependent]
     period_fx = np.concatenate([[0.0], coefficients[:m]])
@@ -402,10 +408,8 @@ def estimate_two_way_fe(spec: ModelSpec, data: "PanelDataset") -> EstimateResult
     }
     # The effects-only residuals have mean zero, so their centred sum of
     # squares is the within TSS.
-    return _finish(
-        spec, slope_names, beta, cov[m:, m:], residuals, y - residuals, rows,
-        rows.size, df, effects_only.residuals, True, "two_way_fe", fe_values,
-    )
+    return _finish(spec, slope_names, beta, cov[m:, m:], residuals, rows.size, df,
+                   effects_only.residuals, True, "two_way_fe", fe_values)
 
 
 def estimate_tsls(spec: ModelSpec, data: "PanelDataset") -> EstimateResult:

