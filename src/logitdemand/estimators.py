@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .errors import (
     OrderConditionViolatedError,
     RankDeficientError,
 )
-from .matrix import DEFAULT_RANK_TOL, as_matrix, as_vector, solve_least_squares
+from .matrix import DEFAULT_RANK_TOL, solve_least_squares
 
 if TYPE_CHECKING:
     from .dataio import PanelDataset
@@ -132,13 +132,11 @@ def robust_covariance(x, residuals, bread) -> np.ndarray:
     """HC0 sandwich (X'X)^-1 X' diag(u^2) X (X'X)^-1.
 
     Given a stack of fits, X of shape (R, n, p), residuals (R, n) and breads
-    (R, p, p), returns one covariance per fit.
+    (R, p, p), returns one covariance per fit. Entries that are not finite
+    give a covariance that is not finite, which `pooled_fit` refuses.
     """
-    stacked = np.ndim(x) == 3
-    x = as_matrix(x, "X", ndim=2 + stacked)
-    u = as_matrix(residuals, "residuals") if stacked else as_vector(residuals, "residuals")
-    bread = as_matrix(bread, "bread", ndim=2 + stacked)
-    if x.shape[:-1] != u.shape or bread.shape != (*x.shape[:-2], x.shape[-1], x.shape[-1]):
+    x, u, bread = (np.asarray(a, dtype=float) for a in (x, residuals, bread))
+    if x.ndim < 2 or x.shape[:-1] != u.shape or bread.shape != (*x.shape[:-2], x.shape[-1], x.shape[-1]):
         raise ValueError("dimension mismatch between design, residuals and bread")
     xu = x * u[..., None]
     meat = xu.mT @ xu
@@ -168,11 +166,6 @@ def standard_errors(cov) -> np.ndarray:
     return np.sqrt(np.clip(np.diagonal(cov, axis1=-2, axis2=-1), 0.0, None))
 
 
-def _select_rows(data: "PanelDataset", spec: ModelSpec):
-    mask = data.complete_rows(spec.required_columns())
-    return np.flatnonzero(mask)
-
-
 def _columns(data, rows, column_names):
     """The named columns at `rows`: the panel's own arrays when every row is used."""
     if rows.size == data.n_rows:
@@ -193,22 +186,18 @@ def design_matrix(columns, column_names, intercept, shape):
     return x, names
 
 
-def _finish(spec, names, beta, cov, residuals, n, df, y, centered, estimator_tag, fe_values=None):
-    rss = float(sum_of_squares(residuals))
-    if centered:
-        dev = y - y.mean()
-        tss = float(sum_of_squares(dev))
-        adj_den = n - 1
-    else:
-        tss = float(y @ y)
-        adj_den = n
+def _finish(spec, fit, n, y, centered, estimator_tag, fe_values=None):
+    """The `EstimateResult` of a `PooledFit` on n rows; R-squared against `y`, centred or not."""
+    rss = float(sum_of_squares(fit.residuals))
+    tss = float(sum_of_squares(y - y.mean() if centered else y))
+    df = fit.df_residual
     r2 = 1.0 - rss / tss if tss > 0 else float("nan")
-    adj = 1.0 - (1.0 - r2) * adj_den / df if tss > 0 else float("nan")
+    adj = 1.0 - (1.0 - r2) * (n - 1 if centered else n) / df if tss > 0 else float("nan")
     return EstimateResult(
-        names=names,
-        coefficients=beta,
-        standard_errors=standard_errors(cov),
-        covariance_matrix=cov,
+        names=fit.names,
+        coefficients=fit.coefficients,
+        standard_errors=standard_errors(fit.covariance),
+        covariance_matrix=fit.covariance,
         n_observations=n,
         df_residual=df,
         r_squared=r2,
@@ -226,15 +215,24 @@ def _first_stage_design(spec: ModelSpec, columns, shape):
                          spec.include_intercept, shape)
 
 
-def pooled_fit(spec: ModelSpec, columns, absorbed):
+class PooledFit(NamedTuple):
+    """What `pooled_fit` returns; `certified` is True for one panel, else the (R,) mask of
+    markets whose every fit is full rank and whose residual sum of squares and covariance
+    are finite."""
+
+    names: tuple
+    coefficients: np.ndarray
+    covariance: np.ndarray
+    residuals: np.ndarray
+    df_residual: int
+    certified: bool | np.ndarray
+
+
+def pooled_fit(spec: ModelSpec, columns, absorbed) -> PooledFit:
     """OLS, or 2SLS for a `tsls` spec, on complete `columns` of shape (n,) for one panel or
     (R, n) for a stack of R markets, from which `absorb` took `absorbed` levels.
 
-    Returns (names, coefficients, covariance, residuals, df_residual,
-    certified); `certified` is True for one panel, else the (R,) mask of
-    markets whose every fit is full rank and whose residual sum of squares
-    and covariance are finite. The p of the row check and of
-    df_residual = n - p counts the absorbed levels. 2SLS replaces the
+    The p of the row check and of df_residual = n - p counts the absorbed levels. 2SLS replaces the
     endogenous columns by their fits on `_first_stage_design`; its residuals
     use the actual columns and its covariance takes the fitted design as the bread.
 
@@ -271,16 +269,15 @@ def pooled_fit(spec: ModelSpec, columns, absorbed):
         what = "coefficient covariance" if np.isfinite(rss) else "residual sum of squares"
         raise EstimationError(f"the fit overflows: its {what} is not finite; rescale the "
                               "dependent or the regressors")
-    return names, sol.coefficients, cov, residuals, n - p, certified & sol.certified & finite
+    return PooledFit(names, sol.coefficients, cov, residuals, n - p, certified & sol.certified & finite)
 
 
 def _estimate_pooled(spec: ModelSpec, data: "PanelDataset", estimator) -> EstimateResult:
     if spec.estimator != estimator:
         raise ValueError(f"spec.estimator is {spec.estimator!r}, expected {estimator!r}")
-    rows = _select_rows(data, spec)
+    rows = np.flatnonzero(data.complete_rows(spec.required_columns()))
     columns = _columns(data, rows, spec.required_columns())
-    names, beta, cov, residuals, df, _ = pooled_fit(spec, columns, 0)
-    return _finish(spec, names, beta, cov, residuals, rows.size, df, columns[spec.dependent],
+    return _finish(spec, pooled_fit(spec, columns, 0), rows.size, columns[spec.dependent],
                    spec.include_intercept, spec.estimator)
 
 
@@ -297,7 +294,10 @@ def estimate_ols(spec: ModelSpec, data: "PanelDataset") -> EstimateResult:
 def _demean(c, codes, counts):
     """`c` less its mean within each group of `codes`: one column (n,) or a stack (R, n)."""
     stack = c.reshape(-1, codes.size)
-    means = (np.array([np.bincount(codes, weights=row) for row in stack]) / counts)[:, codes]
+    # Row r counts group g as r * G + g, so that one bincount sums every row of the stack.
+    sums = np.bincount((np.arange(len(stack))[:, None] * counts.size + codes).reshape(-1),
+                       weights=stack.reshape(-1))
+    means = (sums.reshape(len(stack), counts.size) / counts)[:, codes]
     return np.subtract(stack, means, out=means).reshape(c.shape)
 
 
@@ -310,7 +310,7 @@ def absorb(spec: ModelSpec, columns, units, periods):
     Frisch-Waugh-Lovell this is the LSDV fit, with the absorbed unit levels
     still counted as coefficients. A regressor constant within units leaves
     only rounding noise, at most `DEFAULT_RANK_TOL` of its norm; it comes
-    back as zeros, so that both kernels see the rank loss. `columns` are
+    back as zeros, so that the solver sees the rank loss. `columns` are
     complete, (n,) for one panel or (R, n) for markets that share the row
     labels `units` and `periods`. Any other spec comes back as it is, with
     nothing absorbed.
@@ -361,7 +361,7 @@ def estimate_two_way_fe(spec: ModelSpec, data: "PanelDataset") -> EstimateResult
     """
     if spec.estimator != "two_way_fe":
         raise ValueError(f"spec.estimator is {spec.estimator!r}, expected 'two_way_fe'")
-    rows = _select_rows(data, spec)
+    rows = np.flatnonzero(data.complete_rows(spec.required_columns()))
     unit_used, unit_codes = np.unique(data.unit_codes[rows], return_inverse=True)
     period_used, period_codes = np.unique(data.period_codes[rows], return_inverse=True)
     unit_levels, period_levels = data.unit_levels[unit_used], data.period_levels[period_used]
@@ -395,10 +395,9 @@ def estimate_two_way_fe(spec: ModelSpec, data: "PanelDataset") -> EstimateResult
             name, f"regressor {name!r} is collinear with the fixed effects and the other regressors"
         )
 
-    _, coefficients, cov, residuals, df, _ = fit
-    beta = coefficients[m:]
+    beta = fit.coefficients[m:]
     y = columns[spec.dependent]
-    period_fx = np.concatenate([[0.0], coefficients[:m]])
+    period_fx = np.concatenate([[0.0], fit.coefficients[:m]])
     slope_fit = design_matrix(columns, spec.regressors, False, rows.shape)[0] @ beta
     unit_sums = np.bincount(unit_codes, weights=y - slope_fit - period_fx[period_codes])
     unit_fx = unit_sums / np.bincount(unit_codes)
@@ -406,10 +405,11 @@ def estimate_two_way_fe(spec: ModelSpec, data: "PanelDataset") -> EstimateResult
         "unit": dict(zip(unit_levels.tolist(), unit_fx.tolist())),
         "period": dict(zip(period_levels.tolist(), period_fx.tolist())),
     }
-    # The effects-only residuals have mean zero, so their centred sum of
-    # squares is the within TSS.
-    return _finish(spec, slope_names, beta, cov[m:, m:], residuals, rows.size, df,
-                   effects_only.residuals, True, "two_way_fe", fe_values)
+    # The effects-only residuals have mean zero, so their centred sum of squares is the within
+    # TSS. The slopes' covariance is a copy: a view would keep every period dummy's covariance.
+    slopes = fit._replace(names=slope_names, coefficients=beta,
+                          covariance=fit.covariance[m:, m:].copy())
+    return _finish(spec, slopes, rows.size, effects_only.residuals, True, "two_way_fe", fe_values)
 
 
 def estimate_tsls(spec: ModelSpec, data: "PanelDataset") -> EstimateResult:

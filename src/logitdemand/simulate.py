@@ -298,13 +298,11 @@ def run_monte_carlo(params: DgpParams, spec: estimators.ModelSpec | None = None,
     chunk's markets together, and they are inverted together and fitted by
     the regression code of a single panel (`estimators.absorb` and
     `pooled_fit`, `diagnostics.first_stage_stats`, `sargan_stats`) with one
-    stacked LAPACK QR per regression. A replication whose market gave up
+    stacked solve per regression. A replication whose market gave up
     re-drawing fails with `DegenerateSharesError`. One whose chunk fails a
-    share check or a fit, whose fits are not certified full rank or whose F
-    or J is not finite is drawn and fitted again on its own panel by
-    `estimate`, `first_stage_f` and `sargan_j` with the pivoted QR, failures
-    included. The two kernels agree within 1e-10 relative (about 1e-15 in
-    practice).
+    share check or a fit, whose fits are not full rank or whose F or J is not
+    finite is drawn and fitted again on its own panel by `estimate`,
+    `first_stage_f` and `sargan_j`, which fail as that panel does.
 
     Per-replication estimator failures are counted by error class, not fatal.
     Coverage uses the +-1.96 * SE interval per coefficient. Raises
@@ -395,7 +393,7 @@ def _fit_chunk(params: DgpParams, spec: estimators.ModelSpec, seeds) -> list:
         try:
             columns[dataio.DEPENDENT_COLUMN] = _stacked_dependent(columns, params.n_periods)
             stacked = _fit_stack(spec, columns, params.n_periods)
-        except (LogitDemandError, ValueError):
+        except LogitDemandError:
             pass  # a share check or a fit raised: the whole chunk goes through `_replicate`
         else:
             for i, record in zip(drawn, stacked):
@@ -423,23 +421,22 @@ def _fit_stack(spec: estimators.ModelSpec, columns, n_periods) -> list:
     rows = np.arange(columns[spec.dependent].shape[-1])
     fit_spec, fit_columns, absorbed = estimators.absorb(spec, columns, rows // n_periods,
                                                         rows % n_periods)
-    names, coefficients, covariance, residuals, _, certified = estimators.pooled_fit(
-        fit_spec, fit_columns, absorbed)
-    stack = len(certified)
+    fit = estimators.pooled_fit(fit_spec, fit_columns, absorbed)
+    certified = fit.certified
     lead = len(fit_spec.regressors) - len(spec.regressors)  # the absorbed period dummies
-    f = j = p_value = [None] * stack
+    f = j = p_value = [None] * len(certified)
     has_f, has_j = _reported_tests(spec)
     if has_f:
         f, _, _, ok = diagnostics.first_stage_stats(spec, columns)
         certified = certified & ok & np.isfinite(f)
     if has_j:
-        j, p_value, *_, ok = diagnostics.sargan_stats(spec, columns, residuals)
+        j, p_value, *_, ok = diagnostics.sargan_stats(spec, columns, fit.residuals)
         certified = certified & ok & np.isfinite(j)
-    se = estimators.standard_errors(covariance)
+    se = estimators.standard_errors(fit.covariance)
     return [
-        _Replication(names[lead:], coefficients[r, lead:], se[r, lead:], _float(f[r]),
-                     _float(j[r]), _float(p_value[r])) if certified[r] else None
-        for r in range(stack)
+        _Replication(fit.names[lead:], fit.coefficients[r, lead:], se[r, lead:], _float(f[r]),
+                     _float(j[r]), _float(p_value[r])) if ok else None
+        for r, ok in enumerate(certified)
     ]
 
 

@@ -3,6 +3,7 @@ import pytest
 
 from logitdemand.errors import (
     CollinearWithFixedEffectsError,
+    EstimationError,
     InsufficientObservationsError,
     OrderConditionViolatedError,
     RankDeficientError,
@@ -117,6 +118,8 @@ def test_fe_recovers_slope_under_known_dgp(make_panel):
     result = estimate_two_way_fe(spec, data)
     assert result.coefficient("x") == pytest.approx(2.0, abs=0.01)
     assert result.fixed_effect_values is not None
+    # The slope's covariance owns its memory: no view keeps the period dummies' covariance alive.
+    assert result.covariance_matrix.shape == (1, 1) and result.covariance_matrix.base is None
 
 
 def test_fe_recovers_effect_contrasts_when_noiseless(make_panel):
@@ -333,6 +336,18 @@ def test_robust_covariance_is_psd():
         u = rng.normal(size=20)
         cov = robust_covariance(x, u, np.linalg.inv(x.T @ x))
         assert np.min(np.linalg.eigvalsh(cov)) >= -1e-12
+
+
+@pytest.mark.parametrize("covariance", ["classical", "robust_hc0"])
+def test_a_bread_that_overflows_fails_the_fit_under_either_covariance(make_panel, covariance):
+    # A regressor near 1e-156 is full rank, but its (X'X)^-1 near 1e312 overflows: the HC0
+    # sandwich is refused as an overflowing fit, like the classical covariance.
+    rng = np.random.default_rng(0)
+    data = make_panel({"y": rng.normal(size=30), "x": 1e-156 * rng.normal(size=30)})
+    spec = ModelSpec(dependent="y", exogenous_regressors=("x",), include_intercept=False,
+                     covariance=covariance)
+    with pytest.raises(EstimationError, match="its coefficient covariance is not finite"):
+        estimate(spec, data)
 
 
 def test_listwise_deletion_counts_rows(make_panel):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,8 +7,7 @@ from hypothesis import strategies as st
 
 from logitdemand import matrix
 from logitdemand.errors import RankDeficientError
-from logitdemand.matrix import (DEFAULT_RANK_TOL, _column_scale, _householder_qr_pivoted,
-                                solve_least_squares)
+from logitdemand.matrix import DEFAULT_RANK_TOL, _column_scale, solve_least_squares
 
 
 def test_identity_design_recovers_y_exactly():
@@ -150,6 +151,42 @@ def test_rank_is_deterministic():
 # pivoting on R and on X must agree on the rank, the dependent columns and the fit.
 
 
+def _householder_qr_pivoted(x, y):
+    """The oracle: X P = Q R by Householder QR with column pivoting on all n rows, with Q'y.
+
+    Returns (r, pivots, qty) where r holds the triangular factor in its upper
+    part and pivots maps factor columns back to original columns.
+    """
+    r = x.copy()
+    n, p = r.shape
+    qty = y.copy()
+    pivots = np.arange(p)
+
+    for k in range(min(n, p)):
+        # Exact remaining column norms each step.
+        norms = np.einsum("ij,ij->j", r[k:, k:], r[k:, k:])
+        j = k + int(np.argmax(norms))
+        if j != k:
+            r[:, [k, j]] = r[:, [j, k]]
+            pivots[[k, j]] = pivots[[j, k]]
+
+        col = r[k:, k]
+        norm = float(np.linalg.norm(col))
+        if norm == 0.0:
+            continue
+        v = col.copy()
+        # Sign chosen to avoid cancellation in the leading entry.
+        v[0] += math.copysign(norm, col[0]) if col[0] != 0.0 else norm
+        vnorm = float(np.linalg.norm(v))
+        if vnorm == 0.0:
+            continue
+        v /= vnorm
+        r[k:, k:] -= 2.0 * np.outer(v, v @ r[k:, k:])
+        qty[k:] -= 2.0 * v * float(v @ qty[k:])
+
+    return r, pivots, qty
+
+
 def _pivoted_fit(x, y, scale):
     """(rank, dependent columns, coefficients or None) from the pivoted QR of `x`, with the
     rank decided as `solve_least_squares` decides it against the column scale `scale`."""
@@ -196,23 +233,31 @@ def test_pivoting_on_the_factor_of_x_y_agrees_with_pivoting_on_x(design):
         assert np.max(np.abs(factor_beta - beta)) <= 1e-10 * np.max(np.abs(beta))
 
 
-@settings(max_examples=300, deadline=None)
-@given(designs(), st.integers(1, 4))
-def test_a_certified_stack_entry_is_full_rank_as_one_design(design, copies):
-    x, y = design
-    stack = solve_least_squares(np.stack([x] * copies), np.stack([y] * copies))
-    assert stack.certified.shape == (copies,)
-    try:
-        one = solve_least_squares(x, y)
-    except RankDeficientError:
-        assert not stack.certified.any()
-        return
-    for certified, beta in zip(stack.certified, stack.coefficients):
-        if certified:
-            assert np.max(np.abs(beta - one.coefficients)) <= 1e-10 * np.max(np.abs(one.coefficients))
-
-
-# --- the factor of one design, built over row blocks ------------------------------
+@st.composite
+def mixed_stacks(draw):
+    """(kinds, X, y) for a stack of designs of one shape. Each entry is of its kind: "full"
+    rank; exactly dependent, with a "zero" column or one a "multiple" of another; or "near"
+    dependent, a multiple of another column plus 1e-9 of the largest column norm along a
+    direction orthogonal to the other columns. Entries have at most one dependent column."""
+    p = draw(st.integers(1, 6))
+    n = draw(st.integers(p + 1, 40))
+    kinds = draw(st.lists(st.sampled_from(["full", "zero", "multiple", "near"]), min_size=1,
+                          max_size=4))
+    kinds = [kind if p > 1 or kind in ("full", "zero") else "full" for kind in kinds]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(size=(len(kinds), n, p)) * 10.0 ** rng.uniform(-2, 2, size=p)
+    for entry, kind in zip(x, kinds):
+        j, a = rng.permutation(p)[:2] if p > 1 else (0, 0)
+        if kind == "zero":
+            entry[:, j] = 0.0
+        elif kind in ("multiple", "near"):
+            entry[:, j] = rng.choice([-3.0, 0.5, 2.0]) * entry[:, a]
+        if kind == "near":
+            others = np.delete(entry, j, axis=1)
+            e = rng.normal(size=n)
+            e -= others @ np.linalg.lstsq(others, e, rcond=None)[0]
+            entry[:, j] += 1e-9 * _column_scale(entry) * e / np.linalg.norm(e)
+    return kinds, x, rng.normal(size=(len(kinds), n))
 
 
 def _outcome(x, y):
@@ -223,6 +268,36 @@ def _outcome(x, y):
     except RankDeficientError as err:
         return x.shape[1] - len(err.columns), err.columns, str(err), None
     return x.shape[1], (), None, sol.coefficients
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_stacks())
+def test_a_certified_stack_entry_is_full_rank_as_one_design(stack):
+    # Each entry of a stack, and each entry fitted alone, against the full-n pivoted oracle:
+    # certified exactly when the oracle finds rank p, with its fit; refused alone with its columns.
+    kinds, x, y = stack
+    p = x.shape[-1]
+    sol = solve_least_squares(x, y)
+    assert sol.certified.shape == (len(kinds),)
+    for kind, xr, yr, certified, beta in zip(kinds, x, y, sol.certified, sol.coefficients):
+        rank, dependent, oracle = _pivoted_fit(xr, yr, _column_scale(xr))
+        assert (rank < p) == (kind in ("zero", "multiple"))
+        assert certified == (rank == p)
+        one = _outcome(xr, yr)
+        if oracle is None:
+            message = f"design is rank deficient in columns {[f'c{c}' for c in dependent]}"
+            assert one[:3] == (rank, tuple(dependent), message)
+            assert not beta.any()
+            continue
+        assert one[:3] == (p, (), None)
+        # A near-dependent design has a condition number near 1e10, and two backward-stable
+        # solvers then agree only to its multiple of the unit roundoff.
+        tol = 1e-10 if kind != "near" else 1e4 * np.finfo(float).eps * np.linalg.cond(xr)
+        for fit in (beta, one[3]):
+            assert np.max(np.abs(fit - oracle)) <= tol * np.max(np.abs(oracle))
+
+
+# --- the factor of one design, built over row blocks ------------------------------
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,20 +1,19 @@
 """The stacked Monte Carlo against its per-replication reference, as properties.
 
 Both paths run the same regression code (`estimators.absorb` and
-`pooled_fit`, `diagnostics.first_stage_stats` and `sargan_stats`); they
-differ in how markets are drawn and in the solver. `simulate._replications`
-draws each chunk of replications with one `draw_markets` call and fits the
-chunk as a stack, one LAPACK QR per regression with a per-market full-rank
-certificate; `simulate._replicate` draws one replication as a chunk of one
-and fits it on its own panel through `estimate`, `first_stage_f` and
-`sargan_j` with the pivoted QR. Two-way fixed-effects specs take both paths
-too. The two must agree replication by replication: the same failures and
-re-draws, and the same numbers within 1e-10 (the arithmetic differs in
-order, so not bit for bit). The chunk bound is lowered so that a few
-replications already span several chunks. The draws themselves are checked
-bit for bit against the per-replication draw loop in
-`test_draw_properties.py`, and the regression code against an independent
-lstsq oracle in `test_regression_oracle.py`.
+`pooled_fit`, `diagnostics.first_stage_stats` and `sargan_stats`) on the same
+solver; they differ in how markets are drawn and in the shape of what the
+solver gets. `simulate._replications` draws each chunk of replications with
+one `draw_markets` call and fits the chunk as a stack (R, n, p), with a
+full-rank certificate per market; `simulate._replicate` draws one
+replication as a chunk of one and fits it on its own panel through
+`estimate`, `first_stage_f` and `sargan_j`, as a stack of one. Two-way
+fixed-effects specs take both paths too. The two must agree replication by
+replication: the same failures and re-draws, and the same numbers within
+1e-10. The chunk bound is lowered so that a few replications already span
+several chunks. The draws themselves are checked bit for bit against the
+per-replication draw loop in `test_draw_properties.py`, and the regression
+code against an independent lstsq oracle in `test_regression_oracle.py`.
 """
 
 import dataclasses
@@ -202,7 +201,7 @@ def test_two_way_fe_markets_too_small_fail_as_before(shape):
 
 @pytest.mark.parametrize("beta, loc, scale", [
     (1.0, 1.0, 0.0),  # x1 is the constant 1, which the unit effects absorb in every market
-    # x1 varies by 1e-12 of its level: the stacked QR certifies it, the single panel does not.
+    # x1 varies by 1e-12 of its level: rounding noise that `absorb` zeroes in every market.
     (0.0, 1e9, 1e-3),
 ])
 def test_two_way_fe_constant_characteristic_fails_through_the_per_replication_path(beta, loc, scale):

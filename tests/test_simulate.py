@@ -173,7 +173,7 @@ def test_monte_carlo_runs_replications_on_spawned_seeds():
                          spec.regressors, True, (1, data.n_rows))
     stacked = solve_least_squares(x, data.column(DEPENDENT_COLUMN)[None])
     assert summary.mean_bias["price"] == stacked.coefficients[0, -1] - truth
-    # And the single-panel estimate within rounding of the other kernel.
+    # And the single-panel estimate, the same solve on a stack of one, within rounding.
     result = estimate(spec, data)
     assert summary.mean_bias["price"] == pytest.approx(result.coefficient("price") - truth,
                                                        rel=0.0, abs=1e-10)
@@ -205,6 +205,18 @@ def test_monte_carlo_on_a_column_the_generator_does_not_make_raises_up_front():
             pytest.raises(UnknownColumnError, match="'Alone'"):
         run_monte_carlo(params, spec, replications=3)
     assert draws.call_count == 0
+
+
+def test_a_coding_error_in_the_stacked_fit_escapes_the_monte_carlo():
+    # Only share and fit errors send a chunk to the per-replication path; any other
+    # exception in the stacked code is a fault and must surface, not be refitted around.
+    params = DgpParams(n_products=4, n_periods=3, n_characteristics=1, beta=(1.0,),
+                       xi_scale=0.5, seed=2)
+    fault = ValueError("not enough values to unpack (expected 7, got 6)")
+    with mock.patch.object(simulate, "_fit_stack", side_effect=fault) as stack, \
+            pytest.raises(ValueError, match="not enough values to unpack"):
+        run_monte_carlo(params, replications=3)
+    assert stack.call_count == 1
 
 
 @pytest.mark.parametrize("replications", [2.5, True])
