@@ -216,9 +216,9 @@ def _first_stage_design(spec: ModelSpec, columns, shape):
 
 
 class PooledFit(NamedTuple):
-    """What `pooled_fit` returns; `certified` is True for one panel, else the (R,) mask of
-    markets whose every fit is full rank and whose residual sum of squares and covariance
-    are finite."""
+    """What `pooled_fit` returns. For one panel `certified` and `finite` are True; for a stack
+    they are (R,) masks: `certified` of markets whose every fit is full rank, `finite` of those
+    whose residual sum of squares and covariance are finite."""
 
     names: tuple
     coefficients: np.ndarray
@@ -226,6 +226,7 @@ class PooledFit(NamedTuple):
     residuals: np.ndarray
     df_residual: int
     certified: bool | np.ndarray
+    finite: bool | np.ndarray
 
 
 def pooled_fit(spec: ModelSpec, columns, absorbed) -> PooledFit:
@@ -269,7 +270,7 @@ def pooled_fit(spec: ModelSpec, columns, absorbed) -> PooledFit:
         what = "coefficient covariance" if np.isfinite(rss) else "residual sum of squares"
         raise EstimationError(f"the fit overflows: its {what} is not finite; rescale the "
                               "dependent or the regressors")
-    return PooledFit(names, sol.coefficients, cov, residuals, n - p, certified & sol.certified & finite)
+    return PooledFit(names, sol.coefficients, cov, residuals, n - p, certified & sol.certified, finite)
 
 
 def _estimate_pooled(spec: ModelSpec, data: "PanelDataset", estimator) -> EstimateResult:
@@ -327,8 +328,10 @@ def absorb(spec: ModelSpec, columns, units, periods):
     within[spec.dependent] = _demean(columns[spec.dependent], unit_codes, counts)
     for name in spec.regressors:
         c, w = columns[name], _demean(columns[name], unit_codes, counts)
-        noise = DEFAULT_RANK_TOL * np.linalg.norm(c, axis=-1, keepdims=True)
-        within[name] = np.where(np.linalg.norm(w, axis=-1, keepdims=True) <= noise, 0.0, w)
+        # Both norms over c's largest entry, so that no square of a huge regressor overflows.
+        scale = np.maximum(np.abs(c).max(axis=-1, keepdims=True), np.finfo(float).tiny)
+        noise = DEFAULT_RANK_TOL * np.linalg.norm(c / scale, axis=-1, keepdims=True)
+        within[name] = np.where(np.linalg.norm(w / scale, axis=-1, keepdims=True) <= noise, 0.0, w)
     ols = replace(spec, exogenous_regressors=(*dummies, *spec.exogenous_regressors), estimator="ols")
     return ols, within, counts.size
 
@@ -338,11 +341,12 @@ def _most_absorbed_slope(design, m, slope_names):
 
     Once the dummies alone are known to have full rank, every linear
     dependence in `design` involves a slope, and each slope in it is
-    explained exactly by the other columns.
+    explained exactly by the other columns. Each slope is scaled to a largest entry of 1, which
+    leaves its share as it is and keeps the norms of a huge regressor finite.
     """
     shares = []
     for j in range(len(slope_names)):
-        col = design[:, m + j]
+        col = design[:, m + j] / np.abs(design[:, m + j]).max()
         others = np.delete(design, m + j, axis=1)
         resid = col - others @ np.linalg.lstsq(others, col, rcond=None)[0]
         shares.append(np.linalg.norm(resid) / np.linalg.norm(col))

@@ -22,7 +22,14 @@ from typing import NamedTuple
 import numpy as np
 
 from . import dataio, demand, diagnostics, estimators
-from .errors import DegenerateSharesError, LogitDemandError, UnknownColumnError
+from .errors import (
+    CollinearWithFixedEffectsError,
+    DegenerateSharesError,
+    EstimationError,
+    InsufficientObservationsError,
+    RankDeficientError,
+    UnknownColumnError,
+)
 
 _MIN_SHARE = 1e-12
 _MAX_REDRAWS = 100
@@ -241,17 +248,10 @@ def generate_market(params: DgpParams):
 
     Output is identical for identical seeds: `draw_markets` for a chunk of
     one market on `params.seed`, as a panel of units P01, P02, ... and
-    periods 2001, 2002, ...
+    periods 2001, 2002, ... Raises `DegenerateSharesError` if the market
+    gave up re-drawing.
     """
-    data, delta, inside, outside, _ = _draw_panel(params, params.seed)
-    periods = range(2001, 2001 + params.n_periods)
-    return data, TrueMarket(params, delta, inside, dict(zip(periods, outside.tolist())))
-
-
-def _draw_panel(params: DgpParams, seed):
-    """One market drawn as a chunk of one; returns (PanelDataset, delta, inside shares, outside
-    shares, redraws). Raises `DegenerateSharesError` if the market gave up."""
-    columns, *truth = draw_markets(params, [seed])
+    columns, *truth = draw_markets(params, [params.seed])
     delta, inside, outside, redraws = (values[0] for values in truth)
     if redraws == _MAX_REDRAWS:
         raise DegenerateSharesError(
@@ -264,7 +264,8 @@ def _draw_panel(params: DgpParams, seed):
         np.arange(2001, 2001 + t), np.tile(np.arange(t), j),
         {name: values[0].astype(float) for name, values in columns.items()},
     )
-    return data, delta, inside, outside, int(redraws)
+    periods = range(2001, 2001 + t)
+    return data, TrueMarket(params, delta, inside, dict(zip(periods, outside.tolist())))
 
 
 def default_model_spec(params: DgpParams, estimator="tsls", covariance=None) -> estimators.ModelSpec:
@@ -299,10 +300,11 @@ def run_monte_carlo(params: DgpParams, spec: estimators.ModelSpec | None = None,
     the regression code of a single panel (`estimators.absorb` and
     `pooled_fit`, `diagnostics.first_stage_stats`, `sargan_stats`) with one
     stacked solve per regression. A replication whose market gave up
-    re-drawing fails with `DegenerateSharesError`. One whose chunk fails a
-    share check or a fit, whose fits are not full rank or whose F or J is not
-    finite is drawn and fitted again on its own panel by `estimate`,
-    `first_stage_f` and `sargan_j`, which fail as that panel does.
+    re-drawing fails with `DegenerateSharesError`. Every other replication's
+    outcome comes from its chunk's stack, and a market fails with the error
+    class its own panel raises in `estimate`, `first_stage_f` or `sargan_j`.
+    An F or J that is not finite (inf for an exact first stage) is reported
+    as it is.
 
     Per-replication estimator failures are counted by error class, not fatal.
     Coverage uses the +-1.96 * SE interval per coefficient. Raises
@@ -349,26 +351,6 @@ def _reported_tests(spec: estimators.ModelSpec):
     return has_f, has_f and spec.estimator == "tsls" and len(spec.instruments) > 1
 
 
-def _replicate(params: DgpParams, spec: estimators.ModelSpec, rep_seed: int) -> _Replication:
-    """One replication fitted on its own panel: the reference the stacked chunks must match."""
-    f = j = p_value = None
-    redraws = 0
-    has_f, has_j = _reported_tests(spec)
-    try:
-        data, *_, redraws = _draw_panel(params, rep_seed)
-        data = dataio.compute_dependent(data)
-        result = estimators.estimate(spec, data)
-        if has_f:
-            f = diagnostics.first_stage_f(spec, data).f_statistic
-        if has_j:
-            j_report = diagnostics.sargan_j(result, spec, data)
-            j, p_value = j_report.j_statistic, j_report.p_value
-    except LogitDemandError as exc:
-        return _Replication(first_stage_f=f, redraws=redraws, failure=type(exc).__name__)
-    return _Replication(result.names, result.coefficients, result.standard_errors,
-                        f, j, p_value, redraws)
-
-
 def _replications(params: DgpParams, spec: estimators.ModelSpec, seeds) -> list:
     """Every replication's outcome in seed order, drawn and fitted in stacked chunks."""
     per_chunk = max(1, _STACK_ROWS // (params.n_products * params.n_periods))
@@ -379,28 +361,17 @@ def _replications(params: DgpParams, spec: estimators.ModelSpec, seeds) -> list:
 
 
 def _fit_chunk(params: DgpParams, spec: estimators.ModelSpec, seeds) -> list:
-    """One chunk's outcomes: stacked fits, and `_replicate` for every replication they miss.
-
-    A market that gave up fails with `DegenerateSharesError` and 0 re-draws, as
-    `_replicate` would fail it.
-    """
+    """One chunk's outcomes, from its stacked fits; a market that gave up fails with
+    `DegenerateSharesError` and 0 re-draws."""
     columns, *_, redraws = draw_markets(params, seeds)
     drawn = np.flatnonzero(redraws < _MAX_REDRAWS)
-    records = [None if r < _MAX_REDRAWS else _Replication(failure=DegenerateSharesError.__name__)
-               for r in redraws]
+    records = [_Replication(failure=DegenerateSharesError.__name__)] * len(seeds)
     if drawn.size:
         columns = {name: values[drawn] for name, values in columns.items()}
-        try:
-            columns[dataio.DEPENDENT_COLUMN] = _stacked_dependent(columns, params.n_periods)
-            stacked = _fit_stack(spec, columns, params.n_periods)
-        except LogitDemandError:
-            pass  # a share check or a fit raised: the whole chunk goes through `_replicate`
-        else:
-            for i, record in zip(drawn, stacked):
-                if record is not None:
-                    records[i] = record._replace(redraws=int(redraws[i]))
-    return [_replicate(params, spec, seed) if record is None else record
-            for seed, record in zip(seeds, records)]
+        columns[dataio.DEPENDENT_COLUMN] = _stacked_dependent(columns, params.n_periods)
+        for i, record in zip(drawn, _fit_stack(spec, columns, params.n_periods)):
+            records[i] = record._replace(redraws=int(redraws[i]))
+    return records
 
 
 def _stacked_dependent(columns, n_periods):
@@ -415,28 +386,48 @@ def _stacked_dependent(columns, n_periods):
 
 
 def _fit_stack(spec: estimators.ModelSpec, columns, n_periods) -> list:
-    """The code `estimate`, `first_stage_f` and `sargan_j` share, on every market of a stack
-    whose rows run over units, `n_periods` periods inside; None where a market's fits are not
-    certified full rank or its F or J is not finite."""
-    rows = np.arange(columns[spec.dependent].shape[-1])
+    """Every market's outcome, for a stack of markets whose rows run over units, `n_periods`
+    periods inside, through the code `estimate`, `first_stage_f` and `sargan_j` share.
+
+    A market fails as its own panel does, with the error class of the first step that refuses
+    it: a fit that is not full rank (`CollinearWithFixedEffectsError` under two-way fixed
+    effects) or not finite, then a first-stage F design and a Sargan design that are not full
+    rank. An F is kept once its step has passed. `InsufficientObservationsError` depends on the
+    shape alone, so it fails every market that has not failed yet.
+    """
+    stack, n = columns[spec.dependent].shape
+    failure, f, j, p_value = ([None] * stack for _ in range(4))
+
+    def refuse(failed, error):
+        for r in np.flatnonzero(failed):
+            failure[r] = failure[r] or error.__name__
+
+    has_f, has_j = _reported_tests(spec)
+    rows = np.arange(n)
     fit_spec, fit_columns, absorbed = estimators.absorb(spec, columns, rows // n_periods,
                                                         rows % n_periods)
-    fit = estimators.pooled_fit(fit_spec, fit_columns, absorbed)
-    certified = fit.certified
+    try:
+        fit = estimators.pooled_fit(fit_spec, fit_columns, absorbed)
+        refuse(~fit.certified, CollinearWithFixedEffectsError if spec.estimator == "two_way_fe"
+               else RankDeficientError)
+        refuse(~fit.finite, EstimationError)
+        if has_f:
+            stats, *_, ok = diagnostics.first_stage_stats(spec, columns)
+            refuse(~ok, RankDeficientError)
+            f = [None if failed else float(v) for failed, v in zip(failure, stats)]
+        if has_j:
+            j, p_value, *_, ok = diagnostics.sargan_stats(spec, columns, fit.residuals)
+            refuse(~ok, RankDeficientError)
+    except InsufficientObservationsError:
+        refuse(np.ones(stack, dtype=bool), InsufficientObservationsError)
+        return [_Replication(first_stage_f=v, failure=failed) for v, failed in zip(f, failure)]
     lead = len(fit_spec.regressors) - len(spec.regressors)  # the absorbed period dummies
-    f = j = p_value = [None] * len(certified)
-    has_f, has_j = _reported_tests(spec)
-    if has_f:
-        f, _, _, ok = diagnostics.first_stage_stats(spec, columns)
-        certified = certified & ok & np.isfinite(f)
-    if has_j:
-        j, p_value, *_, ok = diagnostics.sargan_stats(spec, columns, fit.residuals)
-        certified = certified & ok & np.isfinite(j)
     se = estimators.standard_errors(fit.covariance)
     return [
-        _Replication(fit.names[lead:], fit.coefficients[r, lead:], se[r, lead:], _float(f[r]),
-                     _float(j[r]), _float(p_value[r])) if ok else None
-        for r, ok in enumerate(certified)
+        _Replication(fit.names[lead:], fit.coefficients[r, lead:], se[r, lead:], f[r],
+                     _float(j[r]), _float(p_value[r])) if failure[r] is None else
+        _Replication(first_stage_f=f[r], failure=failure[r])
+        for r in range(stack)
     ]
 
 

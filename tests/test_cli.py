@@ -578,6 +578,31 @@ def test_estimate_that_overflows_exits_3(tmp_path, capsys, estimator, roles):
             "dependent or the regressors\n")
 
 
+# Regressors near 1e154 under two-way fixed effects: x1 varies within units, and the squares of
+# its norms overflow. The fit is refused on one line, with no warning and without calling x1
+# constant within units.
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command, code, message", [
+    ("estimate", 3, "regressor 'x1' is collinear with the fixed effects and the other regressors"),
+    ("simulate", 5,
+     "every replication failed (CollinearWithFixedEffectsError 4); nothing to summarize"),
+], ids=["estimate", "simulate"])
+def test_fixed_effects_on_huge_regressors_fail_on_one_line(tmp_path, capsys, command, code,
+                                                           message):
+    params = {"n_products": 4, "n_periods": 3, "n_characteristics": 1, "beta": [0.0],
+              "xi_scale": 0.5, "characteristic_scale": 1e154, "seed": 4, "consumers": 100}
+    write_panel_csv(generate_market(DgpParams(**params))[0], tmp_path / "huge.csv")
+    spec = {"dataset": "huge.csv", "dependent": DEPENDENT_COLUMN, "exogenous": ["x1"],
+            "endogenous": ["price"], "estimator": "two_way_fe"}
+    (tmp_path / "spec.json").write_text(json.dumps(spec), encoding="utf-8")
+    (tmp_path / "params.json").write_text(
+        json.dumps({**params, "estimator": "two_way_fe", "replications": 4}), encoding="utf-8")
+    option = ["--spec", str(tmp_path / "spec.json")] if command == "estimate" else [
+        "--params", str(tmp_path / "params.json")]
+    assert main([command, *option]) == code
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_simulate_reports_failures_by_class_and_redraws(tmp_path, capsys):
     # A product with utility near 29 leaves the outside share near 1e-12: most draws are
     # rejected, and some replications give up after the bounded number of re-draws.

@@ -1,19 +1,19 @@
-"""The stacked Monte Carlo against its per-replication reference, as properties.
+"""The stacked Monte Carlo against a per-replication reference, as properties.
 
-Both paths run the same regression code (`estimators.absorb` and
-`pooled_fit`, `diagnostics.first_stage_stats` and `sargan_stats`) on the same
-solver; they differ in how markets are drawn and in the shape of what the
-solver gets. `simulate._replications` draws each chunk of replications with
-one `draw_markets` call and fits the chunk as a stack (R, n, p), with a
-full-rank certificate per market; `simulate._replicate` draws one
-replication as a chunk of one and fits it on its own panel through
-`estimate`, `first_stage_f` and `sargan_j`, as a stack of one. Two-way
-fixed-effects specs take both paths too. The two must agree replication by
-replication: the same failures and re-draws, and the same numbers within
-1e-10. The chunk bound is lowered so that a few replications already span
-several chunks. The draws themselves are checked bit for bit against the
-per-replication draw loop in `test_draw_properties.py`, and the regression
-code against an independent lstsq oracle in `test_regression_oracle.py`.
+`simulate._replications` draws each chunk of replications with one
+`draw_markets` call and fits the chunk as a stack (R, n, p) through
+`estimators.absorb` and `pooled_fit`, `diagnostics.first_stage_stats` and
+`sargan_stats`. Every replication's outcome, failures included, comes from
+that stack. `_replicate` below is the reference: it draws one replication with
+`generate_market` and fits it on its own panel through `estimate`,
+`first_stage_f` and `sargan_j`, which raise where that panel fails. Two-way
+fixed-effects specs are compared too. The two must agree replication by
+replication: the same failure classes, re-draws and first-stage F, the same
+numbers within 1e-10, and the same F or J where it is not finite. The chunk
+bound is lowered so that a few replications already span several chunks. The
+draws themselves are checked bit for bit against the per-replication draw loop
+in `test_draw_properties.py`, and the regression code against an independent
+lstsq oracle in `test_regression_oracle.py`.
 """
 
 import dataclasses
@@ -29,32 +29,66 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logitdemand import diagnostics, simulate
-from logitdemand.dataio import DEPENDENT_COLUMN, PanelDataset
-from logitdemand.errors import CollinearWithFixedEffectsError, DegenerateSharesError
-from logitdemand.estimators import ModelSpec, estimate_ols, estimate_tsls
-from logitdemand.simulate import DgpParams, default_model_spec, replication_seeds
+from logitdemand import dataio, diagnostics, estimators, simulate
+from logitdemand.dataio import DEPENDENT_COLUMN, PanelDataset, compute_dependent
+from logitdemand.diagnostics import first_stage_f, sargan_j
+from logitdemand.errors import (CollinearWithFixedEffectsError, DegenerateSharesError,
+                               LogitDemandError)
+from logitdemand.estimators import ModelSpec, estimate, estimate_ols, estimate_tsls
+from logitdemand.simulate import DgpParams, default_model_spec, generate_market, replication_seeds
 
 TOL = 1e-10
+
+
+def _replicate(params, spec, seed):
+    """One replication drawn and fitted on its own panel: the reference the stacked chunks
+    must match. A failure keeps the F computed before it; a market that gave up re-drawing
+    counts no re-draws."""
+    redraws = int(simulate.draw_markets(params, [seed])[-1][0])
+    f = j = p_value = None
+    has_f, has_j = simulate._reported_tests(spec)
+    try:
+        data = compute_dependent(generate_market(dataclasses.replace(params, seed=seed))[0])
+        result = estimate(spec, data)
+        if has_f:
+            f = first_stage_f(spec, data).f_statistic
+        if has_j:
+            report = sargan_j(result, spec, data)
+            j, p_value = report.j_statistic, report.p_value
+    except LogitDemandError as exc:
+        return simulate._Replication(first_stage_f=f, failure=type(exc).__name__,
+                                     redraws=0 if redraws == simulate._MAX_REDRAWS else redraws)
+    return simulate._Replication(result.names, result.coefficients, result.standard_errors,
+                                 f, j, p_value, redraws)
 
 
 def _close(a, b, scale):
     return np.max(np.abs(np.subtract(a, b)), initial=0.0) <= TOL * scale
 
 
+def _same_test(got, want, scale):
+    """A finite F or J within TOL * scale; one that is not finite exactly (inf, or nan for 0/0)."""
+    if math.isfinite(got) and math.isfinite(want):
+        return _close(got, want, scale)
+    return np.array_equal(got, want, equal_nan=True)
+
+
+def _largest_finite(values):
+    return max((abs(v) for v in values if v is not None and math.isfinite(v)), default=0.0)
+
+
 def _assert_same_replications(batched, reference):
     assert len(batched) == len(reference)
-    # F and J are compared relative to the largest of the run: J's R^2 = 1 - RSS/TSS carries
-    # absolute rounding of a few eps in either path, which is large relative to a J near 0.
-    f_scale = max((abs(r.first_stage_f) for r in reference if r.first_stage_f is not None),
-                  default=0.0)
-    j_scale = max((r.sargan_j for r in reference if r.sargan_j is not None), default=0.0)
+    # F and J are compared relative to the largest finite one of the run: J's R^2 = 1 - RSS/TSS
+    # carries absolute rounding of a few eps in either path, which is large relative to a J near 0.
+    f_scale = _largest_finite(r.first_stage_f for r in reference)
+    j_scale = _largest_finite(r.sargan_j for r in reference)
     for got, want in zip(batched, reference):
         assert got.failure == want.failure
         assert got.redraws == want.redraws
         assert (got.first_stage_f is None) == (want.first_stage_f is None)
         if want.first_stage_f is not None:
-            assert _close(got.first_stage_f, want.first_stage_f, f_scale)
+            assert _same_test(got.first_stage_f, want.first_stage_f, f_scale)
         if want.failure is not None:
             continue
         assert got.names == want.names
@@ -63,14 +97,14 @@ def _assert_same_replications(batched, reference):
                       np.max(np.abs(want.standard_errors)))
         assert (got.sargan_j is None) == (want.sargan_j is None)
         if want.sargan_j is not None:
-            assert _close(got.sargan_j, want.sargan_j, j_scale)
+            assert _same_test(got.sargan_j, want.sargan_j, j_scale)
             if abs(want.sargan_p_value - 0.05) > TOL:
                 assert (got.sargan_p_value < 0.05) == (want.sargan_p_value < 0.05)
 
 
 def _compare(params, spec, replications, chunk_markets):
     seeds = replication_seeds(params.seed, replications)
-    reference = [simulate._replicate(params, spec, seed) for seed in seeds]
+    reference = [_replicate(params, spec, seed) for seed in seeds]
     n = params.n_products * params.n_periods
     with mock.patch.object(simulate, "_STACK_ROWS", chunk_markets * n):
         batched = simulate._replications(params, spec, seeds)
@@ -113,6 +147,8 @@ def monte_carlos(draw):
         consumers=draw(st.sampled_from([None, None, 40, 1000])),
         characteristic_scale=draw(st.sampled_from([1.0, 1.0, 1.0, 1.0, 0.0])),
         characteristic_loc=draw(st.sampled_from([0.0, 1.0])),
+        # Without price noise and endogeneity the first stage is exact, and F is inf.
+        price_noise_scale=draw(st.sampled_from([1.0, 1.0, 1.0, 0.0])),
         seed=draw(st.integers(0, 2**32 - 1)),
     )
     covariance = draw(st.sampled_from(["classical", "robust_hc0"]))
@@ -142,10 +178,6 @@ def test_every_spec_variant_matches_per_replication_fits(estimator, covariance,
     reference = _compare(params, spec, replications=12, chunk_markets=5)
     assert all(r.failure is None for r in reference)
     assert all((r.sargan_j is not None) == (estimator == "tsls") for r in reference)
-    # Every one of these replications is certified: none is fitted on its own.
-    with mock.patch.object(simulate, "_replicate", wraps=simulate._replicate) as per_replication:
-        simulate._replications(params, spec, replication_seeds(params.seed, 12))
-    assert per_replication.call_count == 0
 
 
 @pytest.mark.parametrize("covariance", ["classical", "robust_hc0"])
@@ -160,10 +192,6 @@ def test_two_way_fe_variants_match_per_replication_fits(covariance, consumers, e
     reference = _compare(params, spec, replications=12, chunk_markets=5)
     assert all(r.failure is None for r in reference)
     assert all(r.names == ("x1", "x2", "price") for r in reference)
-    # Every one of these replications is certified: none is fitted on its own.
-    with mock.patch.object(simulate, "_replicate", wraps=simulate._replicate) as per_replication:
-        simulate._replications(params, spec, replication_seeds(params.seed, 12))
-    assert per_replication.call_count == 0
 
 
 def test_exact_first_stage_gives_an_infinite_f_on_both_paths():
@@ -177,7 +205,7 @@ def test_exact_first_stage_gives_an_infinite_f_on_both_paths():
     columns[DEPENDENT_COLUMN] = simulate._stacked_dependent(columns, params.n_periods)
     assert np.all(diagnostics.first_stage_stats(spec, columns)[0] == math.inf)
 
-    reference = [simulate._replicate(params, spec, seed) for seed in seeds]
+    reference = [_replicate(params, spec, seed) for seed in seeds]
     with mock.patch.object(simulate, "_STACK_ROWS", 4 * params.n_products * params.n_periods):
         batched = simulate._replications(params, spec, seeds)
     assert [r.first_stage_f for r in batched] == [r.first_stage_f for r in reference]
@@ -210,9 +238,6 @@ def test_two_way_fe_constant_characteristic_fails_through_the_per_replication_pa
     spec = default_model_spec(params, "two_way_fe")
     reference = _compare(params, spec, replications=6, chunk_markets=4)
     assert [r.failure for r in reference] == [CollinearWithFixedEffectsError.__name__] * 6
-    with mock.patch.object(simulate, "_replicate", wraps=simulate._replicate) as per_replication:
-        simulate._replications(params, spec, replication_seeds(params.seed, 6))
-    assert per_replication.call_count == 6
 
 
 def test_rank_deficient_markets_take_the_per_replication_path_and_fail_as_before():
@@ -222,9 +247,7 @@ def test_rank_deficient_markets_take_the_per_replication_path_and_fail_as_before
     spec = default_model_spec(params)
     reference = _compare(params, spec, replications=6, chunk_markets=4)
     assert [r.failure for r in reference] == ["RankDeficientError"] * 6
-    with mock.patch.object(simulate, "_replicate", wraps=simulate._replicate) as per_replication:
-        simulate._replications(params, spec, replication_seeds(params.seed, 6))
-    assert per_replication.call_count == 6
+    assert all(r.first_stage_f is None for r in reference)
 
 
 @pytest.mark.parametrize("params", [
@@ -253,12 +276,49 @@ def test_a_market_that_gave_up_fails_without_the_per_replication_path():
     seeds = replication_seeds(params.seed, 40)
     gave_up = simulate.draw_markets(params, seeds)[-1] == simulate._MAX_REDRAWS
     assert 0 < gave_up.sum() < len(seeds)
-    with mock.patch.object(simulate, "_replicate", wraps=simulate._replicate) as per_replication:
-        records = simulate._replications(params, default_model_spec(params), seeds)
-    assert [(r.failure, r.redraws) for r, g in zip(records, gave_up) if g] == (
-        [(DegenerateSharesError.__name__, 0)] * int(gave_up.sum()))
-    replicated = {call.args[2] for call in per_replication.call_args_list}
-    assert not replicated & {seed for seed, g in zip(seeds, gave_up) if g}
+    spec = default_model_spec(params)
+    records = simulate._replications(params, spec, seeds)
+    expected = [(DegenerateSharesError.__name__, 0)] * int(gave_up.sum())
+    assert [(r.failure, r.redraws) for r, g in zip(records, gave_up) if g] == expected
+    reference = [_replicate(params, spec, seed) for seed, g in zip(seeds, gave_up) if g]
+    assert [(r.failure, r.redraws) for r in reference] == expected
+
+
+_CONSTANT_X1 = DgpParams(n_products=5, n_periods=4, n_characteristics=1, beta=(1.0,),
+                         xi_scale=0.5, characteristic_scale=0.0, characteristic_loc=1.0, seed=3)
+
+
+@pytest.mark.parametrize("params, estimator, include_intercept, failure, f", [
+    # x1 is the constant 1: collinear with the intercept, and with the unit effects.
+    (_CONSTANT_X1, "tsls", True, "RankDeficientError", None),
+    (_CONSTANT_X1, "two_way_fe", False, "CollinearWithFixedEffectsError", None),
+    # 4 rows for 2 slopes and 3 effects.
+    (dataclasses.replace(_CONSTANT_X1, n_products=2, n_periods=2, characteristic_scale=1.0),
+     "two_way_fe", False, "InsufficientObservationsError", None),
+    # Without an intercept the first stage has full rank, but the Sargan regression's intercept
+    # duplicates x1: the F is kept.
+    (dataclasses.replace(_CONSTANT_X1, n_instruments=3), "tsls", False, "RankDeficientError",
+     "finite"),
+    # Price is exactly the instruments' sum: the first stage is exact and F is inf.
+    (dataclasses.replace(_CONSTANT_X1, characteristic_scale=1.0, price_endogeneity=0.0,
+                         price_noise_scale=0.0), "tsls", True, None, math.inf),
+], ids=["rank_deficient", "collinear_with_fe", "too_few_rows", "sargan_rank_deficient",
+        "exact_first_stage"])
+def test_every_outcome_comes_from_the_stack(params, estimator, include_intercept, failure, f):
+    spec = dataclasses.replace(default_model_spec(params, estimator),
+                               include_intercept=include_intercept)
+    fault = AssertionError("a replication was fitted on its own panel")
+    with mock.patch.object(estimators, "estimate", side_effect=fault), \
+            mock.patch.object(diagnostics, "first_stage_f", side_effect=fault), \
+            mock.patch.object(diagnostics, "sargan_j", side_effect=fault), \
+            mock.patch.object(dataio, "compute_dependent", side_effect=fault):
+        reference = _compare(params, spec, replications=6, chunk_markets=4)
+    assert [r.failure for r in reference] == [failure] * 6
+    for r in reference:
+        if f == "finite":
+            assert math.isfinite(r.first_stage_f)
+        else:
+            assert r.first_stage_f == f
 
 
 def _copies(rng, stack, n):
@@ -294,15 +354,15 @@ def test_tsls_with_copied_regressors_as_instruments_is_ols(seed, n, covariance):
 
     # A stack of fits through the Monte Carlo's stacked path. The copy makes the first stage an
     # exact fit whose RSS can round to exactly 0 (seed 1, n 6): that market's F is infinite, and
-    # the stacked path leaves it to the single-panel fit, as it leaves every such market.
+    # it completes like the others.
     ols_stack = simulate._fit_stack(ols_spec, columns, n_periods=1)
     tsls_stack = simulate._fit_stack(tsls_spec, columns, n_periods=1)
-    finite_f = np.isfinite(diagnostics.first_stage_stats(tsls_spec, columns)[0])
-    for a, b, stacked in zip(tsls_stack, ols_stack, finite_f):
-        assert (a is not None) == stacked
-        if stacked:
-            assert _close(a.coefficients, b.coefficients, np.max(np.abs(b.coefficients)))
-            assert _close(a.standard_errors, b.standard_errors, np.max(b.standard_errors))
+    f = diagnostics.first_stage_stats(tsls_spec, columns)[0]
+    assert [a.first_stage_f for a in tsls_stack] == f.tolist()
+    for a, b in zip(tsls_stack, ols_stack):
+        assert a.failure is None
+        assert _close(a.coefficients, b.coefficients, np.max(np.abs(b.coefficients)))
+        assert _close(a.standard_errors, b.standard_errors, np.max(b.standard_errors))
 
 
 def test_cli_and_monte_carlo_run_without_scipy(tmp_path):

@@ -208,8 +208,8 @@ def test_monte_carlo_on_a_column_the_generator_does_not_make_raises_up_front():
 
 
 def test_a_coding_error_in_the_stacked_fit_escapes_the_monte_carlo():
-    # Only share and fit errors send a chunk to the per-replication path; any other
-    # exception in the stacked code is a fault and must surface, not be refitted around.
+    # The stacked code names each market's failure itself and catches nothing else: any other
+    # exception in it is a fault and must surface.
     params = DgpParams(n_products=4, n_periods=3, n_characteristics=1, beta=(1.0,),
                        xi_scale=0.5, seed=2)
     fault = ValueError("not enough values to unpack (expected 7, got 6)")
