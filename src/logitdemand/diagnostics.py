@@ -3,8 +3,9 @@
 The first-stage F compares restricted and unrestricted first-stage sums of
 squares, so the two residual degrees of freedom can be reported directly. The
 J statistic is m times the overall F of the regression of the 2SLS residuals
-on the instruments and exogenous regressors; the conventional n*R^2 variant
-and the instrument-block-only F are carried along as cross-checks.
+on the exogenous regressors and instruments; the n*R^2 variant and the
+instrument-block-only F are carried along as cross-checks. Each restricted
+regression is a design's leading columns, its RSS read off the same factor.
 """
 
 from __future__ import annotations
@@ -20,8 +21,7 @@ from .errors import (
     InsufficientObservationsError,
     MultipleEndogenousError,
 )
-from .estimators import (EstimateResult, ModelSpec, _columns, _first_stage_design, design_matrix,
-                         sum_of_squares)
+from .estimators import EstimateResult, ModelSpec, _columns, _first_stage_design, design_matrix
 from .matrix import DEFAULT_RANK_TOL, solve_least_squares
 
 if TYPE_CHECKING:
@@ -143,50 +143,49 @@ def f_statistic(rss_restricted, rss_unrestricted, q, df_unrestricted):
 
 
 def _fit_rss(x, y, names):
-    """(RSS, residual df, certified) of `y` on the design `x` with column `names`. An RSS at or
-    below (DEFAULT_RANK_TOL * ||y||)^2 is an exact fit's rounding and counts as 0, one panel or a
+    """(RSS, residual df, certified) of `y` on the design `x` with column `names`; RSS entry k, of
+    p + 1, is that of y on the first k columns, from one factor. An RSS at or below
+    (DEFAULT_RANK_TOL * ||y||)^2 is an exact fit's rounding and counts as 0, one panel or a
     stack alike, so an exact fit gives `f_statistic` an F of inf."""
     sol = solve_least_squares(x, y, names)
-    rss = sum_of_squares(sol.residuals)
-    rss = np.where(rss <= DEFAULT_RANK_TOL**2 * sum_of_squares(y), 0.0, rss)
+    rss = np.cumsum(sol.qty[..., ::-1] ** 2, axis=-1)[..., ::-1]
+    rss = np.where(rss <= DEFAULT_RANK_TOL**2 * rss[..., :1], 0.0, rss)
     return rss, y.shape[-1] - x.shape[-1], sol.certified
 
 
 def first_stage_stats(spec: ModelSpec, columns):
     """(F, unrestricted df, restricted df, certified) of the instruments in the first stage
     of the spec's one endogenous regressor, on complete `columns` of shape (n,) or (R, n).
-    The unrestricted design is 2SLS's first stage; the restricted one drops the instruments."""
+    The unrestricted design is 2SLS's first stage, instruments last; the restricted one is its
+    leading columns, of full rank when it is."""
     endog = columns[spec.endogenous_regressors[0]]
     n = endog.shape[-1]
-    xu, names_u = _first_stage_design(spec, columns, endog.shape)
-    xr, names_r = design_matrix(columns, spec.exogenous_regressors, spec.include_intercept, endog.shape)
-    if n <= xu.shape[-1]:
+    m = len(spec.instruments)
+    x, names = _first_stage_design(spec, columns, endog.shape)
+    if n <= x.shape[-1]:
         raise InsufficientObservationsError(f"{n} rows cannot support the unrestricted first stage")
 
-    rss_u, df_u, ok_u = _fit_rss(xu, endog, names_u)
-    rss_r, df_r, ok_r = _fit_rss(xr, endog, names_r)
-    f = f_statistic(rss_r, rss_u, len(spec.instruments), df_u)
-    return f, df_u, df_r, ok_u & ok_r
+    rss, df_u, certified = _fit_rss(x, endog, names)
+    f = f_statistic(rss[..., -1 - m], rss[..., -1], m, df_u)
+    return f, df_u, df_u + m, certified
 
 
 def sargan_stats(spec: ModelSpec, columns, residuals):
     """(J, p-value, overall F, block F, R^2, certified) of the regression of the 2SLS
-    `residuals`, (n,) or (R, n), on an intercept, the instruments and the exogenous regressors.
+    `residuals`, (n,) or (R, n), on an intercept, the exogenous regressors and the instruments.
     J = m * its overall F; the block F drops the instruments. A constant residual gives
     R^2 = 0 and F = 0, a perfect fit an infinite or undefined F."""
     m = len(spec.instruments)
     n = residuals.shape[-1]
-    x_full, names_full = design_matrix(columns, (*spec.instruments, *spec.exogenous_regressors),
-                                       True, residuals.shape)
-    x_exog, names_exog = design_matrix(columns, spec.exogenous_regressors, True, residuals.shape)
-    if n <= x_full.shape[-1]:
+    x, names = design_matrix(columns, (*spec.exogenous_regressors, *spec.instruments), True,
+                             residuals.shape)
+    if n <= x.shape[-1]:
         raise InsufficientObservationsError(f"{n} rows cannot support the residual regression")
 
-    rss_full, df2, ok_full = _fit_rss(x_full, residuals, names_full)
-    rss_exog, _, ok_exog = _fit_rss(x_exog, residuals, names_exog)
-    dev = residuals - residuals.mean(axis=-1, keepdims=True)
-    tss = sum_of_squares(dev)
-    q = x_full.shape[-1] - 1
+    rss, df2, certified = _fit_rss(x, residuals, names)
+    # The TSS and the RSS without the instruments are those of the leading columns.
+    tss, rss_exog, rss_full = rss[..., 1], rss[..., -1 - m], rss[..., -1]
+    q = x.shape[-1] - 1
     with np.errstate(divide="ignore", invalid="ignore"):
         r2 = np.where(tss > 0, 1.0 - rss_full / tss, 0.0)
         overall_f = np.where(tss > 0, np.maximum((r2 / q) / ((1.0 - r2) / df2), 0.0), 0.0)
@@ -194,7 +193,7 @@ def sargan_stats(spec: ModelSpec, columns, residuals):
 
     j = m * overall_f
     p_value = chi_square_upper_tail(j, m - len(spec.endogenous_regressors))
-    return j, p_value, overall_f, block_f, r2, ok_full & ok_exog
+    return j, p_value, overall_f, block_f, r2, certified
 
 
 def first_stage_f(spec: ModelSpec, data: "PanelDataset") -> FTestReport:

@@ -13,7 +13,7 @@ first-stage fitted values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -112,7 +112,15 @@ class EstimateResult:
     residual_std_error: float
     estimator_tag: str
     covariance_tag: str
-    fixed_effect_values: dict | None = field(default=None)
+    fixed_effects: tuple | None = None
+
+    @property
+    def fixed_effect_values(self) -> dict | None:
+        """The `fixed_effects` pairs (levels, effects) as {"unit": {level: effect}, "period": ...}."""
+        if self.fixed_effects is None:
+            return None
+        return {factor: dict(zip(levels.tolist(), effects.tolist()))
+                for factor, (levels, effects) in zip(("unit", "period"), self.fixed_effects)}
 
     def coefficient(self, name) -> float:
         return float(self.coefficients[self.names.index(name)])
@@ -186,13 +194,13 @@ def design_matrix(columns, column_names, intercept, shape):
     return x, names
 
 
-def _finish(spec, fit, n, y, centered, estimator_tag, fe_values=None):
-    """The `EstimateResult` of a `PooledFit` on n rows; R-squared against `y`, centred or not."""
+def _finish(spec, fit, n, lead, fixed_effects=None):
+    """The `EstimateResult` of a `PooledFit` on n rows; TSS = the RSS on its `lead` first columns."""
     rss = float(sum_of_squares(fit.residuals))
-    tss = float(sum_of_squares(y - y.mean() if centered else y))
+    tss = float(sum_of_squares(fit.qty[lead:]))
     df = fit.df_residual
     r2 = 1.0 - rss / tss if tss > 0 else float("nan")
-    adj = 1.0 - (1.0 - r2) * (n - 1 if centered else n) / df if tss > 0 else float("nan")
+    adj = 1.0 - (1.0 - r2) * (n - 1 if lead else n) / df if tss > 0 else float("nan")
     return EstimateResult(
         names=fit.names,
         coefficients=fit.coefficients,
@@ -203,9 +211,9 @@ def _finish(spec, fit, n, y, centered, estimator_tag, fe_values=None):
         r_squared=r2,
         adjusted_r_squared=adj,
         residual_std_error=math.sqrt(rss / df),
-        estimator_tag=estimator_tag,
+        estimator_tag=spec.estimator,
         covariance_tag=spec.covariance,
-        fixed_effect_values=fe_values,
+        fixed_effects=fixed_effects,
     )
 
 
@@ -218,7 +226,7 @@ def _first_stage_design(spec: ModelSpec, columns, shape):
 class PooledFit(NamedTuple):
     """What `pooled_fit` returns. For one panel `certified` and `finite` are True; for a stack
     they are (R,) masks: `certified` of markets whose every fit is full rank, `finite` of those
-    whose residual sum of squares and covariance are finite."""
+    whose residual sum of squares and covariance are finite. `qty` is the second stage's Q'y."""
 
     names: tuple
     coefficients: np.ndarray
@@ -227,6 +235,7 @@ class PooledFit(NamedTuple):
     df_residual: int
     certified: bool | np.ndarray
     finite: bool | np.ndarray
+    qty: np.ndarray
 
 
 def pooled_fit(spec: ModelSpec, columns, absorbed) -> PooledFit:
@@ -254,7 +263,7 @@ def pooled_fit(spec: ModelSpec, columns, absorbed) -> PooledFit:
         for name in spec.endogenous_regressors:
             first = solve_least_squares(z, columns[name], z_names)
             certified &= first.certified
-            fitted_endog.append(first.fitted[..., None])
+            fitted_endog.append(np.matvec(z, first.coefficients)[..., None])
         n_exog = x.shape[-1] - len(fitted_endog)
         x_fit = np.concatenate([x[..., :n_exog], *fitted_endog], axis=-1)
     p = x_fit.shape[-1] + absorbed
@@ -270,7 +279,8 @@ def pooled_fit(spec: ModelSpec, columns, absorbed) -> PooledFit:
         what = "coefficient covariance" if np.isfinite(rss) else "residual sum of squares"
         raise EstimationError(f"the fit overflows: its {what} is not finite; rescale the "
                               "dependent or the regressors")
-    return PooledFit(names, sol.coefficients, cov, residuals, n - p, certified & sol.certified, finite)
+    return PooledFit(names, sol.coefficients, cov, residuals, n - p, certified & sol.certified, finite,
+                     sol.qty)
 
 
 def _estimate_pooled(spec: ModelSpec, data: "PanelDataset", estimator) -> EstimateResult:
@@ -278,8 +288,7 @@ def _estimate_pooled(spec: ModelSpec, data: "PanelDataset", estimator) -> Estima
         raise ValueError(f"spec.estimator is {spec.estimator!r}, expected {estimator!r}")
     rows = np.flatnonzero(data.complete_rows(spec.required_columns()))
     columns = _columns(data, rows, spec.required_columns())
-    return _finish(spec, pooled_fit(spec, columns, 0), rows.size, columns[spec.dependent],
-                   spec.include_intercept, spec.estimator)
+    return _finish(spec, pooled_fit(spec, columns, 0), rows.size, int(spec.include_intercept))
 
 
 def estimate_ols(spec: ModelSpec, data: "PanelDataset") -> EstimateResult:
@@ -303,7 +312,8 @@ def _demean(c, codes, counts):
 
 
 def absorb(spec: ModelSpec, columns, units, periods):
-    """The OLS spec, the columns and the count of absorbed levels that `pooled_fit` fits.
+    """The OLS spec, the columns and the count of absorbed levels that `pooled_fit` fits, and
+    which of the markets they hold are finite.
 
     A `two_way_fe` spec absorbs the units: each of its columns is demeaned
     within units, and the periods after the first enter, demeaned the same
@@ -313,16 +323,19 @@ def absorb(spec: ModelSpec, columns, units, periods):
     only rounding noise, at most `DEFAULT_RANK_TOL` of its norm; it comes
     back as zeros, so that the solver sees the rank loss. `columns` are
     complete, (n,) for one panel or (R, n) for markets that share the row
-    labels `units` and `periods`. Any other spec comes back as it is, with
-    nothing absorbed.
+    labels `units` and `periods`. A unit sum beyond the float range leaves a
+    market whose demeaned columns are not finite: it is marked so, and its
+    columns come back as zeros, so that the solver takes the rest of a
+    stack. Any other spec comes back as it is, with nothing absorbed.
     """
+    shape = columns[spec.dependent].shape
     if spec.estimator != "two_way_fe":
-        return spec, columns, 0
+        return spec, columns, 0, np.ones(shape[:-1], dtype=bool)
     _, unit_codes = np.unique(units, return_inverse=True)
     period_levels, period_codes = np.unique(periods, return_inverse=True)
     counts = np.bincount(unit_codes)
     later = period_codes == np.arange(1, period_levels.size)[:, None]
-    within = {f"period[{v}]": np.broadcast_to(d, columns[spec.dependent].shape)
+    within = {f"period[{v}]": np.broadcast_to(d, shape)
               for v, d in zip(period_levels[1:].tolist(), _demean(later, unit_codes, counts))}
     dummies = tuple(within)
     within[spec.dependent] = _demean(columns[spec.dependent], unit_codes, counts)
@@ -332,8 +345,13 @@ def absorb(spec: ModelSpec, columns, units, periods):
         scale = np.maximum(np.abs(c).max(axis=-1, keepdims=True), np.finfo(float).tiny)
         noise = DEFAULT_RANK_TOL * np.linalg.norm(c / scale, axis=-1, keepdims=True)
         within[name] = np.where(np.linalg.norm(w / scale, axis=-1, keepdims=True) <= noise, 0.0, w)
+    finite = np.logical_and.reduce([np.isfinite(within[name]).all(axis=-1)
+                                    for name in (spec.dependent, *spec.regressors)])
+    if not finite.all():
+        for name in (spec.dependent, *spec.regressors):
+            within[name] = np.where(finite[..., None], within[name], 0.0)
     ols = replace(spec, exogenous_regressors=(*dummies, *spec.exogenous_regressors), estimator="ols")
-    return ols, within, counts.size
+    return ols, within, counts.size, finite
 
 
 def _most_absorbed_slope(design, m, slope_names):
@@ -357,10 +375,10 @@ def estimate_two_way_fe(spec: ModelSpec, data: "PanelDataset") -> EstimateResult
     """Two-way fixed effects: `pooled_fit` on the columns that `absorb` transforms.
 
     This is the LSDV fit without its n x (J + T) dummy matrix: the same slopes,
-    residuals and covariances, and df_residual = n - k - (J + T - 1). Around
-    the fit sit the checks that both effects are identified, the name of the
-    regressor they absorb, and the effects: unit effects carry the level and
-    the first period is the base category. The R-squared is the within
+    residuals and covariances, and df_residual = n - k - (J + T - 1). A refused
+    fit is named: a regressor constant within units, a panel that is not
+    connected, or the regressor the effects absorb. Unit effects carry the level
+    and the first period is the base category. The R-squared is the within
     R-squared, against the variation left after projecting out both effects.
     """
     if spec.estimator != "two_way_fe":
@@ -373,26 +391,28 @@ def estimate_two_way_fe(spec: ModelSpec, data: "PanelDataset") -> EstimateResult
         raise InsufficientObservationsError("two-way fixed effects need >= 2 units and >= 2 periods")
 
     columns = _columns(data, rows, spec.required_columns())
-    ols, within, absorbed = absorb(spec, columns, unit_codes, period_levels[period_codes])
+    ols, within, absorbed, finite = absorb(spec, columns, unit_codes, period_levels[period_codes])
+    if not finite:
+        raise EstimationError("the fit overflows: a column's sum within a unit is not finite; "
+                              "rescale the dependent or the regressors")
     m = period_levels.size - 1
     dummy_names, slope_names = ols.regressors[:m], ols.regressors[m:]
     try:
         fit = pooled_fit(ols, within, absorbed)
     except RankDeficientError:
-        fit = None  # named below, once both effects are known to be identified
-    for name in slope_names:
-        if not within[name].any():
-            raise CollinearWithFixedEffectsError(name, f"regressor {name!r} is constant within each unit")
-    # The demeaned dummies lose rank exactly when the panel is disconnected.
-    try:
-        effects_only = solve_least_squares(design_matrix(within, dummy_names, False, rows.shape)[0],
-                                           within[spec.dependent])
-    except RankDeficientError as exc:
-        raise CollinearWithFixedEffectsError(
-            dummy_names[exc.columns[0]],
-            "unit and period effects are not separately identified: the panel is not connected",
-        ) from None
-    if fit is None:
+        for name in slope_names:
+            if not within[name].any():
+                raise CollinearWithFixedEffectsError(
+                    name, f"regressor {name!r} is constant within each unit")
+        # The demeaned dummies lose rank exactly when the panel is disconnected.
+        try:
+            solve_least_squares(design_matrix(within, dummy_names, False, rows.shape)[0],
+                                within[spec.dependent])
+        except RankDeficientError as exc:
+            raise CollinearWithFixedEffectsError(
+                dummy_names[exc.columns[0]],
+                "unit and period effects are not separately identified: the panel is not connected",
+            ) from None
         name = _most_absorbed_slope(design_matrix(within, ols.regressors, False, rows.shape)[0],
                                     m, slope_names)
         raise CollinearWithFixedEffectsError(
@@ -405,15 +425,10 @@ def estimate_two_way_fe(spec: ModelSpec, data: "PanelDataset") -> EstimateResult
     slope_fit = design_matrix(columns, spec.regressors, False, rows.shape)[0] @ beta
     unit_sums = np.bincount(unit_codes, weights=y - slope_fit - period_fx[period_codes])
     unit_fx = unit_sums / np.bincount(unit_codes)
-    fe_values = {
-        "unit": dict(zip(unit_levels.tolist(), unit_fx.tolist())),
-        "period": dict(zip(period_levels.tolist(), period_fx.tolist())),
-    }
-    # The effects-only residuals have mean zero, so their centred sum of squares is the within
-    # TSS. The slopes' covariance is a copy: a view would keep every period dummy's covariance.
+    # The slopes' covariance is a copy: a view would keep every period dummy's covariance.
     slopes = fit._replace(names=slope_names, coefficients=beta,
                           covariance=fit.covariance[m:, m:].copy())
-    return _finish(spec, slopes, rows.size, effects_only.residuals, True, "two_way_fe", fe_values)
+    return _finish(spec, slopes, rows.size, m, ((unit_levels, unit_fx), (period_levels, period_fx)))
 
 
 def estimate_tsls(spec: ModelSpec, data: "PanelDataset") -> EstimateResult:

@@ -31,18 +31,18 @@ FACTOR_ROWS = 4096
 
 @dataclass(frozen=True, eq=False)
 class LeastSquaresSolution:
-    """Full-rank least-squares fit of y on X; a stacked fit has a leading axis on every array.
+    """Full-rank least-squares fit of y on X, nothing of length n; a stack's has a leading axis.
 
     `certified` is True for one design, which is full rank or refused, and the
     (R,) mask of entries of full rank for a stack. An entry that is not has zero
-    coefficients, so its fitted values are 0 and its residuals are y.
+    coefficients. `qty` is Q'y, with p + 1 entries (p when n = p): sum(qty[k:]**2)
+    is the residual sum of squares of y on the first k columns of X.
     """
 
     coefficients: np.ndarray
-    fitted: np.ndarray
-    residuals: np.ndarray
     certified: bool | np.ndarray
     xtx_inverse: np.ndarray
+    qty: np.ndarray
 
 
 def _pivoted_diagonal(r):
@@ -73,10 +73,14 @@ def _pivoted_diagonal(r):
     return np.abs(np.diag(r)), pivots
 
 
-def _column_scale(x):
-    """The largest column norm of X, one per design for a stack; 1 where it is 0."""
-    scale = np.sqrt(np.einsum("...ij,...ij->...j", x, x)).max(axis=-1, initial=0.0)
-    return np.where(scale > 0.0, scale, 1.0)
+def _column_scale(a):
+    """The largest column norm of `a`, a design or its factor, one per matrix of a stack; 1 where
+    it is 0. Each column is scaled to a largest entry of 1 first, so that no square overflows;
+    an entry that is not finite gives NaN, which no rank test passes."""
+    top = np.abs(a).max(axis=-2, initial=0.0)
+    top = np.where(top > 0.0, top, 1.0)
+    scale = (top * np.linalg.norm(a / top[..., None, :], axis=-2)).max(axis=-1, initial=0.0)
+    return np.where(scale == 0.0, 1.0, scale)
 
 
 # Huge entries can overflow in the factorization; the rank check then refuses the design.
@@ -101,7 +105,7 @@ def solve_least_squares(x, y, names=None):
     Returns
     -------
     LeastSquaresSolution
-        Coefficients, fitted values, residuals, full-rank certificate and (X'X)^-1.
+        Coefficients, full-rank certificate, (X'X)^-1 and Q'y.
 
     Raises
     ------
@@ -124,14 +128,14 @@ def solve_least_squares(x, y, names=None):
         x, y = x[None], y[None]
 
     # Q is orthogonal, so the p x p factor of [X | y] has X's column norms, pivots and rank,
-    # and the top of its last column is Q'y.
+    # and its last column is Q'y.
     factor = np.empty((len(x), 0, p + 1))
     for start in range(0, n, FACTOR_ROWS):
         rows = slice(start, start + FACTOR_ROWS)
         factor = np.linalg.qr(np.concatenate(
             [factor, np.concatenate([x[:, rows], y[:, rows, None]], axis=-1)], axis=1), mode="r")
-    upper, qty = factor[:, :p, :p], factor[:, :p, p]
-    scale = _column_scale(x)
+    upper, qty = factor[:, :p, :p], factor[:, :, p]
+    scale = _column_scale(upper)
     threshold = CERTIFY_MARGIN * DEFAULT_RANK_TOL * scale
     # 1 / ||R^-1||_F <= min |R_ii|, so an entry at or below the threshold there cannot be
     # certified; its factor is swapped for I so that the batched inverse meets no zero pivot.
@@ -149,10 +153,8 @@ def solve_least_squares(x, y, names=None):
             raise RankDeficientError(columns, None if names is None else "design is rank deficient "
                                      f"in columns {[names[c] for c in columns]}")
 
-    beta = np.where(certified[:, None], np.matvec(rinv, qty), 0.0)
-    fitted = np.matvec(x, beta)
-    residuals = y - fitted
+    beta = np.where(certified[:, None], np.matvec(rinv, qty[:, :p]), 0.0)
     xtx_inverse = rinv @ rinv.mT
     if one:  # certified: a design that is not full rank has raised
-        return LeastSquaresSolution(beta[0], fitted[0], residuals[0], True, xtx_inverse[0])
-    return LeastSquaresSolution(beta, fitted, residuals, certified, xtx_inverse)
+        return LeastSquaresSolution(beta[0], True, xtx_inverse[0], qty[0])
+    return LeastSquaresSolution(beta, certified, xtx_inverse, qty)

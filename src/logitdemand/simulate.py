@@ -390,10 +390,11 @@ def _fit_stack(spec: estimators.ModelSpec, columns, n_periods) -> list:
     periods inside, through the code `estimate`, `first_stage_f` and `sargan_j` share.
 
     A market fails as its own panel does, with the error class of the first step that refuses
-    it: a fit that is not full rank (`CollinearWithFixedEffectsError` under two-way fixed
-    effects) or not finite, then a first-stage F design and a Sargan design that are not full
-    rank. An F is kept once its step has passed. `InsufficientObservationsError` depends on the
-    shape alone, so it fails every market that has not failed yet.
+    it: a within transform that is not finite (`EstimationError`), a fit that is not full rank
+    (`CollinearWithFixedEffectsError` under two-way fixed effects) or not finite, then a
+    first-stage F design and a Sargan design that are not full rank. An F is kept once its step
+    has passed. `InsufficientObservationsError` depends on the shape alone, so it fails every
+    market that has not failed yet.
     """
     stack, n = columns[spec.dependent].shape
     failure, f, j, p_value = ([None] * stack for _ in range(4))
@@ -404,8 +405,9 @@ def _fit_stack(spec: estimators.ModelSpec, columns, n_periods) -> list:
 
     has_f, has_j = _reported_tests(spec)
     rows = np.arange(n)
-    fit_spec, fit_columns, absorbed = estimators.absorb(spec, columns, rows // n_periods,
-                                                        rows % n_periods)
+    fit_spec, fit_columns, absorbed, finite = estimators.absorb(spec, columns, rows // n_periods,
+                                                                rows % n_periods)
+    refuse(~finite, EstimationError)
     try:
         fit = estimators.pooled_fit(fit_spec, fit_columns, absorbed)
         refuse(~fit.certified, CollinearWithFixedEffectsError if spec.estimator == "two_way_fe"

@@ -603,6 +603,36 @@ def test_fixed_effects_on_huge_regressors_fail_on_one_line(tmp_path, capsys, com
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+# Cells near 1e308 whose sum within a unit overflows under two-way fixed effects: one panel is
+# refused on one line that says to rescale, and a Monte Carlo fails each such market as its own
+# panel does, with no ValueError from the solver.
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command, code, message", [
+    ("estimate", 3, "the fit overflows: a column's sum within a unit is not finite; rescale the "
+                    "dependent or the regressors"),
+    ("simulate", 5, "every replication failed (CollinearWithFixedEffectsError 2, EstimationError 2); "
+                    "nothing to summarize"),
+], ids=["estimate", "simulate"])
+def test_fixed_effects_on_unit_sums_that_overflow_fail_on_one_line(tmp_path, capsys, command, code,
+                                                                   message):
+    data, _ = generate_market(DgpParams(n_products=4, n_periods=3, beta=(1.0,), xi_scale=0.5,
+                                        seed=4, consumers=100))
+    x1 = data.column("x1").copy()
+    x1[:2] = 1.5e308
+    write_panel_csv(data.with_column("x1", x1), tmp_path / "huge.csv")
+    spec = {"dataset": "huge.csv", "dependent": DEPENDENT_COLUMN, "exogenous": ["x1"],
+            "endogenous": ["price"], "estimator": "two_way_fe"}
+    (tmp_path / "spec.json").write_text(json.dumps(spec), encoding="utf-8")
+    params = {"n_products": 4, "n_periods": 3, "n_characteristics": 1, "beta": [0.0],
+              "xi_scale": 0.5, "characteristic_scale": 1e308, "seed": 4, "consumers": 100,
+              "estimator": "two_way_fe", "replications": 4}
+    (tmp_path / "params.json").write_text(json.dumps(params), encoding="utf-8")
+    option = ["--spec", str(tmp_path / "spec.json")] if command == "estimate" else [
+        "--params", str(tmp_path / "params.json")]
+    assert main([command, *option]) == code
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_simulate_reports_failures_by_class_and_redraws(tmp_path, capsys):
     # A product with utility near 29 leaves the outside share near 1e-12: most draws are
     # rejected, and some replications give up after the bounded number of re-draws.

@@ -120,6 +120,10 @@ def test_fe_recovers_slope_under_known_dgp(make_panel):
     assert result.fixed_effect_values is not None
     # The slope's covariance owns its memory: no view keeps the period dummies' covariance alive.
     assert result.covariance_matrix.shape == (1, 1) and result.covariance_matrix.base is None
+    # The effects are kept as arrays, and nothing in the result has one entry per row.
+    arrays = [v for v in vars(result).values() if isinstance(v, np.ndarray)]
+    arrays += [a for pair in result.fixed_effects for a in pair]
+    assert len(arrays) == 7 and all(data.n_rows not in a.shape for a in arrays)
 
 
 def test_fe_recovers_effect_contrasts_when_noiseless(make_panel):

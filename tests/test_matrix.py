@@ -11,9 +11,10 @@ from logitdemand.matrix import DEFAULT_RANK_TOL, _column_scale, solve_least_squa
 
 
 def test_identity_design_recovers_y_exactly():
-    sol = solve_least_squares(np.eye(3), np.array([1.0, 2.0, 3.0]))
+    y = np.array([1.0, 2.0, 3.0])
+    sol = solve_least_squares(np.eye(3), y)
     assert np.allclose(sol.coefficients, [1.0, 2.0, 3.0])
-    assert np.allclose(sol.residuals, 0.0)
+    assert np.allclose(y - sol.coefficients, 0.0)
     assert sol.certified is True
 
 
@@ -33,14 +34,6 @@ def test_matches_normal_equations_oracle():
     assert np.max(np.abs(sol.xtx_inverse - np.linalg.inv(x.T @ x))) < 1e-10
 
 
-def test_fitted_plus_residuals_reconstruct_y():
-    rng = np.random.default_rng(1)
-    x = rng.normal(size=(20, 4))
-    y = rng.normal(size=20)
-    sol = solve_least_squares(x, y)
-    assert np.max(np.abs(sol.fitted + sol.residuals - y)) < 1e-12
-
-
 def test_residuals_orthogonal_to_design_columns():
     rng = np.random.default_rng(5)
     for _ in range(20):
@@ -50,7 +43,7 @@ def test_residuals_orthogonal_to_design_columns():
         y = rng.normal(size=n)
         sol = solve_least_squares(x, y)
         scale = np.max(np.abs(x)) * np.max(np.abs(y)) * n
-        assert np.max(np.abs(x.T @ sol.residuals)) <= 1e-8 * scale
+        assert np.max(np.abs(x.T @ (y - x @ sol.coefficients))) <= 1e-8 * scale
 
 
 def test_row_permutation_invariance():
@@ -61,7 +54,8 @@ def test_row_permutation_invariance():
     a = solve_least_squares(x, y)
     b = solve_least_squares(x[perm], y[perm])
     assert np.max(np.abs(a.coefficients - b.coefficients)) < 1e-12
-    assert np.max(np.abs(a.residuals[perm] - b.residuals)) < 1e-12
+    residuals = y - x @ a.coefficients
+    assert np.max(np.abs(residuals[perm] - (y[perm] - x[perm] @ b.coefficients))) < 1e-12
 
 
 def test_column_scaling_rescales_coefficient_only():
@@ -74,7 +68,18 @@ def test_column_scaling_rescales_coefficient_only():
     scaled[:, 1] *= c
     other = solve_least_squares(scaled, y)
     assert other.coefficients[1] * c == pytest.approx(base.coefficients[1], rel=1e-8)
-    assert np.max(np.abs(other.fitted - base.fitted)) <= 1e-8 * max(1.0, np.max(np.abs(base.fitted)))
+    fitted = x @ base.coefficients
+    assert np.max(np.abs(scaled @ other.coefficients - fitted)) <= 1e-8 * max(1.0, np.max(np.abs(fitted)))
+
+
+def test_huge_columns_fit_as_at_scale_one():
+    # Column norms near 1e160 square past the float range; the rank test must not see them so.
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(20, 2))
+    y = rng.normal(size=20)
+    base = solve_least_squares(x, y, ["a", "b"])
+    huge = solve_least_squares(x * 1e160, y * 1e160, ["a", "b"])
+    assert np.max(np.abs(huge.coefficients - base.coefficients)) <= 1e-12 * np.max(np.abs(base.coefficients))
 
 
 def test_rank_deficient_raises_and_names_columns():
@@ -323,3 +328,39 @@ def test_a_tall_design_over_several_blocks_names_the_dependent_column():
         solve_least_squares(x, rng.normal(size=n), ("const", "x1", "x2", "x3"))
     assert err.value.columns == (1,)
     assert str(err.value) == "design is rank deficient in columns ['x1']"
+
+
+# --- nested sums of squares from Q'y ---------------------------------------------
+
+
+@st.composite
+def full_rank_stacks(draw):
+    """(X, y) for a stack of one to three full-rank designs, columns on scales 0.01 to 100."""
+    p = draw(st.integers(1, 6))
+    n = draw(st.integers(p + 1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stack = draw(st.integers(1, 3))
+    x = rng.normal(size=(stack, n, p)) * 10.0 ** rng.uniform(-2, 2, size=p)
+    return x, rng.normal(size=(stack, n))
+
+
+def _lstsq_rss(x, y, k):
+    """The residual sum of squares of y on the first k columns of x, by numpy's lstsq."""
+    residuals = y - x[:, :k] @ np.linalg.lstsq(x[:, :k], y, rcond=None)[0]
+    return residuals @ residuals
+
+
+@settings(max_examples=200, deadline=None)
+@given(full_rank_stacks(), st.sampled_from([3, 5, 7, matrix.FACTOR_ROWS]))
+def test_qty_tails_are_the_nested_residual_sums_of_squares(stack, block_rows):
+    x, y = stack
+    p = x.shape[-1]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matrix, "FACTOR_ROWS", block_rows)
+        fits = [(solve_least_squares(x, y).qty, x, y)]
+        fits += [(solve_least_squares(xr, yr).qty[None], xr[None], yr[None]) for xr, yr in zip(x, y)]
+    for qty, xs, ys in fits:
+        assert qty.shape == (len(xs), p + 1)
+        for q, xr, yr in zip(qty, xs, ys):
+            for k in range(p + 1):
+                assert abs(np.sum(q[k:] ** 2) - _lstsq_rss(xr, yr, k)) <= 1e-10 * (yr @ yr)

@@ -302,8 +302,11 @@ _CONSTANT_X1 = DgpParams(n_products=5, n_periods=4, n_characteristics=1, beta=(1
     # Price is exactly the instruments' sum: the first stage is exact and F is inf.
     (dataclasses.replace(_CONSTANT_X1, characteristic_scale=1.0, price_endogeneity=0.0,
                          price_noise_scale=0.0), "tsls", True, None, math.inf),
+    # x1 near 1e308 in every cell: each unit's sum overflows in the within transform.
+    (dataclasses.replace(_CONSTANT_X1, beta=(0.0,), characteristic_loc=1e308,
+                         characteristic_scale=1e306), "two_way_fe", False, "EstimationError", None),
 ], ids=["rank_deficient", "collinear_with_fe", "too_few_rows", "sargan_rank_deficient",
-        "exact_first_stage"])
+        "exact_first_stage", "within_transform_overflows"])
 def test_every_outcome_comes_from_the_stack(params, estimator, include_intercept, failure, f):
     spec = dataclasses.replace(default_model_spec(params, estimator),
                                include_intercept=include_intercept)
