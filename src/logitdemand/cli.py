@@ -148,14 +148,8 @@ def cmd_estimate(args) -> int:
 
 def cmd_diagnose(args) -> int:
     spec, data, data_path = _load(args)
-    if spec.estimator == "two_way_fe":
-        raise ValueError(f"the spec's estimator is {spec.estimator!r}; diagnose tests a pooled "
-                         "first stage, and first-stage diagnostics with fixed effects are not "
-                         "supported yet")
-    if not spec.instruments:
-        raise OrderConditionViolatedError("spec has no instruments; nothing to diagnose")
-    spec = dataclasses.replace(spec, estimator="tsls")
     f_report = diagnostics.first_stage_f(spec, data)
+    spec = dataclasses.replace(spec, estimator="tsls")
     verdict = "pass" if f_report.passes_rule_of_thumb else "FAIL (possible weak instruments)"
     lines = ["First-stage F test (H0: all instrument coefficients are zero)", *_block([
         ("restrictions (m)", f_report.df_numerator),

@@ -1,7 +1,8 @@
 """Instrument-validity diagnostics: first-stage F and the Sargan J test.
 
 The first-stage F compares restricted and unrestricted first-stage sums of
-squares, so the two residual degrees of freedom can be reported directly. The
+squares, so the two residual degrees of freedom can be reported directly; both
+come from the one solve of 2SLS's own first stage (`estimators.first_stage`). The
 J statistic is m times the overall F of the regression of the 2SLS residuals
 on the exogenous regressors and instruments; the n*R^2 variant and the
 instrument-block-only F are carried along as cross-checks. Each restricted
@@ -20,9 +21,10 @@ from .errors import (
     ExactlyIdentifiedError,
     InsufficientObservationsError,
     MultipleEndogenousError,
+    OrderConditionViolatedError,
 )
-from .estimators import EstimateResult, ModelSpec, _columns, _first_stage_design, design_matrix
-from .matrix import DEFAULT_RANK_TOL, solve_least_squares
+from .estimators import EstimateResult, ModelSpec, _columns, design_matrix, first_stage
+from .matrix import solve_least_squares
 
 if TYPE_CHECKING:
     from .dataio import PanelDataset
@@ -142,32 +144,13 @@ def f_statistic(rss_restricted, rss_unrestricted, q, df_unrestricted):
                           / (rss_unrestricted / df_unrestricted), 0.0)
 
 
-def _fit_rss(x, y, names):
-    """(RSS, residual df, certified) of `y` on the design `x` with column `names`; RSS entry k, of
-    p + 1, is that of y on the first k columns, from one factor. An RSS at or below
-    (DEFAULT_RANK_TOL * ||y||)^2 is an exact fit's rounding and counts as 0, one panel or a
-    stack alike, so an exact fit gives `f_statistic` an F of inf."""
-    sol = solve_least_squares(x, y, names)
-    rss = np.cumsum(sol.qty[..., ::-1] ** 2, axis=-1)[..., ::-1]
-    rss = np.where(rss <= DEFAULT_RANK_TOL**2 * rss[..., :1], 0.0, rss)
-    return rss, y.shape[-1] - x.shape[-1], sol.certified
-
-
-def first_stage_stats(spec: ModelSpec, columns):
-    """(F, unrestricted df, restricted df, certified) of the instruments in the first stage
-    of the spec's one endogenous regressor, on complete `columns` of shape (n,) or (R, n).
-    The unrestricted design is 2SLS's first stage, instruments last; the restricted one is its
-    leading columns, of full rank when it is."""
-    endog = columns[spec.endogenous_regressors[0]]
-    n = endog.shape[-1]
-    m = len(spec.instruments)
-    x, names = _first_stage_design(spec, columns, endog.shape)
-    if n <= x.shape[-1]:
-        raise InsufficientObservationsError(f"{n} rows cannot support the unrestricted first stage")
-
-    rss, df_u, certified = _fit_rss(x, endog, names)
-    f = f_statistic(rss[..., -1 - m], rss[..., -1], m, df_u)
-    return f, df_u, df_u + m, certified
+def first_stage_stats(rss, m, n):
+    """(F, unrestricted df, restricted df) of the m instruments in a first stage on n rows, from
+    the `nested_rss` of its fit (`estimators.first_stage`), one panel's or a stack's. The
+    unrestricted fit takes every column of the design; the restricted one drops the last m, the
+    instruments."""
+    df_u = n - (rss.shape[-1] - 1)
+    return f_statistic(rss[..., -1 - m], rss[..., -1], m, df_u), df_u, df_u + m
 
 
 def sargan_stats(spec: ModelSpec, columns, residuals):
@@ -182,7 +165,8 @@ def sargan_stats(spec: ModelSpec, columns, residuals):
     if n <= x.shape[-1]:
         raise InsufficientObservationsError(f"{n} rows cannot support the residual regression")
 
-    rss, df2, certified = _fit_rss(x, residuals, names)
+    sol = solve_least_squares(x, residuals, names)
+    rss, df2 = sol.nested_rss, n - x.shape[-1]
     # The TSS and the RSS without the instruments are those of the leading columns.
     tss, rss_exog, rss_full = rss[..., 1], rss[..., -1 - m], rss[..., -1]
     q = x.shape[-1] - 1
@@ -193,30 +177,38 @@ def sargan_stats(spec: ModelSpec, columns, residuals):
 
     j = m * overall_f
     p_value = chi_square_upper_tail(j, m - len(spec.endogenous_regressors))
-    return j, p_value, overall_f, block_f, r2, certified
+    return j, p_value, overall_f, block_f, r2, sol.certified
 
 
 def first_stage_f(spec: ModelSpec, data: "PanelDataset") -> FTestReport:
-    """Conditional F test for instrument relevance.
+    """Conditional F test for instrument relevance in the first stage of the spec's 2SLS.
 
     Unrestricted: endogenous ~ intercept + exogenous + instruments.
     Restricted:   endogenous ~ intercept + exogenous.
-    F = [(RSS_r - RSS_u) / m] / [RSS_u / df_u], evaluated on the same rows the
-    2SLS estimation uses.
+    F = [(RSS_r - RSS_u) / m] / [RSS_u / df_u] on the rows the 2SLS estimation
+    uses, from the one solve of `estimators.first_stage`. A pooled OLS spec is
+    tested as its 2SLS; a `two_way_fe` spec raises ValueError, too few
+    instruments `OrderConditionViolatedError`, and k != 1 `MultipleEndogenousError`.
     """
-    if len(spec.endogenous_regressors) != 1:
+    m, k = len(spec.instruments), len(spec.endogenous_regressors)
+    if spec.estimator == "two_way_fe":
+        raise ValueError(f"the spec's estimator is {spec.estimator!r}; diagnose tests a pooled "
+                         "first stage, and first-stage diagnostics with fixed effects are not "
+                         "supported yet")
+    if not m:
+        raise OrderConditionViolatedError("spec has no instruments; nothing to diagnose")
+    if m < k:
+        raise OrderConditionViolatedError(f"{m} instruments cannot identify {k} endogenous "
+                                          "regressors")
+    if k != 1:
         raise MultipleEndogenousError(
-            f"first-stage F supports exactly one endogenous regressor, "
-            f"got {len(spec.endogenous_regressors)}"
+            f"first-stage F supports exactly one endogenous regressor, got {k}"
         )
-    if not spec.instruments:
-        raise ValueError("spec has no instruments")
 
-    rows = np.flatnonzero(data.complete_rows((spec.dependent, *spec.regressors, *spec.instruments)))
-    columns = _columns(data, rows, (*spec.regressors, *spec.instruments))
-    m = len(spec.instruments)
-
-    f, df_u, df_r, _ = first_stage_stats(spec, columns)
+    names = (spec.dependent, *spec.regressors, *spec.instruments)
+    rows = np.flatnonzero(data.complete_rows(names))
+    _, (fit,) = first_stage(spec, _columns(data, rows, names))
+    f, df_u, df_r = first_stage_stats(fit.nested_rss, m, rows.size)
     f = float(f)
     return FTestReport(
         f_statistic=f,

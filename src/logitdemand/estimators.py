@@ -152,18 +152,6 @@ def robust_covariance(x, residuals, bread) -> np.ndarray:
     return 0.5 * (cov + cov.mT)
 
 
-def coefficient_covariance(kind, x, residuals, bread, df_residual) -> np.ndarray:
-    """Classical s^2 (X'X)^-1 with s^2 = u'u / df_residual, or the HC0 sandwich.
-
-    `kind` is a `COVARIANCES` entry and `bread` is (X'X)^-1. Like
-    `robust_covariance`, this takes one fit or a stack of fits.
-    """
-    if kind == "robust_hc0":
-        return robust_covariance(x, residuals, bread)
-    sigma2 = sum_of_squares(residuals) / df_residual
-    return sigma2[..., None, None] * bread
-
-
 def sum_of_squares(u):
     """u'u over the last axis: a residual sum of squares, one per fit for a stack."""
     return np.vecdot(u, u)
@@ -196,7 +184,7 @@ def design_matrix(columns, column_names, intercept, shape):
 
 def _finish(spec, fit, n, lead, fixed_effects=None):
     """The `EstimateResult` of a `PooledFit` on n rows; TSS = the RSS on its `lead` first columns."""
-    rss = float(sum_of_squares(fit.residuals))
+    rss = float(fit.rss)
     tss = float(sum_of_squares(fit.qty[lead:]))
     df = fit.df_residual
     r2 = 1.0 - rss / tss if tss > 0 else float("nan")
@@ -217,34 +205,48 @@ def _finish(spec, fit, n, lead, fixed_effects=None):
     )
 
 
-def _first_stage_design(spec: ModelSpec, columns, shape):
-    """The first stage's design: the spec's intercept, exogenous regressors, then instruments."""
-    return design_matrix(columns, (*spec.exogenous_regressors, *spec.instruments),
-                         spec.include_intercept, shape)
+def first_stage(spec: ModelSpec, columns):
+    """The 2SLS first stage of `spec` on complete `columns`, (n,) for one panel or (R, n) for a
+    stack: its design Z (intercept, exogenous regressors, then instruments) and one
+    `LeastSquaresSolution` per endogenous regressor, whose `nested_rss` holds the fit without the
+    instruments too. Raises InsufficientObservationsError unless n exceeds Z's columns, and
+    RankDeficientError when one panel's Z is not full rank."""
+    shape = columns[spec.dependent].shape
+    z, names = design_matrix(columns, (*spec.exogenous_regressors, *spec.instruments),
+                             spec.include_intercept, shape)
+    if shape[-1] <= z.shape[-1]:
+        raise InsufficientObservationsError(f"{shape[-1]} rows cannot support the unrestricted "
+                                            "first stage")
+    return z, [solve_least_squares(z, columns[name], names) for name in spec.endogenous_regressors]
 
 
 class PooledFit(NamedTuple):
     """What `pooled_fit` returns. For one panel `certified` and `finite` are True; for a stack
     they are (R,) masks: `certified` of markets whose every fit is full rank, `finite` of those
-    whose residual sum of squares and covariance are finite. `qty` is the second stage's Q'y."""
+    whose residual sum of squares `rss` and covariance are finite. `qty` is the second stage's
+    Q'y. `first_stage_rss` is the `nested_rss` of a 2SLS fit's first stage when it has one
+    endogenous regressor, and None otherwise."""
 
     names: tuple
     coefficients: np.ndarray
     covariance: np.ndarray
     residuals: np.ndarray
+    rss: float | np.ndarray
     df_residual: int
     certified: bool | np.ndarray
     finite: bool | np.ndarray
     qty: np.ndarray
+    first_stage_rss: np.ndarray | None
 
 
 def pooled_fit(spec: ModelSpec, columns, absorbed) -> PooledFit:
     """OLS, or 2SLS for a `tsls` spec, on complete `columns` of shape (n,) for one panel or
     (R, n) for a stack of R markets, from which `absorb` took `absorbed` levels.
 
-    The p of the row check and of df_residual = n - p counts the absorbed levels. 2SLS replaces the
-    endogenous columns by their fits on `_first_stage_design`; its residuals
-    use the actual columns and its covariance takes the fitted design as the bread.
+    The p of the row check and of df_residual = n - p counts the absorbed levels. 2SLS replaces
+    the endogenous columns by their fits on its `first_stage`; its residuals use the actual
+    columns. The covariance is classical, s^2 (X'X)^-1 with s^2 = RSS / df_residual, or the HC0
+    sandwich, and takes the fitted design as the bread.
 
     Raises EstimationError when one panel's residual sum of squares or
     covariance overflows.
@@ -254,18 +256,14 @@ def pooled_fit(spec: ModelSpec, columns, absorbed) -> PooledFit:
     x, names = design_matrix(columns, spec.regressors, spec.include_intercept, y.shape)
     x_fit = x
     certified = True
+    first = []
     if spec.estimator == "tsls":
-        z, z_names = _first_stage_design(spec, columns, y.shape)
-        p1 = z.shape[-1]
-        if n <= p1:
-            raise InsufficientObservationsError(f"{n} rows cannot support the {p1}-column first stage")
-        fitted_endog = []
-        for name in spec.endogenous_regressors:
-            first = solve_least_squares(z, columns[name], z_names)
-            certified &= first.certified
-            fitted_endog.append(np.matvec(z, first.coefficients)[..., None])
-        n_exog = x.shape[-1] - len(fitted_endog)
-        x_fit = np.concatenate([x[..., :n_exog], *fitted_endog], axis=-1)
+        z, first = first_stage(spec, columns)
+        fitted = []
+        for endog in first:
+            certified &= endog.certified
+            fitted.append(np.matvec(z, endog.coefficients)[..., None])
+        x_fit = np.concatenate([x[..., :x.shape[-1] - len(first)], *fitted], axis=-1)
     p = x_fit.shape[-1] + absorbed
     if n <= p:
         raise InsufficientObservationsError(f"{n} rows cannot support {p} coefficients")
@@ -273,14 +271,18 @@ def pooled_fit(spec: ModelSpec, columns, absorbed) -> PooledFit:
     with np.errstate(over="ignore", invalid="ignore"):
         residuals = y - np.matvec(x, sol.coefficients)
         rss = sum_of_squares(residuals)
-        cov = coefficient_covariance(spec.covariance, x_fit, residuals, sol.xtx_inverse, n - p)
+        if spec.covariance == "robust_hc0":
+            cov = robust_covariance(x_fit, residuals, sol.xtx_inverse)
+        else:
+            cov = (rss / (n - p))[..., None, None] * sol.xtx_inverse
+        first_stage_rss = first[0].nested_rss if len(first) == 1 else None
     finite = np.isfinite(rss) & np.isfinite(cov).all(axis=(-2, -1))
     if y.ndim == 1 and not finite:
         what = "coefficient covariance" if np.isfinite(rss) else "residual sum of squares"
         raise EstimationError(f"the fit overflows: its {what} is not finite; rescale the "
                               "dependent or the regressors")
-    return PooledFit(names, sol.coefficients, cov, residuals, n - p, certified & sol.certified, finite,
-                     sol.qty)
+    return PooledFit(names, sol.coefficients, cov, residuals, rss, n - p, certified & sol.certified,
+                     finite, sol.qty, first_stage_rss)
 
 
 def _estimate_pooled(spec: ModelSpec, data: "PanelDataset", estimator) -> EstimateResult:

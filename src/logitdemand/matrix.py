@@ -44,6 +44,14 @@ class LeastSquaresSolution:
     xtx_inverse: np.ndarray
     qty: np.ndarray
 
+    @property
+    def nested_rss(self):
+        """Entry k, of len(qty), is the RSS of y on the first k columns of X; entry 0 is y'y. An RSS
+        at or below (DEFAULT_RANK_TOL * ||y||)^2 is an exact fit's rounding and reads 0, one design
+        or a stack alike, so an exact fit gives an F of inf."""
+        rss = np.cumsum(self.qty[..., ::-1] ** 2, axis=-1)[..., ::-1]
+        return np.where(rss <= DEFAULT_RANK_TOL**2 * rss[..., :1], 0.0, rss)
+
 
 def _pivoted_diagonal(r):
     """|diag| and pivots of the Householder QR with column pivoting of the p x p factor `r`;

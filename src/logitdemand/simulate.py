@@ -299,12 +299,13 @@ def run_monte_carlo(params: DgpParams, spec: estimators.ModelSpec | None = None,
     chunk's markets together, and they are inverted together and fitted by
     the regression code of a single panel (`estimators.absorb` and
     `pooled_fit`, `diagnostics.first_stage_stats`, `sargan_stats`) with one
-    stacked solve per regression. A replication whose market gave up
-    re-drawing fails with `DegenerateSharesError`. Every other replication's
-    outcome comes from its chunk's stack, and a market fails with the error
-    class its own panel raises in `estimate`, `first_stage_f` or `sargan_j`.
-    An F or J that is not finite (inf for an exact first stage) is reported
-    as it is.
+    stacked solve per regression. Only a 2SLS spec is tested: F, from the
+    fit's own first stage, for one endogenous regressor; J when m > k. A
+    market that gave up re-drawing fails with `DegenerateSharesError`. Every
+    other replication's outcome comes from its chunk's stack, and a market
+    fails with the error class its own panel raises in `estimate`,
+    `first_stage_f` or `sargan_j`. An F or J that is not finite (inf for an
+    exact first stage) is reported as it is.
 
     Per-replication estimator failures are counted by error class, not fatal.
     Coverage uses the +-1.96 * SE interval per coefficient. Raises
@@ -345,10 +346,11 @@ class _Replication(NamedTuple):
 
 
 def _reported_tests(spec: estimators.ModelSpec):
-    """Whether a replication reports the first-stage F and the Sargan J: F for one endogenous
-    regressor with instruments, J besides for an over-identified 2SLS spec."""
-    has_f = bool(spec.instruments) and len(spec.endogenous_regressors) == 1
-    return has_f, has_f and spec.estimator == "tsls" and len(spec.instruments) > 1
+    """Whether a replication reports the first-stage F and the Sargan J: only a 2SLS fit does,
+    F for one endogenous regressor and J when over-identified (m > k), as `sargan_j` requires."""
+    tsls = spec.estimator == "tsls"
+    k = len(spec.endogenous_regressors)
+    return tsls and k == 1, tsls and len(spec.instruments) > k
 
 
 def _replications(params: DgpParams, spec: estimators.ModelSpec, seeds) -> list:
@@ -391,10 +393,11 @@ def _fit_stack(spec: estimators.ModelSpec, columns, n_periods) -> list:
 
     A market fails as its own panel does, with the error class of the first step that refuses
     it: a within transform that is not finite (`EstimationError`), a fit that is not full rank
-    (`CollinearWithFixedEffectsError` under two-way fixed effects) or not finite, then a
-    first-stage F design and a Sargan design that are not full rank. An F is kept once its step
-    has passed. `InsufficientObservationsError` depends on the shape alone, so it fails every
-    market that has not failed yet.
+    (`CollinearWithFixedEffectsError` under two-way fixed effects) or not finite, then a Sargan
+    design that is not full rank. The F is read from the fit's `first_stage_rss`, which the fit
+    has certified: it takes no solve, and it is kept once the fit has passed.
+    `InsufficientObservationsError` depends on the shape alone, so it fails every market that
+    has not failed yet.
     """
     stack, n = columns[spec.dependent].shape
     failure, f, j, p_value = ([None] * stack for _ in range(4))
@@ -414,8 +417,7 @@ def _fit_stack(spec: estimators.ModelSpec, columns, n_periods) -> list:
                else RankDeficientError)
         refuse(~fit.finite, EstimationError)
         if has_f:
-            stats, *_, ok = diagnostics.first_stage_stats(spec, columns)
-            refuse(~ok, RankDeficientError)
+            stats = diagnostics.first_stage_stats(fit.first_stage_rss, len(spec.instruments), n)[0]
             f = [None if failed else float(v) for failed, v in zip(failure, stats)]
         if has_j:
             j, p_value, *_, ok = diagnostics.sargan_stats(spec, columns, fit.residuals)

@@ -1,8 +1,15 @@
+import io
 import json
+import math
+import re
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logitdemand import dataio, errors, simulate
 from logitdemand.cli import main
@@ -415,6 +422,52 @@ def test_diagnose_on_fixed_effects_spec_exits_2(tmp_path, capsys):
     assert captured.out == ""
     assert "'two_way_fe'" in captured.err
     assert "not supported yet" in captured.err
+
+
+@pytest.fixture(scope="module")
+def diagnose_dir(tmp_path_factory):
+    """A directory holding a generated 5x4 panel, three cost shifters and the dependent."""
+    folder = tmp_path_factory.mktemp("diagnose")
+    params = DgpParams(n_products=5, n_periods=4, n_characteristics=2, beta=(1.0, -0.5),
+                       xi_scale=0.5, price_endogeneity=0.5, n_instruments=3, seed=5)
+    write_panel_csv(compute_dependent(generate_market(params)[0]), folder / "panel.csv")
+    return folder
+
+
+@st.composite
+def diagnose_specs(draw):
+    endogenous = draw(st.lists(st.sampled_from(["price", "x1", "x2"]), max_size=2, unique=True))
+    return {
+        "dataset": "panel.csv",
+        "dependent": DEPENDENT_COLUMN,
+        "exogenous": [name for name in ("x1", "x2") if name not in endogenous],
+        "endogenous": endogenous,
+        # market_size is the constant 1: with an intercept the first stage loses rank.
+        "instruments": draw(st.lists(st.sampled_from(["cost1", "cost2", "cost3", "market_size"]),
+                                     max_size=3, unique=True)),
+        "estimator": draw(st.sampled_from(["ols", "tsls", "two_way_fe"])),
+        "intercept": draw(st.booleans()),
+    }
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=diagnose_specs())
+def test_diagnose_exits_by_the_spec_roles(diagnose_dir, spec):
+    spec_path = diagnose_dir / "spec.json"
+    spec_path.write_text(json.dumps(spec), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(["diagnose", "--spec", str(spec_path)])
+    if code:
+        assert code in (2, 3, 4)
+        assert out.getvalue() == ""
+        assert len(err.getvalue().splitlines()) == 1 and err.getvalue().startswith("error: ")
+        return
+    assert len(spec["endogenous"]) == 1
+    f = re.search(r"^  F: +(\S+)$", out.getvalue(), re.MULTILINE).group(1)
+    assert f == "inf" or math.isfinite(float(f))
+    assert ("Sargan J test (H0" in out.getvalue()) == (len(spec["instruments"]) > 1)
 
 
 def test_simulate_emits_loadable_dataset(tmp_path, capsys):

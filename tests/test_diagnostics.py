@@ -12,12 +12,15 @@ from logitdemand.diagnostics import (
     first_stage_f,
     sargan_j,
 )
+from logitdemand.dataio import compute_dependent
 from logitdemand.errors import (
     ExactlyIdentifiedError,
     MultipleEndogenousError,
+    OrderConditionViolatedError,
     RankDeficientError,
 )
 from logitdemand.estimators import ModelSpec, estimate, estimate_tsls, estimator_defaults
+from logitdemand.simulate import DgpParams, default_model_spec, generate_market
 
 
 def _actual_design(spec, data):
@@ -199,6 +202,26 @@ def test_first_stage_f_collinear_regressors_error(simulated_market):
     )
     with pytest.raises(RankDeficientError):
         first_stage_f(bad, data)
+
+
+def test_first_stage_f_refuses_fixed_effects_and_too_few_instruments():
+    # On this panel a two-way FE spec once got F 49.6 from a pooled first stage with no
+    # intercept and no effects (Res.Df 45 of 48 rows).
+    params = DgpParams(n_products=8, n_periods=6, xi_scale=0.5, price_endogeneity=0.5, seed=3)
+    data = compute_dependent(generate_market(params)[0])
+    tsls = default_model_spec(params)
+    fe = replace(tsls, estimator="two_way_fe", include_intercept=False, covariance="classical")
+    for spec in (fe, replace(fe, instruments=())):
+        with pytest.raises(ValueError, match="'two_way_fe'.*not supported yet"):
+            first_stage_f(spec, data)
+    ols = replace(tsls, estimator="ols", covariance="classical")
+    with pytest.raises(OrderConditionViolatedError, match="no instruments"):
+        first_stage_f(replace(ols, instruments=()), data)
+    with pytest.raises(OrderConditionViolatedError, match="1 instruments cannot identify 2"):
+        first_stage_f(replace(ols, exogenous_regressors=(), endogenous_regressors=("x1", "price"),
+                              instruments=("cost1",)), data)
+    # A pooled OLS spec is tested as its 2SLS.
+    assert first_stage_f(ols, data) == first_stage_f(tsls, data)
 
 
 def test_sargan_requires_overidentification(simulated_market):

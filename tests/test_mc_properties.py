@@ -194,6 +194,50 @@ def test_two_way_fe_variants_match_per_replication_fits(covariance, consumers, e
     assert all(r.names == ("x1", "x2", "price") for r in reference)
 
 
+_SEED_17 = DgpParams(n_products=6, n_periods=5, n_characteristics=2, beta=(1.0, -0.5), xi_scale=0.7,
+                     price_endogeneity=0.6, seed=17)
+
+
+@pytest.mark.parametrize("params, roles, has_f, has_j", [
+    # An OLS fit has no first stage: the constant instrument once failed every replication as
+    # RankDeficientError.
+    (_SEED_17, dict(estimator="ols", covariance="classical", instruments=("cost1", "market_size")),
+     False, False),
+    # Nor has a two-way FE fit: its F was a pooled first stage with no intercept and no effects.
+    (_SEED_17, dict(estimator="two_way_fe", covariance="classical", include_intercept=False),
+     False, False),
+    # Two endogenous regressors and three instruments: no F, and the J that `sargan_j` gives.
+    (dataclasses.replace(_SEED_17, n_instruments=3),
+     dict(exogenous_regressors=("x2",), endogenous_regressors=("x1", "price")), False, True),
+], ids=["ols_with_constant_instrument", "two_way_fe_with_instruments", "tsls_two_endogenous"])
+def test_only_a_tsls_fit_reports_instrument_tests(params, roles, has_f, has_j):
+    spec = dataclasses.replace(default_model_spec(params), **roles)
+    assert simulate._reported_tests(spec) == (has_f, has_j)
+    reference = _compare(params, spec, replications=10, chunk_markets=4)
+    assert all(r.failure is None for r in reference)
+    assert all((r.first_stage_f is not None) == has_f for r in reference)
+    assert all((r.sargan_j is not None) == has_j for r in reference)
+
+
+def test_a_tsls_chunk_solves_its_first_stage_once():
+    spec = default_model_spec(_SEED_17)
+    data = compute_dependent(generate_market(_SEED_17)[0])
+    with mock.patch.object(estimators, "solve_least_squares",
+                           wraps=estimators.solve_least_squares) as fits, \
+            mock.patch.object(diagnostics, "solve_least_squares",
+                              wraps=diagnostics.solve_least_squares) as tests:
+        records = simulate._fit_chunk(_SEED_17, spec, replication_seeds(_SEED_17.seed, 8))
+        # The first stage, the second stage and the Sargan regression; the F reads the first.
+        assert (fits.call_count, tests.call_count) == (2, 1)
+        fits.reset_mock()
+        tests.reset_mock()
+        first_stage_f(spec, data)
+        sargan_j(estimate(spec, data), spec, data)
+        assert (fits.call_count, tests.call_count) == (3, 1)
+    assert all(r.failure is None and r.first_stage_f is not None and r.sargan_j is not None
+               for r in records)
+
+
 def test_exact_first_stage_gives_an_infinite_f_on_both_paths():
     # Price is exactly the instruments' sum, so the unrestricted first stage fits exactly. Both
     # solvers leave rounding residuals, which count as RSS 0: F is inf, not noise near 1e31.
@@ -203,7 +247,9 @@ def test_exact_first_stage_gives_an_infinite_f_on_both_paths():
     seeds = replication_seeds(params.seed, 6)
     columns, *_ = simulate.draw_markets(params, seeds)
     columns[DEPENDENT_COLUMN] = simulate._stacked_dependent(columns, params.n_periods)
-    assert np.all(diagnostics.first_stage_stats(spec, columns)[0] == math.inf)
+    _, (first,) = estimators.first_stage(spec, columns)
+    assert np.all(diagnostics.first_stage_stats(first.nested_rss, len(spec.instruments),
+                                                params.n_products * params.n_periods)[0] == math.inf)
 
     reference = [_replicate(params, spec, seed) for seed in seeds]
     with mock.patch.object(simulate, "_STACK_ROWS", 4 * params.n_products * params.n_periods):
@@ -360,7 +406,8 @@ def test_tsls_with_copied_regressors_as_instruments_is_ols(seed, n, covariance):
     # it completes like the others.
     ols_stack = simulate._fit_stack(ols_spec, columns, n_periods=1)
     tsls_stack = simulate._fit_stack(tsls_spec, columns, n_periods=1)
-    f = diagnostics.first_stage_stats(tsls_spec, columns)[0]
+    _, (first,) = estimators.first_stage(tsls_spec, columns)
+    f = diagnostics.first_stage_stats(first.nested_rss, 1, n)[0]
     assert [a.first_stage_f for a in tsls_stack] == f.tolist()
     for a, b in zip(tsls_stack, ols_stack):
         assert a.failure is None
