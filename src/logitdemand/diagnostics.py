@@ -2,11 +2,11 @@
 
 The first-stage F compares restricted and unrestricted first-stage sums of
 squares, so the two residual degrees of freedom can be reported directly; both
-come from the one solve of 2SLS's own first stage (`estimators.first_stage`). The
+come from the one factor of 2SLS's own first stage (`estimators.first_stage`). The
 J statistic is m times the overall F of the regression of the 2SLS residuals
-on the exogenous regressors and instruments; the n*R^2 variant and the
-instrument-block-only F are carried along as cross-checks. Each restricted
-regression is a design's leading columns, its RSS read off the same factor.
+on the exogenous regressors and instruments, solved on that factor's few rows;
+the n*R^2 variant and the instrument-block-only F are carried along as
+cross-checks. Each restricted regression is a design's leading columns.
 """
 
 from __future__ import annotations
@@ -18,12 +18,14 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import (
+    EstimationError,
     ExactlyIdentifiedError,
     InsufficientObservationsError,
     MultipleEndogenousError,
     OrderConditionViolatedError,
 )
-from .estimators import EstimateResult, ModelSpec, _columns, design_matrix, first_stage
+from .estimators import (INTERCEPT_NAME, EstimateResult, ModelSpec, _columns, first_stage,
+                         tsls_coordinates)
 from .matrix import solve_least_squares
 
 if TYPE_CHECKING:
@@ -153,26 +155,26 @@ def first_stage_stats(rss, m, n):
     return f_statistic(rss[..., -1 - m], rss[..., -1], m, df_u), df_u, df_u + m
 
 
-def sargan_stats(spec: ModelSpec, columns, residuals):
-    """(J, p-value, overall F, block F, R^2, certified) of the regression of the 2SLS
-    `residuals`, (n,) or (R, n), on an intercept, the exogenous regressors and the instruments.
-    J = m * its overall F; the block F drops the instruments. A constant residual gives
-    R^2 = 0 and F = 0, a perfect fit an infinite or undefined F."""
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+def sargan_stats(spec: ModelSpec, first, coefficients, n):
+    """(J, p-value, overall F, block F, R^2, certified) of the 2SLS residuals y - X b on n rows
+    regressed on an intercept (`first`'s last target), the exogenous regressors and the
+    instruments in the coordinates of the 2SLS factor `first`. J = m * its overall F; the block F
+    drops the instruments. A constant residual gives R^2 = F = 0, a perfect fit inf or nan."""
     m = len(spec.instruments)
-    n = residuals.shape[-1]
-    x, names = design_matrix(columns, (*spec.exogenous_regressors, *spec.instruments), True,
-                             residuals.shape)
-    if n <= x.shape[-1]:
+    z, x, y = tsls_coordinates(spec, first)
+    design = np.concatenate([first.qty[..., -1:], z[..., int(spec.include_intercept):]], axis=-1)
+    if n <= design.shape[-1]:
         raise InsufficientObservationsError(f"{n} rows cannot support the residual regression")
 
-    sol = solve_least_squares(x, residuals, names)
-    rss, df2 = sol.nested_rss, n - x.shape[-1]
+    sol = solve_least_squares(design, y - np.matvec(x, coefficients),
+                              (INTERCEPT_NAME, *spec.exogenous_regressors, *spec.instruments))
+    rss, df2 = sol.nested_rss, n - design.shape[-1]
     # The TSS and the RSS without the instruments are those of the leading columns.
     tss, rss_exog, rss_full = rss[..., 1], rss[..., -1 - m], rss[..., -1]
-    q = x.shape[-1] - 1
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r2 = np.where(tss > 0, 1.0 - rss_full / tss, 0.0)
-        overall_f = np.where(tss > 0, np.maximum((r2 / q) / ((1.0 - r2) / df2), 0.0), 0.0)
+    q = design.shape[-1] - 1
+    r2 = np.where(tss > 0, 1.0 - rss_full / tss, 0.0)
+    overall_f = np.where(tss > 0, np.maximum((r2 / q) / ((1.0 - r2) / df2), 0.0), 0.0)
     block_f = f_statistic(rss_exog, rss_full, m, df2)
 
     j = m * overall_f
@@ -185,10 +187,10 @@ def first_stage_f(spec: ModelSpec, data: "PanelDataset") -> FTestReport:
 
     Unrestricted: endogenous ~ intercept + exogenous + instruments.
     Restricted:   endogenous ~ intercept + exogenous.
-    F = [(RSS_r - RSS_u) / m] / [RSS_u / df_u] on the rows the 2SLS estimation
-    uses, from the one solve of `estimators.first_stage`. A pooled OLS spec is
-    tested as its 2SLS; a `two_way_fe` spec raises ValueError, too few
-    instruments `OrderConditionViolatedError`, and k != 1 `MultipleEndogenousError`.
+    F = [(RSS_r - RSS_u) / m] / [RSS_u / df_u] on the rows the 2SLS estimation uses, from
+    the one factor of `estimators.first_stage`. A pooled OLS spec is tested as its 2SLS; a
+    `two_way_fe` spec raises ValueError, too few instruments `OrderConditionViolatedError`,
+    k != 1 `MultipleEndogenousError`, and an RSS beyond the float range `EstimationError`.
     """
     m, k = len(spec.instruments), len(spec.endogenous_regressors)
     if spec.estimator == "two_way_fe":
@@ -207,8 +209,11 @@ def first_stage_f(spec: ModelSpec, data: "PanelDataset") -> FTestReport:
 
     names = (spec.dependent, *spec.regressors, *spec.instruments)
     rows = np.flatnonzero(data.complete_rows(names))
-    _, (fit,) = first_stage(spec, _columns(data, rows, names))
-    f, df_u, df_r = first_stage_stats(fit.nested_rss, m, rows.size)
+    rss = first_stage(spec, _columns(data, rows, names))[1].nested_rss[0]
+    if not np.isfinite(rss[[-1 - m, -1]]).all():
+        raise EstimationError("the first stage overflows: its residual sum of squares is not "
+                              "finite; rescale the endogenous regressor or the instruments")
+    f, df_u, df_r = first_stage_stats(rss, m, rows.size)
     f = float(f)
     return FTestReport(
         f_statistic=f,
@@ -224,12 +229,12 @@ def first_stage_f(spec: ModelSpec, data: "PanelDataset") -> FTestReport:
 def sargan_j(tsls_result: EstimateResult, spec: ModelSpec, data: "PanelDataset") -> JTestReport:
     """Sargan over-identification test from the 2SLS residual regression.
 
-    Takes the 2SLS residuals y - X b, with the actual regressors X, on the
-    spec's complete rows of `data`, regresses them on an intercept, the
-    instruments and the exogenous regressors, takes that regression's
-    overall F, and sets J = m * F with J ~ chi2(m - k) under instrument
-    exogeneity. Requires m > k; the 5% decision uses the upper-tail
-    chi-square critical value (equivalently, p_value < 0.05).
+    Takes the 2SLS residuals y - X b, with the actual regressors X, on the spec's complete
+    rows of `data`, regresses them on an intercept, the instruments and the exogenous
+    regressors in those rows' own factor (`tsls_result` may come from other rows), takes that
+    regression's overall F, and sets J = m * F with J ~ chi2(m - k) under instrument
+    exogeneity. Requires m > k; the 5% decision uses the upper-tail chi-square critical value
+    (equivalently, p_value < 0.05).
     """
     m = len(spec.instruments)
     k = len(spec.endogenous_regressors)
@@ -240,13 +245,10 @@ def sargan_j(tsls_result: EstimateResult, spec: ModelSpec, data: "PanelDataset")
     if tsls_result.estimator_tag != "tsls":
         raise ValueError("sargan_j needs a 2SLS result")
 
-    rows = np.flatnonzero(data.complete_rows((spec.dependent, *spec.regressors, *spec.instruments)))
-    n = rows.size
-    columns = _columns(data, rows, (spec.dependent, *spec.regressors, *spec.instruments))
-    x, _ = design_matrix(columns, spec.regressors, spec.include_intercept, rows.shape)
-    residuals = columns[spec.dependent] - np.matvec(x, tsls_result.coefficients)
-
-    stats = sargan_stats(spec, columns, residuals)
+    names = (spec.dependent, *spec.regressors, *spec.instruments)
+    rows = np.flatnonzero(data.complete_rows(names))
+    stats = sargan_stats(spec, first_stage(spec, _columns(data, rows, names))[1],
+                         tsls_result.coefficients, rows.size)
     j, p_value, overall_f, block_f, r2 = (float(v) for v in stats[:5])
     df = m - k
     return JTestReport(
@@ -258,5 +260,5 @@ def sargan_j(tsls_result: EstimateResult, spec: ModelSpec, data: "PanelDataset")
         reject_at_5pct=p_value < 0.05,
         residual_regression_f=overall_f,
         instrument_block_f=block_f,
-        n_r_squared=n * r2,
+        n_r_squared=rows.size * r2,
     )

@@ -25,7 +25,7 @@ from .errors import (
     OrderConditionViolatedError,
     RankDeficientError,
 )
-from .matrix import DEFAULT_RANK_TOL, solve_least_squares
+from .matrix import DEFAULT_RANK_TOL, LeastSquaresSolution, solve_least_squares
 
 if TYPE_CHECKING:
     from .dataio import PanelDataset
@@ -207,46 +207,55 @@ def _finish(spec, fit, n, lead, fixed_effects=None):
 
 def first_stage(spec: ModelSpec, columns):
     """The 2SLS first stage of `spec` on complete `columns`, (n,) for one panel or (R, n) for a
-    stack: its design Z (intercept, exogenous regressors, then instruments) and one
-    `LeastSquaresSolution` per endogenous regressor, whose `nested_rss` holds the fit without the
-    instruments too. Raises InsufficientObservationsError unless n exceeds Z's columns, and
-    RankDeficientError when one panel's Z is not full rank."""
+    stack: Z (intercept, exogenous regressors, instruments) and the one factor of [X_endog..., y, 1]
+    on Z, which holds the second stage, F and J. Raises InsufficientObservationsError unless n
+    exceeds Z's columns, and RankDeficientError when one panel's Z is not full rank."""
     shape = columns[spec.dependent].shape
     z, names = design_matrix(columns, (*spec.exogenous_regressors, *spec.instruments),
                              spec.include_intercept, shape)
     if shape[-1] <= z.shape[-1]:
         raise InsufficientObservationsError(f"{shape[-1]} rows cannot support the unrestricted "
                                             "first stage")
-    return z, [solve_least_squares(z, columns[name], names) for name in spec.endogenous_regressors]
+    targets = [columns[name] for name in (*spec.endogenous_regressors, spec.dependent)]
+    return z, solve_least_squares(z, np.stack([*targets, np.ones(shape)], axis=-1), names)
+
+
+def tsls_coordinates(spec: ModelSpec, first):
+    """Z, the regressors [W X] and y in the coordinates of the 2SLS factor `first`, which spans them
+    all, on len(first.qty) rows: Z is its R over zeros, W Z's leading columns, X and y targets."""
+    k = len(spec.endogenous_regressors)
+    z = np.zeros((*first.qty.shape[:-1], first.r.shape[-1]))
+    z[..., :first.r.shape[-2], :] = first.r
+    w = z[..., :len(spec.regressors) - k + spec.include_intercept]
+    return z, np.concatenate([w, first.qty[..., :k]], axis=-1), first.qty[..., k]
 
 
 class PooledFit(NamedTuple):
-    """What `pooled_fit` returns. For one panel `certified` and `finite` are True; for a stack
-    they are (R,) masks: `certified` of markets whose every fit is full rank, `finite` of those
-    whose residual sum of squares `rss` and covariance are finite. `qty` is the second stage's
-    Q'y. `first_stage_rss` is the `nested_rss` of a 2SLS fit's first stage when it has one
-    endogenous regressor, and None otherwise."""
+    """What `pooled_fit` returns, nothing of length n. For one panel `certified` and `finite` are
+    True; for a stack they are (R,) masks: `certified` of markets whose every fit is full rank,
+    `finite` of those whose residual sum of squares `rss` and covariance are finite. `qty` is y in
+    the coordinates of the fit's factor: the second stage's Q'y, or y's column of a 2SLS fit's
+    `first_stage`, its one factor, which is None for OLS."""
 
     names: tuple
     coefficients: np.ndarray
     covariance: np.ndarray
-    residuals: np.ndarray
     rss: float | np.ndarray
     df_residual: int
     certified: bool | np.ndarray
     finite: bool | np.ndarray
     qty: np.ndarray
-    first_stage_rss: np.ndarray | None
+    first_stage: LeastSquaresSolution | None
 
 
 def pooled_fit(spec: ModelSpec, columns, absorbed) -> PooledFit:
     """OLS, or 2SLS for a `tsls` spec, on complete `columns` of shape (n,) for one panel or
     (R, n) for a stack of R markets, from which `absorb` took `absorbed` levels.
 
-    The p of the row check and of df_residual = n - p counts the absorbed levels. 2SLS replaces
-    the endogenous columns by their fits on its `first_stage`; its residuals use the actual
-    columns. The covariance is classical, s^2 (X'X)^-1 with s^2 = RSS / df_residual, or the HC0
-    sandwich, and takes the fitted design as the bread.
+    The p of the row check and of df_residual = n - p counts the absorbed levels. 2SLS fits [R_ZW |
+    Q_Z'X] on Q_Z'y, Z's rows of its `first_stage` factor, which also gives the RSS of its residuals
+    (with the actual columns). The covariance is classical, s^2 (X'X)^-1 with s^2 = RSS /
+    df_residual, or the HC0 sandwich: the fitted design as the bread, one n-row pass.
 
     Raises EstimationError when one panel's residual sum of squares or
     covariance overflows.
@@ -254,35 +263,34 @@ def pooled_fit(spec: ModelSpec, columns, absorbed) -> PooledFit:
     y = columns[spec.dependent]
     n = y.shape[-1]
     x, names = design_matrix(columns, spec.regressors, spec.include_intercept, y.shape)
-    x_fit = x
-    certified = True
-    first = []
+    first, x_fit, design, target = None, x, x, y
     if spec.estimator == "tsls":
         z, first = first_stage(spec, columns)
-        fitted = []
-        for endog in first:
-            certified &= endog.certified
-            fitted.append(np.matvec(z, endog.coefficients)[..., None])
-        x_fit = np.concatenate([x[..., :x.shape[-1] - len(first)], *fitted], axis=-1)
-    p = x_fit.shape[-1] + absorbed
+        _, x_coords, y_coords = tsls_coordinates(spec, first)
+        design, target = x_coords[..., :z.shape[-1], :], y_coords[..., :z.shape[-1]]
+        if spec.covariance == "robust_hc0":
+            k = len(spec.endogenous_regressors)
+            x_fit = np.concatenate([x[..., :len(names) - k], z @ first.coefficients[..., :k]], -1)
+    p = x.shape[-1] + absorbed
     if n <= p:
         raise InsufficientObservationsError(f"{n} rows cannot support {p} coefficients")
-    sol = solve_least_squares(x_fit, y, names)
+    sol = solve_least_squares(design, target, names)
     with np.errstate(over="ignore", invalid="ignore"):
-        residuals = y - np.matvec(x, sol.coefficients)
-        rss = sum_of_squares(residuals)
+        if first is None:
+            qty, rss = sol.qty, sum_of_squares(sol.qty[..., x.shape[-1]:])
+        else:
+            qty, rss = y_coords, sum_of_squares(y_coords - np.matvec(x_coords, sol.coefficients))
         if spec.covariance == "robust_hc0":
-            cov = robust_covariance(x_fit, residuals, sol.xtx_inverse)
+            cov = robust_covariance(x_fit, y - np.matvec(x, sol.coefficients), sol.xtx_inverse)
         else:
             cov = (rss / (n - p))[..., None, None] * sol.xtx_inverse
-        first_stage_rss = first[0].nested_rss if len(first) == 1 else None
     finite = np.isfinite(rss) & np.isfinite(cov).all(axis=(-2, -1))
     if y.ndim == 1 and not finite:
         what = "coefficient covariance" if np.isfinite(rss) else "residual sum of squares"
         raise EstimationError(f"the fit overflows: its {what} is not finite; rescale the "
                               "dependent or the regressors")
-    return PooledFit(names, sol.coefficients, cov, residuals, rss, n - p, certified & sol.certified,
-                     finite, sol.qty, first_stage_rss)
+    certified = sol.certified if first is None else first.certified & sol.certified
+    return PooledFit(names, sol.coefficients, cov, rss, n - p, certified, finite, qty, first)
 
 
 def _estimate_pooled(spec: ModelSpec, data: "PanelDataset", estimator) -> EstimateResult:
@@ -326,9 +334,9 @@ def absorb(spec: ModelSpec, columns, units, periods):
     back as zeros, so that the solver sees the rank loss. `columns` are
     complete, (n,) for one panel or (R, n) for markets that share the row
     labels `units` and `periods`. A unit sum beyond the float range leaves a
-    market whose demeaned columns are not finite: it is marked so, and its
-    columns come back as zeros, so that the solver takes the rest of a
-    stack. Any other spec comes back as it is, with nothing absorbed.
+    market whose demeaned columns are not finite: it is marked so, and the
+    solver leaves it uncertified in a stack. Any other spec comes back as it
+    is, with nothing absorbed.
     """
     shape = columns[spec.dependent].shape
     if spec.estimator != "two_way_fe":
@@ -349,9 +357,6 @@ def absorb(spec: ModelSpec, columns, units, periods):
         within[name] = np.where(np.linalg.norm(w / scale, axis=-1, keepdims=True) <= noise, 0.0, w)
     finite = np.logical_and.reduce([np.isfinite(within[name]).all(axis=-1)
                                     for name in (spec.dependent, *spec.regressors)])
-    if not finite.all():
-        for name in (spec.dependent, *spec.regressors):
-            within[name] = np.where(finite[..., None], within[name], 0.0)
     ols = replace(spec, exogenous_regressors=(*dummies, *spec.exogenous_regressors), estimator="ols")
     return ols, within, counts.size, finite
 

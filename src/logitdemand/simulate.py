@@ -299,8 +299,8 @@ def run_monte_carlo(params: DgpParams, spec: estimators.ModelSpec | None = None,
     chunk's markets together, and they are inverted together and fitted by
     the regression code of a single panel (`estimators.absorb` and
     `pooled_fit`, `diagnostics.first_stage_stats`, `sargan_stats`) with one
-    stacked solve per regression. Only a 2SLS spec is tested: F, from the
-    fit's own first stage, for one endogenous regressor; J when m > k. A
+    stacked solve per regression, one n-row factor per 2SLS fit. Only a 2SLS
+    spec is tested, from that factor: F for one endogenous regressor, J when m > k. A
     market that gave up re-drawing fails with `DegenerateSharesError`. Every
     other replication's outcome comes from its chunk's stack, and a market
     fails with the error class its own panel raises in `estimate`,
@@ -394,8 +394,8 @@ def _fit_stack(spec: estimators.ModelSpec, columns, n_periods) -> list:
     A market fails as its own panel does, with the error class of the first step that refuses
     it: a within transform that is not finite (`EstimationError`), a fit that is not full rank
     (`CollinearWithFixedEffectsError` under two-way fixed effects) or not finite, then a Sargan
-    design that is not full rank. The F is read from the fit's `first_stage_rss`, which the fit
-    has certified: it takes no solve, and it is kept once the fit has passed.
+    design that is not full rank. The F and J are read from the fit's certified `first_stage`
+    factor: the F takes no solve, and it is kept once the fit has passed.
     `InsufficientObservationsError` depends on the shape alone, so it fails every market that
     has not failed yet.
     """
@@ -417,10 +417,11 @@ def _fit_stack(spec: estimators.ModelSpec, columns, n_periods) -> list:
                else RankDeficientError)
         refuse(~fit.finite, EstimationError)
         if has_f:
-            stats = diagnostics.first_stage_stats(fit.first_stage_rss, len(spec.instruments), n)[0]
+            stats = diagnostics.first_stage_stats(fit.first_stage.nested_rss[:, 0],
+                                                  len(spec.instruments), n)[0]
             f = [None if failed else float(v) for failed, v in zip(failure, stats)]
         if has_j:
-            j, p_value, *_, ok = diagnostics.sargan_stats(spec, columns, fit.residuals)
+            j, p_value, *_, ok = diagnostics.sargan_stats(spec, fit.first_stage, fit.coefficients, n)
             refuse(~ok, RankDeficientError)
     except InsufficientObservationsError:
         refuse(np.ones(stack, dtype=bool), InsufficientObservationsError)

@@ -631,6 +631,30 @@ def test_estimate_that_overflows_exits_3(tmp_path, capsys, estimator, roles):
             "dependent or the regressors\n")
 
 
+# A price near 1e160 or beyond: the first stage's sums of squares overflow. `diagnose` says so on
+# one line, with no warning, and `estimate` refuses the second stage, whose price column dwarfs
+# the others, as rank deficient. The columns it names are not pinned: at this scale the squares
+# in the pivoted QR that names them overflow.
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e160, 1e200, 1e300])
+@pytest.mark.parametrize("command, message", [
+    ("diagnose", "the first stage overflows: its residual sum of squares is not finite; rescale "
+                 "the endogenous regressor or the instruments\n"),
+    ("estimate", "design is rank deficient in columns ['const', 'x1', 'x2'"),
+], ids=["diagnose", "estimate"])
+def test_a_first_stage_that_overflows_exits_3(tmp_path, capsys, scale, command, message):
+    params = DgpParams(n_products=4, n_periods=4, n_characteristics=2, beta=(1.0, -0.5),
+                       xi_scale=0.3, price_endogeneity=0.5, consumers=1000, seed=3)
+    data, _ = generate_market(params)
+    write_panel_csv(data.with_column("price", data.column("price") * scale), tmp_path / "huge.csv")
+    spec = {"dataset": "huge.csv", "dependent": DEPENDENT_COLUMN, "exogenous": ["x1", "x2"],
+            "endogenous": ["price"], "instruments": ["cost1", "cost2"], "estimator": "tsls"}
+    (tmp_path / "spec.json").write_text(json.dumps(spec), encoding="utf-8")
+    assert main([command, "--spec", str(tmp_path / "spec.json")]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and err.startswith(f"error: {message}")
+
+
 # Regressors near 1e154 under two-way fixed effects: x1 varies within units, and the squares of
 # its norms overflow. The fit is refused on one line, with no warning and without calling x1
 # constant within units.

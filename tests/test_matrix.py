@@ -335,13 +335,15 @@ def test_a_tall_design_over_several_blocks_names_the_dependent_column():
 
 @st.composite
 def full_rank_stacks(draw):
-    """(X, y) for a stack of one to three full-rank designs, columns on scales 0.01 to 100."""
+    """(X, y, Y) for a stack of one to three full-rank designs, columns on scales 0.01 to 100,
+    and Y with one to three columns on scales 0.01 to 100."""
     p = draw(st.integers(1, 6))
     n = draw(st.integers(p + 1, 40))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     stack = draw(st.integers(1, 3))
     x = rng.normal(size=(stack, n, p)) * 10.0 ** rng.uniform(-2, 2, size=p)
-    return x, rng.normal(size=(stack, n))
+    q = draw(st.integers(1, 3))
+    return x, rng.normal(size=(stack, n)), rng.normal(size=(stack, n, q)) * 10.0 ** rng.uniform(-2, 2, q)
 
 
 def _lstsq_rss(x, y, k):
@@ -350,17 +352,53 @@ def _lstsq_rss(x, y, k):
     return residuals @ residuals
 
 
+def _relative(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
 @settings(max_examples=200, deadline=None)
 @given(full_rank_stacks(), st.sampled_from([3, 5, 7, matrix.FACTOR_ROWS]))
 def test_qty_tails_are_the_nested_residual_sums_of_squares(stack, block_rows):
-    x, y = stack
-    p = x.shape[-1]
+    x, y, ys = stack
+    p, q = x.shape[-1], ys.shape[-1]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(matrix, "FACTOR_ROWS", block_rows)
         fits = [(solve_least_squares(x, y).qty, x, y)]
         fits += [(solve_least_squares(xr, yr).qty[None], xr[None], yr[None]) for xr, yr in zip(x, y)]
-    for qty, xs, ys in fits:
+        # Y with q columns, as a stack (R, n, q) and as single designs (n, q), from one factor each.
+        many = [(solve_least_squares(x, ys), x, ys, (len(x),))]
+        many += [(solve_least_squares(xr, yr), xr[None], yr[None], ()) for xr, yr in zip(x, ys)]
+        columns = [solve_least_squares(x, ys[..., j]) for j in range(q)]
+    for qty, xs, ys_ in fits:
         assert qty.shape == (len(xs), p + 1)
-        for q, xr, yr in zip(qty, xs, ys):
+        for q_, xr, yr in zip(qty, xs, ys_):
             for k in range(p + 1):
-                assert abs(np.sum(q[k:] ** 2) - _lstsq_rss(xr, yr, k)) <= 1e-10 * (yr @ yr)
+                assert abs(np.sum(q_[k:] ** 2) - _lstsq_rss(xr, yr, k)) <= 1e-10 * (yr @ yr)
+    for sol, xs, yss, lead in many:
+        assert sol.qty.shape == (*lead, min(xs.shape[1], p + q), q)
+        assert sol.coefficients.shape == (*lead, p, q)
+        assert sol.nested_rss.shape == (*lead, q, p + 1)
+        rss = sol.nested_rss.reshape(len(xs), q, p + 1)
+        for r, (xr, yr) in enumerate(zip(xs, yss)):
+            for j in range(q):
+                for k in range(p + 1):
+                    assert abs(rss[r, j, k] - _lstsq_rss(xr, yr[:, j], k)) <= 1e-10 * (yr[:, j] @ yr[:, j])
+    # Each column of a stack's Y is fitted as it is alone.
+    for j, one in enumerate(columns):
+        assert _relative(many[0][0].coefficients[..., j], one.coefficients) <= 1e-12
+        assert _relative(many[0][0].nested_rss[..., j, :], one.nested_rss) <= 1e-12
+
+
+def test_a_stack_entry_that_is_not_finite_is_not_certified():
+    # One design with NaN or Inf raises ValueError (`test_nonfinite_inputs_rejected`); in a stack
+    # the entry is left uncertified, with zero coefficients, and the others are fitted as alone.
+    rng = np.random.default_rng(11)
+    x, y = rng.normal(size=(4, 10, 3)), rng.normal(size=(4, 10, 2))
+    x[1, 2, 0] = np.inf
+    y[2, 5, 1] = -np.inf
+    for target, certified in ((y, [True, False, False, True]), (y[..., 0], [True, False, True, True])):
+        sol = solve_least_squares(x, target)
+        assert sol.certified.tolist() == certified
+        assert not sol.coefficients[~sol.certified].any()
+        alone = solve_least_squares(x[sol.certified], target[sol.certified])
+        assert np.array_equal(sol.coefficients[sol.certified], alone.coefficients)

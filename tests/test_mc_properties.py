@@ -222,18 +222,32 @@ def test_only_a_tsls_fit_reports_instrument_tests(params, roles, has_f, has_j):
 def test_a_tsls_chunk_solves_its_first_stage_once():
     spec = default_model_spec(_SEED_17)
     data = compute_dependent(generate_market(_SEED_17)[0])
-    with mock.patch.object(estimators, "solve_least_squares",
-                           wraps=estimators.solve_least_squares) as fits, \
-            mock.patch.object(diagnostics, "solve_least_squares",
-                              wraps=diagnostics.solve_least_squares) as tests:
+    n = data.n_rows
+    rows = []
+
+    def count(module):
+        """Patch `module`'s solver to record the rows of each design it is called on."""
+        solve = module.solve_least_squares
+
+        def counted(x, *args):
+            rows.append(np.shape(x)[-2])
+            return solve(x, *args)
+        return mock.patch.object(module, "solve_least_squares", side_effect=counted)
+
+    with count(estimators) as fits, count(diagnostics) as tests:
         records = simulate._fit_chunk(_SEED_17, spec, replication_seeds(_SEED_17.seed, 8))
-        # The first stage, the second stage and the Sargan regression; the F reads the first.
+        # One factor over the n rows, the first stage's; the second stage and the Sargan
+        # regression are small solves in its coordinates, and the F reads it.
         assert (fits.call_count, tests.call_count) == (2, 1)
+        assert rows.count(n) == 1
         fits.reset_mock()
         tests.reset_mock()
+        rows.clear()
+        # Three public calls, each on its own rows: one factor each.
         first_stage_f(spec, data)
         sargan_j(estimate(spec, data), spec, data)
-        assert (fits.call_count, tests.call_count) == (3, 1)
+        assert (fits.call_count, tests.call_count) == (4, 1)
+        assert rows.count(n) == 3
     assert all(r.failure is None and r.first_stage_f is not None and r.sargan_j is not None
                for r in records)
 
@@ -247,8 +261,8 @@ def test_exact_first_stage_gives_an_infinite_f_on_both_paths():
     seeds = replication_seeds(params.seed, 6)
     columns, *_ = simulate.draw_markets(params, seeds)
     columns[DEPENDENT_COLUMN] = simulate._stacked_dependent(columns, params.n_periods)
-    _, (first,) = estimators.first_stage(spec, columns)
-    assert np.all(diagnostics.first_stage_stats(first.nested_rss, len(spec.instruments),
+    _, first = estimators.first_stage(spec, columns)
+    assert np.all(diagnostics.first_stage_stats(first.nested_rss[:, 0], len(spec.instruments),
                                                 params.n_products * params.n_periods)[0] == math.inf)
 
     reference = [_replicate(params, spec, seed) for seed in seeds]
@@ -406,8 +420,8 @@ def test_tsls_with_copied_regressors_as_instruments_is_ols(seed, n, covariance):
     # it completes like the others.
     ols_stack = simulate._fit_stack(ols_spec, columns, n_periods=1)
     tsls_stack = simulate._fit_stack(tsls_spec, columns, n_periods=1)
-    _, (first,) = estimators.first_stage(tsls_spec, columns)
-    f = diagnostics.first_stage_stats(first.nested_rss, 1, n)[0]
+    _, first = estimators.first_stage(tsls_spec, columns)
+    f = diagnostics.first_stage_stats(first.nested_rss[:, 0], 1, n)[0]
     assert [a.first_stage_f for a in tsls_stack] == f.tolist()
     for a, b in zip(tsls_stack, ols_stack):
         assert a.failure is None
