@@ -59,8 +59,12 @@ class LeastSquaresSolution:
 
 def _pivoted_diagonal(r):
     """|diag| and pivots of the Householder QR with column pivoting of the p x p factor `r`;
-    pivots maps factor columns back to original columns."""
-    r = r.copy()
+    pivots maps factor columns back to original columns. The factor is first divided by the
+    power of two at or below its largest entry, so that no column's square overflows; neither
+    the pivots nor the diagonal's ratios change under one scalar."""
+    top = float(np.abs(r).max(initial=0.0))
+    scale = math.ldexp(1.0, math.frexp(top)[1] - 1) if 0.0 < top < math.inf else 1.0
+    r = r / scale
     p = r.shape[1]
     pivots = np.arange(p)
 
@@ -82,7 +86,7 @@ def _pivoted_diagonal(r):
         v /= np.linalg.norm(v)
         r[k:, k:] -= 2.0 * np.outer(v, v @ r[k:, k:])
 
-    return np.abs(np.diag(r)), pivots
+    return scale * np.abs(np.diag(r)), pivots
 
 
 def _column_scale(a):

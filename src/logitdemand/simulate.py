@@ -4,16 +4,20 @@ The data-generating process mirrors the estimation model: mean utility is
 x'beta - alpha * price + xi, with xi = unit effect + period effect + noise.
 Price loads on cost shifters (the instruments) and, through the endogeneity
 weight, on xi itself, so OLS is inconsistent while 2SLS is not. Everything is
-driven by a single seed; the Monte Carlo spawns one independent seed per
-replication from it with numpy's SeedSequence, so runs with different seeds
-share no market. It draws its markets a chunk at a time, each from its own
-seed, and fits every estimator, two-way fixed effects included, on the
-chunk's stack through the regression code of a single panel.
+driven by a single seed; the Monte Carlo takes one independent seed per
+replication from it, the children numpy's SeedSequence spawns, so runs with
+different seeds share no market. It draws its markets a chunk at a time, each
+from numpy's `default_rng(seed)` stream on its own seed, and fits every
+estimator, two-way fixed effects included, on the chunk's stack through the
+regression code of a single panel. The SeedSequence words behind both the
+spawned seeds and the generators are computed here, for a whole chunk at once.
 """
 
 from __future__ import annotations
 
+import functools
 import numbers
+import operator
 import sys
 from collections import Counter
 from dataclasses import dataclass, fields
@@ -35,6 +39,11 @@ _MIN_SHARE = 1e-12
 _MAX_REDRAWS = 100
 #: Rows per stacked Monte Carlo chunk; bounds the memory of the chunk's designs.
 _STACK_ROWS = 5_000
+# numpy's SeedSequence hash (O'Neill's seed_seq_fe): its pool, its mixing and its output.
+_POOL_SIZE = 4
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
 
 @dataclass(frozen=True)
@@ -160,28 +169,40 @@ class McSummary:
 
 
 def draw_markets(params: DgpParams, seeds):
-    """Draw one market per seed, each from its own `default_rng(seed)`; `params.seed` is not read.
+    """Draw one market per seed, each on numpy's `default_rng(seed)` stream; `params.seed` is not read.
 
     Returns (columns, delta, inside shares, outside shares, redraws) with one
     leading row per seed: each column is (R, n), rows over units with periods
     inside, and the outside shares are (R, T). A market whose `redraws`
     reached `_MAX_REDRAWS` gave up; its rows hold its last rejected draw.
 
-    Each market makes its generator calls in a fixed order: characteristics,
-    cost shifters, xi noise and price noise, then, with `consumers` set, one
-    multinomial per period in period order, up to the first degenerate period
-    or product without a sale. Prices, mean utilities and shares are computed
-    for the whole chunk at once, with period codes r * T + t. A draw whose
-    mean utilities are not all finite, whose inside or outside share falls
-    below 1e-12 or whose sampled quantities hit zero is rejected, and that
-    market draws again from its own generator.
+    Each market's generator comes from `_generators(seeds)` and starts where
+    `default_rng(seed)` does. A draw is one `standard_normal` call per market,
+    filling its row of one block in a fixed order: characteristics, cost
+    shifters, then xi noise and price noise where their scale is above 0, each
+    scaled in place to loc + scale * z, as `Generator.normal` computes it.
+    With `consumers` set there follows one multinomial per period in period
+    order, up to the first degenerate period or product without a sale.
+    Prices, mean utilities and shares are computed for the whole chunk at
+    once, with period codes r * T + t. A draw whose mean utilities are not all
+    finite, whose inside or outside share falls below 1e-12 or whose sampled
+    quantities hit zero is rejected, and that market draws again from its own
+    generator. The columns of the normals are views of the block.
     """
-    j, t, k = params.n_products, params.n_periods, params.n_characteristics
+    j, t, k, m = params.n_products, params.n_periods, params.n_characteristics, params.n_instruments
     n, stack = j * t, len(seeds)
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    x = np.empty((stack, n, k))
-    costs = np.empty((stack, n, params.n_instruments))
-    dxi, noise, price, delta, inside = (np.zeros((stack, n)) for _ in range(5))
+    rngs = _generators(seeds)
+    # (width, loc, scale) of each drawn part of a market's row of `block`, in draw order.
+    parts = [(n * k, params.characteristic_loc, params.characteristic_scale), (n * m, 0.0, 1.0)]
+    parts += [(n, 0.0, sd) for sd in (params.xi_scale, params.price_noise_scale) if sd > 0]
+    widths = [width for width, *_ in parts]
+    block = np.empty((stack, sum(widths)))
+    views = np.split(block, np.cumsum(widths)[:-1], axis=1)
+    x, costs = views[0].reshape(stack, n, k), views[1].reshape(stack, n, m)
+    noises = iter(views[2:])
+    dxi, noise = (next(noises) if sd > 0 else np.zeros((stack, n))
+                  for sd in (params.xi_scale, params.price_noise_scale))
+    price, delta, inside = (np.zeros((stack, n)) for _ in range(3))
     outside = np.empty((stack, t))
     quantity = inside if params.consumers is None else np.zeros((stack, n), dtype=np.int64)
     redraws = np.zeros(stack, dtype=np.int64)
@@ -192,17 +213,14 @@ def draw_markets(params: DgpParams, seeds):
     todo = np.arange(stack)
     for _ in range(_MAX_REDRAWS):
         for r in todo:
-            rng = rngs[r]
-            if k:
-                x[r] = rng.normal(params.characteristic_loc, params.characteristic_scale, (n, k))
-            costs[r] = rng.normal(0.0, 1.0, (n, params.n_instruments))
-            if params.xi_scale > 0:
-                dxi[r] = rng.normal(0.0, params.xi_scale, n)
-            if params.price_noise_scale > 0:
-                noise[r] = rng.normal(0.0, params.price_noise_scale, n)
+            rngs[r].standard_normal(out=block[r])
+        rows = slice(None) if todo.size == stack else todo  # in place when every market draws
 
         # An overflow leaves a utility that is not finite or a share of 0: a rejected draw.
         with np.errstate(over="ignore", invalid="ignore"):
+            for view, (_, loc, scale) in zip(views, parts):
+                view[rows] *= scale
+                view[rows] += loc
             xi = effects.reshape(-1) + dxi[todo]
             p = (params.instrument_strength * costs[todo].sum(axis=2) + params.price_endogeneity * xi
                  + noise[todo])
@@ -284,16 +302,106 @@ def default_model_spec(params: DgpParams, estimator="tsls", covariance=None) -> 
 
 
 def replication_seeds(seed: int, replications: int) -> list:
-    """One independent seed per replication, spawned from `seed` by numpy's SeedSequence."""
-    children = np.random.SeedSequence(seed).spawn(replications)
-    return [int(child.generate_state(1, np.uint64)[0]) for child in children]
+    """One independent seed per replication: the first 64-bit word of each child that numpy's
+    `SeedSequence(seed).spawn(replications)` makes, computed for all children at once.
+
+    Child r's entropy is the seed's words, zero-padded to 4, then r as one more word, so
+    `replications` may be at most 2**32.
+    """
+    if replications > 2**32:
+        raise ValueError("replications must be at most 2**32")
+    words = _words([operator.index(seed)])[0]
+    entropy = np.column_stack([np.broadcast_to(words, (replications, words.size)),
+                               np.arange(replications, dtype=np.uint32)])
+    return _seed_state(entropy, 1)[:, 0].tolist()
+
+
+def _generators(seeds) -> list:
+    """numpy's `default_rng(seed)` for every seed, to the bit, from the words of `_seed_state`."""
+    seeds = [operator.index(seed) for seed in seeds]
+    counts = [_word_count(seed) for seed in seeds]
+    state = np.empty((len(seeds), 4), dtype=np.uint64)
+    # Seeds of one word count at a time: zero-padding is exact only up to 4 words.
+    for count in set(counts):
+        rows = [r for r, c in enumerate(counts) if c == count]
+        state[rows] = _seed_state(_words([seeds[r] for r in rows]), 4)
+    seed_state = _seed_state_type()
+    return [np.random.Generator(np.random.PCG64(seed_state(row))) for row in state]
+
+
+@functools.cache
+def _seed_state_type():
+    """The type of a seed's `SeedSequence(seed).generate_state(4, np.uint64)`, computed already:
+    the one call PCG64 makes to seed itself. Built on first use, so that importing the package
+    does not import numpy.random."""
+    class SeedState(np.random.bit_generator.ISeedSequence):
+        def __init__(self, state):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.state
+    return SeedState
+
+
+def _word_count(seed) -> int:
+    """Words in a seed's SeedSequence entropy: its 32-bit words, zero-padded to the pool's 4."""
+    if seed < 0:
+        raise ValueError(f"a seed must be non-negative, got {seed}")
+    return max(_POOL_SIZE, -(-seed.bit_length() // 32))
+
+
+def _words(seeds):
+    """(B, L) little-endian 32-bit words of B int seeds of one word count L."""
+    count = _word_count(max(seeds))
+    return np.frombuffer(b"".join(seed.to_bytes(4 * count, "little") for seed in seeds),
+                         dtype="<u4").reshape(-1, count)
+
+
+def _hashmix(const, mult):
+    """SeedSequence's hashmix, its multipliers running on from `const`: a call hashes each row of
+    an (s, B) array of words with the next of s multipliers, which do not depend on the data."""
+    def hashmix(values):
+        nonlocal const
+        consts = [const]
+        for _ in values:
+            const = const * mult & _MASK32
+            consts.append(const)
+        consts = np.array(consts, dtype=np.uint32)[:, None]
+        values = (values ^ consts[:-1]) * consts[1:]
+        return values ^ values >> np.uint32(16)
+    return hashmix
+
+
+def _mix(x, y):
+    result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return result ^ result >> np.uint32(16)
+
+
+def _seed_state(entropy, n_words):
+    """`SeedSequence(e).generate_state(n_words, np.uint64)` for every row e of `entropy`, (B, n_words).
+
+    `entropy` is a (B, L) uint32 array, L >= 4: each row's words as SeedSequence assembles them,
+    a seed's words zero-padded to 4 (which its pool does itself), then any spawn key. The hash is
+    numpy's; each of its steps is one array operation for the whole batch, and the steps that
+    update pool words from one source word are one operation as well.
+    """
+    hashmix = _hashmix(_INIT_A, _MULT_A)
+    pool = hashmix(entropy[:, :_POOL_SIZE].T)
+    # Mix every pool word into each other one, then each further entropy word into each pool word.
+    for src in range(_POOL_SIZE):
+        dst = [i for i in range(_POOL_SIZE) if i != src]
+        pool[dst] = _mix(pool[dst], hashmix(np.broadcast_to(pool[src], (len(dst), len(entropy)))))
+    for src in range(_POOL_SIZE, entropy.shape[1]):
+        pool = _mix(pool, hashmix(np.broadcast_to(entropy[:, src], pool.shape)))
+    state = _hashmix(_INIT_B, _MULT_B)(pool[np.arange(2 * n_words) % _POOL_SIZE])
+    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64)
 
 
 def run_monte_carlo(params: DgpParams, spec: estimators.ModelSpec | None = None,
                     replications: int = 100) -> McSummary:
     """Generate, estimate and test `replications` markets; aggregate the results.
 
-    Replication r draws its market from `default_rng` on the r-th seed of
+    Replication r draws its market on numpy's `default_rng` stream of the r-th seed of
     `replication_seeds(params.seed, replications)`. Replications run in
     chunks of at most `_STACK_ROWS` (5,000) rows: `draw_markets` draws a
     chunk's markets together, and they are inverted together and fitted by

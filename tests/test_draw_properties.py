@@ -7,18 +7,62 @@ again until the shares clear 1e-12, giving up with `DegenerateSharesError`
 after 100 draws. Every market of a chunk must come out of `simulate` with
 the same columns, mean utilities, shares and re-draw count to the last bit,
 and a market the reference gives up on must be given up on too.
+
+`simulate` computes numpy's SeedSequence words itself, for a whole chunk at
+once. `_reference_replication_seeds` is the spawn it replaced, and every
+market's generator must start in the state of numpy's `default_rng(seed)`.
 """
 
 import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from logitdemand import demand, simulate
 from logitdemand.errors import DegenerateSharesError
 from logitdemand.simulate import DgpParams, replication_seeds
+
+
+def _reference_replication_seeds(seed, replications):
+    """One seed per replication, from children spawned by numpy's SeedSequence."""
+    children = np.random.SeedSequence(seed).spawn(replications)
+    return [int(child.generate_state(1, np.uint64)[0]) for child in children]
+
+
+# Word-count edges: zero-padding to four 32-bit words is exact below 2**128, and a seed of
+# 2**128 or more mixes its fifth and later words into the pool after the first four.
+_EDGE_SEEDS = [0, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96, 2**128 - 1, 2**128, 2**130 + 5, 2**160]
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 2**131), st.integers(1, 50))
+@example(0, 1)
+@example(2**128 - 1, 3)
+@example(2**128, 3)
+@example(2**131, 50)
+def test_replication_seeds_are_numpys_spawned_children(base, replications):
+    assert replication_seeds(base, replications) == _reference_replication_seeds(base, replications)
+
+
+def _assert_default_rng_states(seeds):
+    generators = simulate._generators(seeds)
+    assert len(generators) == len(seeds)
+    for seed, rng in zip(seeds, generators):
+        assert rng.bit_generator.state == np.random.default_rng(seed).bit_generator.state, seed
+
+
+def test_market_generators_start_where_default_rng_does_at_the_word_edges():
+    # In one chunk, so that seeds of different word counts are hashed side by side.
+    _assert_default_rng_states(_EDGE_SEEDS + [np.uint64(7), np.int32(3)])
+
+
+@settings(max_examples=200)
+@given(st.lists(st.one_of(st.integers(0, 2**131), st.sampled_from(_EDGE_SEEDS)),
+                min_size=1, max_size=12))
+def test_market_generators_start_where_default_rng_does(seeds):
+    _assert_default_rng_states(seeds)
 
 
 def _reference_draw(params, rng):
@@ -145,7 +189,7 @@ def chunks(draw):
         characteristic_scale=draw(st.sampled_from([1.0, 1.0, 0.0])),
         characteristic_loc=draw(st.sampled_from([0.0, 1.0])),
         price_noise_scale=draw(st.sampled_from([0.0, 0.5, 1.0])),
-        seed=draw(st.integers(0, 2**32 - 1)),
+        seed=draw(st.integers(0, 2**140)),
     )
     return params, replication_seeds(params.seed, draw(st.integers(1, 8)))
 
@@ -154,6 +198,17 @@ def chunks(draw):
 @given(chunks())
 def test_chunk_draws_match_the_per_replication_draws(case):
     _assert_chunk_matches(*case)
+
+
+def test_a_single_panel_on_a_seed_above_two_to_the_64_is_default_rngs_market():
+    params = DgpParams(n_products=4, n_periods=3, n_characteristics=2, beta=(1.0, -0.5),
+                       xi_scale=0.5, price_endogeneity=0.5, consumers=1000, seed=2**100)
+    data, truth = simulate.generate_market(params)
+    columns, delta, inside, outside, _ = _reference_draw(params, np.random.default_rng(2**100))
+    for name, values in columns.items():
+        assert _same_bits(data.column(name), np.asarray(values, dtype=float)), name
+    assert _same_bits(truth.delta, delta) and _same_bits(truth.inside_shares, inside)
+    assert list(truth.outside_shares.values()) == outside.tolist()
 
 
 @pytest.mark.parametrize("params", [

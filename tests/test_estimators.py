@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from logitdemand.dataio import DEPENDENT_COLUMN, compute_dependent
 from logitdemand.errors import (
     CollinearWithFixedEffectsError,
     EstimationError,
@@ -17,6 +18,7 @@ from logitdemand.estimators import (
     robust_covariance,
 )
 from logitdemand.matrix import solve_least_squares
+from logitdemand.simulate import DgpParams, generate_market
 
 
 def test_exact_linear_data_recovers_line(make_panel):
@@ -90,6 +92,19 @@ def test_rank_loss_on_one_panel_is_named_by_column(twin_panel):
     # Pivoting takes x2 (the largest column) and then the intercept, so x1 is left over.
     assert str(err.value) == "design is rank deficient in columns ['x1']"
     assert err.value.columns == (1,)
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_price_near_1e160_leaves_only_the_columns_it_dwarfs_named():
+    params = DgpParams(n_products=4, n_periods=4, n_characteristics=2, beta=(1.0, -0.5),
+                       xi_scale=0.3, price_endogeneity=0.5, consumers=1000, seed=3)
+    data = compute_dependent(generate_market(params)[0])
+    data = data.with_column("price", data.column("price") * 1e160)
+    spec = ModelSpec(dependent=DEPENDENT_COLUMN, exogenous_regressors=("x1", "x2"),
+                     endogenous_regressors=("price",))
+    with pytest.raises(RankDeficientError) as err:
+        estimate(spec, data)
+    assert str(err.value) == "design is rank deficient in columns ['const', 'x1', 'x2']"
 
 
 def _fe_panel(make_panel, n_units=10, n_periods=10, slope=2.0, noise=0.01, seed=0,

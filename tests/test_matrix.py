@@ -82,6 +82,23 @@ def test_huge_columns_fit_as_at_scale_one():
     assert np.max(np.abs(huge.coefficients - base.coefficients)) <= 1e-12 * np.max(np.abs(base.coefficients))
 
 
+@pytest.mark.filterwarnings("error")
+def test_the_pivoted_qr_of_a_huge_factor_does_not_overflow():
+    rng = np.random.default_rng(3)
+    x = np.column_stack([np.ones(16), rng.normal(size=(16, 2)), 1e160 * rng.normal(size=16)])
+    diag, pivots = matrix._pivoted_diagonal(np.linalg.qr(x, mode="r"))
+    assert np.isfinite(diag).all() and pivots[0] == 3
+    assert np.sum(diag > DEFAULT_RANK_TOL * _column_scale(x)) == 1
+    # A power-of-two scale of the whole factor scales its diagonal exactly and keeps its pivots.
+    r = np.linalg.qr(rng.normal(size=(16, 4)), mode="r")
+    diag, pivots = matrix._pivoted_diagonal(r)
+    huge_diag, huge_pivots = matrix._pivoted_diagonal(r * 2.0**1000)
+    assert np.array_equal(huge_diag, diag * 2.0**1000) and np.array_equal(huge_pivots, pivots)
+    # Entries at the top of the float range, where no larger power of two exists.
+    diag, _ = matrix._pivoted_diagonal(np.array([[1.7e308, 1.0], [0.0, 1e300]]))
+    assert np.isfinite(diag).all()
+
+
 def test_rank_deficient_raises_and_names_columns():
     x = np.column_stack([np.ones(6), np.arange(6.0), 2.0 * np.arange(6.0)])
     with pytest.raises(RankDeficientError) as err:

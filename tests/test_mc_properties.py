@@ -252,6 +252,20 @@ def test_a_tsls_chunk_solves_its_first_stage_once():
                for r in records)
 
 
+def test_a_monte_carlo_seeds_its_markets_without_numpys_seeding_calls():
+    # Replication seeds and market generators come from the SeedSequence words `simulate`
+    # computes for a chunk at once; a fallback to numpy's own seeding fails here.
+    params = dataclasses.replace(_SEED_17, consumers=1000)
+    with mock.patch("numpy.random.default_rng", side_effect=np.random.default_rng) as rngs, \
+            mock.patch("numpy.random.SeedSequence", side_effect=np.random.SeedSequence) as seqs, \
+            mock.patch.object(simulate, "_STACK_ROWS", 600):  # 20 markets per chunk
+        summary = simulate.run_monte_carlo(params, default_model_spec(params), 60)
+        assert (rngs.call_count, seqs.call_count) == (0, 0)
+        np.random.default_rng(0), np.random.SeedSequence(0)
+        assert (rngs.call_count, seqs.call_count) == (1, 1)
+    assert summary.completed == 60
+
+
 def test_exact_first_stage_gives_an_infinite_f_on_both_paths():
     # Price is exactly the instruments' sum, so the unrestricted first stage fits exactly. Both
     # solvers leave rounding residuals, which count as RSS 0: F is inf, not noise near 1e31.

@@ -145,6 +145,14 @@ def test_replication_seeds_are_deterministic():
     assert len(set(replication_seeds(42, 500))) == 500
 
 
+def test_replication_seeds_take_one_word_spawn_keys_and_non_negative_seeds():
+    # Child r's spawn key is one 32-bit word, so r stops below 2**32; refused before any work.
+    with pytest.raises(ValueError, match="at most 2\\*\\*32"):
+        replication_seeds(42, 2**32 + 1)
+    with pytest.raises(ValueError, match="non-negative"):
+        replication_seeds(-1, 3)
+
+
 def test_neighbouring_base_seeds_share_no_replication_market():
     assert not set(replication_seeds(42, 500)) & set(replication_seeds(43, 500))
     params = DgpParams(n_products=3, n_periods=3, n_characteristics=1, beta=(1.0,),
