@@ -13,8 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, dataio, diagnostics, estimators, simulate
-from .errors import (EstimationError, ExactlyIdentifiedError, LogitDemandError,
-                     OrderConditionViolatedError)
+from .errors import EstimationError, LogitDemandError, OrderConditionViolatedError
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -93,9 +92,9 @@ def format_coefficient_table(result: estimators.EstimateResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _report_dropped_rows(data, spec):
-    """Listwise deletion is silent in the API; the CLI reports it."""
-    dropped = np.flatnonzero(~data.complete_rows(spec.required_columns())).tolist()
+def _report_dropped_rows(data, names):
+    """Listwise deletion on the named columns is silent in the API; the CLI reports it."""
+    dropped = np.flatnonzero(~data.complete_rows(names)).tolist()
     if not dropped:
         return
     shown = ", ".join(data.row_label(i) for i in dropped[:8])
@@ -140,7 +139,7 @@ def cmd_estimate(args) -> int:
         spec = dataclasses.replace(spec, covariance="robust_hc0")
 
     result = estimators.estimate(spec, data)
-    _report_dropped_rows(data, spec)
+    _report_dropped_rows(data, spec.required_columns())
 
     table = dataio.results_csv_text if args.format == "csv" else format_coefficient_table
     return _emit(args, table(result), data_path)
@@ -148,8 +147,8 @@ def cmd_estimate(args) -> int:
 
 def cmd_diagnose(args) -> int:
     spec, data, data_path = _load(args)
-    f_report = diagnostics.first_stage_f(spec, data)
-    spec = dataclasses.replace(spec, estimator="tsls")
+    f_report, j_report = diagnostics.diagnose(spec, data)
+    _report_dropped_rows(data, (spec.dependent, *spec.regressors, *spec.instruments))
     verdict = "pass" if f_report.passes_rule_of_thumb else "FAIL (possible weak instruments)"
     lines = ["First-stage F test (H0: all instrument coefficients are zero)", *_block([
         ("restrictions (m)", f_report.df_numerator),
@@ -160,10 +159,7 @@ def cmd_diagnose(args) -> int:
         ("rule of thumb (F>=10)", verdict),
     ], "  "), ""]
 
-    try:
-        tsls_result = estimators.estimate_tsls(spec, data)
-        j_report = diagnostics.sargan_j(tsls_result, spec, data)
-    except ExactlyIdentifiedError:
+    if j_report is None:
         lines.append("Sargan J test skipped: model is exactly identified (m = k)")
         return _emit(args, "\n".join(lines) + "\n", data_path)
 

@@ -1,18 +1,19 @@
 """Instrument-validity diagnostics: first-stage F and the Sargan J test.
 
-The first-stage F compares restricted and unrestricted first-stage sums of
-squares, so the two residual degrees of freedom can be reported directly; both
-come from the one factor of 2SLS's own first stage (`estimators.first_stage`). The
-J statistic is m times the overall F of the regression of the 2SLS residuals
-on the exogenous regressors and instruments, solved on that factor's few rows;
-the n*R^2 variant and the instrument-block-only F are carried along as
-cross-checks. Each restricted regression is a design's leading columns.
+The first-stage F compares restricted and unrestricted first-stage sums of squares, so the
+two residual degrees of freedom can be reported directly. The J statistic is m times the
+overall F of the regression of the 2SLS residuals on the exogenous regressors and
+instruments; the n*R^2 variant and the instrument-block-only F are carried along as
+cross-checks. Each restricted regression is a design's leading columns. All come from the
+one factor of 2SLS's own first stage (`estimators.first_stage`), the J's regression solved
+on that factor's few rows: `diagnose` factors a spec's rows once for the F, the 2SLS fit
+and the J, while `first_stage_f` and `sargan_j` each factor their own.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -25,7 +26,7 @@ from .errors import (
     OrderConditionViolatedError,
 )
 from .estimators import (INTERCEPT_NAME, EstimateResult, ModelSpec, _columns, first_stage,
-                         tsls_coordinates)
+                         pooled_fit, tsls_coordinates)
 from .matrix import solve_least_squares
 
 if TYPE_CHECKING:
@@ -182,6 +183,20 @@ def sargan_stats(spec: ModelSpec, first, coefficients, n):
     return j, p_value, overall_f, block_f, r2, sol.certified
 
 
+def diagnose(spec: ModelSpec, data: "PanelDataset") -> tuple:
+    """(first-stage F report, Sargan J report or None) of the spec's 2SLS, from one factor.
+
+    The steps and refusals of `first_stage_f`, `estimate_tsls` on the spec as `tsls` (its
+    covariance kept) and `sargan_j`, in that order, on the rows all three select. The 2SLS fit
+    runs even when the spec is exactly identified, where the J report is None.
+    """
+    f_report, columns, first = _first_stage_f(spec, data)
+    fit = pooled_fit(replace(spec, estimator="tsls"), columns, 0, first)
+    if len(spec.instruments) == len(spec.endogenous_regressors):
+        return f_report, None
+    return f_report, _j_report(spec, columns, first[1], fit.coefficients)
+
+
 def first_stage_f(spec: ModelSpec, data: "PanelDataset") -> FTestReport:
     """Conditional F test for instrument relevance in the first stage of the spec's 2SLS.
 
@@ -192,6 +207,17 @@ def first_stage_f(spec: ModelSpec, data: "PanelDataset") -> FTestReport:
     `two_way_fe` spec raises ValueError, too few instruments `OrderConditionViolatedError`,
     k != 1 `MultipleEndogenousError`, and an RSS beyond the float range `EstimationError`.
     """
+    return _first_stage_f(spec, data)[0]
+
+
+def _complete_columns(spec: ModelSpec, data: "PanelDataset"):
+    """The dependent, regressors and instruments on the rows where all of them are present."""
+    names = (spec.dependent, *spec.regressors, *spec.instruments)
+    return _columns(data, np.flatnonzero(data.complete_rows(names)), names)
+
+
+def _first_stage_f(spec, data):
+    """The F report of `first_stage_f`, with the columns and the `first_stage` it comes from."""
     m, k = len(spec.instruments), len(spec.endogenous_regressors)
     if spec.estimator == "two_way_fe":
         raise ValueError(f"the spec's estimator is {spec.estimator!r}; diagnose tests a pooled "
@@ -207,23 +233,17 @@ def first_stage_f(spec: ModelSpec, data: "PanelDataset") -> FTestReport:
             f"first-stage F supports exactly one endogenous regressor, got {k}"
         )
 
-    names = (spec.dependent, *spec.regressors, *spec.instruments)
-    rows = np.flatnonzero(data.complete_rows(names))
-    rss = first_stage(spec, _columns(data, rows, names))[1].nested_rss[0]
+    columns = _complete_columns(spec, data)
+    first = first_stage(spec, columns)
+    rss = first[1].nested_rss[0]
     if not np.isfinite(rss[[-1 - m, -1]]).all():
         raise EstimationError("the first stage overflows: its residual sum of squares is not "
                               "finite; rescale the endogenous regressor or the instruments")
-    f, df_u, df_r = first_stage_stats(rss, m, rows.size)
+    f, df_u, df_r = first_stage_stats(rss, m, columns[spec.dependent].size)
     f = float(f)
-    return FTestReport(
-        f_statistic=f,
-        df_numerator=m,
-        df_denominator=df_u,
-        p_value=f_upper_tail(f, m, df_u),
-        passes_rule_of_thumb=f >= F_RULE_OF_THUMB,
-        restricted_df=df_r,
-        unrestricted_df=df_u,
-    )
+    return FTestReport(f_statistic=f, df_numerator=m, df_denominator=df_u,
+                       p_value=f_upper_tail(f, m, df_u), passes_rule_of_thumb=f >= F_RULE_OF_THUMB,
+                       restricted_df=df_r, unrestricted_df=df_u), columns, first
 
 
 def sargan_j(tsls_result: EstimateResult, spec: ModelSpec, data: "PanelDataset") -> JTestReport:
@@ -245,20 +265,16 @@ def sargan_j(tsls_result: EstimateResult, spec: ModelSpec, data: "PanelDataset")
     if tsls_result.estimator_tag != "tsls":
         raise ValueError("sargan_j needs a 2SLS result")
 
-    names = (spec.dependent, *spec.regressors, *spec.instruments)
-    rows = np.flatnonzero(data.complete_rows(names))
-    stats = sargan_stats(spec, first_stage(spec, _columns(data, rows, names))[1],
-                         tsls_result.coefficients, rows.size)
+    columns = _complete_columns(spec, data)
+    return _j_report(spec, columns, first_stage(spec, columns)[1], tsls_result.coefficients)
+
+
+def _j_report(spec, columns, first, coefficients) -> JTestReport:
+    """The `sargan_j` report of 2SLS `coefficients` on complete `columns` whose factor is `first`."""
+    m, k = len(spec.instruments), len(spec.endogenous_regressors)
+    n = columns[spec.dependent].size
+    stats = sargan_stats(spec, first, coefficients, n)
     j, p_value, overall_f, block_f, r2 = (float(v) for v in stats[:5])
-    df = m - k
-    return JTestReport(
-        j_statistic=j,
-        m=m,
-        k=k,
-        df=df,
-        p_value=p_value,
-        reject_at_5pct=p_value < 0.05,
-        residual_regression_f=overall_f,
-        instrument_block_f=block_f,
-        n_r_squared=rows.size * r2,
-    )
+    return JTestReport(j_statistic=j, m=m, k=k, df=m - k, p_value=p_value,
+                       reject_at_5pct=p_value < 0.05, residual_regression_f=overall_f,
+                       instrument_block_f=block_f, n_r_squared=n * r2)

@@ -248,14 +248,15 @@ class PooledFit(NamedTuple):
     first_stage: LeastSquaresSolution | None
 
 
-def pooled_fit(spec: ModelSpec, columns, absorbed) -> PooledFit:
+def pooled_fit(spec: ModelSpec, columns, absorbed, first=None) -> PooledFit:
     """OLS, or 2SLS for a `tsls` spec, on complete `columns` of shape (n,) for one panel or
     (R, n) for a stack of R markets, from which `absorb` took `absorbed` levels.
 
     The p of the row check and of df_residual = n - p counts the absorbed levels. 2SLS fits [R_ZW |
     Q_Z'X] on Q_Z'y, Z's rows of its `first_stage` factor, which also gives the RSS of its residuals
-    (with the actual columns). The covariance is classical, s^2 (X'X)^-1 with s^2 = RSS /
-    df_residual, or the HC0 sandwich: the fitted design as the bread, one n-row pass.
+    (with the actual columns); a caller that already has `first_stage(spec, columns)` passes it as
+    `first`. The covariance is classical, s^2 (X'X)^-1 with s^2 = RSS / df_residual, or the HC0
+    sandwich: the fitted design as the bread, one n-row pass.
 
     Raises EstimationError when one panel's residual sum of squares or
     covariance overflows.
@@ -263,9 +264,9 @@ def pooled_fit(spec: ModelSpec, columns, absorbed) -> PooledFit:
     y = columns[spec.dependent]
     n = y.shape[-1]
     x, names = design_matrix(columns, spec.regressors, spec.include_intercept, y.shape)
-    first, x_fit, design, target = None, x, x, y
+    x_fit, design, target = x, x, y
     if spec.estimator == "tsls":
-        z, first = first_stage(spec, columns)
+        z, first = first or first_stage(spec, columns)
         _, x_coords, y_coords = tsls_coordinates(spec, first)
         design, target = x_coords[..., :z.shape[-1], :], y_coords[..., :z.shape[-1]]
         if spec.covariance == "robust_hc0":

@@ -403,6 +403,35 @@ def test_diagnose_on_too_few_rows_exits_3(tmp_path, capsys, columns, intercept, 
     assert message in captured.err
 
 
+@pytest.mark.parametrize("estimator", ["tsls", "ols"])
+def test_diagnose_reports_dropped_rows(tmp_path, capsys, estimator):
+    # An OLS spec is diagnosed as its 2SLS, so a blank instrument cell drops its row too.
+    data, _ = generate_market(DgpParams(n_products=8, n_periods=6, xi_scale=0.5,
+                                        price_endogeneity=0.5, n_instruments=3, seed=3))
+    cost1 = data.column("cost1").copy()
+    cost1[4] = np.nan
+    write_panel_csv(data.with_column("cost1", cost1), tmp_path / "panel.csv")
+    spec = {"dataset": "panel.csv", "dependent": DEPENDENT_COLUMN, "exogenous": ["x1"],
+            "endogenous": ["price"], "instruments": ["cost1", "cost2", "cost3"],
+            "estimator": estimator}
+    (tmp_path / "spec.json").write_text(json.dumps(spec), encoding="utf-8")
+    assert main(["diagnose", "--spec", str(tmp_path / "spec.json")]) == 0
+    out, err = capsys.readouterr()
+    assert "Res.Df unrestricted:    42\n" in out and "Sargan J test (H0" in out
+    assert err == "note: dropped 1 of 48 rows with missing values (line 6)\n"
+
+
+def test_diagnose_exactly_identified_rank_deficient_second_stage_exits_3(tmp_path, capsys):
+    # The price is 1 + 2 x1, so its first-stage fit is x1's column again. The F is computed, and
+    # the 2SLS fit, which runs though the J is skipped, is refused.
+    x1 = [0, 1, 2, 3, 0, 1, 2, 5]
+    spec_path = _small_tsls_inputs(tmp_path, {"x1": x1, "price": [1 + 2 * v for v in x1],
+                                              "z": [2, 0, 1, 1, 3, 0, 2, 1]})
+    assert main(["diagnose", "--spec", str(spec_path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and err.startswith("error: design is rank deficient")
+
+
 def test_diagnose_without_instruments_exits_4(tmp_path, capsys):
     spec_path, _ = _sim_inputs(tmp_path)
     spec = json.loads(spec_path.read_text())

@@ -8,13 +8,16 @@ from hypothesis import strategies as st
 
 from logitdemand.diagnostics import (
     chi_square_upper_tail,
+    diagnose,
     f_upper_tail,
     first_stage_f,
     sargan_j,
 )
-from logitdemand.dataio import compute_dependent
+from logitdemand.dataio import DEPENDENT_COLUMN, PanelDataset, compute_dependent
 from logitdemand.errors import (
+    EstimationError,
     ExactlyIdentifiedError,
+    LogitDemandError,
     MultipleEndogenousError,
     OrderConditionViolatedError,
     RankDeficientError,
@@ -305,3 +308,106 @@ def test_fits_and_tests_leave_the_panel_columns_unchanged(simulated_market):
     for estimator in ("ols", "two_way_fe"):
         estimate(replace(spec, estimator=estimator, **estimator_defaults(estimator)), data)
     assert {name: column.tobytes() for name, column in data.columns.items()} == before
+
+
+def _three_calls(spec, data):
+    """The F report, then the J report or None, from the three public calls in turn."""
+    f_report = first_stage_f(spec, data)
+    tsls = replace(spec, estimator="tsls")
+    result = estimate_tsls(tsls, data)
+    try:
+        return f_report, sargan_j(result, tsls, data)
+    except ExactlyIdentifiedError:
+        return f_report, None
+
+
+def _outcome(call, spec, data):
+    """The reports' repr (exact floats, nan equal to nan), or the class and message raised."""
+    try:
+        return repr(call(spec, data))
+    except (LogitDemandError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+_ROLE_PANEL = compute_dependent(generate_market(DgpParams(
+    n_products=5, n_periods=4, n_characteristics=2, beta=(1.0, -0.5), xi_scale=0.5,
+    price_endogeneity=0.5, n_instruments=3, seed=5))[0])
+_ROLE_COLUMNS = (DEPENDENT_COLUMN, "x1", "x2", "price", "cost1", "cost2", "cost3", "market_size")
+
+
+# The roles of `test_cli.py::diagnose_specs`, either covariance, and up to two blank cells.
+@settings(max_examples=150, deadline=None)
+@given(endogenous=st.lists(st.sampled_from(["price", "x1", "x2"]), max_size=2, unique=True),
+       instruments=st.lists(st.sampled_from(["cost1", "cost2", "cost3", "market_size"]),
+                            max_size=3, unique=True),
+       estimator=st.sampled_from(["ols", "tsls", "two_way_fe"]), intercept=st.booleans(),
+       covariance=st.sampled_from(["classical", "robust_hc0"]),
+       blanks=st.lists(st.tuples(st.sampled_from(_ROLE_COLUMNS), st.integers(0, 19)), max_size=2))
+def test_diagnose_is_the_three_calls(endogenous, instruments, estimator, intercept, covariance,
+                                     blanks):
+    try:
+        spec = ModelSpec(DEPENDENT_COLUMN, [c for c in ("x1", "x2") if c not in endogenous],
+                         endogenous, instruments, intercept, estimator, covariance)
+    except (LogitDemandError, ValueError):
+        return  # the spec file is refused before anything is diagnosed
+    data = _ROLE_PANEL
+    for name, row in blanks:
+        column = data.column(name).copy()
+        column[row] = np.nan
+        data = data.with_column(name, column)
+    assert _outcome(diagnose, spec, data) == _outcome(_three_calls, spec, data)
+
+
+def _small_case(columns, instruments=("z",), intercept=True, covariance="robust_hc0"):
+    """A one-period panel of `columns` and the 2SLS spec of y on x1 and price."""
+    n = len(columns["y"])
+    data = PanelDataset.from_rows(units=tuple(f"u{i}" for i in range(n)), periods=(2001,) * n,
+                                  columns={k: np.asarray(v, dtype=float) for k, v in columns.items()})
+    return ModelSpec("y", ("x1",), ("price",), instruments, intercept, "tsls", covariance), data
+
+
+def _scaled_case(name, row, scale):
+    """The 2SLS spec on x1, x2 and price with two cost shifters, on a generated 4x4 panel whose
+    column `name` is multiplied by `scale` (at `row` only, unless `row` is None)."""
+    data = compute_dependent(generate_market(DgpParams(
+        n_products=4, n_periods=4, n_characteristics=2, beta=(1.0, -0.5), xi_scale=0.3,
+        price_endogeneity=0.5, consumers=1000, seed=3))[0])
+    column = data.column(name).copy()
+    column[slice(None) if row is None else row] *= scale
+    return (ModelSpec(DEPENDENT_COLUMN, ("x1", "x2"), ("price",), ("cost1", "cost2"), True, "tsls"),
+            data.with_column(name, column))
+
+
+def _hc0_overflow_case():
+    """Regressors near 1e100 and residuals near 1e60: X'diag(u^2)X overflows, s^2 (X'X)^-1 not."""
+    rng = np.random.default_rng(1)
+    x1, z = 1e100 * rng.normal(size=10), 1e100 * rng.normal(size=10)
+    return _small_case({"y": 1e60 * rng.normal(size=10), "x1": x1, "z": z,
+                        "price": x1 + z + 0.5e100 * rng.normal(size=10)}, intercept=False)
+
+
+@pytest.mark.parametrize("spec, data, message", [
+    pytest.param(*_scaled_case("price", None, 1e160), "the first stage overflows",
+                 id="price_times_1e160"),
+    pytest.param(*_scaled_case(DEPENDENT_COLUMN, 3, 1e308),
+                 "its residual sum of squares is not finite", id="dependent_near_1e308"),
+    pytest.param(*_small_case({"y": [0.0, 0.1, 0.2], "x1": [0, 1, 0], "price": [1, 3, 2],
+                               "z": [1, 0, 2]}),
+                 "3 rows cannot support the unrestricted first stage", id="too_few_rows"),
+    pytest.param(*_small_case({"y": [0.0, 0.1, 0.2, 0.3], "x1": [0, 1, 0, 2], "price": [1, 3, 2, 2],
+                               "z": [1, 0, 2, 1], "z2": [5, 1, 3, 2]}, ("z", "z2"), False),
+                 "4 rows cannot support the residual regression",
+                 id="too_few_rows_for_the_residual_regression"),
+    # The price is 1 + 2 x1, so its first-stage fit is x1's column again.
+    pytest.param(*_small_case({"y": [0.3, 0.1, 0.7, 0.2, 0.9, 0.4, 0.8, 0.5],
+                               "x1": [0, 1, 2, 3, 0, 1, 2, 5], "price": [1, 3, 5, 7, 1, 3, 5, 11],
+                               "z": [2, 0, 1, 1, 3, 0, 2, 1]}),
+                 "design is rank deficient", id="exactly_identified_rank_deficient_second_stage"),
+    pytest.param(*_hc0_overflow_case(), "its coefficient covariance is not finite",
+                 id="hc0_covariance_overflows"),
+])
+def test_diagnose_fails_as_the_first_failing_call(spec, data, message):
+    outcome = _outcome(diagnose, spec, data)
+    assert outcome == _outcome(_three_calls, spec, data)
+    # Each is an EstimationError, which `diagnose` on the command line exits 3 for.
+    assert issubclass(outcome[0], EstimationError) and message in outcome[1]

@@ -29,7 +29,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logitdemand import dataio, diagnostics, estimators, simulate
+from logitdemand import cli, dataio, diagnostics, estimators, simulate
 from logitdemand.dataio import DEPENDENT_COLUMN, PanelDataset, compute_dependent
 from logitdemand.diagnostics import first_stage_f, sargan_j
 from logitdemand.errors import (CollinearWithFixedEffectsError, DegenerateSharesError,
@@ -219,22 +219,23 @@ def test_only_a_tsls_fit_reports_instrument_tests(params, roles, has_f, has_j):
     assert all((r.sargan_j is not None) == has_j for r in reference)
 
 
+def _counted_solver(module, rows):
+    """Patch `module`'s solver to append to `rows` the rows of each design it is called on."""
+    solve = module.solve_least_squares
+
+    def counted(x, *args):
+        rows.append(np.shape(x)[-2])
+        return solve(x, *args)
+    return mock.patch.object(module, "solve_least_squares", side_effect=counted)
+
+
 def test_a_tsls_chunk_solves_its_first_stage_once():
     spec = default_model_spec(_SEED_17)
     data = compute_dependent(generate_market(_SEED_17)[0])
     n = data.n_rows
     rows = []
 
-    def count(module):
-        """Patch `module`'s solver to record the rows of each design it is called on."""
-        solve = module.solve_least_squares
-
-        def counted(x, *args):
-            rows.append(np.shape(x)[-2])
-            return solve(x, *args)
-        return mock.patch.object(module, "solve_least_squares", side_effect=counted)
-
-    with count(estimators) as fits, count(diagnostics) as tests:
+    with _counted_solver(estimators, rows) as fits, _counted_solver(diagnostics, rows) as tests:
         records = simulate._fit_chunk(_SEED_17, spec, replication_seeds(_SEED_17.seed, 8))
         # One factor over the n rows, the first stage's; the second stage and the Sargan
         # regression are small solves in its coordinates, and the F reads it.
@@ -250,6 +251,30 @@ def test_a_tsls_chunk_solves_its_first_stage_once():
         assert rows.count(n) == 3
     assert all(r.failure is None and r.first_stage_f is not None and r.sargan_j is not None
                for r in records)
+
+
+def test_a_diagnose_solves_its_first_stage_once(tmp_path, capsys):
+    # One cost1 cell blank: the n rows are the complete ones.
+    spec = default_model_spec(_SEED_17)
+    data = compute_dependent(generate_market(_SEED_17)[0])
+    cost1 = data.column("cost1").copy()
+    cost1[4] = np.nan
+    data = data.with_column("cost1", cost1)
+    dataio.write_panel_csv(data, tmp_path / "panel.csv")
+    (tmp_path / "spec.json").write_text(json.dumps({
+        "dataset": "panel.csv", "dependent": DEPENDENT_COLUMN, "exogenous": ["x1", "x2"],
+        "endogenous": ["price"], "instruments": ["cost1", "cost2"], "estimator": "tsls"}))
+    n = data.n_rows - 1
+    rows = []
+    with _counted_solver(estimators, rows), _counted_solver(diagnostics, rows):
+        # The first stage's factor over the n rows; the second stage and the Sargan
+        # regression are small solves in its coordinates, and the F reads it.
+        assert diagnostics.diagnose(spec, data)[1] is not None
+        assert rows.count(n) == 1 and len(rows) == 3
+        rows.clear()
+        assert cli.main(["diagnose", "--spec", str(tmp_path / "spec.json")]) == 0
+        assert rows.count(n) == 1 and len(rows) == 3
+    assert "Sargan J test" in capsys.readouterr().out
 
 
 def test_a_monte_carlo_seeds_its_markets_without_numpys_seeding_calls():
