@@ -139,16 +139,15 @@ def cmd_estimate(args) -> int:
         spec = dataclasses.replace(spec, covariance="robust_hc0")
 
     result = estimators.estimate(spec, data)
-    _report_dropped_rows(data, spec.required_columns())
-
     table = dataio.results_csv_text if args.format == "csv" else format_coefficient_table
-    return _emit(args, table(result), data_path)
+    _emit(args, table(result), data_path)
+    _report_dropped_rows(data, spec.required_columns())
+    return EXIT_OK
 
 
 def cmd_diagnose(args) -> int:
     spec, data, data_path = _load(args)
     f_report, j_report = diagnostics.diagnose(spec, data)
-    _report_dropped_rows(data, (spec.dependent, *spec.regressors, *spec.instruments))
     verdict = "pass" if f_report.passes_rule_of_thumb else "FAIL (possible weak instruments)"
     lines = ["First-stage F test (H0: all instrument coefficients are zero)", *_block([
         ("restrictions (m)", f_report.df_numerator),
@@ -161,19 +160,20 @@ def cmd_diagnose(args) -> int:
 
     if j_report is None:
         lines.append("Sargan J test skipped: model is exactly identified (m = k)")
-        return _emit(args, "\n".join(lines) + "\n", data_path)
-
-    decision = "reject exogeneity" if j_report.reject_at_5pct else "fail to reject"
-    lines += ["Sargan J test (H0: instruments uncorrelated with the structural error)", *_block([
-        ("residual-regression F", f"{j_report.residual_regression_f:.3f}"),
-        ("J = m * F", f"{j_report.j_statistic:.3f}"),
-        ("df (m - k)", j_report.df),
-        ("p-value", f"{j_report.p_value:.3f}"),
-        ("decision at 5%", decision),
-        ("cross-checks", f"instrument-block F {j_report.instrument_block_f:.3f}, "
-                         f"n*R^2 {j_report.n_r_squared:.3f}"),
-    ], "  ")]
-    return _emit(args, "\n".join(lines) + "\n", data_path)
+    else:
+        decision = "reject exogeneity" if j_report.reject_at_5pct else "fail to reject"
+        lines += ["Sargan J test (H0: instruments uncorrelated with the structural error)", *_block([
+            ("residual-regression F", f"{j_report.residual_regression_f:.3f}"),
+            ("J = m * F", f"{j_report.j_statistic:.3f}"),
+            ("df (m - k)", j_report.df),
+            ("p-value", f"{j_report.p_value:.3f}"),
+            ("decision at 5%", decision),
+            ("cross-checks", f"instrument-block F {j_report.instrument_block_f:.3f}, "
+                             f"n*R^2 {j_report.n_r_squared:.3f}"),
+        ], "  ")]
+    _emit(args, "\n".join(lines) + "\n", data_path)
+    _report_dropped_rows(data, (spec.dependent, *spec.regressors, *spec.instruments))
+    return EXIT_OK
 
 
 def _emit(args, text, data_path):
@@ -183,7 +183,6 @@ def _emit(args, text, data_path):
         _write_manifest(args.output, _command_line(args), spec_path=args.spec, dataset_path=data_path)
     else:
         print(text, end="")
-    return EXIT_OK
 
 
 def cmd_simulate(args) -> int:

@@ -178,7 +178,8 @@ def design_matrix(columns, column_names, intercept, shape):
     cols = [np.ones(shape)] if intercept else []
     cols += [columns[name] for name in column_names]
     names = (INTERCEPT_NAME,) * bool(intercept) + tuple(column_names)
-    x = np.stack(cols, axis=-1) if cols else np.empty((*shape, 0))
+    # Column-major: each column is written whole, and LAPACK reads the design as it lies.
+    x = np.stack(cols, axis=-2).mT if cols else np.empty((*shape, 0))
     return x, names
 
 
@@ -217,7 +218,7 @@ def first_stage(spec: ModelSpec, columns):
         raise InsufficientObservationsError(f"{shape[-1]} rows cannot support the unrestricted "
                                             "first stage")
     targets = [columns[name] for name in (*spec.endogenous_regressors, spec.dependent)]
-    return z, solve_least_squares(z, np.stack([*targets, np.ones(shape)], axis=-1), names)
+    return z, solve_least_squares(z, np.stack([*targets, np.ones(shape)], axis=-2).mT, names)
 
 
 def tsls_coordinates(spec: ModelSpec, first):
@@ -248,9 +249,11 @@ class PooledFit(NamedTuple):
     first_stage: LeastSquaresSolution | None
 
 
-def pooled_fit(spec: ModelSpec, columns, absorbed, first=None) -> PooledFit:
+def pooled_fit(spec: ModelSpec, columns, absorbed, first=None, x=None) -> PooledFit:
     """OLS, or 2SLS for a `tsls` spec, on complete `columns` of shape (n,) for one panel or
-    (R, n) for a stack of R markets, from which `absorb` took `absorbed` levels.
+    (R, n) for a stack of R markets, from which `absorb` took `absorbed` levels. `x` is the design
+    of the spec's regressors, without an intercept, when `absorb` wrote it; None builds it from
+    `columns`.
 
     The p of the row check and of df_residual = n - p counts the absorbed levels. 2SLS fits [R_ZW |
     Q_Z'X] on Q_Z'y, Z's rows of its `first_stage` factor, which also gives the RSS of its residuals
@@ -263,7 +266,10 @@ def pooled_fit(spec: ModelSpec, columns, absorbed, first=None) -> PooledFit:
     """
     y = columns[spec.dependent]
     n = y.shape[-1]
-    x, names = design_matrix(columns, spec.regressors, spec.include_intercept, y.shape)
+    if x is None:
+        x, names = design_matrix(columns, spec.regressors, spec.include_intercept, y.shape)
+    else:
+        names = spec.regressors
     x_fit, design, target = x, x, y
     if spec.estimator == "tsls":
         z, first = first or first_stage(spec, columns)
@@ -322,44 +328,58 @@ def _demean(c, codes, counts):
     return np.subtract(stack, means, out=means).reshape(c.shape)
 
 
-def absorb(spec: ModelSpec, columns, units, periods):
-    """The OLS spec, the columns and the count of absorbed levels that `pooled_fit` fits, and
-    which of the markets they hold are finite.
+def absorb(spec: ModelSpec, columns, unit_codes, period_codes, period_levels):
+    """The OLS spec, the columns, the design and the count of absorbed levels that `pooled_fit`
+    fits, and which of the markets they hold are finite.
 
     A `two_way_fe` spec absorbs the units: each of its columns is demeaned
     within units, and the periods after the first enter, demeaned the same
     way, as dummies `period[...]` ahead of the exogenous regressors. By
     Frisch-Waugh-Lovell this is the LSDV fit, with the absorbed unit levels
-    still counted as coefficients. A regressor constant within units leaves
-    only rounding noise, at most `DEFAULT_RANK_TOL` of its norm; it comes
-    back as zeros, so that the solver sees the rank loss. `columns` are
-    complete, (n,) for one panel or (R, n) for markets that share the row
-    labels `units` and `periods`. A unit sum beyond the float range leaves a
-    market whose demeaned columns are not finite: it is marked so, and the
-    solver leaves it uncertified in a stack. Any other spec comes back as it
-    is, with nothing absorbed.
+    still counted as coefficients. The demeaned dummy of period t is, on row i
+    of unit u_i, 1{period_i = t} - c(u_i, t) / c(u_i), where c counts a unit's
+    cells in period t or in all: one gather of a (T - 1) x J table of shares
+    and one 1 added on each row's own period, bit for bit the demeaned 0/1
+    dummy. The dummies and the demeaned regressors are written once, into the
+    column-major design; the returned columns are views of it. A regressor
+    constant within units leaves only rounding noise, at most
+    `DEFAULT_RANK_TOL` of its norm; it comes back as zeros, so that the solver
+    sees the rank loss. `columns` are complete, (n,) for one panel or (R, n)
+    for markets that share the rows' `unit_codes` and `period_codes`, which
+    number the units 0..J-1 and the `period_levels` 0..T-1, every one used. A
+    unit sum beyond the float range leaves a market whose demeaned columns are
+    not finite: it is marked so, and the solver leaves it uncertified in a
+    stack. Any other spec comes back as it is, with no design and nothing
+    absorbed.
     """
     shape = columns[spec.dependent].shape
     if spec.estimator != "two_way_fe":
-        return spec, columns, 0, np.ones(shape[:-1], dtype=bool)
-    _, unit_codes = np.unique(units, return_inverse=True)
-    period_levels, period_codes = np.unique(periods, return_inverse=True)
+        return spec, columns, None, 0, np.ones(shape[:-1], dtype=bool)
     counts = np.bincount(unit_codes)
-    later = period_codes == np.arange(1, period_levels.size)[:, None]
-    within = {f"period[{v}]": np.broadcast_to(d, shape)
-              for v, d in zip(period_levels[1:].tolist(), _demean(later, unit_codes, counts))}
-    dummies = tuple(within)
+    names = tuple(f"period[{v}]" for v in period_levels[1:].tolist())
+    ols = replace(spec, exogenous_regressors=(*names, *spec.exogenous_regressors), estimator="ols")
+    m, later = len(names), np.flatnonzero(period_codes)
+    dummy = period_codes[later] - 1  # each later row's own dummy, the one that is 1 there
+    cells = np.bincount(dummy * counts.size + unit_codes[later], minlength=m * counts.size)
+    # Row j of a market's `design` is column j of its design matrix.
+    design = np.empty((*shape[:-1], len(ols.regressors), shape[-1]))
+    markets = design.reshape(-1, *design.shape[-2:])
+    # 0 - share, not -share: a unit absent from a period gives +0, as demeaning a 0/1 dummy does.
+    np.take(0.0 - cells.reshape(m, counts.size) / counts, unit_codes, 1, markets[0, :m], "clip")
+    markets[0, dummy, later] += 1.0
+    markets[1:, :m] = markets[0, :m]
+    within = {name: design[..., j, :] for j, name in enumerate(ols.regressors)}
     within[spec.dependent] = _demean(columns[spec.dependent], unit_codes, counts)
     for name in spec.regressors:
         c, w = columns[name], _demean(columns[name], unit_codes, counts)
         # Both norms over c's largest entry, so that no square of a huge regressor overflows.
         scale = np.maximum(np.abs(c).max(axis=-1, keepdims=True), np.finfo(float).tiny)
         noise = DEFAULT_RANK_TOL * np.linalg.norm(c / scale, axis=-1, keepdims=True)
-        within[name] = np.where(np.linalg.norm(w / scale, axis=-1, keepdims=True) <= noise, 0.0, w)
+        rounding = np.linalg.norm(w / scale, axis=-1, keepdims=True) <= noise
+        within[name][...] = np.where(rounding, 0.0, w)
     finite = np.logical_and.reduce([np.isfinite(within[name]).all(axis=-1)
                                     for name in (spec.dependent, *spec.regressors)])
-    ols = replace(spec, exogenous_regressors=(*dummies, *spec.exogenous_regressors), estimator="ols")
-    return ols, within, counts.size, finite
+    return ols, within, design.mT, counts.size, finite
 
 
 def _most_absorbed_slope(design, m, slope_names):
@@ -399,14 +419,14 @@ def estimate_two_way_fe(spec: ModelSpec, data: "PanelDataset") -> EstimateResult
         raise InsufficientObservationsError("two-way fixed effects need >= 2 units and >= 2 periods")
 
     columns = _columns(data, rows, spec.required_columns())
-    ols, within, absorbed, finite = absorb(spec, columns, unit_codes, period_levels[period_codes])
+    ols, within, x, absorbed, finite = absorb(spec, columns, unit_codes, period_codes, period_levels)
     if not finite:
         raise EstimationError("the fit overflows: a column's sum within a unit is not finite; "
                               "rescale the dependent or the regressors")
     m = period_levels.size - 1
     dummy_names, slope_names = ols.regressors[:m], ols.regressors[m:]
     try:
-        fit = pooled_fit(ols, within, absorbed)
+        fit = pooled_fit(ols, within, absorbed, x=x)
     except RankDeficientError:
         for name in slope_names:
             if not within[name].any():
@@ -414,15 +434,13 @@ def estimate_two_way_fe(spec: ModelSpec, data: "PanelDataset") -> EstimateResult
                     name, f"regressor {name!r} is constant within each unit")
         # The demeaned dummies lose rank exactly when the panel is disconnected.
         try:
-            solve_least_squares(design_matrix(within, dummy_names, False, rows.shape)[0],
-                                within[spec.dependent])
+            solve_least_squares(x[:, :m], within[spec.dependent])
         except RankDeficientError as exc:
             raise CollinearWithFixedEffectsError(
                 dummy_names[exc.columns[0]],
                 "unit and period effects are not separately identified: the panel is not connected",
             ) from None
-        name = _most_absorbed_slope(design_matrix(within, ols.regressors, False, rows.shape)[0],
-                                    m, slope_names)
+        name = _most_absorbed_slope(x, m, slope_names)
         raise CollinearWithFixedEffectsError(
             name, f"regressor {name!r} is collinear with the fixed effects and the other regressors"
         )

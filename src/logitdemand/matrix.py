@@ -1,13 +1,15 @@
 """Dense least-squares kernel: LAPACK QR of [X | Y], with rank detection.
 
-Matrices are plain float64 ndarrays (row-major). The solver deliberately
-avoids the normal equations: small econometric designs with near-collinear
-dummies lose half the available precision under X'X. `solve_least_squares` takes
-a stack of designs of one shape (R, n, p), or one design (n, p), which it fits as
-a stack of one, against y or the q columns of Y. Every entry is factored by LAPACK
-over row blocks of `FACTOR_ROWS` (a sequential tall-skinny QR) and certified full
-rank from its factor. Only a finite entry that is not certified goes through a
-pivoted Householder QR of its p x p factor, which decides its rank and names the
+Matrices are plain float64 ndarrays of any layout; the designs that `estimators`
+builds are column-major, as LAPACK reads them. The solver deliberately avoids
+the normal equations: small econometric designs with near-collinear dummies
+lose half the available precision under X'X. `solve_least_squares` takes a stack
+of designs of one shape (R, n, p), or one design (n, p), which it fits as a stack
+of one, against y or the q columns of Y. Every entry is factored by LAPACK over
+row blocks of `FACTOR_ROWS` (a sequential tall-skinny QR), each step in one
+column-major buffer reused across blocks, and certified full rank from its
+factor. Only a finite entry that is not certified goes through a pivoted
+Householder QR of its p x p factor, which decides its rank and names the
 dependent columns of a rank-deficient design.
 """
 
@@ -145,12 +147,18 @@ def solve_least_squares(x, y, names=None):
         raise ValueError("X or y contains NaN or Inf")
 
     # Q is orthogonal, so the p x p factor of [X | Y] has X's column norms, pivots and rank,
-    # and its last q columns are Q'Y.
-    factor = np.empty((len(x), 0, p + y.shape[-1]))
+    # and its last q columns are Q'Y. Each step factors the factor so far over the next rows,
+    # copied into one column-major buffer, which LAPACK reads without transposing it.
+    width = p + y.shape[-1]
+    factor = np.empty((len(x), 0, width))
+    buffer = np.empty((len(x), width, min(n, FACTOR_ROWS + width))).mT
     for start in range(0, n, FACTOR_ROWS):
-        rows = slice(start, start + FACTOR_ROWS)
-        factor = np.linalg.qr(np.concatenate(
-            [factor, np.concatenate([x[:, rows], y[:, rows]], axis=-1)], axis=1), mode="r")
+        k, rows = factor.shape[1], slice(start, start + FACTOR_ROWS)
+        end = k + min(FACTOR_ROWS, n - start)
+        buffer[:, :k] = factor
+        buffer[:, k:end, :p] = x[:, rows]
+        buffer[:, k:end, p:] = y[:, rows]
+        factor = np.linalg.qr(buffer[:, :end], mode="r")
     upper, qty = factor[:, :p, :p], factor[:, :, p:]
     scale = _column_scale(upper)
     threshold = CERTIFY_MARGIN * DEFAULT_RANK_TOL * scale

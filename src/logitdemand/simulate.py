@@ -516,11 +516,11 @@ def _fit_stack(spec: estimators.ModelSpec, columns, n_periods) -> list:
 
     has_f, has_j = _reported_tests(spec)
     rows = np.arange(n)
-    fit_spec, fit_columns, absorbed, finite = estimators.absorb(spec, columns, rows // n_periods,
-                                                                rows % n_periods)
+    fit_spec, fit_columns, x, absorbed, finite = estimators.absorb(
+        spec, columns, rows // n_periods, rows % n_periods, np.arange(n_periods))
     refuse(~finite, EstimationError)
     try:
-        fit = estimators.pooled_fit(fit_spec, fit_columns, absorbed)
+        fit = estimators.pooled_fit(fit_spec, fit_columns, absorbed, x=x)
         refuse(~fit.certified, CollinearWithFixedEffectsError if spec.estimator == "two_way_fe"
                else RankDeficientError)
         refuse(~fit.finite, EstimationError)

@@ -403,9 +403,8 @@ def test_diagnose_on_too_few_rows_exits_3(tmp_path, capsys, columns, intercept, 
     assert message in captured.err
 
 
-@pytest.mark.parametrize("estimator", ["tsls", "ols"])
-def test_diagnose_reports_dropped_rows(tmp_path, capsys, estimator):
-    # An OLS spec is diagnosed as its 2SLS, so a blank instrument cell drops its row too.
+def _blank_cost1_spec(tmp_path, estimator="tsls"):
+    """A 48-row panel whose cost1 cell on line 6 is blank, and a spec naming cost1."""
     data, _ = generate_market(DgpParams(n_products=8, n_periods=6, xi_scale=0.5,
                                         price_endogeneity=0.5, n_instruments=3, seed=3))
     cost1 = data.column("cost1").copy()
@@ -415,10 +414,39 @@ def test_diagnose_reports_dropped_rows(tmp_path, capsys, estimator):
             "endogenous": ["price"], "instruments": ["cost1", "cost2", "cost3"],
             "estimator": estimator}
     (tmp_path / "spec.json").write_text(json.dumps(spec), encoding="utf-8")
-    assert main(["diagnose", "--spec", str(tmp_path / "spec.json")]) == 0
+    return tmp_path / "spec.json"
+
+
+DROPPED_NOTE = "note: dropped 1 of 48 rows with missing values (line 6)\n"
+
+
+@pytest.mark.parametrize("estimator", ["tsls", "ols"])
+def test_diagnose_reports_dropped_rows(tmp_path, capsys, estimator):
+    # An OLS spec is diagnosed as its 2SLS, so a blank instrument cell drops its row too.
+    spec_path = _blank_cost1_spec(tmp_path, estimator)
+    assert main(["diagnose", "--spec", str(spec_path)]) == 0
     out, err = capsys.readouterr()
     assert "Res.Df unrestricted:    42\n" in out and "Sargan J test (H0" in out
-    assert err == "note: dropped 1 of 48 rows with missing values (line 6)\n"
+    assert err == DROPPED_NOTE
+
+
+@pytest.mark.parametrize("command", ["estimate", "diagnose"])
+def test_dropped_rows_are_noted_once_after_the_output_is_written(tmp_path, capsys, command):
+    spec_path = _blank_cost1_spec(tmp_path)
+    assert main([command, "--spec", str(spec_path), "--output", str(tmp_path / "out.txt")]) == 0
+    assert capsys.readouterr() == ("", DROPPED_NOTE)
+    assert (tmp_path / "out.txt").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("command", ["estimate", "diagnose"])
+def test_an_output_that_cannot_be_written_fails_without_the_dropped_row_note(tmp_path, capsys,
+                                                                            command):
+    spec_path = _blank_cost1_spec(tmp_path)
+    target = tmp_path / "missing" / "out.txt"
+    assert main([command, "--spec", str(spec_path), "--output", str(target)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and "out.txt" in err
 
 
 def test_diagnose_exactly_identified_rank_deficient_second_stage_exits_3(tmp_path, capsys):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from logitdemand.dataio import PanelDataset
 from logitdemand.errors import CollinearWithFixedEffectsError
-from logitdemand.estimators import ModelSpec, estimate_two_way_fe
+from logitdemand.estimators import ModelSpec, _demean, absorb, estimate_two_way_fe
 
 
 def _fe_spec(regressors, covariance="classical"):
@@ -173,6 +173,53 @@ def test_fe_is_invariant_to_row_order(panel, seed):
             levels = sorted(a.fixed_effect_values[factor])
             assert _close(_effects(b.fixed_effect_values, factor, levels),
                           _effects(a.fixed_effect_values, factor, levels), 1e-10)
+
+
+# --- the closed-form period dummies ----------------------------------------------
+
+
+@st.composite
+def unbalanced_codes(draw):
+    """Unit and period codes of an unbalanced panel, in random row order, where every unit and
+    period is seen, one unit in one period only and one period by one unit only."""
+    n_units, n_periods = draw(st.integers(2, 8)), draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # Units and periods before the last: each unit in period u mod (T - 1), each period in
+    # unit t mod (J - 1), and other cells at random.
+    u, t = np.meshgrid(np.arange(n_units - 1), np.arange(n_periods - 1), indexing="ij")
+    keep = ((t == u % (n_periods - 1)) | (u == t % (n_units - 1))
+            | (rng.random(u.shape) < draw(st.sampled_from([0.0, 0.3, 0.7]))))
+    # The last period is seen by one unit; the last unit is seen in one period.
+    alone = draw(st.integers(0, n_units - 1))
+    cells = [*zip(u[keep], t[keep]), (alone, n_periods - 1)]
+    if alone != n_units - 1:
+        cells.append((n_units - 1, draw(st.integers(0, n_periods - 2))))
+    units, periods = np.array(cells).T[:, rng.permutation(len(cells))]
+    return units, periods, 2001 + np.arange(n_periods)
+
+
+@settings(max_examples=200, deadline=None)
+@given(unbalanced_codes(), st.sampled_from([None, 1, 3]), st.integers(0, 2**32 - 1))
+def test_closed_form_dummies_are_the_demeaned_dummies_bit_for_bit(codes, stack, seed):
+    # One panel, or a stack of markets that share its rows, as `simulate._fit_stack` passes them.
+    units, periods, levels = codes
+    shape = units.shape if stack is None else (stack, units.size)
+    rng = np.random.default_rng(seed)
+    columns = {"y": rng.normal(size=shape), "x": rng.normal(size=shape)}
+    ols, within, x, absorbed, finite = absorb(_fe_spec(("x",)), columns, units, periods, levels)
+    counts = np.bincount(units)
+    names = [f"period[{v}]" for v in levels[1:]]
+    assert ols.regressors == (*names, "x") and absorbed == counts.size and np.all(finite)
+    assert x.shape == (*shape, len(names) + 1)
+    for j, name in enumerate(names):
+        # The 0/1 dummy demeaned within units; _demean's 0 - mean gives +0 where a unit lacks it.
+        demeaned = _demean((periods == j + 1).astype(float), units, counts)
+        want = np.broadcast_to(demeaned, shape).view(np.uint64)
+        assert np.array_equal(within[name].view(np.uint64), want)
+        assert np.array_equal(np.ascontiguousarray(x[..., j]).view(np.uint64), want)
+    # The columns are the design's own, and each market's design is column-major.
+    assert np.array_equal(x[..., -1], within["x"]) and np.shares_memory(x, within["x"])
+    assert all(m.flags.f_contiguous for m in x.reshape(-1, *x.shape[-2:]))
 
 
 # --- error paths ------------------------------------------------------------

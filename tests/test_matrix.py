@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from logitdemand import matrix
 from logitdemand.errors import RankDeficientError
+from logitdemand.estimators import design_matrix
 from logitdemand.matrix import DEFAULT_RANK_TOL, _column_scale, solve_least_squares
 
 
@@ -333,6 +334,66 @@ def test_row_blocks_agree_with_one_block(design, block_rows):
     assert blocked[:3] == (rank, dependent, message)
     if beta is not None:
         assert np.max(np.abs(blocked[3] - beta)) <= 1e-10 * np.max(np.abs(beta))
+
+
+def _reference_factor(x, y):
+    """The factor of [X | Y] for a stack (R, n, p), (R, n, q), one LAPACK QR per row block of
+    FACTOR_ROWS: each concatenates, row-major, the factor so far and the block's rows of X and Y."""
+    factor = np.empty((len(x), 0, x.shape[-1] + y.shape[-1]))
+    for start in range(0, x.shape[1], matrix.FACTOR_ROWS):
+        rows = slice(start, start + matrix.FACTOR_ROWS)
+        factor = np.linalg.qr(np.concatenate(
+            [factor, np.concatenate([x[:, rows], y[:, rows]], axis=-1)], axis=1), mode="r")
+    return factor
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@st.composite
+def blocked_designs(draw):
+    """(X, Y, stack): one design (n, p) or a stack (R, n, p), and Y with q >= 1 columns, where n is
+    p, p + 1 or more; X is column-major, as `design_matrix` builds it, or row-major."""
+    p, q = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    n = p + draw(st.sampled_from([0, 1, draw(st.integers(2, 30))]))
+    stack = draw(st.sampled_from([None, 1, 2, 3]))
+    lead = () if stack is None else (stack,)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(size=(*lead, n, p)) * 10.0 ** rng.uniform(-2, 2, size=p)
+    if draw(st.booleans()):
+        x = np.ascontiguousarray(x.swapaxes(-1, -2)).swapaxes(-1, -2)
+    return x, rng.normal(size=(*lead, n, q)), stack
+
+
+@settings(max_examples=300, deadline=None)
+@given(blocked_designs(), st.sampled_from([3, 5, 7, 4096]))
+def test_the_blocked_factor_is_the_row_major_reference_bit_for_bit(design, block_rows):
+    x, ys, stack = design
+    p = x.shape[-1]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matrix, "FACTOR_ROWS", block_rows)
+        fits = [(solve_least_squares(x, ys), ys), (solve_least_squares(x, ys[..., 0]), ys[..., :1])]
+        references = [_reference_factor(x.reshape(-1, *x.shape[-2:]), y.reshape(-1, *y.shape[-2:]))
+                      for _, y in fits]
+    for (sol, y), reference in zip(fits, references):
+        if stack is None:
+            reference = reference[0]
+        assert np.array_equal(_bits(sol.r), _bits(reference[..., :p, :p]))
+        assert np.array_equal(_bits(sol.qty), _bits(reference[..., p:].reshape(sol.qty.shape)))
+
+
+@pytest.mark.parametrize("shape", [(9,), (1, 9), (3, 9)])
+@pytest.mark.parametrize("intercept", [False, True])
+def test_design_matrix_is_column_major(shape, intercept):
+    rng = np.random.default_rng(0)
+    columns = {name: rng.normal(size=shape) for name in ("a", "b", "c")}
+    x, names = design_matrix(columns, ("c", "a"), intercept, shape)
+    assert names == ("const",) * intercept + ("c", "a")
+    assert x.shape == (*shape, 2 + intercept)
+    for matrix_ in x.reshape(-1, *x.shape[-2:]):
+        assert matrix_.flags.f_contiguous
+    assert np.array_equal(x[..., -2], columns["c"]) and np.array_equal(x[..., -1], columns["a"])
 
 
 def test_a_tall_design_over_several_blocks_names_the_dependent_column():
