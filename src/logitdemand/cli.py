@@ -92,9 +92,9 @@ def format_coefficient_table(result: estimators.EstimateResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _report_dropped_rows(data, names):
-    """Listwise deletion on the named columns is silent in the API; the CLI reports it."""
-    dropped = np.flatnonzero(~data.complete_rows(names)).tolist()
+def _report_dropped_rows(data, spec):
+    """Listwise deletion (`estimators.complete_columns`) is silent in the API; the CLI reports it."""
+    dropped = np.delete(np.arange(data.n_rows), estimators.complete_columns(spec, data)[0]).tolist()
     if not dropped:
         return
     shown = ", ".join(data.row_label(i) for i in dropped[:8])
@@ -141,7 +141,7 @@ def cmd_estimate(args) -> int:
     result = estimators.estimate(spec, data)
     table = dataio.results_csv_text if args.format == "csv" else format_coefficient_table
     _emit(args, table(result), data_path)
-    _report_dropped_rows(data, spec.required_columns())
+    _report_dropped_rows(data, spec)
     return EXIT_OK
 
 
@@ -172,7 +172,7 @@ def cmd_diagnose(args) -> int:
                              f"n*R^2 {j_report.n_r_squared:.3f}"),
         ], "  ")]
     _emit(args, "\n".join(lines) + "\n", data_path)
-    _report_dropped_rows(data, (spec.dependent, *spec.regressors, *spec.instruments))
+    _report_dropped_rows(data, dataclasses.replace(spec, estimator="tsls"))
     return EXIT_OK
 
 

@@ -137,14 +137,23 @@ class PanelDataset:
         """A copy with column `name` added or replaced."""
         return replace(self, columns={**self.columns, name: _float_column(values)})
 
+    def recode(self, rows) -> tuple:
+        """(unit levels, unit codes, period levels, period codes) of `rows`: the levels they use and
+        their codes renumbered over them, as np.unique(codes[rows], return_inverse=True) gives them,
+        counted, not sorted: a level of positive count is used, coded by the used ones below it."""
+        coded = ()
+        for levels, codes in ((self.unit_levels, self.unit_codes),
+                              (self.period_levels, self.period_codes)):
+            kept = codes[rows]
+            used = np.bincount(kept, minlength=levels.size) > 0
+            coded += (levels[used], (np.cumsum(used) - 1)[kept])
+        return coded
+
     def subset(self, mask) -> "PanelDataset":
         """The rows where `mask` is true."""
         rows = np.flatnonzero(np.asarray(mask, dtype=bool))
-        unit_used, unit_codes = np.unique(self.unit_codes[rows], return_inverse=True)
-        period_used, period_codes = np.unique(self.period_codes[rows], return_inverse=True)
         return PanelDataset(
-            self.unit_levels[unit_used], unit_codes, self.period_levels[period_used], period_codes,
-            {name: arr[rows] for name, arr in self.columns.items()},
+            *self.recode(rows), {name: arr[rows] for name, arr in self.columns.items()},
             None if self.source_lines is None else self.source_lines[rows],
         )
 

@@ -25,8 +25,8 @@ from .errors import (
     MultipleEndogenousError,
     OrderConditionViolatedError,
 )
-from .estimators import (INTERCEPT_NAME, EstimateResult, ModelSpec, _columns, first_stage,
-                         pooled_fit, tsls_coordinates)
+from .estimators import (INTERCEPT_NAME, EstimateResult, ModelSpec, complete_columns,
+                         first_stage, pooled_fit, tsls_coordinates)
 from .matrix import solve_least_squares
 
 if TYPE_CHECKING:
@@ -210,12 +210,6 @@ def first_stage_f(spec: ModelSpec, data: "PanelDataset") -> FTestReport:
     return _first_stage_f(spec, data)[0]
 
 
-def _complete_columns(spec: ModelSpec, data: "PanelDataset"):
-    """The dependent, regressors and instruments on the rows where all of them are present."""
-    names = (spec.dependent, *spec.regressors, *spec.instruments)
-    return _columns(data, np.flatnonzero(data.complete_rows(names)), names)
-
-
 def _first_stage_f(spec, data):
     """The F report of `first_stage_f`, with the columns and the `first_stage` it comes from."""
     m, k = len(spec.instruments), len(spec.endogenous_regressors)
@@ -233,7 +227,7 @@ def _first_stage_f(spec, data):
             f"first-stage F supports exactly one endogenous regressor, got {k}"
         )
 
-    columns = _complete_columns(spec, data)
+    columns = complete_columns(replace(spec, estimator="tsls"), data)[1]
     first = first_stage(spec, columns)
     rss = first[1].nested_rss[0]
     if not np.isfinite(rss[[-1 - m, -1]]).all():
@@ -256,8 +250,7 @@ def sargan_j(tsls_result: EstimateResult, spec: ModelSpec, data: "PanelDataset")
     exogeneity. Requires m > k; the 5% decision uses the upper-tail chi-square critical value
     (equivalently, p_value < 0.05).
     """
-    m = len(spec.instruments)
-    k = len(spec.endogenous_regressors)
+    m, k = len(spec.instruments), len(spec.endogenous_regressors)
     if m <= k:
         raise ExactlyIdentifiedError(
             f"need more instruments than endogenous regressors, got m={m}, k={k}"
@@ -265,7 +258,7 @@ def sargan_j(tsls_result: EstimateResult, spec: ModelSpec, data: "PanelDataset")
     if tsls_result.estimator_tag != "tsls":
         raise ValueError("sargan_j needs a 2SLS result")
 
-    columns = _complete_columns(spec, data)
+    columns = complete_columns(replace(spec, estimator="tsls"), data)[1]
     return _j_report(spec, columns, first_stage(spec, columns)[1], tsls_result.coefficients)
 
 

@@ -162,11 +162,13 @@ def standard_errors(cov) -> np.ndarray:
     return np.sqrt(np.clip(np.diagonal(cov, axis1=-2, axis2=-1), 0.0, None))
 
 
-def _columns(data, rows, column_names):
-    """The named columns at `rows`: the panel's own arrays when every row is used."""
-    if rows.size == data.n_rows:
-        return {name: data.column(name) for name in column_names}
-    return {name: data.column(name)[rows] for name in column_names}
+def complete_columns(spec: ModelSpec, data: "PanelDataset"):
+    """The rows of `data` that a fit of `spec` reads, those where every column it requires is
+    present, and the columns at them: the panel's own arrays when no row is dropped."""
+    names = spec.required_columns()
+    rows = np.flatnonzero(data.complete_rows(names))
+    whole = rows.size == data.n_rows
+    return rows, {name: data.column(name) if whole else data.column(name)[rows] for name in names}
 
 
 def design_matrix(columns, column_names, intercept, shape):
@@ -303,8 +305,7 @@ def pooled_fit(spec: ModelSpec, columns, absorbed, first=None, x=None) -> Pooled
 def _estimate_pooled(spec: ModelSpec, data: "PanelDataset", estimator) -> EstimateResult:
     if spec.estimator != estimator:
         raise ValueError(f"spec.estimator is {spec.estimator!r}, expected {estimator!r}")
-    rows = np.flatnonzero(data.complete_rows(spec.required_columns()))
-    columns = _columns(data, rows, spec.required_columns())
+    rows, columns = complete_columns(spec, data)
     return _finish(spec, pooled_fit(spec, columns, 0), rows.size, int(spec.include_intercept))
 
 
@@ -402,23 +403,21 @@ def _most_absorbed_slope(design, m, slope_names):
 def estimate_two_way_fe(spec: ModelSpec, data: "PanelDataset") -> EstimateResult:
     """Two-way fixed effects: `pooled_fit` on the columns that `absorb` transforms.
 
-    This is the LSDV fit without its n x (J + T) dummy matrix: the same slopes,
-    residuals and covariances, and df_residual = n - k - (J + T - 1). A refused
-    fit is named: a regressor constant within units, a panel that is not
-    connected, or the regressor the effects absorb. Unit effects carry the level
-    and the first period is the base category. The R-squared is the within
-    R-squared, against the variation left after projecting out both effects.
+    This is the LSDV fit without its n x (J + T) dummy matrix: the same slopes, residuals and
+    covariances, and df_residual = n - k - (J + T - 1). A refused fit is named, in this order: a
+    regressor constant within units, a panel that is not connected, design columns whose norms
+    are at most `DEFAULT_RANK_TOL` of the largest (named with it, to be rescaled), or the
+    regressor the effects absorb. Unit effects carry the level and the first period is the base
+    category. The R-squared is the within R-squared, against the variation left after projecting
+    out both effects.
     """
     if spec.estimator != "two_way_fe":
         raise ValueError(f"spec.estimator is {spec.estimator!r}, expected 'two_way_fe'")
-    rows = np.flatnonzero(data.complete_rows(spec.required_columns()))
-    unit_used, unit_codes = np.unique(data.unit_codes[rows], return_inverse=True)
-    period_used, period_codes = np.unique(data.period_codes[rows], return_inverse=True)
-    unit_levels, period_levels = data.unit_levels[unit_used], data.period_levels[period_used]
+    rows, columns = complete_columns(spec, data)
+    unit_levels, unit_codes, period_levels, period_codes = data.recode(rows)
     if unit_levels.size < 2 or period_levels.size < 2:
         raise InsufficientObservationsError("two-way fixed effects need >= 2 units and >= 2 periods")
 
-    columns = _columns(data, rows, spec.required_columns())
     ols, within, x, absorbed, finite = absorb(spec, columns, unit_codes, period_codes, period_levels)
     if not finite:
         raise EstimationError("the fit overflows: a column's sum within a unit is not finite; "
@@ -440,10 +439,14 @@ def estimate_two_way_fe(spec: ModelSpec, data: "PanelDataset") -> EstimateResult
                 dummy_names[exc.columns[0]],
                 "unit and period effects are not separately identified: the panel is not connected",
             ) from None
-        name = _most_absorbed_slope(x, m, slope_names)
-        raise CollinearWithFixedEffectsError(
-            name, f"regressor {name!r} is collinear with the fixed effects and the other regressors"
-        )
+        # Columns within the rank tolerance of the largest are lost to the scale, not collinear.
+        norms = np.linalg.norm(x / np.abs(x).max(), axis=0)
+        small = [ols.regressors[j] for j in np.flatnonzero(norms <= DEFAULT_RANK_TOL * norms.max())]
+        name = ols.regressors[int(np.argmax(norms))] if small else _most_absorbed_slope(x, m, slope_names)
+        raise CollinearWithFixedEffectsError(name, (
+            f"the norms of columns {small} are at most {DEFAULT_RANK_TOL:g} of the norm of {name!r}; "
+            "rescale the regressors") if small else
+            f"regressor {name!r} is collinear with the fixed effects and the other regressors")
 
     beta = fit.coefficients[m:]
     y = columns[spec.dependent]

@@ -478,21 +478,15 @@ def _fit_chunk(params: DgpParams, spec: estimators.ModelSpec, seeds) -> list:
     records = [_Replication(failure=DegenerateSharesError.__name__)] * len(seeds)
     if drawn.size:
         columns = {name: values[drawn] for name, values in columns.items()}
-        columns[dataio.DEPENDENT_COLUMN] = _stacked_dependent(columns, params.n_periods)
+        # `compute_dependent`'s rule: shares q / N, outside 1 - their sum per period (code r * T + t).
+        shape, t = columns["quantity"].shape, params.n_periods
+        codes = (np.arange(shape[0])[:, None] * t + np.arange(shape[1]) % t).reshape(-1)
+        inside = (columns["quantity"] / columns["market_size"]).reshape(-1)
+        delta = demand.invert_shares(inside, 1.0 - np.bincount(codes, weights=inside), codes)
+        columns[dataio.DEPENDENT_COLUMN] = delta.reshape(shape)
         for i, record in zip(drawn, _fit_stack(spec, columns, params.n_periods)):
             records[i] = record._replace(redraws=int(redraws[i]))
     return records
-
-
-def _stacked_dependent(columns, n_periods):
-    """`compute_dependent` for a stack of markets: one inversion, period codes r * T + t."""
-    stack, n = columns["quantity"].shape
-    codes = np.arange(stack)[:, None] * n_periods + np.tile(np.arange(n_periods), n // n_periods)
-    codes = codes.reshape(-1)
-    market_size = np.empty(stack * n_periods)
-    market_size[codes] = columns["market_size"].reshape(-1)
-    inside, outside = demand.shares_from_quantities(columns["quantity"].reshape(-1), market_size, codes)
-    return demand.invert_shares(inside, outside, codes).reshape(stack, n)
 
 
 def _fit_stack(spec: estimators.ModelSpec, columns, n_periods) -> list:

@@ -712,11 +712,13 @@ def test_a_first_stage_that_overflows_exits_3(tmp_path, capsys, scale, command, 
 
 
 # Regressors near 1e154 under two-way fixed effects: x1 varies within units, and the squares of
-# its norms overflow. The fit is refused on one line, with no warning and without calling x1
-# constant within units.
+# its norms overflow. The design has full rank, but price and the period dummies lie below 1e-10
+# of x1's norm: the fit is refused on one line that names them and says to rescale, with no
+# warning and without calling x1 constant within units or collinear.
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("command, code, message", [
-    ("estimate", 3, "regressor 'x1' is collinear with the fixed effects and the other regressors"),
+    ("estimate", 3, "the norms of columns ['period[2002]', 'period[2003]', 'price'] are at most "
+                    "1e-10 of the norm of 'x1'; rescale the regressors"),
     ("simulate", 5,
      "every replication failed (CollinearWithFixedEffectsError 4); nothing to summarize"),
 ], ids=["estimate", "simulate"])
@@ -885,3 +887,16 @@ def test_each_error_class_exits_with_its_code(tmp_path, capsys, monkeypatch, com
         argv = ["simulate", "--params", str(params_path)]
     assert main(argv) == EXIT_CODES[error.__name__][command == "simulate"]
     assert capsys.readouterr() == ("", "error: boom\n")
+
+
+def test_an_exact_ols_fit_prints_nan_t_and_p_values(tmp_path, capsys):
+    # y is 0 on every row: the fit is exact in any arithmetic, and its standard errors are 0.
+    (tmp_path / "exact.csv").write_text("unit,period,y,x\na,2001,0,0\nb,2001,0,1\nc,2001,0,3\n",
+                                        encoding="utf-8")
+    spec = {"dataset": "exact.csv", "dependent": "y", "exogenous": ["x"], "estimator": "ols"}
+    (tmp_path / "spec.json").write_text(json.dumps(spec), encoding="utf-8")
+    assert main(["estimate", "--spec", str(tmp_path / "spec.json")]) == 0
+    out, err = capsys.readouterr()
+    rows = [line.split() for line in out.splitlines()[2:4]]
+    assert err == "" and rows == [["const", "0.000", "(0.000)", "nan", "nan"],
+                                  ["x", "0.000", "(0.000)", "nan", "nan"]]

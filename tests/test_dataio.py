@@ -525,3 +525,9 @@ def test_coded_constructor_checks_codes_and_levels(field, value, message):
     PanelDataset(**fields)
     with pytest.raises(ValueError, match=message):
         PanelDataset(**{**fields, field: value})
+
+
+def test_an_unknown_column_is_a_key_error(make_panel):
+    data = make_panel({"y": [1.0, 2.0]})
+    with pytest.raises(KeyError, match="no column 'nope'"):
+        data.column("nope")

@@ -172,3 +172,22 @@ def test_share_table_validation():
         invert_shares([0.25, 0.25, 0.5], [0.5, 0.4], codes=[0, 0, 1])  # second period sums to 0.9
     with pytest.raises(ValueError):
         predict_shares([np.nan])
+
+
+@pytest.mark.parametrize("outside", [0.0, 1.5])
+def test_an_outside_share_outside_the_unit_interval_is_refused(outside):
+    with pytest.raises(ValueError, match=r"outside share must lie in \(0, 1\]"):
+        invert_shares([0.5], outside)
+
+
+@pytest.mark.parametrize("quantities, market_size, message", [
+    ([10.0, np.nan], 100.0, "quantities must be finite"),
+    ([10.0, np.inf], 100.0, "quantities must be finite"),
+    ([10.0, -5.0], 100.0, "quantities must be non-negative"),
+    ([10.0], 0.0, "market_size must be positive and finite"),
+    ([10.0], np.inf, "market_size must be positive and finite"),
+    ([10.0], np.nan, "market_size must be positive and finite"),
+], ids=["nan_quantity", "inf_quantity", "negative_quantity", "zero_size", "inf_size", "nan_size"])
+def test_quantities_and_market_sizes_out_of_domain_are_refused(quantities, market_size, message):
+    with pytest.raises(ValueError, match=message):
+        shares_from_quantities(quantities, market_size)

@@ -411,3 +411,10 @@ def test_diagnose_fails_as_the_first_failing_call(spec, data, message):
     assert outcome == _outcome(_three_calls, spec, data)
     # Each is an EstimationError, which `diagnose` on the command line exits 3 for.
     assert issubclass(outcome[0], EstimationError) and message in outcome[1]
+
+
+def test_sargan_refuses_a_result_that_is_not_2sls(simulated_market):
+    spec, data, _ = simulated_market(seed=4)
+    ols = estimate(replace(spec, estimator="ols", covariance="classical"), data)
+    with pytest.raises(ValueError, match="sargan_j needs a 2SLS result"):
+        sargan_j(ols, spec, data)

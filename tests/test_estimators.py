@@ -389,3 +389,46 @@ def test_equality_of_array_holders_is_identity(simulated_market):
     for a, b in pairs:
         assert a is not b
         assert (a == b, a != b, a == a) == (False, True, True)
+
+
+def test_spec_needs_a_dependent():
+    with pytest.raises(ValueError, match="dependent column name is required"):
+        ModelSpec(dependent="", exogenous_regressors=("x",))
+
+
+@pytest.mark.parametrize("x, residuals, bread", [
+    (np.ones((5, 2)), np.ones(4), np.eye(2)),
+    (np.ones((5, 2)), np.ones(5), np.eye(3)),
+    (np.ones(5), np.ones(5), np.eye(1)),
+], ids=["residual_rows", "bread_columns", "flat_design"])
+def test_robust_covariance_refuses_mismatched_shapes(x, residuals, bread):
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        robust_covariance(x, residuals, bread)
+
+
+@pytest.mark.parametrize("fit, estimator", [
+    (estimate_ols, "tsls"), (estimate_tsls, "ols"), (estimate_two_way_fe, "ols"),
+])
+def test_an_estimator_refuses_the_spec_of_another(make_panel, fit, estimator):
+    data = make_panel({"y": [1.0, 2.0, 4.0, 3.0], "x": [0.0, 1.0, 2.0, 5.0],
+                       "z": [1.0, 0.0, 1.0, 2.0]})
+    spec = ModelSpec(dependent="y", endogenous_regressors=("x",), instruments=("z",),
+                     estimator=estimator)
+    with pytest.raises(ValueError, match=f"spec.estimator is '{estimator}', expected"):
+        fit(spec, data)
+
+
+def test_fixed_effects_on_columns_of_spread_scales_name_them_and_ask_to_rescale():
+    # x1 near 1e154 varies within units; price and the period dummies are below 1e-10 of its
+    # norm. The design has full rank, but not within the solver's tolerance.
+    params = DgpParams(n_products=4, n_periods=3, n_characteristics=1, beta=(0.0,), xi_scale=0.5,
+                       characteristic_scale=1e154, seed=4, consumers=100)
+    data = compute_dependent(generate_market(params)[0])
+    spec = ModelSpec(dependent=DEPENDENT_COLUMN, exogenous_regressors=("x1",),
+                     endogenous_regressors=("price",), estimator="two_way_fe",
+                     include_intercept=False)
+    with pytest.raises(CollinearWithFixedEffectsError) as err:
+        estimate(spec, data)
+    assert err.value.column == "x1"
+    assert str(err.value) == ("the norms of columns ['period[2002]', 'period[2003]', 'price'] are "
+                              "at most 1e-10 of the norm of 'x1'; rescale the regressors")

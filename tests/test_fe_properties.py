@@ -112,12 +112,19 @@ def test_fe_matches_lsdv_oracle(panel, covariance):
     result = estimate_two_way_fe(_fe_spec(regressors, covariance), data)
     oracle = _lsdv_oracle(data, regressors)
 
+    _assert_matches_oracle(result, oracle, covariance)
+
+
+def _assert_matches_oracle(result, oracle, covariance):
     assert _close(result.coefficients, oracle["slopes"], 1e-8)
     assert _close(result.standard_errors, oracle[covariance], 1e-8)
     assert result.r_squared == pytest.approx(oracle["r_squared"], abs=1e-9)
     assert result.df_residual == oracle["df_residual"]
     units = sorted(oracle["unit"])
     periods = sorted(oracle["period"])
+    # The levels of the effects are those of the rows fitted.
+    assert sorted(result.fixed_effect_values["unit"]) == units
+    assert sorted(result.fixed_effect_values["period"]) == periods
     got_units = _effects(result.fixed_effect_values, "unit", units)
     got_periods = _effects(result.fixed_effect_values, "period", periods)
     want_units = _effects(oracle, "unit", units)
@@ -127,6 +134,53 @@ def test_fe_matches_lsdv_oracle(panel, covariance):
     # The convention: units carry the level and the first period is the base.
     assert _close(got_units, want_units, 1e-8)
     assert result.fixed_effect_values["period"][periods[0]] == 0.0
+
+
+@st.composite
+def blanked_fe_panels(draw):
+    """An `fe_panels` panel with blank (NaN) cells: a unit or a period, or both, added with a
+    blank in every row, and blanks in other rows off unit 0 and the cells (u, u mod T), so that
+    the complete rows stay a connected panel."""
+    data, regressors = draw(fe_panels())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lost = draw(st.sampled_from([("unit",), ("period",), ("unit", "period")]))
+    names = ("y", *regressors)
+    u, t = data.unit_codes, data.period_codes
+    spanning = (u == 0) | (t == u % data.period_levels.size)
+    blank = ~spanning & (rng.random(u.size) < draw(st.sampled_from([0.0, 0.2])))
+    columns = {name: np.where(blank & (rng.integers(len(names), size=u.size) == j), np.nan,
+                              data.column(name)) for j, name in enumerate(names)}
+    units, periods = list(data.unit_codes), list(data.period_codes)
+    # The lost unit is u99, seen in some periods; the lost period is 2099, seen by some units.
+    extra = []
+    if "unit" in lost:
+        seen = [int(t) for t in np.flatnonzero(rng.random(data.period_levels.size) < 0.5)] or [0]
+        extra += [(99, t) for t in seen]
+    if "period" in lost:
+        seen = [int(u) for u in np.flatnonzero(rng.random(data.unit_levels.size) < 0.5)] or [0]
+        extra += [(u, 98) for u in seen]
+    for unit, period in extra:
+        units.append(unit)
+        periods.append(period)
+        hole = int(rng.integers(len(names)))
+        for j, name in enumerate(names):
+            columns[name] = np.append(columns[name], np.nan if j == hole else rng.normal())
+    panel = _panel(units, periods, columns)
+    complete = panel.complete_rows(names)
+    assume(complete.sum() >= len(regressors) + data.unit_levels.size + data.period_levels.size + 2)
+    return panel, regressors, complete
+
+
+@settings(max_examples=40)
+@given(blanked_fe_panels(), st.sampled_from(["classical", "robust_hc0"]))
+def test_fe_with_blank_cells_matches_lsdv_oracle_on_the_complete_rows(panel, covariance):
+    # Some unit or period has no complete row: it gets no effect, and no level.
+    data, regressors, complete = panel
+    result = estimate_two_way_fe(_fe_spec(regressors, covariance), data)
+    _assert_matches_oracle(result, _lsdv_oracle(data.subset(complete), regressors), covariance)
+    assert result.n_observations == complete.sum()
+    effects = result.fixed_effect_values
+    assert len(effects["unit"]) + len(effects["period"]) < data.unit_levels.size + data.period_levels.size
 
 
 @settings(max_examples=40)

@@ -287,3 +287,43 @@ def test_ols_and_tsls_ignore_the_row_order_of_the_dataset(panel, rnd):
         assert _close(b.coefficients, a.coefficients, 1e-10)
         assert _close(b.standard_errors, a.standard_errors, 1e-10)
         assert b.df_residual == a.df_residual
+
+
+# --- kept rows are coded as np.unique codes them -------------------------------------------------
+
+
+@st.composite
+def coded_panels(draw):
+    """A panel on a grid of unit and period levels, some of them unused, in random row order
+    with codes of a random integer type, and a row mask: none, all or a random share."""
+    n_units, n_periods = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    share = draw(st.sampled_from([0.2, 0.5, 1.0]))
+    cells = rng.permutation(np.flatnonzero(rng.random(n_units * n_periods) < share))
+    dtype = draw(st.sampled_from([np.intp, np.int32, np.uint16]))
+    data = PanelDataset(np.array([f"u{i}" for i in range(n_units)], dtype=object),
+                        (cells // n_periods).astype(dtype), 2001 + np.arange(n_periods),
+                        (cells % n_periods).astype(dtype), {"x": rng.normal(size=cells.size)})
+    kind = draw(st.sampled_from(["none", "all", "random"]))
+    mask = rng.random(cells.size) < (0.0 if kind == "none" else 1.0 if kind == "all" else 0.5)
+    return data, mask
+
+
+@settings(max_examples=200)
+@given(coded_panels())
+def test_kept_rows_are_coded_as_np_unique_codes_them(panel):
+    """`recode`, and `subset` through it, count the kept rows' codes into exactly the levels
+    and codes that np.unique(codes[rows], return_inverse=True) sorts them into, values and
+    dtypes alike, with unused levels and empty or whole subsets included."""
+    data, mask = panel
+    rows = np.flatnonzero(mask)
+    sub = data.subset(mask)
+    recoded = data.recode(rows)
+    for k, factor in enumerate(("unit", "period")):
+        levels, codes = getattr(data, f"{factor}_levels"), getattr(data, f"{factor}_codes")
+        used, inverse = np.unique(codes[rows], return_inverse=True)
+        for got_levels, got_codes in (recoded[2 * k:2 * k + 2],
+                                      (getattr(sub, f"{factor}_levels"), getattr(sub, f"{factor}_codes"))):
+            assert got_levels.dtype == levels.dtype and np.array_equal(got_levels, levels[used])
+            assert got_codes.dtype == inverse.dtype and np.array_equal(got_codes, inverse)
+    assert np.array_equal(sub.column("x"), data.column("x")[rows])

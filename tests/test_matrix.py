@@ -480,3 +480,10 @@ def test_a_stack_entry_that_is_not_finite_is_not_certified():
         assert not sol.coefficients[~sol.certified].any()
         alone = solve_least_squares(x[sol.certified], target[sol.certified])
         assert np.array_equal(sol.coefficients[sol.certified], alone.coefficients)
+
+
+def test_a_target_off_the_design_rows_is_refused():
+    with pytest.raises(ValueError, match="need X"):
+        solve_least_squares(np.ones((4, 2)), np.ones(3))
+    with pytest.raises(ValueError, match="need X"):
+        solve_least_squares(np.ones((2, 4, 2)), np.ones((2, 5)))

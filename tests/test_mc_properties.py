@@ -298,8 +298,9 @@ def test_exact_first_stage_gives_an_infinite_f_on_both_paths():
                        price_endogeneity=0.0, price_noise_scale=0.0, seed=7)
     spec = default_model_spec(params)
     seeds = replication_seeds(params.seed, 6)
-    columns, *_ = simulate.draw_markets(params, seeds)
-    columns[DEPENDENT_COLUMN] = simulate._stacked_dependent(columns, params.n_periods)
+    # The markets' true mean utilities as the dependent: the F reads the price column alone.
+    columns, delta, *_ = simulate.draw_markets(params, seeds)
+    columns[DEPENDENT_COLUMN] = delta
     _, first = estimators.first_stage(spec, columns)
     assert np.all(diagnostics.first_stage_stats(first.nested_rss[:, 0], len(spec.instruments),
                                                 params.n_products * params.n_periods)[0] == math.inf)

@@ -252,3 +252,13 @@ def test_dependent_column_reconstructs_true_delta():
     data, truth = generate_market(params)
     data = compute_dependent(data)
     assert np.max(np.abs(data.column(DEPENDENT_COLUMN) - truth.delta)) < 1e-10
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("n_instruments", 0, "need at least one cost shifter"),
+    ("alpha", -1.0, "alpha must be non-negative"),
+    ("consumers", 0, "consumers must be at least 1"),
+])
+def test_params_out_of_range_are_refused(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        DgpParams(n_products=2, n_periods=2, **{field: value})
