@@ -216,20 +216,22 @@ def _validate_dataset(data: PanelDataset):
 
 def load_panel(path) -> PanelDataset:
     """Load and validate a panel CSV keyed by its `unit` and `period` columns; rows come back
-    sorted by (unit, period), and `DUMMY_COLUMNS` must hold 0/1.
+    sorted by (unit, period), and `DUMMY_COLUMNS` must hold 0/1. A leading UTF-8 byte-order
+    mark is skipped.
 
     Blank records (empty, whitespace-only or with every cell empty) are skipped. A fault,
     a byte that is not UTF-8 included, is a `ParseError` on the first faulty line (the
     header is line 1) and, within it, on the unit, then the period, then the first faulty
-    value column in header order. Each block of `BLOCK_RECORDS` records is converted
-    column by column; when it does not convert, `_find_fault` raises its first fault, or
-    finds none, and the block is converted again without its blank records.
+    value column in header order. The file is read `BLOCK_RECORDS` lines at a time, and
+    numpy's reader converts each block of whole, clean records (`_convert_lines`). A block
+    it refuses is read from its first line by `csv.reader`, `BLOCK_RECORDS` records, and
+    converted column by column; when that does not convert, `_find_fault` raises its first
+    fault, or finds none, and the block is converted again without its blank records.
     """
     path = Path(path)
-    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
-        reader = csv.reader(fh)
+    with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
         try:
-            header = next(reader)
+            header = next(csv.reader(fh))
         except StopIteration:
             raise ParseError(1, "", "file is empty") from None
         header = [h.strip() for h in header]
@@ -245,26 +247,39 @@ def load_panel(path) -> PanelDataset:
         if len(set(header)) != len(header):
             dupe = next(h for h in header if header.count(h) > 1)
             raise ParseError(1, dupe, "duplicated column name")
+        # One field per column for numpy's reader: the unit as text, the period as int64.
+        fields = np.dtype([(str(k), "O" if k == u_pos else "i8" if k == t_pos else "f8")
+                           for k in range(len(header))])
 
         # Per block: unit codes (in order of first appearance), periods, lines, value columns.
         index = {}
         parts = [[np.empty(0, np.intp)], [np.empty(0, np.int64)], [np.empty(0, np.int64)],
                  *([np.empty(0)] for _ in value_pos)]
         first_line = 2
-        try:
-            for block in _blocks(reader):
-                lines = np.arange(first_line, first_line + len(block))
-                converted = _convert_block(block, lines, header, u_pos, t_pos, value_pos, index)
+        while block := list(itertools.islice(fh, BLOCK_RECORDS)):
+            lines = np.arange(first_line, first_line + len(block))
+            converted = _convert_lines(block, lines, fields, u_pos, t_pos, value_pos, index)
+            if converted is None:
+                # BLOCK_RECORDS records from the block's first line. They span all its lines, and
+                # more when a quoted record runs past them: the next block starts on a record.
+                records, error = [], None
+                try:
+                    records.extend(itertools.islice(csv.reader(itertools.chain(block, fh)),
+                                                    BLOCK_RECORDS))
+                except csv.Error as exc:  # raised on the record after `records`
+                    error = exc
+                lines = lines[:len(records)]
+                converted = _convert_block(records, lines, header, u_pos, t_pos, value_pos, index)
                 if converted is None:
-                    _find_fault(block, first_line, header, u_pos, t_pos, value_pos)
-                    kept = [k for k, record in enumerate(block) if any(c.strip() for c in record)]
-                    converted = kept and _convert_block([block[k] for k in kept], lines[kept],
+                    _find_fault(records, first_line, header, u_pos, t_pos, value_pos)
+                    kept = [k for k, record in enumerate(records) if any(c.strip() for c in record)]
+                    converted = kept and _convert_block([records[k] for k in kept], lines[kept],
                                                         header, u_pos, t_pos, value_pos, index)
-                for part, array in zip(parts, converted):
-                    part.append(array)
-                first_line += len(block)
-        except csv.Error as exc:  # raised by the reader on the record at `first_line`
-            raise ParseError(first_line, "", str(exc)) from None
+                if error is not None:
+                    raise ParseError(first_line + len(records), "", str(error))
+            for part, array in zip(parts, converted):
+                part.append(array)
+            first_line += len(lines)
 
     unit_parts, period_parts, line_parts, *value_parts = parts
     periods = np.concatenate(period_parts)
@@ -286,57 +301,76 @@ def load_panel(path) -> PanelDataset:
 _UNDECODED = re.compile("[\udc80-\udcff]")
 
 
-def _blocks(reader):
-    """The reader's records, `BLOCK_RECORDS` at a time. A CSV error is raised after
-    the records before it, as a row-by-row read would meet them."""
-    while True:
-        block = []
-        try:
-            block.extend(itertools.islice(reader, BLOCK_RECORDS))
-        except csv.Error:
-            yield block
-            raise
-        if not block:
-            return
-        yield block
+def _convert_lines(block, lines, fields, u_pos, t_pos, value_pos, index):
+    """What `_convert_block` makes of a block's records, converted by one `np.loadtxt` call;
+    None unless each line is a whole record and the block converts.
+
+    numpy's reader gets no quote, NUL (`csv.reader` refuses it before Python 3.11) or line
+    past `csv.field_size_limit()`, so each line is one record that `csv.reader` reads without
+    error, split at its commas as numpy splits it. numpy refuses a line without
+    one cell per field, and skips a blank line, which the row count shows. Where numpy and
+    `_convert_block` both accept a cell, they give the same number: both strip what
+    `str.strip` strips, and numpy's float parser is Python's. A cell only Python reads (`1_0`,
+    `１`), a blank cell and a non-finite value are refused here and reach `csv.reader`."""
+    text = "".join(block)
+    if '"' in text or "\0" in text or max(map(len, block)) > csv.field_size_limit():
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy warns of a block without rows
+            table = np.loadtxt(block, dtype=fields, delimiter=",", comments=None, ndmin=1)
+    except (ValueError, Warning):
+        return None
+    if len(table) != len(block):
+        return None
+    values = [table[str(k)].copy() for k in value_pos]
+    if not all(np.isfinite(x).all() for x in values):
+        return None
+    units = _code_units(table[str(u_pos)].tolist(), index)
+    return None if units is None else (units, table[str(t_pos)].copy(), lines, *values)
 
 
 def _convert_block(block, lines, header, u_pos, t_pos, value_pos, index):
     """A block's unit codes, periods, lines and value columns, converted column by column;
-    None when a record is blank or ragged or a cell does not convert. Units are coded in
-    `index` (stripped unit -> code, grown in order of first appearance)."""
+    None when a record is blank or ragged or a cell does not convert. Cells are stripped
+    first, as `_find_fault` strips them: `int` and `float` strip less (not "\\x1c")."""
     if set(map(len, block)) != {len(header)}:
         return None
     n = len(block)
     cells = list(zip(*block))
-    code = {}
-    for cell in set(cells[u_pos]):
-        unit = cell.strip()
-        if not unit:
-            return None
-        code[cell] = index.setdefault(unit, len(index))
-    # A unit with a byte that is not UTF-8 converts; one search of the block's units finds it.
-    if _UNDECODED.search("".join(code)):
-        return None
-    units = np.fromiter(map(code.__getitem__, cells[u_pos]), np.intp, n)
     try:
-        periods = np.fromiter(map(int, cells[t_pos]), np.int64, n)
+        periods = np.fromiter(map(int, map(str.strip, cells[t_pos])), np.int64, n)
     except (ValueError, OverflowError):
         return None
     values = []
     for k in value_pos:
+        column = list(map(str.strip, cells[k]))
         try:
-            x = np.fromiter(map(float, cells[k]), float, n)
+            x = np.fromiter(map(float, column), float, n)
         except ValueError:
             try:
-                x = np.fromiter((float(c) if c.strip() else math.nan for c in cells[k]), float, n)
+                x = np.fromiter((float(c) if c else math.nan for c in column), float, n)
             except ValueError:
                 return None
         # NaN is allowed only for a blank cell, never for a "nan" or "inf" literal.
-        if any(cells[k][i].strip() for i in np.flatnonzero(~np.isfinite(x)).tolist()):
+        if any(column[i] for i in np.flatnonzero(~np.isfinite(x)).tolist()):
             return None
         values.append(x)
-    return (units, periods, lines, *values)
+    units = _code_units(cells[u_pos], index)
+    return None if units is None else (units, periods, lines, *values)
+
+
+def _code_units(cells, index):
+    """Each unit cell's code in `index` (stripped unit -> code, grown in order of first
+    appearance); None, leaving `index` as it was, when a unit is empty or holds a byte
+    that is not UTF-8."""
+    distinct = dict.fromkeys(cells)
+    units = [cell.strip() for cell in distinct]
+    # One search of the block's distinct units finds a byte that is not UTF-8.
+    if "" in units or _UNDECODED.search("".join(distinct)):
+        return None
+    code = {cell: index.setdefault(unit, len(index)) for cell, unit in zip(distinct, units)}
+    return np.fromiter(map(code.__getitem__, cells), np.intp, len(cells))
 
 
 def _find_fault(block, first_line, header, u_pos, t_pos, value_pos):
@@ -484,7 +518,7 @@ _SPEC_FIELDS = {
 
 def read_json_object(path, kind, keys, required) -> dict:
     """The JSON object of a spec or parameter file (`kind`): keys among `keys`, `required` present."""
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
         text = fh.read()
     undecoded = _UNDECODED.search(text)
     if undecoded:

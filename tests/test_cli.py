@@ -5,6 +5,7 @@ import re
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -108,6 +109,18 @@ def test_invert_unreadable_data_exits_2(tmp_path, capsys, content):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert not out.exists()
+
+
+def test_invert_reads_a_panel_with_a_byte_order_mark_as_its_twin(tmp_path, capsys):
+    outputs = []
+    for name, mark in (("plain", b""), ("marked", b"\xef\xbb\xbf")):
+        src = tmp_path / f"{name}.csv"
+        src.write_bytes(mark + b"unit,period,share\na,2014,0.25\nb,2014,0.5\n")
+        out = tmp_path / f"{name}-inverted.csv"
+        assert main(["invert", "--data", str(src), "--output", str(out)]) == 0
+        outputs.append((capsys.readouterr(), out.read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0].err == ""
 
 
 def test_estimate_text_table(tmp_path, capsys):
@@ -525,6 +538,64 @@ def test_diagnose_exits_by_the_spec_roles(diagnose_dir, spec):
     f = re.search(r"^  F: +(\S+)$", out.getvalue(), re.MULTILINE).group(1)
     assert f == "inf" or math.isfinite(float(f))
     assert ("Sargan J test (H0" in out.getvalue()) == (len(spec["instruments"]) > 1)
+
+
+@pytest.fixture(scope="module")
+def mutation_dir(tmp_path_factory):
+    """A directory holding a generated 6x5 panel with sampled quantities and a 2SLS spec."""
+    folder = tmp_path_factory.mktemp("mutations")
+    params = DgpParams(n_products=6, n_periods=5, n_characteristics=2, beta=(1.0, -0.5),
+                       xi_scale=0.5, price_endogeneity=0.5, consumers=1000, seed=9)
+    write_panel_csv(generate_market(params)[0], folder / "clean.csv")
+    (folder / "spec.json").write_text(json.dumps({
+        "dataset": "clean.csv", "dependent": DEPENDENT_COLUMN, "exogenous": ["x1", "x2"],
+        "endogenous": ["price"], "instruments": ["cost1", "cost2"], "estimator": "tsls",
+    }), encoding="utf-8")
+    return folder
+
+
+#: Cells a mutated panel may hold; "\udcff" is written as the byte 0xff, which is not UTF-8.
+EDGE_CELLS = ["", "nan", "inf", "1e308", "-1e308", "1e-320", "1e400", "1_0", "0x10", "１",
+              "\udcff", '"', "\x1c3\x1f"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_a_mutated_panel_keeps_the_exit_contract(mutation_dir, data):
+    """One cell or record of a clean panel mutated; `invert`, `estimate` and `diagnose` on it
+    raise nothing, and a failure is one `error:` line on stderr and nothing on stdout. Blocks
+    of 4 records put the mutation in a block numpy's reader converts or in one it refuses."""
+    records = (mutation_dir / "clean.csv").read_bytes().decode("utf-8").split("\r\n")[:-1]
+    k = data.draw(st.integers(1, len(records) - 1))
+    kind = data.draw(st.sampled_from(["cell", "short", "long", "repeat", "blank"]))
+    if kind == "cell":
+        cells = records[k].split(",")
+        cells[data.draw(st.integers(0, len(cells) - 1))] = data.draw(st.sampled_from(EDGE_CELLS))
+        records[k] = ",".join(cells)
+    elif kind == "short":
+        records[k] = records[k].rpartition(",")[0]
+    elif kind == "long":
+        records[k] += ",0.5"
+    else:
+        records.insert(k, records[k] if kind == "repeat" else "")
+    path = mutation_dir / "mutated.csv"
+    path.write_bytes(("\r\n".join(records) + "\r\n").encode("utf-8", "surrogateescape"))
+    spec = str(mutation_dir / "spec.json")
+    commands = [["invert", "--data", str(path), "--output", str(mutation_dir / "inverted.csv")],
+                ["estimate", "--spec", spec, "--data", str(path)],
+                ["diagnose", "--spec", spec, "--data", str(path)]]
+    for argv in commands:
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.object(dataio, "BLOCK_RECORDS", 4), warnings.catch_warnings(), \
+                redirect_stdout(out), redirect_stderr(err):
+            warnings.simplefilter("error")
+            code = main(argv)
+        if code:
+            assert out.getvalue() == ""
+            assert len(err.getvalue().splitlines()) == 1 and err.getvalue().startswith("error: ")
+        else:
+            assert out.getvalue()
+            assert all(line.startswith("note: ") for line in err.getvalue().splitlines())
 
 
 def test_simulate_emits_loadable_dataset(tmp_path, capsys):

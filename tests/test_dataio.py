@@ -144,6 +144,16 @@ def test_non_finite_literals_are_rejected(tmp_path, literal):
         4, "b", f"line 4, column 'b': non-finite value {literal!r}")
 
 
+@pytest.mark.parametrize("blank", [False, True], ids=["numpy_reader", "csv_path"])
+def test_cells_are_stripped_as_str_strip_strips(tmp_path, blank):
+    """`int` and `float` keep "\\x1c" to "\\x1f", which `str.strip` strips; a cell is stripped
+    first on either path (a blank cell sends its block to the csv path)."""
+    text = "unit,period,a\nu\x1c,\x1f2014\x1c,\x1d1.5\x1e\nv,2015," + ("" if blank else "2") + "\n"
+    data = load_panel(_write(tmp_path, text))
+    assert (data.units, data.periods) == (("u", "v"), (2014, 2015))
+    assert data.column("a")[0] == 1.5 and np.isnan(data.column("a")[1]) == blank
+
+
 def test_whitespace_row_is_skipped_and_the_ragged_row_after_it_is_not(tmp_path):
     lines = _clean_lines(4)
     lines[2:2] = ["   ", ",,,", "u9,2014"]
@@ -194,6 +204,20 @@ def test_byte_that_is_not_utf8_past_the_first_block_is_reported_on_its_line(tmp_
     with pytest.raises(ParseError) as err:
         load_panel(path)
     assert str(err.value) == f"line {line}, column {column!r}: not valid UTF-8"
+
+
+def test_a_byte_order_mark_changes_neither_a_panel_nor_a_spec(tmp_path):
+    """Spreadsheet "CSV UTF-8" exports start with a UTF-8 byte-order mark; it is skipped."""
+    plain = load_panel(_write(tmp_path, BASIC_CSV, "plain.csv"))
+    marked = load_panel(_write(tmp_path, "\ufeff" + BASIC_CSV, "marked.csv"))
+    assert list(marked.columns) == list(plain.columns)
+    for name in ("unit_levels", "unit_codes", "period_levels", "period_codes", "source_lines"):
+        assert getattr(marked, name).tolist() == getattr(plain, name).tolist()
+    for name, column in plain.columns.items():
+        assert marked.column(name).tobytes() == column.tobytes()
+    text = json.dumps(_spec_dict())
+    assert parse_spec(_write(tmp_path, "\ufeff" + text, "marked.json")) == \
+        parse_spec(_write(tmp_path, text, "plain.json"))
 
 
 def test_duplicated_header_name_is_a_parse_error(tmp_path):

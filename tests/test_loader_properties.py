@@ -3,18 +3,22 @@
 Unit ids may hold commas, quotes, line breaks and non-ASCII characters, cells
 may be missing, and blank, whitespace-only or all-empty records may sit between
 the rows. A loaded panel is sorted by (unit, period), so the order of the rows
-in the file must not show in it, nor in the estimates made from it.
+in the file must not show in it, nor in the estimates made from it. numpy's block
+reader and the csv path it falls back to must load the same panel from mutated files.
 """
 
 import csv
 import io
 import math
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from logitdemand import dataio
 from logitdemand.dataio import DUMMY_COLUMNS, PanelDataset, load_panel, write_panel_csv
 from logitdemand.errors import DomainViolationError
 from logitdemand.estimators import ModelSpec, estimate
@@ -187,6 +191,94 @@ def test_label_constructor_and_loader_agree(tmp_path_factory, panel, rnd):
     assert unsorted.period_levels[unsorted.period_codes].tolist() == list(unsorted.periods)
     assert [unsorted.row_label(i) for i in range(len(rows))] == [
         f"row {i} (unit {r[0]!r}, period {r[1]})" for i, r in enumerate(shuffled)]
+
+
+# --- numpy's reader against csv.reader ------------------------------------------------------
+
+#: Cells that numpy's reader and Python's `int` and `float` may read differently, or not at all,
+#: and cells `csv.reader` refuses (a NUL before Python 3.11, a field past its size limit);
+#: "\udcff" is written as the byte 0xff, which is not UTF-8.
+CELL_MUTATIONS = ["", " ", "nan", "inf", "-Infinity", "1e308", "-1e308", "1e-320", "1e400", "1_0",
+                  "0x10", "１", "٣", "2_001", "2014.0", "1e3", "9223372036854775808", " +7 ",
+                  "\udcff", "\x00", '"', '"q"', "a b", "\x0c3\x1c", "0." + "1" * 131_071]
+RECORD_MUTATIONS = ["short", "long", "repeat", "blank"]
+
+
+@st.composite
+def mutated_files(draw):
+    """The bytes of a panel file from the loader alphabet above with up to three cells or
+    records mutated, `\\n`, `\\r` or `\\r\\n` line ends, a final line end or none, and a
+    byte-order mark or none."""
+    names, rows = draw(panel_rows())
+    blanks = draw(st.lists(st.sampled_from([False, *BLANK_RECORDS]), max_size=12))
+    if draw(st.booleans()):  # plain units, no blank cell and no blank record: more clean blocks
+        plain = {unit: f"u{k}" for k, unit in enumerate(dict.fromkeys(r[0] for r in rows))}
+        rows = [(plain[unit], period, [0.5 if v is None else v for v in values])
+                for unit, period, values in rows]
+        blanks = []
+    order = draw(st.permutations(range(len(rows))))
+    # Split at csv.writer's line end; a unit holding "\r\n" is split too, which is one more mutation.
+    records = _csv_text(names, rows, order, blanks)[0].split("\r\n")[:-1]
+    for _ in range(draw(st.integers(0, 3))):
+        k = draw(st.integers(1, len(records) - 1))
+        kind = draw(st.sampled_from(["cell", *RECORD_MUTATIONS]))
+        if kind == "cell":
+            cells = records[k].split(",")
+            cells[draw(st.integers(0, len(cells) - 1))] = draw(st.sampled_from(CELL_MUTATIONS))
+            records[k] = ",".join(cells)
+        elif kind == "short":
+            records[k] = records[k].rpartition(",")[0]
+        elif kind == "long":
+            records[k] += ",0.5"
+        else:
+            records.insert(k, records[k] if kind == "repeat" else draw(st.sampled_from(["", " ", ",,"])))
+    eol = draw(st.sampled_from(["\n", "\r", "\r\n"]))
+    text = eol.join(records) + draw(st.sampled_from([eol, ""]))
+    return draw(st.sampled_from([b"", b"\xef\xbb\xbf"])) + text.encode("utf-8", "surrogateescape")
+
+
+def _outcome(path):
+    """The loaded panel, bit for bit and with every array's dtype, or the exception's class and
+    text; loading warns of nothing."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            data = load_panel(path)
+        except Exception as exc:
+            data = exc
+    assert caught == []
+    if isinstance(data, Exception):
+        return type(data).__name__, str(data)
+    arrays = (data.unit_codes, data.period_levels, data.period_codes, data.source_lines,
+              *data.columns.values())
+    return _public(data), [arr.dtype.str for arr in arrays]
+
+
+@settings(max_examples=400)
+@given(mutated_files(), st.sampled_from([1, 3, 4096]))
+def test_numpy_reader_and_csv_reader_load_the_same_panel(tmp_path_factory, content, block_records):
+    """`load_panel` as it is, and with numpy's reader refusing every block so that `csv.reader`
+    reads them all, give the same panel, source lines and dtypes included, or the same error."""
+    path = tmp_path_factory.mktemp("readers") / "panel.csv"
+    path.write_bytes(content)
+    with mock.patch.object(dataio, "BLOCK_RECORDS", block_records):
+        fast = _outcome(path)
+        with mock.patch.object(dataio, "_convert_lines", lambda *args: None):
+            assert _outcome(path) == fast
+
+
+def test_clean_blocks_are_read_by_numpy_alone(tmp_path):
+    """Blocks of whole, clean records never reach the csv path; one with a quote does."""
+    lines = ["unit,period,x", *(f"u{i},{2000 + i},{i}.25" for i in range(10))]
+    path = tmp_path / "panel.csv"
+    with mock.patch.object(dataio, "BLOCK_RECORDS", 3), \
+            mock.patch.object(dataio, "_convert_block", wraps=dataio._convert_block) as csv_path:
+        for quoted, calls in ((False, 0), (True, 1)):
+            if quoted:
+                lines[5] = '"u4",2004,4.25'
+            path.write_text("\n".join(lines), encoding="utf-8")
+            assert load_panel(path).column("x").tolist() == [i + 0.25 for i in range(10)]
+            assert csv_path.call_count == calls
 
 
 @pytest.mark.parametrize("name", DUMMY_COLUMNS)
