@@ -37,7 +37,8 @@ DUMMY_COLUMNS = ("Alone", "Subscribe")
 DEPENDENT_COLUMN = "log_share_diff"
 
 
-#: Records read, converted and written per block by `load_panel` and `write_panel_csv`.
+#: Lines read per block by `load_panel` (records, when a block falls back to `csv.reader`)
+#: and records written per block by `write_panel_csv`.
 BLOCK_RECORDS = 4096
 
 
@@ -227,6 +228,8 @@ def load_panel(path) -> PanelDataset:
     it refuses is read from its first line by `csv.reader`, `BLOCK_RECORDS` records, and
     converted column by column; when that does not convert, `_find_fault` raises its first
     fault, or finds none, and the block is converted again without its blank records.
+    Not safe to call from several threads at once: each block sets the process-wide
+    warning filters while numpy reads it.
     """
     path = Path(path)
     with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
@@ -256,9 +259,12 @@ def load_panel(path) -> PanelDataset:
         parts = [[np.empty(0, np.intp)], [np.empty(0, np.int64)], [np.empty(0, np.int64)],
                  *([np.empty(0)] for _ in value_pos)]
         first_line = 2
+        screen = False
         while block := list(itertools.islice(fh, BLOCK_RECORDS)):
             lines = np.arange(first_line, first_line + len(block))
-            converted = _convert_lines(block, lines, fields, u_pos, t_pos, value_pos, index)
+            converted = _convert_lines(block, lines, fields, u_pos, t_pos, value_pos, index,
+                                       screen)
+            screen = converted is None
             if converted is None:
                 # BLOCK_RECORDS records from the block's first line. They span all its lines, and
                 # more when a quoted record runs past them: the next block starts on a record.
@@ -301,7 +307,7 @@ def load_panel(path) -> PanelDataset:
 _UNDECODED = re.compile("[\udc80-\udcff]")
 
 
-def _convert_lines(block, lines, fields, u_pos, t_pos, value_pos, index):
+def _convert_lines(block, lines, fields, u_pos, t_pos, value_pos, index, screen):
     """What `_convert_block` makes of a block's records, converted by one `np.loadtxt` call;
     None unless each line is a whole record and the block converts.
 
@@ -311,13 +317,20 @@ def _convert_lines(block, lines, fields, u_pos, t_pos, value_pos, index):
     one cell per field, and skips a blank line, which the row count shows. Where numpy and
     `_convert_block` both accept a cell, they give the same number: both strip what
     `str.strip` strips, and numpy's float parser is Python's. A cell only Python reads (`1_0`,
-    `１`), a blank cell and a non-finite value are refused here and reach `csv.reader`."""
+    `１`), a blank cell and a non-finite value are refused here and reach `csv.reader`.
+    With `screen`, a block with an empty cell is refused before numpy parses it up to that
+    cell. The search would add a few percent to every clean block, so `load_panel` screens
+    only a block that follows a refused one."""
     text = "".join(block)
-    if '"' in text or "\0" in text or max(map(len, block)) > csv.field_size_limit():
+    if ('"' in text or "\0" in text or max(map(len, block)) > csv.field_size_limit()
+            or screen and _has_empty_cell(text)):
         return None
     try:
+        # A warning refuses the block. numpy warns of a block without rows, and numpy
+        # releases that only deprecate parsing an integer through a float warn of a period
+        # such as "2014.0", which they would read as 2014 and `int` refuses.
         with warnings.catch_warnings():
-            warnings.simplefilter("error")  # numpy warns of a block without rows
+            warnings.simplefilter("error")
             table = np.loadtxt(block, dtype=fields, delimiter=",", comments=None, ndmin=1)
     except (ValueError, Warning):
         return None
@@ -330,30 +343,56 @@ def _convert_lines(block, lines, fields, u_pos, t_pos, value_pos, index):
     return None if units is None else (units, table[str(t_pos)].copy(), lines, *values)
 
 
+def _has_empty_cell(text) -> bool:
+    """Whether a comma in `text` (whole lines) starts or ends a line or follows a comma.
+    The text is searched in slices of `_SCREEN_BYTES`, one byte of overlap apart: arrays
+    that small reuse freed memory, where a block-sized array costs more to map than to
+    compare."""
+    data = text.encode("utf-8", "surrogateescape")
+    if data[:1] == b"," or data[-1:] == b",":
+        return True
+    for start in range(0, len(data), _SCREEN_BYTES):
+        chars = np.frombuffer(data[start:start + _SCREEN_BYTES + 1], np.uint8)
+        comma = chars == ord(",")
+        line_end = (chars == ord("\n")) | (chars == ord("\r"))
+        if (np.any(comma[1:] & (comma[:-1] | line_end[:-1]))
+                or np.any(comma[:-1] & line_end[1:])):
+            return True
+    return False
+
+
+_SCREEN_BYTES = 1 << 16
+
+
 def _convert_block(block, lines, header, u_pos, t_pos, value_pos, index):
     """A block's unit codes, periods, lines and value columns, converted column by column;
-    None when a record is blank or ragged or a cell does not convert. Cells are stripped
-    first, as `_find_fault` strips them: `int` and `float` strip less (not "\\x1c")."""
+    None when a record is blank or ragged or a cell does not convert. A column `int` or
+    `float` refuses is tried again on cells stripped as `_find_fault` strips them: `int`
+    and `float` strip less (not "\\x1c"), and where they accept a cell, stripping it
+    first gives the same number."""
     if set(map(len, block)) != {len(header)}:
         return None
     n = len(block)
     cells = list(zip(*block))
     try:
-        periods = np.fromiter(map(int, map(str.strip, cells[t_pos])), np.int64, n)
+        periods = np.fromiter(map(int, cells[t_pos]), np.int64, n)
     except (ValueError, OverflowError):
-        return None
+        try:
+            periods = np.fromiter(map(int, map(str.strip, cells[t_pos])), np.int64, n)
+        except (ValueError, OverflowError):
+            return None
     values = []
     for k in value_pos:
-        column = list(map(str.strip, cells[k]))
         try:
-            x = np.fromiter(map(float, column), float, n)
+            x = np.fromiter(map(float, cells[k]), float, n)
         except ValueError:
             try:
-                x = np.fromiter((float(c) if c else math.nan for c in column), float, n)
+                x = np.fromiter((float(c) if c else math.nan for c in map(str.strip, cells[k])),
+                                float, n)
             except ValueError:
                 return None
         # NaN is allowed only for a blank cell, never for a "nan" or "inf" literal.
-        if any(column[i] for i in np.flatnonzero(~np.isfinite(x)).tolist()):
+        if any(cells[k][i].strip() for i in np.flatnonzero(~np.isfinite(x)).tolist()):
             return None
         values.append(x)
     units = _code_units(cells[u_pos], index)

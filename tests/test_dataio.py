@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from logitdemand import dataio
 from logitdemand.dataio import (
     BLOCK_RECORDS,
     DEPENDENT_COLUMN,
@@ -88,8 +89,9 @@ def test_ragged_row_rejected(tmp_path):
 
 # --- which fault is reported -------------------------------------------------
 # The first faulty line wins; within it the unit, then the period, then the
-# value columns in header order. Blocks of BLOCK_RECORDS records are converted
-# column by column, so these pin the row-major rule across and within blocks.
+# value columns in header order. A block with a fault is read again by csv.reader
+# and its cells checked record by record, so these pin the row-major rule across
+# and within blocks.
 
 
 def _clean_lines(n, header="unit,period,a,b"):
@@ -152,6 +154,18 @@ def test_cells_are_stripped_as_str_strip_strips(tmp_path, blank):
     data = load_panel(_write(tmp_path, text))
     assert (data.units, data.periods) == (("u", "v"), (2014, 2015))
     assert data.column("a")[0] == 1.5 and np.isnan(data.column("a")[1]) == blank
+
+
+@pytest.mark.parametrize("screen_bytes", [4, 1 << 16])
+def test_empty_cell_screen_finds_a_comma_at_a_line_edge_or_after_a_comma(monkeypatch,
+                                                                         screen_bytes):
+    """Slices of 4 bytes put an empty cell across a slice edge."""
+    monkeypatch.setattr(dataio, "_SCREEN_BYTES", screen_bytes)
+    for text in [",1,2\n", "ab,,2\n", "abc,,d\n", "ab,1,\n", "ab,1,\r\n", "ab,1,\r", "ab,1,",
+                 "ab,1,2\r\n,1,2\r\n", "ab,1,2\rb,,1\r", "abcd,\nx,1\n", "abcd\n,x\n"]:
+        assert dataio._has_empty_cell(text), text
+    for text in ["ab,1,2\n", "ab,1,2\r\ncd,3,4", "\u00e9,1,2\n", "abc,d\ne,f\n", "a\udcff,1\n"]:
+        assert not dataio._has_empty_cell(text), text
 
 
 def test_whitespace_row_is_skipped_and_the_ragged_row_after_it_is_not(tmp_path):
