@@ -204,7 +204,7 @@ def _validate_dataset(data: PanelDataset):
     rows = np.flatnonzero(codes == t)
     period = int(data.period_levels[t])
     if conflicting[t]:
-        sizes = sorted(set(n[rows][known[rows]]))
+        sizes = sorted(set(n[rows][known[rows]].tolist()))
         raise DomainViolationError(
             "market_size", data.row_label(rows[0]),
             f"period {period} carries conflicting market sizes {sizes}",
@@ -218,18 +218,17 @@ def _validate_dataset(data: PanelDataset):
 def load_panel(path) -> PanelDataset:
     """Load and validate a panel CSV keyed by its `unit` and `period` columns; rows come back
     sorted by (unit, period), and `DUMMY_COLUMNS` must hold 0/1. A leading UTF-8 byte-order
-    mark is skipped.
+    mark is skipped. Cells are quoted as `csv.reader` quotes them; an empty or whitespace-only
+    cell is missing.
 
     Blank records (empty, whitespace-only or with every cell empty) are skipped. A fault,
     a byte that is not UTF-8 included, is a `ParseError` on the first faulty line (the
     header is line 1) and, within it, on the unit, then the period, then the first faulty
-    value column in header order. The file is read `BLOCK_RECORDS` lines at a time, and
-    numpy's reader converts each block of whole, clean records (`_convert_lines`). A block
-    it refuses is read from its first line by `csv.reader`, `BLOCK_RECORDS` records, and
-    converted column by column; when that does not convert, `_find_fault` raises its first
-    fault, or finds none, and the block is converted again without its blank records.
-    Not safe to call from several threads at once: each block sets the process-wide
-    warning filters while numpy reads it.
+    value column in header order. The file is read `BLOCK_RECORDS` lines at a time. numpy's
+    reader converts each block it reads as `csv.reader` would, blank cells filled with `nan`
+    (`_convert_lines`); `csv.reader` reads a block it refuses from its first line,
+    `BLOCK_RECORDS` records, converted one by one (`_read_records`). Not safe to call from
+    several threads at once: each block sets the process-wide warning filters.
     """
     path = Path(path)
     with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
@@ -259,33 +258,21 @@ def load_panel(path) -> PanelDataset:
         parts = [[np.empty(0, np.intp)], [np.empty(0, np.int64)], [np.empty(0, np.int64)],
                  *([np.empty(0)] for _ in value_pos)]
         first_line = 2
-        screen = False
+        fill = False
         while block := list(itertools.islice(fh, BLOCK_RECORDS)):
             lines = np.arange(first_line, first_line + len(block))
-            converted = _convert_lines(block, lines, fields, u_pos, t_pos, value_pos, index,
-                                       screen)
-            screen = converted is None
+            converted = _convert_lines(block, lines, fields, u_pos, t_pos, value_pos, index, fill)
             if converted is None:
                 # BLOCK_RECORDS records from the block's first line. They span all its lines, and
                 # more when a quoted record runs past them: the next block starts on a record.
-                records, error = [], None
-                try:
-                    records.extend(itertools.islice(csv.reader(itertools.chain(block, fh)),
-                                                    BLOCK_RECORDS))
-                except csv.Error as exc:  # raised on the record after `records`
-                    error = exc
-                lines = lines[:len(records)]
-                converted = _convert_block(records, lines, header, u_pos, t_pos, value_pos, index)
-                if converted is None:
-                    _find_fault(records, first_line, header, u_pos, t_pos, value_pos)
-                    kept = [k for k, record in enumerate(records) if any(c.strip() for c in record)]
-                    converted = kept and _convert_block([records[k] for k in kept], lines[kept],
-                                                        header, u_pos, t_pos, value_pos, index)
-                if error is not None:
-                    raise ParseError(first_line + len(records), "", str(error))
+                records = itertools.islice(csv.reader(itertools.chain(block, fh)), BLOCK_RECORDS)
+                converted = _read_records(records, first_line, header, u_pos, t_pos, value_pos,
+                                          index)
+            # After a block with a blank cell, fill the next one before numpy first reads it.
+            fill = any(np.isnan(x).any() for x in converted[3:])
             for part, array in zip(parts, converted):
                 part.append(array)
-            first_line += len(lines)
+            first_line += len(block)
 
     unit_parts, period_parts, line_parts, *value_parts = parts
     periods = np.concatenate(period_parts)
@@ -307,96 +294,96 @@ def load_panel(path) -> PanelDataset:
 _UNDECODED = re.compile("[\udc80-\udcff]")
 
 
-def _convert_lines(block, lines, fields, u_pos, t_pos, value_pos, index, screen):
-    """What `_convert_block` makes of a block's records, converted by one `np.loadtxt` call;
-    None unless each line is a whole record and the block converts.
+def _convert_lines(block, lines, fields, u_pos, t_pos, value_pos, index, fill):
+    """What `_read_records` makes of a block's records, converted by `np.loadtxt`; None unless
+    each line is one whole record and the block converts. A block numpy refuses, and each one
+    with `fill`, is read with its blank cells filled (`_fill_blank_cells`).
 
-    numpy's reader gets no quote, NUL (`csv.reader` refuses it before Python 3.11) or line
-    past `csv.field_size_limit()`, so each line is one record that `csv.reader` reads without
-    error, split at its commas as numpy splits it. numpy refuses a line without
-    one cell per field, and skips a blank line, which the row count shows. Where numpy and
-    `_convert_block` both accept a cell, they give the same number: both strip what
-    `str.strip` strips, and numpy's float parser is Python's. A cell only Python reads (`1_0`,
-    `１`), a blank cell and a non-finite value are refused here and reach `csv.reader`.
-    With `screen`, a block with an empty cell is refused before numpy parses it up to that
-    cell. The search would add a few percent to every clean block, so `load_panel` screens
-    only a block that follows a refused one."""
+    numpy gets no NUL (`csv.reader` refuses it before Python 3.11) or line past
+    `csv.field_size_limit()`, and splits and unquotes cells as `csv.reader` does. The row count
+    shows a line it joins at a quoted line break or skips as blank; a last line cut inside
+    quotes, which numpy ends at the cut, is refused. Where numpy and `_read_records` both accept
+    a cell they give the same number: both strip what `str.strip` strips, and numpy's float
+    parser is Python's. A cell only Python reads (`1_0`, `１`) and a non-finite value are
+    refused, and a NaN is kept only as a fill: one per fill, and no `nan` text in the block."""
     text = "".join(block)
-    if ('"' in text or "\0" in text or max(map(len, block)) > csv.field_size_limit()
-            or screen and _has_empty_cell(text)):
+    if "\0" in text or max(map(len, block)) > csv.field_size_limit():
         return None
-    try:
-        # A warning refuses the block. numpy warns of a block without rows, and numpy
-        # releases that only deprecate parsing an integer through a float warn of a period
-        # such as "2014.0", which they would read as 2014 and `int` refuses.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            table = np.loadtxt(block, dtype=fields, delimiter=",", comments=None, ndmin=1)
-    except (ValueError, Warning):
-        return None
-    if len(table) != len(block):
+    filled, table = 0, None if fill else _read_table(block, fields)
+    if table is None:
+        block, filled = _fill_blank_cells(block)
+        if not (filled or fill) or filled and "nan" in text.lower():
+            return None
+        table = _read_table(block, fields)
+    if (table is None or len(table) != len(lines)
+            or '"' in block[-1] and next(csv.reader(block[-1:]))[-1].endswith(("\n", "\r"))):
         return None
     values = [table[str(k)].copy() for k in value_pos]
-    if not all(np.isfinite(x).all() for x in values):
+    if sum(np.isnan(x).sum() for x in values) != filled or any(np.isinf(x).any() for x in values):
         return None
     units = _code_units(table[str(u_pos)].tolist(), index)
     return None if units is None else (units, table[str(t_pos)].copy(), lines, *values)
 
 
-def _has_empty_cell(text) -> bool:
-    """Whether a comma in `text` (whole lines) starts or ends a line or follows a comma.
-    The text is searched in slices of `_SCREEN_BYTES`, one byte of overlap apart: arrays
-    that small reuse freed memory, where a block-sized array costs more to map than to
-    compare."""
-    data = text.encode("utf-8", "surrogateescape")
-    if data[:1] == b"," or data[-1:] == b",":
-        return True
-    for start in range(0, len(data), _SCREEN_BYTES):
-        chars = np.frombuffer(data[start:start + _SCREEN_BYTES + 1], np.uint8)
-        comma = chars == ord(",")
-        line_end = (chars == ord("\n")) | (chars == ord("\r"))
-        if (np.any(comma[1:] & (comma[:-1] | line_end[:-1]))
-                or np.any(comma[:-1] & line_end[1:])):
-            return True
-    return False
-
-
-_SCREEN_BYTES = 1 << 16
-
-
-def _convert_block(block, lines, header, u_pos, t_pos, value_pos, index):
-    """A block's unit codes, periods, lines and value columns, converted column by column;
-    None when a record is blank or ragged or a cell does not convert. A column `int` or
-    `float` refuses is tried again on cells stripped as `_find_fault` strips them: `int`
-    and `float` strip less (not "\\x1c"), and where they accept a cell, stripping it
-    first gives the same number."""
-    if set(map(len, block)) != {len(header)}:
-        return None
-    n = len(block)
-    cells = list(zip(*block))
+def _read_table(block, fields):
+    """numpy's reading of a block's lines into `fields`; None when it refuses them or warns:
+    of a block without rows, or, in numpy releases that only deprecate parsing an integer
+    through a float, of a period such as "2014.0", which they read as 2014 and `int` refuses."""
     try:
-        periods = np.fromiter(map(int, cells[t_pos]), np.int64, n)
-    except (ValueError, OverflowError):
-        try:
-            periods = np.fromiter(map(int, map(str.strip, cells[t_pos])), np.int64, n)
-        except (ValueError, OverflowError):
-            return None
-    values = []
-    for k in value_pos:
-        try:
-            x = np.fromiter(map(float, cells[k]), float, n)
-        except ValueError:
-            try:
-                x = np.fromiter((float(c) if c else math.nan for c in map(str.strip, cells[k])),
-                                float, n)
-            except ValueError:
-                return None
-        # NaN is allowed only for a blank cell, never for a "nan" or "inf" literal.
-        if any(cells[k][i].strip() for i in np.flatnonzero(~np.isfinite(x)).tolist()):
-            return None
-        values.append(x)
-    units = _code_units(cells[u_pos], index)
-    return None if units is None else (units, periods, lines, *values)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return np.loadtxt(block, fields, delimiter=",", comments=None, quotechar='"', ndmin=1)
+    except (ValueError, Warning):
+        return None
+
+
+#: `str.isspace` of each ASCII byte; bytes, as a numpy array made at import slowed `mc_acceptance`.
+_SPACE = bytes(chr(i).isspace() for i in range(128))
+
+
+def _fill_blank_cells(block) -> tuple:
+    """The block's lines with `nan` written over each blank cell, one of ASCII whitespace in
+    a pair of quotes or none, and the number of cells filled: `csv.reader` reads the filled
+    lines as it reads `block`, but for "nan" in each blank cell. The block comes back with 0
+    when a quote neither opens nor closes a cell, or quotes a line break: quote parity is
+    then not `csv.reader`'s quoting, or a fill would join lines. The bytes at or below ","
+    are all that can quote, cut or blank a cell; one pass finds them, the rest works on
+    their positions, and only lines holding a fill are rebuilt."""
+    data = b"\n" + "".join(block).encode("utf-8", "surrogateescape") + b"\n"
+    c = np.frombuffer(data, np.uint8)
+    at = np.flatnonzero(c <= ord(","))
+    b = c[at]
+    quote = b == ord('"')
+    inside = np.logical_xor.accumulate(quote)
+    line_end = (b == ord("\n")) | (b == ord("\r"))
+    # A quote opens a cell after a comma, a line end or a quote, and closes one before them.
+    edge = (ord(","), ord("\n"), ord("\r"), ord('"'))
+    if (np.any(inside & line_end) or not np.isin(c[at[quote][0::2] - 1], edge).all()
+            or not np.isin(c[at[quote][1::2] + 1], edge).all()):
+        return block, 0
+    # The cells lie between the cuts, line ends and commas outside quotes. One is blank when
+    # each byte is whitespace or one of two quotes, and an empty one lies next to a comma.
+    k = np.flatnonzero(line_end | (b == ord(",")) & ~inside)
+    start, stop = at[k[:-1]] + 1, at[k[1:]]
+    weak, quotes = np.cumsum(np.frombuffer(_SPACE, bool)[b] & ~line_end | quote), np.cumsum(quote)
+    n_quotes = quotes[k[1:]] - quotes[k[:-1]]
+    comma = b[k] == ord(",")
+    blank = ((weak[k[1:]] - weak[k[:-1]] == stop - start) & ((n_quotes == 0) | (n_quotes == 2))
+             & ((stop > start) | comma[:-1] | comma[1:]))
+    start, stop = start[blank].tolist(), stop[blank].tolist()
+    # Lines end at "\n", and at "\r" not before "\n", as the file splits them.
+    ends = at[line_end]
+    ends = ends[(c[ends] == ord("\n")) | (c[np.minimum(ends + 1, c.size - 1)] != ord("\n"))]
+    bounds = np.minimum(ends + 1, c.size - 1).tolist()  # line i is data[bounds[i]:bounds[i + 1]]
+    filled = list(block)
+    for i, fills in itertools.groupby(zip(np.searchsorted(ends, start).tolist(), start, stop),
+                                      key=lambda fill: fill[0] - 1):  # the fills of line i
+        pieces, pos = [], bounds[i]
+        for _, s, e in fills:
+            pieces += (data[pos:s], b"nan")
+            pos = e
+        filled[i] = b"".join([*pieces, data[pos:bounds[i + 1]]]).decode("utf-8", "surrogateescape")
+    return filled, len(start)
 
 
 def _code_units(cells, index):
@@ -412,34 +399,46 @@ def _code_units(cells, index):
     return np.fromiter(map(code.__getitem__, cells), np.intp, len(cells))
 
 
-def _find_fault(block, first_line, header, u_pos, t_pos, value_pos):
-    """Raise the `ParseError` of the block's first faulty record, checking its cells in
-    the order `load_panel` documents; return if every record is whole or blank."""
-    for line, record in enumerate(block, start=first_line):
-        if not any(cell.strip() for cell in record):
-            continue
-        if len(record) != len(header):
-            raise ParseError(line, "", f"expected {len(header)} fields, got {len(record)}")
-        for k in (u_pos, t_pos, *value_pos):
-            cell = record[k].strip()
-            if _UNDECODED.search(cell):
-                raise ParseError(line, header[k], "not valid UTF-8")
-            if k == u_pos and not cell:
-                raise ParseError(line, header[k], "empty unit identifier")
-            if k == t_pos:
+def _read_records(records, first_line, header, u_pos, t_pos, value_pos, index):
+    """The unit codes, periods, lines and value columns of the records from `first_line` on,
+    converted one by one: a blank record is skipped, an empty cell is NaN, and the first fault
+    raises its `ParseError`, on the unit, then the period, then the value columns in header
+    order. Cells are stripped as `str.strip` strips them; `int` and `float` keep "\\x1c"."""
+    codes, keys, values, line = {}, [], [], first_line - 1
+    try:
+        for line, record in enumerate(records, first_line):
+            cells = [cell.strip() for cell in record]
+            if not any(cells):
+                continue
+            if len(cells) != len(header):
+                raise ParseError(line, "", f"expected {len(header)} fields, got {len(cells)}")
+            unit, period = cells[u_pos], cells[t_pos]
+            if unit not in codes:
+                if not unit or _UNDECODED.search(unit):
+                    raise ParseError(line, header[u_pos],
+                                     "not valid UTF-8" if unit else "empty unit identifier")
+                codes[unit] = index.setdefault(unit, len(index))
+            try:
+                period = int(period)
+            except ValueError:
+                raise ParseError(line, header[t_pos], "not valid UTF-8" if _UNDECODED.search(period)
+                                 else f"period {record[t_pos]!r} is not an integer") from None
+            if not -2**63 <= period < 2**63:
+                raise ParseError(line, header[t_pos], f"period {period} does not fit 64 bits")
+            keys += (codes[unit], period, line)
+            for k in value_pos:
+                cell = cells[k]
                 try:
-                    period = int(cell)
+                    values.append(float(cell) if cell else math.nan)
                 except ValueError:
-                    raise ParseError(line, header[k], f"period {record[k]!r} is not an integer") from None
-                if not -2**63 <= period < 2**63:
-                    raise ParseError(line, header[k], f"period {period} does not fit 64 bits")
-            elif k != u_pos and cell:
-                try:
-                    x = float(cell)
-                except ValueError:
-                    raise ParseError(line, header[k], f"cannot parse {cell!r} as a number") from None
-                if not math.isfinite(x):
+                    raise ParseError(line, header[k], "not valid UTF-8" if _UNDECODED.search(cell)
+                                     else f"cannot parse {cell!r} as a number") from None
+                if cell and not math.isfinite(values[-1]):
                     raise ParseError(line, header[k], f"non-finite value {cell!r}")
+    except csv.Error as exc:  # raised on the record after `line`
+        raise ParseError(line + 1, "", str(exc)) from None
+    keys = np.array(keys, np.int64).reshape(-1, 3)
+    return (*keys.T, *np.array(values).reshape(len(keys), len(value_pos)).T)
 
 
 def write_panel_csv(data: PanelDataset, path):

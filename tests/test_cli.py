@@ -563,8 +563,9 @@ EDGE_CELLS = ["", "nan", "inf", "1e308", "-1e308", "1e-320", "1e400", "1_0", "0x
 @given(data=st.data())
 def test_a_mutated_panel_keeps_the_exit_contract(mutation_dir, data):
     """One cell or record of a clean panel mutated; `invert`, `estimate` and `diagnose` on it
-    raise nothing, and a failure is one `error:` line on stderr and nothing on stdout. Blocks
-    of 4 records put the mutation in a block numpy's reader converts or in one it refuses."""
+    raise nothing, and a failure is one `error:` line on stderr and nothing on stdout. A success
+    prints no number that is not finite, but a first-stage F of inf (an exact first stage).
+    Blocks of 4 records put the mutation in a block numpy's reader converts or in one it refuses."""
     records = (mutation_dir / "clean.csv").read_bytes().decode("utf-8").split("\r\n")[:-1]
     k = data.draw(st.integers(1, len(records) - 1))
     kind = data.draw(st.sampled_from(["cell", "short", "long", "repeat", "blank"]))
@@ -596,6 +597,9 @@ def test_a_mutated_panel_keeps_the_exit_contract(mutation_dir, data):
         else:
             assert out.getvalue()
             assert all(line.startswith("note: ") for line in err.getvalue().splitlines())
+            for line in out.getvalue().splitlines():
+                assert (not re.search(r"\b(nan|inf)\b", line, re.I)
+                        or re.fullmatch(r"  F: +inf", line)), line
 
 
 def test_simulate_emits_loadable_dataset(tmp_path, capsys):

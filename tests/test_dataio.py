@@ -5,7 +5,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from logitdemand import dataio
 from logitdemand.dataio import (
     BLOCK_RECORDS,
     DEPENDENT_COLUMN,
@@ -108,6 +107,8 @@ def _parse_error(tmp_path, lines):
     ("u,2014,1.5,oops", "b", "cannot parse 'oops' as a number"),
     ("u,2014,nan,1", "a", "non-finite value 'nan'"),
     (" ,2014,1,1", "unit", "empty unit identifier"),
+    # Filled, the blank unit would read "nan" and the blank b one NaN in place of the literal's.
+    (",2014,nan,", "unit", "empty unit identifier"),
     ("u,2014.0,1,1", "period", "period '2014.0' is not an integer"),
     ("u,2014,1", "", "expected 4 fields, got 3"),
     ("u,99999999999999999999,oops,1", "period",
@@ -149,23 +150,26 @@ def test_non_finite_literals_are_rejected(tmp_path, literal):
 @pytest.mark.parametrize("blank", [False, True], ids=["numpy_reader", "csv_path"])
 def test_cells_are_stripped_as_str_strip_strips(tmp_path, blank):
     """`int` and `float` keep "\\x1c" to "\\x1f", which `str.strip` strips; a cell is stripped
-    first on either path (a blank cell sends its block to the csv path)."""
-    text = "unit,period,a\nu\x1c,\x1f2014\x1c,\x1d1.5\x1e\nv,2015," + ("" if blank else "2") + "\n"
+    first on either path (a blank record sends its block to the csv path)."""
+    text = ("unit,period,a\nu\x1c,\x1f2014\x1c,\x1d1.5\x1e\n" + ("\n" if blank else "")
+            + "v,2015," + ("" if blank else "2") + "\n")
     data = load_panel(_write(tmp_path, text))
     assert (data.units, data.periods) == (("u", "v"), (2014, 2015))
     assert data.column("a")[0] == 1.5 and np.isnan(data.column("a")[1]) == blank
 
 
-@pytest.mark.parametrize("screen_bytes", [4, 1 << 16])
-def test_empty_cell_screen_finds_a_comma_at_a_line_edge_or_after_a_comma(monkeypatch,
-                                                                         screen_bytes):
-    """Slices of 4 bytes put an empty cell across a slice edge."""
-    monkeypatch.setattr(dataio, "_SCREEN_BYTES", screen_bytes)
-    for text in [",1,2\n", "ab,,2\n", "abc,,d\n", "ab,1,\n", "ab,1,\r\n", "ab,1,\r", "ab,1,",
-                 "ab,1,2\r\n,1,2\r\n", "ab,1,2\rb,,1\r", "abcd,\nx,1\n", "abcd\n,x\n"]:
-        assert dataio._has_empty_cell(text), text
-    for text in ["ab,1,2\n", "ab,1,2\r\ncd,3,4", "\u00e9,1,2\n", "abc,d\ne,f\n", "a\udcff,1\n"]:
-        assert not dataio._has_empty_cell(text), text
+def test_a_quoted_line_break_at_a_block_end_keeps_its_record_whole(tmp_path):
+    """numpy's reader ends a quoted cell at the end of its block; a record whose quoted last
+    cell runs past the block's last line is read whole, on the line numbers of its records."""
+    lines = _clean_lines(2 * BLOCK_RECORDS)
+    clean = load_panel(_write(tmp_path, "\n".join(lines) + "\n", "clean.csv"))
+    u, period, a, b = lines[BLOCK_RECORDS].split(",")
+    lines[BLOCK_RECORDS:BLOCK_RECORDS + 1] = [f'{u},{period},{a},"{b}', '"']
+    cut = load_panel(_write(tmp_path, "\n".join(lines) + "\n", "cut.csv"))
+    for name in ("unit_levels", "unit_codes", "period_codes", "source_lines"):
+        assert getattr(cut, name).tolist() == getattr(clean, name).tolist()
+    for name, column in clean.columns.items():
+        assert cut.column(name).tobytes() == column.tobytes()
 
 
 def test_whitespace_row_is_skipped_and_the_ragged_row_after_it_is_not(tmp_path):
@@ -266,8 +270,10 @@ def test_aggregate_quantity_below_market_size(tmp_path):
 
 def test_conflicting_market_sizes_rejected(tmp_path):
     text = "unit,period,quantity,market_size\na,2014,1,10\nb,2014,1,12\n"
-    with pytest.raises(DomainViolationError):
+    with pytest.raises(DomainViolationError) as err:
         load_panel(_write(tmp_path, text))
+    assert str(err.value) == ("column 'market_size', row line 2: "
+                              "period 2014 carries conflicting market sizes [10.0, 12.0]")
 
 
 def test_round_trip_is_bitwise(tmp_path):

@@ -15,7 +15,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from logitdemand import dataio
@@ -200,7 +200,8 @@ def test_label_constructor_and_loader_agree(tmp_path_factory, panel, rnd):
 #: "\udcff" is written as the byte 0xff, which is not UTF-8.
 CELL_MUTATIONS = ["", " ", "nan", "inf", "-Infinity", "1e308", "-1e308", "1e-320", "1e400", "1_0",
                   "0x10", "１", "٣", "2_001", "2014.0", "1e3", "9223372036854775808", " +7 ",
-                  "\udcff", "\x00", '"', '"q"', "a b", "\x0c3\x1c", "0." + "1" * 131_071]
+                  "\udcff", "\x00", '"', '"q"', "a b", "\x0c3\x1c", "0." + "1" * 131_071,
+                  '"a,b"', '""', '"1.5"', "\t"]
 RECORD_MUTATIONS = ["short", "long", "repeat", "blank"]
 
 
@@ -267,18 +268,77 @@ def test_numpy_reader_and_csv_reader_load_the_same_panel(tmp_path_factory, conte
             assert _outcome(path) == fast
 
 
-def test_clean_blocks_are_read_by_numpy_alone(tmp_path):
-    """Blocks of whole, clean records never reach the csv path; one with a quote does."""
+#: Cells for the fill: blank ones, unquoted and quoted, and others with quotes, commas or spaces.
+FILL_CELLS = st.one_of(
+    st.sampled_from(["", " ", "\t", " \x0b\x0c ", "\x1c", '""', '" "', '"\t "', '"a,b"', '","',
+                     '"say ""hi"""', '""""', "nan", "1.5"]),
+    st.text(st.sampled_from(" \tab1.,"), max_size=3),
+)
+#: Cells whose quotes `csv.reader` does not read as opening and closing a cell, or that quote a
+#: line break: only these may make the fill decline.
+MISLEADING_CELLS = ['"two\nlines"', '" \r\n"', '"a"b', 'a"b', ' "a"', '"a" ', '"']
+
+
+@st.composite
+def fill_blocks(draw):
+    """Records of `FILL_CELLS` with up to two `MISLEADING_CELLS` among them, and their lines as
+    the file splits them, with `\\n`, `\\r` or `\\r\\n` line ends and a last one or none."""
+    records = draw(st.lists(st.lists(FILL_CELLS, min_size=1, max_size=4), min_size=1, max_size=6))
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        cells = records[draw(st.integers(0, len(records) - 1))]
+        cells.insert(draw(st.integers(0, len(cells))), draw(st.sampled_from(MISLEADING_CELLS)))
+    eols = st.sampled_from(["\n", "\r", "\r\n"])
+    text = "".join(",".join(cells) + draw(eols) for cells in records)
+    text = text if draw(st.booleans()) else text.rstrip("\r\n")
+    return records, io.StringIO(text, newline="").readlines()
+
+
+@settings(max_examples=300)
+@example(([["", 'a"b', '"']], [',a"b,"\n']))  # parity would fill the first cell, not the last
+@given(fill_blocks())
+def test_the_fill_writes_nan_into_exactly_the_blank_cells(records_and_block):
+    """`csv.reader` reads the filled lines as it reads the block's, but for "nan" in every
+    cell that `str.strip` leaves empty; or, only for a block with a misleading cell, the fill
+    declines and returns the block with 0."""
+    records, block = records_and_block
+    assume(block)
+    filled, count = dataio._fill_blank_cells(block)
+    original = list(csv.reader(block))
+    blank = sum(not cell.strip() for record in original for cell in record)
+    if blank and not count:
+        assert filled == block
+        assert any(cell in MISLEADING_CELLS for cells in records for cell in cells)
+        return
+    assert len(filled) == len(block) and count == blank
+    assert list(csv.reader(filled)) == [["nan" if not cell.strip() else cell for cell in record]
+                                        for record in original]
+
+
+@pytest.mark.parametrize("record, x, record_reader", [
+    ("u4,2004,4.25", 4.25, False),
+    ('"u4",2004,"4.25"', 4.25, False),
+    ("u4,2004,", math.nan, False),
+    ("u4,2004, \t", math.nan, False),
+    ('u4,2004,""', math.nan, False),
+    ("u4,2004,1_0", 10.0, True),
+    ("\nu4,2004,4.25", 4.25, True),
+    ("u4\0,2004,4.25", 4.25, True),
+], ids=["clean", "quoted", "blank_cell", "whitespace_cell", "quoted_blank_cell", "underscore",
+        "blank_record", "nul"])
+def test_only_blocks_numpy_cannot_read_reach_the_record_reader(tmp_path, record, x, record_reader):
+    """Clean, quoted and blank-cell blocks are read by numpy alone; a cell only Python reads,
+    a blank record and a NUL send their block to `_read_records`."""
     lines = ["unit,period,x", *(f"u{i},{2000 + i},{i}.25" for i in range(10))]
+    lines[5] = record
     path = tmp_path / "panel.csv"
+    path.write_text("\n".join(lines), encoding="utf-8")
     with mock.patch.object(dataio, "BLOCK_RECORDS", 3), \
-            mock.patch.object(dataio, "_convert_block", wraps=dataio._convert_block) as csv_path:
-        for quoted, calls in ((False, 0), (True, 1)):
-            if quoted:
-                lines[5] = '"u4",2004,4.25'
-            path.write_text("\n".join(lines), encoding="utf-8")
-            assert load_panel(path).column("x").tolist() == [i + 0.25 for i in range(10)]
-            assert csv_path.call_count == calls
+            mock.patch.object(dataio, "_read_records", wraps=dataio._read_records) as reader:
+        column = load_panel(path).column("x")
+    expected = [i + 0.25 for i in range(10)]
+    expected[4] = x
+    assert _bits(column) == _bits(expected)
+    assert reader.call_count == record_reader
 
 
 @pytest.mark.parametrize("name", DUMMY_COLUMNS)
