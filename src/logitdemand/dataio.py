@@ -227,7 +227,7 @@ def load_panel(path) -> PanelDataset:
     value column in header order. The file is read `BLOCK_RECORDS` lines at a time. numpy's
     reader converts each block it reads as `csv.reader` would, blank cells filled with `nan`
     (`_convert_lines`); `csv.reader` reads a block it refuses from its first line,
-    `BLOCK_RECORDS` records, converted one by one (`_read_records`). Not safe to call from
+    `BLOCK_RECORDS` records, converted column by column (`_read_records`). Not safe to call from
     several threads at once: each block sets the process-wide warning filters.
     """
     path = Path(path)
@@ -258,18 +258,15 @@ def load_panel(path) -> PanelDataset:
         parts = [[np.empty(0, np.intp)], [np.empty(0, np.int64)], [np.empty(0, np.int64)],
                  *([np.empty(0)] for _ in value_pos)]
         first_line = 2
-        fill = False
         while block := list(itertools.islice(fh, BLOCK_RECORDS)):
             lines = np.arange(first_line, first_line + len(block))
-            converted = _convert_lines(block, lines, fields, u_pos, t_pos, value_pos, index, fill)
+            converted = _convert_lines(block, lines, fields, u_pos, t_pos, value_pos, index)
             if converted is None:
                 # BLOCK_RECORDS records from the block's first line. They span all its lines, and
                 # more when a quoted record runs past them: the next block starts on a record.
                 records = itertools.islice(csv.reader(itertools.chain(block, fh)), BLOCK_RECORDS)
                 converted = _read_records(records, first_line, header, u_pos, t_pos, value_pos,
                                           index)
-            # After a block with a blank cell, fill the next one before numpy first reads it.
-            fill = any(np.isnan(x).any() for x in converted[3:])
             for part, array in zip(parts, converted):
                 part.append(array)
             first_line += len(block)
@@ -294,10 +291,10 @@ def load_panel(path) -> PanelDataset:
 _UNDECODED = re.compile("[\udc80-\udcff]")
 
 
-def _convert_lines(block, lines, fields, u_pos, t_pos, value_pos, index, fill):
+def _convert_lines(block, lines, fields, u_pos, t_pos, value_pos, index):
     """What `_read_records` makes of a block's records, converted by `np.loadtxt`; None unless
-    each line is one whole record and the block converts. A block numpy refuses, and each one
-    with `fill`, is read with its blank cells filled (`_fill_blank_cells`).
+    each line is one whole record and the block converts. A block numpy refuses is read again
+    with its blank cells filled (`_fill_blank_cells`).
 
     numpy gets no NUL (`csv.reader` refuses it before Python 3.11) or line past
     `csv.field_size_limit()`, and splits and unquotes cells as `csv.reader` does. The row count
@@ -305,14 +302,15 @@ def _convert_lines(block, lines, fields, u_pos, t_pos, value_pos, index, fill):
     quotes, which numpy ends at the cut, is refused. Where numpy and `_read_records` both accept
     a cell they give the same number: both strip what `str.strip` strips, and numpy's float
     parser is Python's. A cell only Python reads (`1_0`, `１`) and a non-finite value are
-    refused, and a NaN is kept only as a fill: one per fill, and no `nan` text in the block."""
+    refused, and a NaN is kept only as a fill: one per fill. A filled unit reads "nan", which
+    would let a `nan` value go uncounted, so a filled block with a unit "nan" is refused."""
     text = "".join(block)
     if "\0" in text or max(map(len, block)) > csv.field_size_limit():
         return None
-    filled, table = 0, None if fill else _read_table(block, fields)
+    filled, table = 0, _read_table(block, fields)
     if table is None:
         block, filled = _fill_blank_cells(block)
-        if not (filled or fill) or filled and "nan" in text.lower():
+        if not filled:
             return None
         table = _read_table(block, fields)
     if (table is None or len(table) != len(lines)
@@ -321,7 +319,8 @@ def _convert_lines(block, lines, fields, u_pos, t_pos, value_pos, index, fill):
     values = [table[str(k)].copy() for k in value_pos]
     if sum(np.isnan(x).sum() for x in values) != filled or any(np.isinf(x).any() for x in values):
         return None
-    units = _code_units(table[str(u_pos)].tolist(), index)
+    cells = table[str(u_pos)].tolist()
+    units = None if filled and "nan" in cells else _code_units(cells, index)
     return None if units is None else (units, table[str(t_pos)].copy(), lines, *values)
 
 
@@ -347,8 +346,8 @@ def _fill_blank_cells(block) -> tuple:
     lines as it reads `block`, but for "nan" in each blank cell. The block comes back with 0
     when a quote neither opens nor closes a cell, or quotes a line break: quote parity is
     then not `csv.reader`'s quoting, or a fill would join lines. The bytes at or below ","
-    are all that can quote, cut or blank a cell; one pass finds them, the rest works on
-    their positions, and only lines holding a fill are rebuilt."""
+    are all that can quote, cut or blank a cell; one pass finds them, and the rest works on
+    their positions."""
     data = b"\n" + "".join(block).encode("utf-8", "surrogateescape") + b"\n"
     c = np.frombuffer(data, np.uint8)
     at = np.flatnonzero(c <= ord(","))
@@ -370,20 +369,15 @@ def _fill_blank_cells(block) -> tuple:
     comma = b[k] == ord(",")
     blank = ((weak[k[1:]] - weak[k[:-1]] == stop - start) & ((n_quotes == 0) | (n_quotes == 2))
              & ((stop > start) | comma[:-1] | comma[1:]))
-    start, stop = start[blank].tolist(), stop[blank].tolist()
-    # Lines end at "\n", and at "\r" not before "\n", as the file splits them.
-    ends = at[line_end]
-    ends = ends[(c[ends] == ord("\n")) | (c[np.minimum(ends + 1, c.size - 1)] != ord("\n"))]
-    bounds = np.minimum(ends + 1, c.size - 1).tolist()  # line i is data[bounds[i]:bounds[i + 1]]
-    filled = list(block)
-    for i, fills in itertools.groupby(zip(np.searchsorted(ends, start).tolist(), start, stop),
-                                      key=lambda fill: fill[0] - 1):  # the fills of line i
-        pieces, pos = [], bounds[i]
-        for _, s, e in fills:
-            pieces += (data[pos:s], b"nan")
-            pos = e
-        filled[i] = b"".join([*pieces, data[pos:bounds[i + 1]]]).decode("utf-8", "surrogateescape")
-    return filled, len(start)
+    if not blank.any():
+        return block, 0
+    pieces, pos = [], 1
+    for s, e in zip(start[blank].tolist(), stop[blank].tolist()):
+        pieces += (data[pos:s], b"nan")
+        pos = e
+    # Split as the file splits lines: at "\n", "\r\n" and "\r".
+    text = b"".join([*pieces, data[pos:-1]]).decode("utf-8", "surrogateescape")
+    return list(io.StringIO(text, newline="")), len(pieces) // 2
 
 
 def _code_units(cells, index):
@@ -401,44 +395,50 @@ def _code_units(cells, index):
 
 def _read_records(records, first_line, header, u_pos, t_pos, value_pos, index):
     """The unit codes, periods, lines and value columns of the records from `first_line` on,
-    converted one by one: a blank record is skipped, an empty cell is NaN, and the first fault
-    raises its `ParseError`, on the unit, then the period, then the value columns in header
-    order. Cells are stripped as `str.strip` strips them; `int` and `float` keep "\\x1c"."""
-    codes, keys, values, line = {}, [], [], first_line - 1
+    converted column by column: a blank record is skipped, and cells are stripped as `str.strip`
+    strips them (`int` and `float` keep "\\x1c"), an empty one read as NaN. Records that do not
+    convert are searched one by one, and the first fault raises its `ParseError`, on the unit,
+    then the period, then the value columns in header order."""
+    block, error = [], None
     try:
-        for line, record in enumerate(records, first_line):
-            cells = [cell.strip() for cell in record]
-            if not any(cells):
-                continue
-            if len(cells) != len(header):
+        block.extend(records)
+    except csv.Error as exc:  # raised on the record after `block`
+        error = ParseError(first_line + len(block), "", str(exc))
+    kept = list(itertools.compress(range(len(block)), map(str.strip, map("".join, block))))
+    rows = [block[k] for k in kept]
+    columns, n = list(zip(*rows)) or [()] * len(header), len(rows)
+    try:
+        if set(map(len, rows)) - {len(header)}:
+            raise ValueError
+        periods = np.fromiter(map(int, map(str.strip, columns[t_pos])), np.int64, n)
+        values = [np.fromiter(map(float, [c.strip() or "nan" for c in columns[k]]), float, n)
+                  for k in value_pos]
+        # A NaN is kept only for an empty cell, never for a "nan" or "inf" literal.
+        nan_text = any(columns[k][i].strip() for k, x in zip(value_pos, values)
+                       for i in np.flatnonzero(~np.isfinite(x)).tolist())
+        if nan_text or (units := _code_units(columns[u_pos], index)) is None:
+            raise ValueError
+    except (ValueError, OverflowError):
+        for line, record in enumerate(block, first_line):
+            cells = list(map(str.strip, record))
+            if any(cells) and len(cells) != len(header):
                 raise ParseError(line, "", f"expected {len(header)} fields, got {len(cells)}")
-            unit, period = cells[u_pos], cells[t_pos]
-            if unit not in codes:
-                if not unit or _UNDECODED.search(unit):
-                    raise ParseError(line, header[u_pos],
-                                     "not valid UTF-8" if unit else "empty unit identifier")
-                codes[unit] = index.setdefault(unit, len(index))
-            try:
-                period = int(period)
-            except ValueError:
-                raise ParseError(line, header[t_pos], "not valid UTF-8" if _UNDECODED.search(period)
-                                 else f"period {record[t_pos]!r} is not an integer") from None
-            if not -2**63 <= period < 2**63:
-                raise ParseError(line, header[t_pos], f"period {period} does not fit 64 bits")
-            keys += (codes[unit], period, line)
-            for k in value_pos:
-                cell = cells[k]
+            for k in (u_pos, t_pos, *value_pos) if any(cells) else ():
+                cell, name = cells[k], header[k]
+                if _UNDECODED.search(cell) or k == u_pos and not cell:
+                    raise ParseError(line, name, "not valid UTF-8" if cell else "empty unit identifier")
                 try:
-                    values.append(float(cell) if cell else math.nan)
+                    x = int(cell) if k == t_pos else float(cell) if k != u_pos and cell else 0
                 except ValueError:
-                    raise ParseError(line, header[k], "not valid UTF-8" if _UNDECODED.search(cell)
+                    raise ParseError(line, name, f"period {record[k]!r} is not an integer" if k == t_pos
                                      else f"cannot parse {cell!r} as a number") from None
-                if cell and not math.isfinite(values[-1]):
-                    raise ParseError(line, header[k], f"non-finite value {cell!r}")
-    except csv.Error as exc:  # raised on the record after `line`
-        raise ParseError(line + 1, "", str(exc)) from None
-    keys = np.array(keys, np.int64).reshape(-1, 3)
-    return (*keys.T, *np.array(values).reshape(len(keys), len(value_pos)).T)
+                if k == t_pos and not -2**63 <= x < 2**63:
+                    raise ParseError(line, name, f"period {x} does not fit 64 bits")
+                if not math.isfinite(x):
+                    raise ParseError(line, name, f"non-finite value {cell!r}")
+    if error is not None:
+        raise error
+    return units, periods, first_line + np.array(kept, np.int64), *values
 
 
 def write_panel_csv(data: PanelDataset, path):

@@ -109,6 +109,7 @@ def _parse_error(tmp_path, lines):
     (" ,2014,1,1", "unit", "empty unit identifier"),
     # Filled, the blank unit would read "nan" and the blank b one NaN in place of the literal's.
     (",2014,nan,", "unit", "empty unit identifier"),
+    (',2014," -NaN ",', "unit", "empty unit identifier"),
     ("u,2014.0,1,1", "period", "period '2014.0' is not an integer"),
     ("u,2014,1", "", "expected 4 fields, got 3"),
     ("u,99999999999999999999,oops,1", "period",

@@ -320,14 +320,16 @@ def test_the_fill_writes_nan_into_exactly_the_blank_cells(records_and_block):
     ("u4,2004,", math.nan, False),
     ("u4,2004, \t", math.nan, False),
     ('u4,2004,""', math.nan, False),
+    ("u4banana,2004,", math.nan, False),
     ("u4,2004,1_0", 10.0, True),
     ("\nu4,2004,4.25", 4.25, True),
     ("u4\0,2004,4.25", 4.25, True),
-], ids=["clean", "quoted", "blank_cell", "whitespace_cell", "quoted_blank_cell", "underscore",
+], ids=["clean", "quoted", "blank_cell", "whitespace_cell", "quoted_blank_cell",
+        "blank_cell_and_nan_in_a_unit", "underscore",
         "blank_record", "nul"])
 def test_only_blocks_numpy_cannot_read_reach_the_record_reader(tmp_path, record, x, record_reader):
-    """Clean, quoted and blank-cell blocks are read by numpy alone; a cell only Python reads,
-    a blank record and a NUL send their block to `_read_records`."""
+    """Clean, quoted and blank-cell blocks, a unit holding "nan" among them, are read by numpy
+    alone; a cell only Python reads, a blank record and a NUL send their block to `_read_records`."""
     lines = ["unit,period,x", *(f"u{i},{2000 + i},{i}.25" for i in range(10))]
     lines[5] = record
     path = tmp_path / "panel.csv"
