@@ -493,41 +493,37 @@ def _inside_shares(data: PanelDataset):
 
 
 def compute_dependent(data: PanelDataset) -> PanelDataset:
-    """Add the log-share-difference column from quantities or a share column."""
-    if data.has_column(DEPENDENT_COLUMN):
-        warnings.warn(f"column {DEPENDENT_COLUMN!r} already present; leaving it unchanged")
-        return data
+    """The panel with its log-share-difference column built from quantities or a share column,
+    replacing one already there.
 
+    The inversion needs every inside share and each period's outside share positive. Periods are
+    checked in sorted order and, within one, a missing value first, then a share at or below 0,
+    then inside shares that leave no outside share. The first fault raises
+    `DomainViolationError` naming the column, the row and the period.
+    """
     column, inside = _inside_shares(data)
-    if column == "quantity":
-        problem = "missing quantity or market size for unit {unit!r}"
-    else:
-        problem = "missing share"
     # Quantities and market sizes are positive or NaN, so q / N is NaN exactly where one is missing.
+    # It can still underflow to 0, or sum to 1 in a period whose quantities stay below its size.
     missing = np.isnan(inside)
-
     codes = data.period_codes
     sums = np.bincount(codes, weights=inside, minlength=len(data.period_levels))
     outside = 1.0 - sums
-    # Per period in sorted order: a missing value, then no room for the outside option (quantities
-    # were checked against the market size), then a share outside (0, 1]: invert_shares raises.
-    flagged = missing | (outside <= 0.0)[codes] | (inside <= 0.0) | (inside > 1.0)
+    flagged = missing | (inside <= 0.0) | (outside <= 0.0)[codes]
     if np.any(flagged):
-        rows = np.flatnonzero(flagged)
-        i = int(rows[np.argmin(codes[rows])])
-        period_missing = missing & (codes == codes[i])
-        if np.any(period_missing):
-            i = int(np.argmax(period_missing))
-            unit, period = data._key(i)
-            raise DomainViolationError(
-                column, data.row_label(i), f"period {period}: " + problem.format(unit=unit),
-            )
-        if outside[codes[i]] <= 0.0 and column == "share":
-            raise DomainViolationError(
-                "share", data.row_label(i),
-                f"period {data._key(i)[1]}: inside shares sum to {sums[codes[i]]:g}, "
-                "outside share must be positive",
-            )
+        t = int(codes[flagged].min())
+        rows = np.flatnonzero(codes == t)
+        period = int(data.period_levels[t])
+        if np.any(missing[rows]):
+            i = int(rows[np.argmax(missing[rows])])
+            problem = (f"missing quantity or market size for unit {data._key(i)[0]!r}"
+                       if column == "quantity" else "missing share")
+        elif np.any(inside[rows] <= 0.0):
+            i = int(rows[np.argmax(inside[rows] <= 0.0)])
+            problem = f"inside share {inside[i]:g} must be positive"
+        else:
+            i = int(rows[0])
+            problem = f"inside shares sum to {sums[t]:g}, outside share must be positive"
+        raise DomainViolationError(column, data.row_label(i), f"period {period}: {problem}")
     delta = demand.invert_shares(inside, outside, codes)
     return data.with_column(DEPENDENT_COLUMN, delta)
 
@@ -535,13 +531,12 @@ def compute_dependent(data: PanelDataset) -> PanelDataset:
 def outside_shares(data: PanelDataset) -> dict:
     """Per-period outside share 1 - sum of the inside shares that `compute_dependent` inverts.
 
-    Periods with a missing inside share are left out.
+    Call it on a panel `compute_dependent` accepted: every share is then present.
     """
     _, inside = _inside_shares(data)
-    codes, n_periods = data.period_codes, len(data.period_levels)
-    complete = np.bincount(codes, weights=np.isnan(inside), minlength=n_periods) == 0
-    outside = 1.0 - np.bincount(codes, weights=inside, minlength=n_periods)
-    return dict(zip(data.period_levels[complete].tolist(), outside[complete].tolist()))
+    outside = 1.0 - np.bincount(data.period_codes, weights=inside,
+                                minlength=len(data.period_levels))
+    return dict(zip(data.period_levels.tolist(), outside.tolist()))
 
 
 # --- spec and parameter files -----------------------------------------------

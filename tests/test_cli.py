@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -91,6 +92,42 @@ def test_invert_rejects_saturated_period(tmp_path, capsys):
     code = main(["invert", "--data", str(src), "--output", str(tmp_path / "x.csv")])
     assert code == 2
     assert "2014" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, content, reason", [
+    ("invert", "unit,period,share\na,2014,0.5\nb,2014,0\n",
+     "row line 3: period 2014: inside share 0 must be positive"),
+    ("estimate", "unit,period,share\na,2014,0.5\nb,2014,0\n",
+     "row line 3: period 2014: inside share 0 must be positive"),
+    # Quantities below the market size whose shares q / N sum to 1.0 in float64.
+    ("invert", "unit,period,quantity,market_size\na,2014,0.9102976704971546,1.7\n"
+               "b,2014,0.7897023295028452,1.7\n",
+     "row line 2: period 2014: inside shares sum to 1, outside share must be positive"),
+    ("estimate", "unit,period,quantity,market_size\na,2014,0.9102976704971546,1.7\n"
+                 "b,2014,0.7897023295028452,1.7\n",
+     "row line 2: period 2014: inside shares sum to 1, outside share must be positive"),
+    ("invert", f"unit,period,{DEPENDENT_COLUMN}\na,2014,0.5\n",
+     "need quantity and market_size columns (or a share column) to build the dependent"),
+], ids=["invert_zero_share", "estimate_zero_share", "invert_shares_round_to_one",
+        "estimate_shares_round_to_one", "invert_dependent_alone"])
+def test_a_panel_without_valid_shares_exits_2_with_one_line(tmp_path, command, content, reason):
+    (tmp_path / "panel.csv").write_text(content, encoding="utf-8")
+    (tmp_path / "spec.json").write_text(json.dumps(
+        {"dataset": "panel.csv", "dependent": DEPENDENT_COLUMN, "estimator": "ols"}), encoding="utf-8")
+    argv = (["invert", "--data", str(tmp_path / "panel.csv"), "--output", str(tmp_path / "out.csv")]
+            if command == "invert" else ["estimate", "--spec", str(tmp_path / "spec.json")])
+    code, err = _run_under_the_exit_contract(argv)
+    assert code == 2 and err.endswith(reason + "\n"), err
+
+
+def test_invert_on_its_own_output_writes_the_same_bytes(tmp_path):
+    src = tmp_path / "panel.csv"
+    src.write_text(GOOD_CSV, encoding="utf-8")
+    outputs = [src, tmp_path / "inverted.csv", tmp_path / "reinverted.csv"]
+    for data, out in zip(outputs, outputs[1:]):
+        argv = ["invert", "--data", str(data), "--output", str(out)]
+        assert _run_under_the_exit_contract(argv) == (0, "")
+    assert outputs[1].read_bytes() == outputs[2].read_bytes()
 
 
 @pytest.mark.parametrize("content", [
@@ -542,11 +579,20 @@ def test_diagnose_exits_by_the_spec_roles(diagnose_dir, spec):
 
 @pytest.fixture(scope="module")
 def mutation_dir(tmp_path_factory):
-    """A directory holding a generated 6x5 panel with sampled quantities and a 2SLS spec."""
+    """A directory holding a generated 6x5 panel with sampled quantities and a 2SLS spec, in three
+    forms: quantities (clean.csv), a share column in their place (share.csv) and the output of
+    `invert` (inverted.csv)."""
     folder = tmp_path_factory.mktemp("mutations")
     params = DgpParams(n_products=6, n_periods=5, n_characteristics=2, beta=(1.0, -0.5),
                        xi_scale=0.5, price_endogeneity=0.5, consumers=1000, seed=9)
-    write_panel_csv(generate_market(params)[0], folder / "clean.csv")
+    data = generate_market(params)[0]
+    write_panel_csv(data, folder / "clean.csv")
+    columns = {name: arr for name, arr in data.columns.items()
+               if name not in ("quantity", "market_size")}
+    share = data.column("quantity") / data.column("market_size")
+    write_panel_csv(dataclasses.replace(data, columns={**columns, "share": share}),
+                    folder / "share.csv")
+    write_panel_csv(compute_dependent(data), folder / "inverted.csv")
     (folder / "spec.json").write_text(json.dumps({
         "dataset": "clean.csv", "dependent": DEPENDENT_COLUMN, "exogenous": ["x1", "x2"],
         "endogenous": ["price"], "instruments": ["cost1", "cost2"], "estimator": "tsls",
@@ -554,19 +600,47 @@ def mutation_dir(tmp_path_factory):
     return folder
 
 
+def _run_under_the_exit_contract(argv):
+    """Run `main(argv)` under warnings as errors, with blocks of 4 records so that a mutation
+    lands in a block numpy's reader converts or in one it refuses, and return its exit code and
+    stderr. Nothing may escape `main`. A failure is one `error:` line on stderr and nothing on
+    stdout. A success writes its report to stdout or `--output` and notes alone to stderr, and
+    the report prints no number that is not finite, but a first-stage F of inf (an exact first
+    stage)."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(dataio, "BLOCK_RECORDS", 4), warnings.catch_warnings(), \
+            redirect_stdout(out), redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(argv)
+    if code:
+        assert code in (2, 3, 4)
+        assert out.getvalue() == ""
+        assert len(err.getvalue().splitlines()) == 1 and err.getvalue().startswith("error: ")
+        return code, err.getvalue()
+    # `invert` prints its report and writes the inverted panel to `--output`.
+    output = None if argv[0] == "invert" or "--output" not in argv else argv[argv.index("--output") + 1]
+    report = out.getvalue() if output is None else Path(output).read_text(encoding="utf-8")
+    assert report and (output is None or out.getvalue() == "")
+    assert all(line.startswith("note: ") for line in err.getvalue().splitlines())
+    for line in report.splitlines():
+        assert (not re.search(r"\b(nan|inf)\b", line, re.I)
+                or re.fullmatch(r"  F: +inf", line)), line
+    return code, err.getvalue()
+
+
 #: Cells a mutated panel may hold; "\udcff" is written as the byte 0xff, which is not UTF-8.
 EDGE_CELLS = ["", "nan", "inf", "1e308", "-1e308", "1e-320", "1e400", "1_0", "0x10", "１",
-              "\udcff", '"', "\x1c3\x1f"]
+              "\udcff", '"', "\x1c3\x1f", "0", "-0.5"]
 
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_a_mutated_panel_keeps_the_exit_contract(mutation_dir, data):
-    """One cell or record of a clean panel mutated; `invert`, `estimate` and `diagnose` on it
-    raise nothing, and a failure is one `error:` line on stderr and nothing on stdout. A success
-    prints no number that is not finite, but a first-stage F of inf (an exact first stage).
-    Blocks of 4 records put the mutation in a block numpy's reader converts or in one it refuses."""
-    records = (mutation_dir / "clean.csv").read_bytes().decode("utf-8").split("\r\n")[:-1]
+    """One cell or record of a clean panel, in one of its three forms, mutated; `invert`,
+    `estimate` and `diagnose` on it keep the exit contract, and a panel refused on exit 2 is
+    refused at a line it names, or for the unit and period it repeats."""
+    form = data.draw(st.sampled_from(["clean", "share", "inverted"]))
+    records = (mutation_dir / f"{form}.csv").read_bytes().decode("utf-8").split("\r\n")[:-1]
     k = data.draw(st.integers(1, len(records) - 1))
     kind = data.draw(st.sampled_from(["cell", "short", "long", "repeat", "blank"]))
     if kind == "cell":
@@ -582,24 +656,33 @@ def test_a_mutated_panel_keeps_the_exit_contract(mutation_dir, data):
     path = mutation_dir / "mutated.csv"
     path.write_bytes(("\r\n".join(records) + "\r\n").encode("utf-8", "surrogateescape"))
     spec = str(mutation_dir / "spec.json")
-    commands = [["invert", "--data", str(path), "--output", str(mutation_dir / "inverted.csv")],
-                ["estimate", "--spec", spec, "--data", str(path)],
-                ["diagnose", "--spec", spec, "--data", str(path)]]
-    for argv in commands:
-        out, err = io.StringIO(), io.StringIO()
-        with mock.patch.object(dataio, "BLOCK_RECORDS", 4), warnings.catch_warnings(), \
-                redirect_stdout(out), redirect_stderr(err):
-            warnings.simplefilter("error")
-            code = main(argv)
-        if code:
-            assert out.getvalue() == ""
-            assert len(err.getvalue().splitlines()) == 1 and err.getvalue().startswith("error: ")
-        else:
-            assert out.getvalue()
-            assert all(line.startswith("note: ") for line in err.getvalue().splitlines())
-            for line in out.getvalue().splitlines():
-                assert (not re.search(r"\b(nan|inf)\b", line, re.I)
-                        or re.fullmatch(r"  F: +inf", line)), line
+    for argv in (["invert", "--data", str(path), "--output", str(mutation_dir / "out.csv")],
+                 ["estimate", "--spec", spec, "--data", str(path)],
+                 ["diagnose", "--spec", spec, "--data", str(path)]):
+        code, err = _run_under_the_exit_contract(argv)
+        if code == 2:
+            assert re.search(r"\bline \d+\b|: duplicate row for unit ", err), err
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_the_options_keep_the_exit_contract(mutation_dir, data):
+    """`estimate` with drawn `--method`, `--robust`, `--format` and `--output`, and `diagnose`
+    with a drawn `--output`, on the clean panel keep the exit contract; an `--output` in a
+    missing directory exits 2."""
+    command = data.draw(st.sampled_from(["estimate", "diagnose"]))
+    argv = [command, "--spec", str(mutation_dir / "spec.json")]
+    if command == "estimate":
+        method = data.draw(st.sampled_from([None, "ols", "fe", "2sls"]))
+        argv += [] if method is None else ["--method", method]
+        argv += ["--robust"] if data.draw(st.booleans()) else []
+        fmt = data.draw(st.sampled_from([None, "text", "csv"]))
+        argv += [] if fmt is None else ["--format", fmt]
+    output = data.draw(st.sampled_from([None, "report.txt", "missing/report.txt"]))
+    argv += [] if output is None else ["--output", str(mutation_dir / output)]
+    code, err = _run_under_the_exit_contract(argv)
+    if output == "missing/report.txt":
+        assert code == 2 and "No such file or directory" in err, err
 
 
 def test_simulate_emits_loadable_dataset(tmp_path, capsys):

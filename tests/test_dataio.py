@@ -361,12 +361,10 @@ def test_compute_dependent_matches_inversion_exactly(tmp_path):
         assert np.array_equal(got, expected)
 
 
-def test_compute_dependent_warns_and_keeps_existing(tmp_path):
-    text = f"unit,period,{DEPENDENT_COLUMN}\na,2014,0.5\n"
-    data = load_panel(_write(tmp_path, text))
-    with pytest.warns(UserWarning):
-        out = compute_dependent(data)
-    assert out.column(DEPENDENT_COLUMN)[0] == 0.5
+def test_compute_dependent_rebuilds_a_present_dependent(tmp_path):
+    text = f"unit,period,share,{DEPENDENT_COLUMN}\na,2014,0.25,7\nb,2014,0.25,\n"
+    out = compute_dependent(load_panel(_write(tmp_path, text)))
+    assert np.array_equal(out.column(DEPENDENT_COLUMN), np.full(2, math.log(0.25) - math.log(0.5)))
 
 
 def test_compute_dependent_from_share_column(tmp_path):
@@ -380,6 +378,33 @@ def test_compute_dependent_share_period_summing_past_one_names_the_sum(tmp_path)
     with pytest.raises(DomainViolationError,
                        match=r"period 2015: inside shares sum to 1\.1, outside share must be positive"):
         compute_dependent(load_panel(_write(tmp_path, text)))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("unit,period,share\na,2014,0.5\na,2015,0\nb,2015,0.3\n",
+     "column 'share', row line 3: period 2015: inside share 0 must be positive"),
+    ("unit,period,share\na,2014,0.5\nb,2014,-0.1\n",
+     "column 'share', row line 3: period 2014: inside share -0.1 must be positive"),
+    # Quantities below the market size whose shares q / N sum to 1.0 in float64.
+    ("unit,period,quantity,market_size\na,2014,0.9102976704971546,1.7\n"
+     "b,2014,0.7897023295028452,1.7\n",
+     "column 'quantity', row line 2: period 2014: inside shares sum to 1, "
+     "outside share must be positive"),
+    # In one period a missing share comes first, then a share at or below 0, then the sum.
+    ("unit,period,share\na,2014,0.9\nb,2014,-1\nc,2014,\n",
+     "column 'share', row line 4: period 2014: missing share"),
+    ("unit,period,share\na,2014,0.9\nb,2014,0.9\nc,2014,-1\n",
+     "column 'share', row line 4: period 2014: inside share -1 must be positive"),
+    # Periods are checked in sorted order, whatever the line order.
+    ("unit,period,share\na,2015,0\nb,2014,0.6\nc,2014,0.6\n",
+     "column 'share', row line 3: period 2014: inside shares sum to 1.2, "
+     "outside share must be positive"),
+], ids=["zero_share", "negative_share", "shares_round_to_one", "missing_before_nonpositive",
+        "nonpositive_before_sum", "periods_in_sorted_order"])
+def test_compute_dependent_names_each_share_fault(tmp_path, text, message):
+    with pytest.raises(DomainViolationError) as err:
+        compute_dependent(load_panel(_write(tmp_path, text)))
+    assert str(err.value) == message
 
 
 def test_compute_dependent_requires_inputs(tmp_path):
