@@ -120,7 +120,7 @@ def _load(args):
 def cmd_invert(args) -> int:
     data = dataio.compute_dependent(dataio.load_panel(args.data))
     shares = dataio.outside_shares(data)
-    dataio.write_panel_csv(data, args.output)
+    dataio.write_inverted_csv(data, args.data, args.output)
     _write_manifest(args.output, _command_line(args), dataset_path=args.data)
     for t, s0 in sorted(shares.items()):
         print(f"period {t}: outside share {s0:.6f}")

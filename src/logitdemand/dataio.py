@@ -13,6 +13,7 @@ import io
 import itertools
 import json
 import math
+import os
 import re
 import warnings
 from dataclasses import dataclass, replace
@@ -38,7 +39,7 @@ DEPENDENT_COLUMN = "log_share_diff"
 
 
 #: Lines read per block by `load_panel` (records, when a block falls back to `csv.reader`)
-#: and records written per block by `write_panel_csv`.
+#: and by `write_inverted_csv`, and records written per block by `write_panel_csv`.
 BLOCK_RECORDS = 4096
 
 
@@ -293,8 +294,9 @@ _UNDECODED = re.compile("[\udc80-\udcff]")
 
 def _convert_lines(block, lines, fields, u_pos, t_pos, value_pos, index):
     """What `_read_records` makes of a block's records, converted by `np.loadtxt`; None unless
-    each line is one whole record and the block converts. A block numpy refuses is read again
-    with its blank cells filled (`_fill_blank_cells`).
+    each line is one whole record and the block converts. A block with a line of an odd number
+    of quotes, such as a unit quoted over a line break, is refused before numpy parses it. A
+    block numpy refuses is read again with its blank cells filled (`_fill_blank_cells`).
 
     numpy gets no NUL (`csv.reader` refuses it before Python 3.11) or line past
     `csv.field_size_limit()`, and splits and unquotes cells as `csv.reader` does. The row count
@@ -305,7 +307,8 @@ def _convert_lines(block, lines, fields, u_pos, t_pos, value_pos, index):
     refused, and a NaN is kept only as a fill: one per fill. A filled unit reads "nan", which
     would let a `nan` value go uncounted, so a filled block with a unit "nan" is refused."""
     text = "".join(block)
-    if "\0" in text or max(map(len, block)) > csv.field_size_limit():
+    if ("\0" in text or max(map(len, block)) > csv.field_size_limit()
+            or '"' in text and any(line.count('"') % 2 for line in block)):
         return None
     filled, table = 0, _read_table(block, fields)
     if table is None:
@@ -464,6 +467,91 @@ def write_panel_csv(data: PanelDataset, path):
                     cells[i] = ""
                 fields.append(cells)
             fh.write("\r\n".join(map(",".join, zip(*fields))) + "\r\n")
+
+
+def write_inverted_csv(data: PanelDataset, source, path):
+    """Write `invert`'s output: each record of `source` that `load_panel` read into `data`, in
+    the file's order and with its text as read, then the row's `log_share_diff` value.
+
+    The header and each kept record end in `\\r\\n`, whatever line end they had, and the value
+    is appended as `,repr(value)`, or written over the record's cell when the header already
+    names a `log_share_diff` column. A byte-order mark and blank records are dropped. The file
+    is read again `BLOCK_RECORDS` lines at a time (`_split_records`); the value's cell is found
+    by counting commas from either end of the record, since only a unit cell can hold a comma.
+    The output is written to a temporary file beside `path` and then moved onto it, so `path`
+    may name `source`, and a failed copy leaves no output. A record the load kept but the file
+    no longer holds is a `ParseError`.
+    """
+    rows = np.argsort(data.source_lines)
+    lines = data.source_lines[rows]
+    values = data.column(DEPENDENT_COLUMN)[rows]
+    path = os.path.realpath(path)
+    temp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(source, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh, \
+                open(temp, "w", newline="", encoding="utf-8", errors="surrogateescape") as out:
+            header = _split_records(list(itertools.islice(fh, 1)), fh)
+            if not header:
+                raise ParseError(1, "", f"file is empty: {_CHANGED}")
+            names = [name.strip() for name in next(csv.reader(header))]
+            over = names.index(DEPENDENT_COLUMN) if DEPENDENT_COLUMN in names else None
+            head = "".join(header).rstrip(_EOL)
+            out.write(f"{head}\r\n" if over is not None else f"{head},{DEPENDENT_COLUMN}\r\n")
+            first, k = 2, 0  # the line of the block's first record, and the next kept record
+            while block := list(itertools.islice(fh, BLOCK_RECORDS)):
+                records = _split_records(block, fh)
+                last = first + len(records)
+                stop = int(np.searchsorted(lines, last))
+                if stop - k < len(records):
+                    records = [records[i] for i in (lines[k:stop] - first).tolist()]
+                pairs = zip(records, values[k:stop].tolist())
+                out.write("".join(
+                    [f"{text.rstrip(_EOL)},{value!r}\r\n" for text, value in pairs] if over is None
+                    else [_over_cell(text.rstrip(_EOL), repr(value), names, over)
+                          for text, value in pairs]))
+                first, k = last, stop
+        if k < len(lines):
+            raise ParseError(int(lines[k]), "", f"no record: {_CHANGED}")
+        os.replace(temp, path)
+    except BaseException:
+        Path(temp).unlink(missing_ok=True)
+        raise
+
+
+#: What `str.rstrip` strips from a record to drop its line end, whichever of the three it is.
+_EOL = "\r\n"
+_CHANGED = "the file changed after it was loaded"
+
+
+def _split_records(block, more) -> list:
+    """The texts of the records that start on the block's lines, line ends kept. A line without
+    a quote is one record; `csv.reader` finds the lines of a record that holds a quote, taking
+    them from `more` once the block's run out."""
+    if '"' not in "".join(block):
+        return block
+    taken = []
+    reader = csv.reader(taken.append(line) or line for line in itertools.chain(block, more))
+    records = []
+    while len(taken) < len(block):
+        start = len(taken)
+        try:
+            next(reader)
+        except csv.Error as exc:  # a record `load_panel` read is past the field limit now
+            raise ValueError(f"{exc}: {_CHANGED}") from None
+        records.append("".join(taken[start:]))
+    return records
+
+
+def _over_cell(text, value, names, k) -> str:
+    """A record of the header's `names` with its cell `k` replaced by `value`, and `\\r\\n`. Cell
+    `k` is found by counting commas from the record's end when it follows the unit cell, the one
+    cell that can hold a comma, else from its start."""
+    after = k > names.index("unit")
+    cells = text.rsplit(",", len(names) - k) if after else text.split(",", k + 1)
+    if len(cells) != (len(names) - k + 1 if after else k + 2):
+        raise ValueError(f"a record no longer has {len(names)} cells: {_CHANGED}")
+    cells[1 if after else k] = value
+    return ",".join(cells) + "\r\n"
 
 
 def _csv_fields(texts) -> list:

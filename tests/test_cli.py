@@ -130,6 +130,69 @@ def test_invert_on_its_own_output_writes_the_same_bytes(tmp_path):
     assert outputs[1].read_bytes() == outputs[2].read_bytes()
 
 
+def test_invert_copies_the_records_it_read_in_the_files_order(tmp_path):
+    """`invert` writes the header and each record as read, in the file's order, with `\\r\\n`
+    line ends and the dependent appended, or written over a `log_share_diff` cell where it
+    stands; a byte-order mark and blank records are dropped."""
+    records = {"b": '"b",2015, 0.40', "a": "a,2014,0.25", "c, d": '"c, d",2014,1.5e-1'}
+    appended = "unit,period,share\r\n{b}\n\r{a}\n,,\r{c, d}".format_map(records)
+    replaced = "log_share_diff,unit,period,share\r\n-9,{b}\n-9,{a}\n\n-9,{c, d}\n"
+    replaced = replaced.format_map(records)
+    for name, content in (("appended.csv", appended), ("replaced.csv", replaced)):
+        src, out = tmp_path / name, tmp_path / f"inverted-{name}"
+        src.write_bytes(b"\xef\xbb\xbf" + content.encode("utf-8"))
+        argv = ["invert", "--data", str(src), "--output", str(out)]
+        assert _run_under_the_exit_contract(argv) == (0, "")
+        data = compute_dependent(load_panel(src))
+        delta = dict(zip(data.units, data.column(DEPENDENT_COLUMN).tolist()))
+        if name == "appended.csv":
+            lines = ["unit,period,share,log_share_diff",
+                     *(f"{record},{delta[unit]!r}" for unit, record in records.items())]
+        else:
+            lines = ["log_share_diff,unit,period,share",
+                     *(f"{delta[unit]!r},{record}" for unit, record in records.items())]
+        assert out.read_bytes() == "".join(f"{line}\r\n" for line in lines).encode("utf-8")
+
+
+@pytest.mark.parametrize("via", ["same_path", "symlink"])
+def test_invert_onto_its_own_input_writes_what_a_separate_output_gets(tmp_path, via):
+    src = tmp_path / "panel.csv"
+    src.write_bytes(b'\xef\xbb\xbfunit,period,share\n"b",2015,0.4\n\nb,2014, 0.25\r"a\nz",2014,0.5')
+    separate = tmp_path / "separate.csv"
+    assert _run_under_the_exit_contract(
+        ["invert", "--data", str(src), "--output", str(separate)]) == (0, "")
+    output = src
+    if via == "symlink":
+        output = tmp_path / "link.csv"
+        output.symlink_to(src)
+    assert _run_under_the_exit_contract(
+        ["invert", "--data", str(src), "--output", str(output)]) == (0, "")
+    assert output.read_bytes() == separate.read_bytes()
+
+
+@pytest.mark.parametrize("edit, error", [
+    (lambda text: text[:text.rindex("\n", 0, -1) + 1],
+     "line 5, column '': no record: the file changed after it was loaded"),
+    (lambda text: text.replace("b,2015", '"' + "b" * 131_073 + '",2015'),
+     "field larger than field limit (131072): the file changed after it was loaded"),
+], ids=["loses_its_last_record", "gains_a_field_past_the_limit"])
+def test_a_file_that_changes_after_loading_exits_2_and_writes_nothing(tmp_path, monkeypatch,
+                                                                     edit, error):
+    src = tmp_path / "panel.csv"
+    src.write_text(GOOD_CSV, encoding="utf-8")
+    load = dataio.load_panel
+
+    def load_then_edit(path):
+        data = load(path)
+        src.write_text(edit(GOOD_CSV), encoding="utf-8")
+        return data
+
+    monkeypatch.setattr(dataio, "load_panel", load_then_edit)
+    argv = ["invert", "--data", str(src), "--output", str(tmp_path / "out.csv")]
+    assert _run_under_the_exit_contract(argv) == (2, f"error: {error}\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["panel.csv"]
+
+
 @pytest.mark.parametrize("content", [
     None,
     b"unit,period,share\na,2014,0.\xff25\n",
@@ -662,6 +725,52 @@ def test_a_mutated_panel_keeps_the_exit_contract(mutation_dir, data):
         code, err = _run_under_the_exit_contract(argv)
         if code == 2:
             assert re.search(r"\bline \d+\b|: duplicate row for unit ", err), err
+
+
+@pytest.mark.parametrize("command", ["invert", "estimate"])
+@pytest.mark.parametrize("fault", ["missing", "not_positive", "no_outside_share"])
+@pytest.mark.parametrize("form", ["clean", "share", "inverted"])
+def test_each_share_fault_exits_2_naming_its_line_and_period(mutation_dir, tmp_path, form, fault,
+                                                             command):
+    """One share fault in line 9 (unit P02, period 2003) of each form of the mutation panel: a
+    missing share, a share at or below 0 (a quantity of 5e-324, whose share underflows to 0), or
+    shares that leave no outside share (a share of 1, or a quantity equal to the market size,
+    which the loader refuses). `invert` and `estimate` exit 2 naming the line and the period,
+    the first line of the period for the last fault. `estimate` builds no dependent from the
+    quantities of the inverted form, whose own `log_share_diff` it reads: it exits 0 there but
+    for the loader's fault."""
+    records = (mutation_dir / f"{form}.csv").read_bytes().decode("utf-8").split("\r\n")[:-1]
+    header = records[0].split(",")
+    rows = [record.split(",") for record in records]
+    column = "share" if form == "share" else "quantity"
+    j, k = header.index(column), 8
+    unit, period = rows[k][:2]
+    size = rows[k][header.index("market_size")] if column == "quantity" else None
+    rows[k][j] = {"missing": "", "not_positive": "-0.5" if column == "share" else "5e-324",
+                  "no_outside_share": size or "1"}[fault]
+    path = tmp_path / "faulty.csv"
+    path.write_bytes("".join(",".join(row) + "\r\n" for row in rows).encode("utf-8"))
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({**json.loads((mutation_dir / "spec.json").read_text()),
+                                "dataset": str(path)}), encoding="utf-8")
+    argv = (["invert", "--data", str(path), "--output", str(tmp_path / "out.csv")]
+            if command == "invert" else ["estimate", "--spec", str(spec)])
+    code, err = _run_under_the_exit_contract(argv)
+    if form == "inverted" and command == "estimate" and fault != "no_outside_share":
+        assert (code, err) == (0, "")
+        return
+    if fault == "missing":
+        where, problem = k + 1, ("missing share" if column == "share"
+                                 else f"missing quantity or market size for unit {unit!r}")
+    elif fault == "not_positive":
+        where, problem = k + 1, f"inside share {-0.5 if size is None else 0:g} must be positive"
+    else:
+        in_period = [row for row in rows[1:] if row[1] == period]
+        where, total = 1 + rows.index(in_period[0]), sum(float(row[j]) for row in in_period)
+        problem = (f"inside shares sum to {total:g}, outside share must be positive" if size is None
+                   else f"total quantity {total:g} >= market size {float(size):g}")
+    assert code == 2
+    assert err == f"error: column {column!r}, row line {where}: period {period}: {problem}\n"
 
 
 @settings(max_examples=100, deadline=None)

@@ -4,13 +4,15 @@ Unit ids may hold commas, quotes, line breaks and non-ASCII characters, cells
 may be missing, and blank, whitespace-only or all-empty records may sit between
 the rows. A loaded panel is sorted by (unit, period), so the order of the rows
 in the file must not show in it, nor in the estimates made from it. numpy's block
-reader and the csv path it falls back to must load the same panel from mutated files.
+reader and the csv path it falls back to must load the same panel from mutated files,
+and `invert`'s copy of a mutated file must reload to the panel `write_panel_csv` writes.
 """
 
 import csv
 import io
 import math
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from unittest import mock
 
 import numpy as np
@@ -19,7 +21,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from logitdemand import dataio
-from logitdemand.dataio import DUMMY_COLUMNS, PanelDataset, load_panel, write_panel_csv
+from logitdemand.cli import main
+from logitdemand.dataio import (DEPENDENT_COLUMN, DUMMY_COLUMNS, PanelDataset, compute_dependent,
+                                load_panel, write_panel_csv)
 from logitdemand.errors import DomainViolationError
 from logitdemand.estimators import ModelSpec, estimate
 
@@ -45,15 +49,16 @@ def panel_rows(draw):
     return names, rows
 
 
-def _csv_text(names, rows, order, blanks):
-    """The rows in `order` as CSV text, `blanks[k]` (or nothing) before the k-th.
+def _csv_text(names, rows, order, blanks, key_at=0):
+    """The rows in `order` as CSV text, `blanks[k]` (or nothing) before the k-th, and the unit
+    and period columns before the value column `key_at`.
 
     Returns the text and each row's line as `load_panel` counts lines: its
     record number plus one, so a quoted line break does not count.
     """
     buf = io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow(["unit", "period", *names])
+    writer.writerow([*names[:key_at], "unit", "period", *names[key_at:]])
     line, lines = 2, {}
     for k, i in enumerate(order):
         blank = blanks[k] if k < len(blanks) else False
@@ -61,7 +66,8 @@ def _csv_text(names, rows, order, blanks):
             buf.write(("," * (len(names) + 1) if blank is None else blank) + "\r\n")
             line += 1
         unit, period, values = rows[i]
-        writer.writerow([unit, period, *("" if v is None else repr(v) for v in values)])
+        cells = ["" if v is None else repr(v) for v in values]
+        writer.writerow([*cells[:key_at], unit, period, *cells[key_at:]])
         lines[(unit, period)] = line
         line += 1
     return buf.getvalue(), lines
@@ -206,11 +212,11 @@ RECORD_MUTATIONS = ["short", "long", "repeat", "blank"]
 
 
 @st.composite
-def mutated_files(draw):
-    """The bytes of a panel file from the loader alphabet above with up to three cells or
-    records mutated, `\\n`, `\\r` or `\\r\\n` line ends, a final line end or none, and a
-    byte-order mark or none."""
-    names, rows = draw(panel_rows())
+def mutated_files(draw, panels=panel_rows()):
+    """The bytes of a panel file from `panels`, its unit and period columns among the others,
+    with up to three cells or records mutated from the loader alphabet above, `\\n`, `\\r` or
+    `\\r\\n` line ends, a final line end or none, and a byte-order mark or none."""
+    names, rows = draw(panels)
     blanks = draw(st.lists(st.sampled_from([False, *BLANK_RECORDS]), max_size=12))
     if draw(st.booleans()):  # plain units, no blank cell and no blank record: more clean blocks
         plain = {unit: f"u{k}" for k, unit in enumerate(dict.fromkeys(r[0] for r in rows))}
@@ -218,8 +224,9 @@ def mutated_files(draw):
                 for unit, period, values in rows]
         blanks = []
     order = draw(st.permutations(range(len(rows))))
+    key_at = draw(st.integers(0, len(names)))
     # Split at csv.writer's line end; a unit holding "\r\n" is split too, which is one more mutation.
-    records = _csv_text(names, rows, order, blanks)[0].split("\r\n")[:-1]
+    records = _csv_text(names, rows, order, blanks, key_at)[0].split("\r\n")[:-1]
     for _ in range(draw(st.integers(0, 3))):
         k = draw(st.integers(1, len(records) - 1))
         kind = draw(st.sampled_from(["cell", *RECORD_MUTATIONS]))
@@ -266,6 +273,50 @@ def test_numpy_reader_and_csv_reader_load_the_same_panel(tmp_path_factory, conte
         fast = _outcome(path)
         with mock.patch.object(dataio, "_convert_lines", lambda *args: None):
             assert _outcome(path) == fast
+
+
+@st.composite
+def share_panel_rows(draw):
+    """`panel_rows` with a share column `compute_dependent` inverts (at most five units, each
+    under 0.19 of a period's market) and, in some panels, a `log_share_diff` column, each put
+    among the other columns at random."""
+    names, rows = draw(panel_rows())
+    for name, values in (("share", st.floats(1e-3, 0.19)), (DEPENDENT_COLUMN, VALUES)):
+        if name == DEPENDENT_COLUMN and draw(st.booleans()):
+            continue
+        at = draw(st.integers(0, len(names)))
+        names = [*names[:at], name, *names[at:]]
+        rows = [(unit, period, [*cells[:at], draw(values), *cells[at:]])
+                for unit, period, cells in rows]
+    return names, rows
+
+
+def _invert(path, output):
+    """`invert`'s exit code on `path`, its report and error line dropped."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        return main(["invert", "--data", str(path), "--output", str(output)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutated_files(share_panel_rows()), st.sampled_from([1, 3, 4096]))
+def test_invert_writes_what_the_panel_writer_would(tmp_path_factory, content, block_records):
+    """Wherever `invert` exits 0 on a mutated file, its output reloads to the panel that
+    `write_panel_csv` writes of the inverted panel, bit for bit and with the same levels, and
+    `invert` on its own output writes the same bytes; where it fails, it writes nothing."""
+    folder = tmp_path_factory.mktemp("invert")
+    path, out, again = folder / "panel.csv", folder / "out.csv", folder / "again.csv"
+    path.write_bytes(content)
+    with mock.patch.object(dataio, "BLOCK_RECORDS", block_records):
+        if _invert(path, out):
+            assert [p.name for p in folder.iterdir()] == ["panel.csv"]
+            return
+        write_panel_csv(compute_dependent(load_panel(path)), folder / "reference.csv")
+        panels = [_public(load_panel(folder / name)) for name in ("out.csv", "reference.csv")]
+        for panel in panels:
+            del panel["row_labels"], panel["source_lines"]
+        assert panels[0] == panels[1]
+        assert _invert(out, again) == 0
+    assert again.read_bytes() == out.read_bytes()
 
 
 #: Cells for the fill: blank ones, unquoted and quoted, and others with quotes, commas or spaces.
@@ -324,23 +375,28 @@ def test_the_fill_writes_nan_into_exactly_the_blank_cells(records_and_block):
     ("u4,2004,1_0", 10.0, True),
     ("\nu4,2004,4.25", 4.25, True),
     ("u4\0,2004,4.25", 4.25, True),
+    ('"u4\nx",2004,4.25', 4.25, True),
 ], ids=["clean", "quoted", "blank_cell", "whitespace_cell", "quoted_blank_cell",
         "blank_cell_and_nan_in_a_unit", "underscore",
-        "blank_record", "nul"])
+        "blank_record", "nul", "unit_over_two_lines"])
 def test_only_blocks_numpy_cannot_read_reach_the_record_reader(tmp_path, record, x, record_reader):
     """Clean, quoted and blank-cell blocks, a unit holding "nan" among them, are read by numpy
-    alone; a cell only Python reads, a blank record and a NUL send their block to `_read_records`."""
+    alone; a cell only Python reads, a blank record, a NUL and a unit quoted over a line break
+    send their block to `_read_records`, and numpy never parses a block with a line of an odd
+    number of quotes."""
     lines = ["unit,period,x", *(f"u{i},{2000 + i},{i}.25" for i in range(10))]
     lines[5] = record
     path = tmp_path / "panel.csv"
     path.write_text("\n".join(lines), encoding="utf-8")
     with mock.patch.object(dataio, "BLOCK_RECORDS", 3), \
-            mock.patch.object(dataio, "_read_records", wraps=dataio._read_records) as reader:
+            mock.patch.object(dataio, "_read_records", wraps=dataio._read_records) as reader, \
+            mock.patch.object(dataio, "_read_table", wraps=dataio._read_table) as table:
         column = load_panel(path).column("x")
     expected = [i + 0.25 for i in range(10)]
     expected[4] = x
     assert _bits(column) == _bits(expected)
     assert reader.call_count == record_reader
+    assert not any(line.count('"') % 2 for call in table.call_args_list for line in call.args[0])
 
 
 @pytest.mark.parametrize("name", DUMMY_COLUMNS)
