@@ -118,9 +118,10 @@ def _load(args):
 
 
 def cmd_invert(args) -> int:
+    loaded = Path(args.data).stat()
     data = dataio.compute_dependent(dataio.load_panel(args.data))
     shares = dataio.outside_shares(data)
-    dataio.write_inverted_csv(data, args.data, args.output)
+    dataio.write_inverted_csv(data, args.data, args.output, loaded)
     _write_manifest(args.output, _command_line(args), dataset_path=args.data)
     for t, s0 in sorted(shares.items()):
         print(f"period {t}: outside share {s0:.6f}")
@@ -283,8 +284,8 @@ def main(argv=None) -> int:
     args._raw_argv = argv
     try:
         return args.func(args)
-    except (LogitDemandError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (LogitDemandError, MemoryError, OSError, ValueError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return _exit_code(args.command, exc)
 
 

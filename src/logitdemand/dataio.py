@@ -222,6 +222,10 @@ def load_panel(path) -> PanelDataset:
     mark is skipped. Cells are quoted as `csv.reader` quotes them; an empty or whitespace-only
     cell is missing.
 
+    When `<path>.panel.npz`, the sidecar `write_inverted_csv` writes, records the sha256 of the
+    file's bytes as they are, the panel is read from it (`_read_sidecar`): it holds the panel
+    parsing gives. Any other sidecar is ignored and the file parsed.
+
     Blank records (empty, whitespace-only or with every cell empty) are skipped. A fault,
     a byte that is not UTF-8 included, is a `ParseError` on the first faulty line (the
     header is line 1) and, within it, on the unit, then the period, then the first faulty
@@ -231,7 +235,9 @@ def load_panel(path) -> PanelDataset:
     `BLOCK_RECORDS` records, converted column by column (`_read_records`). Not safe to call from
     several threads at once: each block sets the process-wide warning filters.
     """
-    path = Path(path)
+    cached = _read_sidecar(path)
+    if cached is not None:
+        return cached
     with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
         try:
             header = next(csv.reader(fh))
@@ -299,8 +305,9 @@ def _convert_lines(block, lines, fields, u_pos, t_pos, value_pos, index):
     block numpy refuses is read again with its blank cells filled (`_fill_blank_cells`).
 
     numpy gets no NUL (`csv.reader` refuses it before Python 3.11) or line past
-    `csv.field_size_limit()`, and splits and unquotes cells as `csv.reader` does. The row count
-    shows a line it joins at a quoted line break or skips as blank; a last line cut inside
+    `csv.field_size_limit()`, and splits and unquotes cells as `csv.reader` does. It skips a line
+    that is only a line end, as `_read_records` skips that blank record, and the other lines keep
+    their numbers; the row count shows any other line it joins or skips. A last line cut inside
     quotes, which numpy ends at the cut, is refused. Where numpy and `_read_records` both accept
     a cell they give the same number: both strip what `str.strip` strips, and numpy's float
     parser is Python's. A cell only Python reads (`1_0`, `１`) and a non-finite value are
@@ -316,6 +323,8 @@ def _convert_lines(block, lines, fields, u_pos, t_pos, value_pos, index):
         if not filled:
             return None
         table = _read_table(block, fields)
+    if table is not None and len(table) != len(lines):
+        lines = lines[[line not in ("\n", "\r", "\r\n") for line in block]]
     if (table is None or len(table) != len(lines)
             or '"' in block[-1] and next(csv.reader(block[-1:]))[-1].endswith(("\n", "\r"))):
         return None
@@ -469,9 +478,10 @@ def write_panel_csv(data: PanelDataset, path):
             fh.write("\r\n".join(map(",".join, zip(*fields))) + "\r\n")
 
 
-def write_inverted_csv(data: PanelDataset, source, path):
+def write_inverted_csv(data: PanelDataset, source, path, loaded):
     """Write `invert`'s output: each record of `source` that `load_panel` read into `data`, in
-    the file's order and with its text as read, then the row's `log_share_diff` value.
+    the file's order and with its text as read, then the row's `log_share_diff` value; then its
+    sidecar `<path>.panel.npz` (`_write_sidecar`), so that `load_panel(path)` need not parse it.
 
     The header and each kept record end in `\\r\\n`, whatever line end they had, and the value
     is appended as `,repr(value)`, or written over the record's cell when the header already
@@ -479,14 +489,15 @@ def write_inverted_csv(data: PanelDataset, source, path):
     is read again `BLOCK_RECORDS` lines at a time (`_split_records`); the value's cell is found
     by counting commas from either end of the record, since only a unit cell can hold a comma.
     The output is written to a temporary file beside `path` and then moved onto it, so `path`
-    may name `source`, and a failed copy leaves no output. A record the load kept but the file
-    no longer holds is a `ParseError`.
+    may name `source`, and a failed copy leaves no output. `loaded` is `os.stat(source)` taken
+    before the load: a record the load kept but the file no longer holds, or a file whose size,
+    modification time or inode at the copy's end are not `loaded`'s, is a `ParseError`.
     """
     rows = np.argsort(data.source_lines)
     lines = data.source_lines[rows]
     values = data.column(DEPENDENT_COLUMN)[rows]
-    path = os.path.realpath(path)
-    temp = f"{path}.{os.getpid()}.tmp"
+    real = os.path.realpath(path)
+    temp = f"{real}.{os.getpid()}.tmp"
     try:
         with open(source, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh, \
                 open(temp, "w", newline="", encoding="utf-8", errors="surrogateescape") as out:
@@ -510,17 +521,81 @@ def write_inverted_csv(data: PanelDataset, source, path):
                     else [_over_cell(text.rstrip(_EOL), repr(value), names, over)
                           for text, value in pairs]))
                 first, k = last, stop
+            now = os.fstat(fh.fileno())
         if k < len(lines):
             raise ParseError(int(lines[k]), "", f"no record: {_CHANGED}")
-        os.replace(temp, path)
+        if any(getattr(now, key) != getattr(loaded, key)
+               for key in ("st_size", "st_mtime_ns", "st_ino")):
+            raise ParseError(1, "", _CHANGED)
+        os.replace(temp, real)
     except BaseException:
         Path(temp).unlink(missing_ok=True)
         raise
+    # The output's record of row rows[i] is its (i + 1)-th, on line i + 2.
+    output_lines = np.empty_like(lines)
+    output_lines[rows] = np.arange(2, len(lines) + 2)
+    _write_sidecar(data, output_lines, path)
 
 
 #: What `str.rstrip` strips from a record to drop its line end, whichever of the three it is.
 _EOL = "\r\n"
 _CHANGED = "the file changed after it was loaded"
+#: The format of `_write_sidecar`'s file; `_read_sidecar` ignores one of another version.
+SIDECAR_VERSION = 1
+
+
+def _write_sidecar(data: PanelDataset, source_lines, path):
+    """Write `<path>.panel.npz`: `data` with `source_lines`, as `load_panel(path)` parses it,
+    and the sha256 of `path`'s bytes. Each array is its own entry, a value column under its
+    position in the header; the unit levels, the column names, the hash and `SIDECAR_VERSION`
+    are one JSON text, as bytes, since a numpy string array drops a trailing NUL. The file is
+    written beside its name and then moved onto it."""
+    sidecar = f"{path}.panel.npz"
+    temp = f"{sidecar}.{os.getpid()}.tmp"
+    meta = {"version": SIDECAR_VERSION, "sha256": _sha256(path),
+            "unit_levels": data.unit_levels.tolist(), "columns": list(data.columns)}
+    try:
+        with open(temp, "wb") as fh:
+            np.savez(fh, meta=np.frombuffer(json.dumps(meta).encode(), np.uint8),
+                     unit_codes=data.unit_codes, period_levels=data.period_levels,
+                     period_codes=data.period_codes, source_lines=source_lines,
+                     **{f"column{k}": column for k, column in enumerate(data.columns.values())})
+        os.replace(temp, sidecar)
+    except BaseException:
+        Path(temp).unlink(missing_ok=True)
+        raise
+
+
+def _read_sidecar(path):
+    """The panel of `<path>.panel.npz`, built by `PanelDataset` and so checked as any panel is;
+    None when there is no such file, or it is not one `_write_sidecar` wrote in this version of
+    `path`'s bytes as they are now, or its panel fails a check."""
+    try:
+        with np.load(f"{path}.panel.npz", allow_pickle=False) as npz:
+            meta = json.loads(npz["meta"].tobytes())
+            if meta["version"] != SIDECAR_VERSION or meta["sha256"] != _sha256(path):
+                return None
+            return PanelDataset(
+                np.array(meta["unit_levels"], dtype=object), npz["unit_codes"],
+                npz["period_levels"], npz["period_codes"],
+                {name: npz[f"column{k}"] for k, name in enumerate(meta["columns"])},
+                npz["source_lines"],
+            )
+    # A sidecar only saves a parse: whatever is wrong with it (the zip, an entry, the JSON, the
+    # hash or the panel's checks, each with errors of its own), the file is parsed instead.
+    except Exception:
+        return None
+
+
+def _sha256(path) -> str:
+    """The sha256 of a file's bytes, read 1 MB at a time."""
+    import hashlib  # on first use, so that importing the package costs no more
+
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def _split_records(block, more) -> list:

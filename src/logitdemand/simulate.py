@@ -95,6 +95,12 @@ class DgpParams:
             raise ValueError("beta must have one entry per characteristic")
         if self.n_instruments < 1:
             raise ValueError("need at least one cost shifter")
+        # A market's draws are one float64 array (`draw_markets`): refuse one that numpy cannot
+        # hold before a name is made per cost shifter.
+        draws = self.n_products * self.n_periods * (self.n_characteristics + self.n_instruments + 2)
+        if draws > sys.maxsize // 8:
+            raise ValueError("a market's draws, n_products * n_periods * (n_characteristics + "
+                             "n_instruments + 2) values, must fit one numpy array")
         for name in ("seed", "xi_scale", "instrument_strength", "characteristic_scale",
                      "price_noise_scale"):
             if getattr(self, name) < 0:

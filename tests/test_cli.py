@@ -175,7 +175,9 @@ def test_invert_onto_its_own_input_writes_what_a_separate_output_gets(tmp_path, 
      "line 5, column '': no record: the file changed after it was loaded"),
     (lambda text: text.replace("b,2015", '"' + "b" * 131_073 + '",2015'),
      "field larger than field limit (131072): the file changed after it was loaded"),
-], ids=["loses_its_last_record", "gains_a_field_past_the_limit"])
+    (lambda text: text.replace("b,2014", "c,2016,10,200,300\nb,2014"),
+     "line 1, column '': the file changed after it was loaded"),
+], ids=["loses_its_last_record", "gains_a_field_past_the_limit", "gains_a_record"])
 def test_a_file_that_changes_after_loading_exits_2_and_writes_nothing(tmp_path, monkeypatch,
                                                                      edit, error):
     src = tmp_path / "panel.csv"
@@ -191,6 +193,53 @@ def test_a_file_that_changes_after_loading_exits_2_and_writes_nothing(tmp_path, 
     argv = ["invert", "--data", str(src), "--output", str(tmp_path / "out.csv")]
     assert _run_under_the_exit_contract(argv) == (2, f"error: {error}\n")
     assert [p.name for p in tmp_path.iterdir()] == ["panel.csv"]
+
+
+def test_estimate_and_diagnose_read_the_sidecar_invert_wrote(tmp_path):
+    """`invert` writes `<output>.panel.npz`, and `estimate` and `diagnose` on its output read it
+    without parsing the file. They print and write the same bytes after it is deleted, and
+    write no sidecar themselves."""
+    spec_path, csv_path = _sim_inputs(tmp_path)
+    inverted = tmp_path / "inverted.csv"
+    sidecar = tmp_path / "inverted.csv.panel.npz"
+    assert _run_under_the_exit_contract(
+        ["invert", "--data", str(csv_path), "--output", str(inverted)]) == (0, "")
+    assert sidecar.exists()
+    runs = [["estimate", "--spec", str(spec_path), "--data", str(inverted)],
+            ["estimate", "--spec", str(spec_path), "--data", str(inverted), "--format", "csv",
+             "--output", str(tmp_path / "estimate.csv")],
+            ["diagnose", "--spec", str(spec_path), "--data", str(inverted)],
+            ["diagnose", "--spec", str(spec_path), "--data", str(inverted),
+             "--output", str(tmp_path / "diagnose.txt")]]
+
+    def outputs():
+        reports = []
+        for argv in runs:
+            out = io.StringIO()
+            with redirect_stdout(out):
+                assert main(argv) == 0
+            reports.append(out.getvalue())
+        return reports, [(tmp_path / name).read_bytes() for name in ("estimate.csv", "diagnose.txt")]
+
+    with mock.patch.object(dataio, "_convert_lines", side_effect=AssertionError("parsed")), \
+            mock.patch.object(dataio, "_read_records", side_effect=AssertionError("parsed")):
+        cached = outputs()
+    sidecar.unlink()
+    assert outputs() == cached
+    assert not list(tmp_path.glob("*.npz"))
+
+
+@pytest.mark.parametrize("suffix", [".panel.npz", ".manifest.json"])
+def test_a_sidecar_that_cannot_be_written_fails_invert_as_a_manifest_does(tmp_path, capsys,
+                                                                          suffix):
+    src = tmp_path / "panel.csv"
+    src.write_text(GOOD_CSV, encoding="utf-8")
+    (tmp_path / f"inverted.csv{suffix}").mkdir()
+    assert main(["invert", "--data", str(src), "--output", str(tmp_path / "inverted.csv")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 @pytest.mark.parametrize("content", [
@@ -850,6 +899,71 @@ def test_simulate_bundled_params(capsys):
     assert "Monte Carlo summary: 1/1 replications" in capsys.readouterr().out
 
 
+#: Keys of a parameter file: every one `simulate` knows and some it does not.
+PARAM_KEYS = [f.name for f in dataclasses.fields(DgpParams)] + [
+    "estimator", "covariance", "replications", "typo", "N_PRODUCTS", ""]
+#: JSON values of each type, small, zero, negative and extreme. An extreme count is past what
+#: one numpy array holds, so that no draw allocates a market that large.
+PARAM_VALUES = st.one_of(
+    st.none(), st.booleans(),
+    st.sampled_from([0, 1, 2, 3, -1, 2**63 - 1, 2**63, 2**64, -2**63, 10**30, 10**400]),
+    st.sampled_from([0.0, -0.0, 0.5, 2.5, -1.5, 5e-324, 1e-300, 1e154, 1e308, -1e308]),
+    st.sampled_from(["", "x", "1", "ols", "tsls", "two_way_fe", "classical", "robust_hc0",
+                     "\udcff"]),
+    st.lists(st.sampled_from([0.0, 1.0, -0.5, 2, 1e308, 5e-324, True, None, "a", [1.0]]),
+             max_size=3),
+    st.dictionaries(st.sampled_from(["a", "n_products"]), st.integers(0, 2), max_size=1),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_a_parameter_file_keeps_the_exit_contract(tmp_path_factory, data):
+    """`simulate` on a small valid parameter file with up to three fields drawn, known or not,
+    of any JSON type and extreme values among them, a required field perhaps dropped, under
+    warnings as errors: nothing escapes `main`, and a failure exits 5 with one `error:` line
+    and nothing on stdout."""
+    params = {"n_products": 3, "n_periods": 2, "seed": 1, "replications": 2}
+    for key in data.draw(st.lists(st.sampled_from(["n_products", "n_periods"]), max_size=1)):
+        del params[key]
+    params.update(data.draw(st.dictionaries(st.sampled_from(PARAM_KEYS), PARAM_VALUES,
+                                            min_size=1, max_size=3)))
+    path = tmp_path_factory.mktemp("params") / "params.json"
+    path.write_text(json.dumps(params), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(["simulate", "--params", str(path)])
+    if code:
+        assert code == 5 and out.getvalue() == ""
+        assert len(err.getvalue().splitlines()) == 1 and err.getvalue().startswith("error: ")
+        assert err.getvalue().strip() != "error:"
+    else:
+        assert out.getvalue().startswith("Monte Carlo summary: ") and err.getvalue() == ""
+
+
+def test_a_market_too_large_to_allocate_exits_5_with_one_line(tmp_path, capsys):
+    """2**54 rows of draws: 512 PiB, past any address space, so numpy's allocation fails at once."""
+    params_path = tmp_path / "params.json"
+    params_path.write_text(json.dumps({"n_products": 2**27, "n_periods": 2**27}), encoding="utf-8")
+    assert main(["simulate", "--params", str(params_path)]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"error: Unable to allocate .*\n", captured.err), captured.err
+
+
+def test_an_error_without_a_message_is_named_by_its_class(tmp_path, capsys, monkeypatch):
+    params_path = tmp_path / "params.json"
+    params_path.write_text(json.dumps({"n_products": 2, "n_periods": 2}), encoding="utf-8")
+
+    def fail(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(simulate, "run_monte_carlo", fail)
+    assert main(["simulate", "--params", str(params_path)]) == 5
+    assert capsys.readouterr() == ("", "error: MemoryError\n")
+
+
 # The generator's cost shifters are standard normal and price has no intercept; the keys that
 # once set them are unknown like any other.
 @pytest.mark.parametrize("key", ["typo", "cost_loc", "cost_scale", "price_intercept"])
@@ -882,6 +996,9 @@ def test_simulate_rejects_unknown_keys(tmp_path, capsys, key):
     ({"price_endogeneity": float("nan")}, "price_endogeneity must be a finite number"),
     ({"alpha": float("inf")}, "alpha must be a finite number"),
     ({"time_effects": [0.0, 10**400]}, "time_effects must be a sequence of finite numbers"),
+    ({"n_instruments": 2**63 - 1}, "a market's draws, n_products * n_periods * "
+                                   "(n_characteristics + n_instruments + 2) values, must fit one "
+                                   "numpy array"),
 ])
 def test_simulate_rejects_invalid_values(tmp_path, capsys, override, message):
     params_path = tmp_path / "params.json"
@@ -1128,11 +1245,13 @@ EXIT_CODES = {
     "MissingRequiredError": (2, 5),
     "UnknownColumnError": (2, 5),
     "DegenerateSharesError": (2, 5),
+    "MemoryError": (2, 5),
     "OSError": (2, 5),
     "ValueError": (2, 5),
 }
 CAUGHT = [c for c in vars(errors).values()
-          if isinstance(c, type) and issubclass(c, errors.LogitDemandError)] + [OSError, ValueError]
+          if isinstance(c, type) and issubclass(c, errors.LogitDemandError)] + [
+    MemoryError, OSError, ValueError]
 
 
 @pytest.mark.parametrize("error", CAUGHT, ids=lambda c: c.__name__)

@@ -5,15 +5,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from logitdemand import dataio
 from logitdemand.dataio import (
     BLOCK_RECORDS,
     DEPENDENT_COLUMN,
+    SIDECAR_VERSION,
     PanelDataset,
     check_columns,
     compute_dependent,
     load_panel,
     parse_spec,
     results_csv_text,
+    write_inverted_csv,
     write_panel_csv,
 )
 from logitdemand.errors import (
@@ -309,6 +312,94 @@ def test_write_panel_csv_bytes(tmp_path):
         b"b,2014,1e-17,0.30000000000000004\r\n"
         b"c,2015,-3.141592653589793,1600.0\r\n"
     )
+
+
+# --- the panel sidecar -------------------------------------------------------
+
+#: Units with a comma, quotes, a trailing NUL and non-ASCII letters, a blank cell, a line that
+#: is only a line end and records out of key order.
+SIDECAR_CSV = ('unit,period,share,Price\n"a,b",2015,0.25,399\nñandú,2015,0.25,2\n'
+               '"say ""hi""",2014,0.5,\n\n"z\0",2014,0.125,1.5\n')
+
+
+def _inverted(tmp_path, text=SIDECAR_CSV):
+    """`text` inverted as `invert` inverts it: the output's path, beside its sidecar."""
+    src = _write(tmp_path, text)
+    loaded = src.stat()
+    out = tmp_path / "inverted.csv"
+    write_inverted_csv(compute_dependent(load_panel(src)), src, out, loaded)
+    return out
+
+
+def _exactly(data):
+    """A panel's levels, codes, source lines, column order and columns, with every dtype."""
+    arrays = {"unit_levels": data.unit_levels, "unit_codes": data.unit_codes,
+              "period_levels": data.period_levels, "period_codes": data.period_codes,
+              "source_lines": data.source_lines, **data.columns}
+    return [(name, arr.dtype.str, arr.tobytes() if arr.dtype != object else arr.tolist())
+            for name, arr in arrays.items()]
+
+
+def _rewrite(sidecar, **entries):
+    """Write `sidecar` again with `entries` set, or dropped where None."""
+    with np.load(sidecar) as npz:
+        kept = {key: npz[key] for key in npz.files}
+    kept.update(entries)
+    np.savez(sidecar, **{key: arr for key, arr in kept.items() if arr is not None})
+
+
+def _meta(sidecar, **changes):
+    with np.load(sidecar) as npz:
+        meta = json.loads(npz["meta"].tobytes())
+    return np.frombuffer(json.dumps({**meta, **changes}).encode(), np.uint8)
+
+
+def test_a_sidecar_holds_the_panel_the_file_parses_to(tmp_path):
+    out = _inverted(tmp_path)
+    sidecar = tmp_path / "inverted.csv.panel.npz"
+    cached = dataio._read_sidecar(out)
+    assert cached is not None and "z\0" in cached.unit_levels.tolist()
+    assert _exactly(load_panel(out)) == _exactly(cached)
+    sidecar.unlink()
+    assert _exactly(load_panel(out)) == _exactly(cached)
+    assert cached.source_lines.tolist() == [2, 4, 5, 3]  # the output's lines, in key order
+    assert not sidecar.exists()  # loading writes none
+
+
+@pytest.mark.parametrize("fault", [
+    "csv_byte_edited", "truncated", "other_version", "entry_missing", "codes_out_of_range",
+    "repeated_key", "not_a_zip", "byte_flipped",
+])
+def test_a_sidecar_that_is_not_of_the_file_is_ignored(tmp_path, fault):
+    """A sidecar whose hash is not the file's, that is cut short, not a zip or has a byte
+    flipped, of another version, without an entry, or whose arrays fail the panel's checks:
+    the file is parsed."""
+    out = _inverted(tmp_path)
+    sidecar = tmp_path / "inverted.csv.panel.npz"
+    cached = load_panel(out)
+    if fault == "csv_byte_edited":  # 399 -> 398, one byte
+        out.write_bytes(out.read_bytes().replace(b",399,", b",398,"))
+    elif fault == "truncated":
+        sidecar.write_bytes(sidecar.read_bytes()[:-100])
+    elif fault == "not_a_zip":
+        sidecar.write_bytes(b"PK")
+    elif fault == "byte_flipped":
+        content = bytearray(sidecar.read_bytes())
+        content[len(content) // 2] ^= 0xFF
+        sidecar.write_bytes(bytes(content))
+    elif fault == "other_version":
+        _rewrite(sidecar, meta=_meta(sidecar, version=SIDECAR_VERSION + 1))
+    elif fault == "entry_missing":
+        _rewrite(sidecar, column0=None)
+    elif fault == "codes_out_of_range":
+        _rewrite(sidecar, unit_codes=cached.unit_codes + 10)
+    else:  # every row of unit "a,b": two of them in period 2015
+        _rewrite(sidecar, unit_codes=np.zeros(cached.n_rows, np.int64))
+    assert dataio._read_sidecar(out) is None
+    reference = _write(tmp_path, out.read_text(encoding="utf-8"), "reference.csv")
+    assert _exactly(load_panel(out)) == _exactly(load_panel(reference))
+    price = load_panel(out).column("Price").tolist()
+    assert (398.0 in price) == (fault == "csv_byte_edited")
 
 
 def test_row_order_never_affects_estimates(tmp_path):

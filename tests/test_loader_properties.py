@@ -215,14 +215,15 @@ RECORD_MUTATIONS = ["short", "long", "repeat", "blank"]
 def mutated_files(draw, panels=panel_rows()):
     """The bytes of a panel file from `panels`, its unit and period columns among the others,
     with up to three cells or records mutated from the loader alphabet above, `\\n`, `\\r` or
-    `\\r\\n` line ends, a final line end or none, and a byte-order mark or none."""
+    `\\r\\n` line ends, a final line end or none, and a byte-order mark or none. Half of them
+    have plain units and no blank cell, and no blank record but lines that are only a line end."""
     names, rows = draw(panels)
     blanks = draw(st.lists(st.sampled_from([False, *BLANK_RECORDS]), max_size=12))
-    if draw(st.booleans()):  # plain units, no blank cell and no blank record: more clean blocks
+    if draw(st.booleans()):  # more clean blocks
         plain = {unit: f"u{k}" for k, unit in enumerate(dict.fromkeys(r[0] for r in rows))}
         rows = [(plain[unit], period, [0.5 if v is None else v for v in values])
                 for unit, period, values in rows]
-        blanks = []
+        blanks = [blank for blank in blanks if blank in (False, "")]
     order = draw(st.permutations(range(len(rows))))
     key_at = draw(st.integers(0, len(names)))
     # Split at csv.writer's line end; a unit holding "\r\n" is split too, which is one more mutation.
@@ -257,9 +258,14 @@ def _outcome(path):
     assert caught == []
     if isinstance(data, Exception):
         return type(data).__name__, str(data)
-    arrays = (data.unit_codes, data.period_levels, data.period_codes, data.source_lines,
-              *data.columns.values())
-    return _public(data), [arr.dtype.str for arr in arrays]
+    return _exactly(data)
+
+
+def _exactly(data):
+    """Every public attribute of a panel, its column order and every array's dtype."""
+    arrays = (data.unit_levels, data.unit_codes, data.period_levels, data.period_codes,
+              data.source_lines, *data.columns.values())
+    return _public(data), list(data.columns), [arr.dtype.str for arr in arrays]
 
 
 @settings(max_examples=400)
@@ -302,7 +308,9 @@ def _invert(path, output):
 def test_invert_writes_what_the_panel_writer_would(tmp_path_factory, content, block_records):
     """Wherever `invert` exits 0 on a mutated file, its output reloads to the panel that
     `write_panel_csv` writes of the inverted panel, bit for bit and with the same levels, and
-    `invert` on its own output writes the same bytes; where it fails, it writes nothing."""
+    `invert` on its own output writes the same bytes; where it fails, it writes nothing. The
+    output's sidecar holds the panel parsing the output gives, dtypes and source lines
+    included."""
     folder = tmp_path_factory.mktemp("invert")
     path, out, again = folder / "panel.csv", folder / "out.csv", folder / "again.csv"
     path.write_bytes(content)
@@ -310,12 +318,16 @@ def test_invert_writes_what_the_panel_writer_would(tmp_path_factory, content, bl
         if _invert(path, out):
             assert [p.name for p in folder.iterdir()] == ["panel.csv"]
             return
+        cached = dataio._read_sidecar(out)
+        assert cached is not None
         write_panel_csv(compute_dependent(load_panel(path)), folder / "reference.csv")
         panels = [_public(load_panel(folder / name)) for name in ("out.csv", "reference.csv")]
         for panel in panels:
             del panel["row_labels"], panel["source_lines"]
         assert panels[0] == panels[1]
         assert _invert(out, again) == 0
+        (folder / "out.csv.panel.npz").unlink()
+        assert _exactly(load_panel(out)) == _exactly(cached)
     assert again.read_bytes() == out.read_bytes()
 
 
@@ -372,29 +384,37 @@ def test_the_fill_writes_nan_into_exactly_the_blank_cells(records_and_block):
     ("u4,2004, \t", math.nan, False),
     ('u4,2004,""', math.nan, False),
     ("u4banana,2004,", math.nan, False),
+    ("\nu4,2004,4.25", 4.25, False),
+    ("\r\nu4,2004,4.25", 4.25, False),
+    ("\ru4,2004,4.25", 4.25, False),
+    ("\nu4,2004,", math.nan, False),
     ("u4,2004,1_0", 10.0, True),
-    ("\nu4,2004,4.25", 4.25, True),
+    (" \nu4,2004,4.25", 4.25, True),
     ("u4\0,2004,4.25", 4.25, True),
     ('"u4\nx",2004,4.25', 4.25, True),
 ], ids=["clean", "quoted", "blank_cell", "whitespace_cell", "quoted_blank_cell",
-        "blank_cell_and_nan_in_a_unit", "underscore",
-        "blank_record", "nul", "unit_over_two_lines"])
+        "blank_cell_and_nan_in_a_unit", "blank_record", "crlf_blank_record", "cr_blank_record",
+        "blank_record_and_blank_cell", "underscore", "whitespace_record", "nul",
+        "unit_over_two_lines"])
 def test_only_blocks_numpy_cannot_read_reach_the_record_reader(tmp_path, record, x, record_reader):
-    """Clean, quoted and blank-cell blocks, a unit holding "nan" among them, are read by numpy
-    alone; a cell only Python reads, a blank record, a NUL and a unit quoted over a line break
-    send their block to `_read_records`, and numpy never parses a block with a line of an odd
-    number of quotes."""
+    """Clean, quoted and blank-cell blocks, a unit holding "nan" among them, and blocks with a
+    line that is only a line end are read by numpy alone; a cell only Python reads, a
+    whitespace-only record, a NUL and a unit quoted over a line break send their block to
+    `_read_records`, and numpy never parses a block with a line of an odd number of quotes.
+    Either way the panel, its source lines included, is the one `_read_records` alone reads."""
     lines = ["unit,period,x", *(f"u{i},{2000 + i},{i}.25" for i in range(10))]
     lines[5] = record
     path = tmp_path / "panel.csv"
     path.write_text("\n".join(lines), encoding="utf-8")
-    with mock.patch.object(dataio, "BLOCK_RECORDS", 3), \
-            mock.patch.object(dataio, "_read_records", wraps=dataio._read_records) as reader, \
-            mock.patch.object(dataio, "_read_table", wraps=dataio._read_table) as table:
-        column = load_panel(path).column("x")
+    with mock.patch.object(dataio, "BLOCK_RECORDS", 3):
+        with mock.patch.object(dataio, "_read_records", wraps=dataio._read_records) as reader, \
+                mock.patch.object(dataio, "_read_table", wraps=dataio._read_table) as table:
+            data = load_panel(path)
+        with mock.patch.object(dataio, "_convert_lines", lambda *args: None):
+            assert _public(load_panel(path)) == _public(data)
     expected = [i + 0.25 for i in range(10)]
     expected[4] = x
-    assert _bits(column) == _bits(expected)
+    assert _bits(data.column("x")) == _bits(expected)
     assert reader.call_count == record_reader
     assert not any(line.count('"') % 2 for call in table.call_args_list for line in call.args[0])
 
