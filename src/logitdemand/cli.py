@@ -199,6 +199,15 @@ def cmd_simulate(args) -> int:
         params = dataclasses.replace(params, seed=args.seed)
     if args.replications is not None:
         replications = args.replications
+    if estimator == "tsls":
+        # The spec names each cost shifter. Refuse more of them than a market has rows, which no
+        # first stage could fit, and allocate (and drop) one market's draws, so that a count this
+        # machine cannot hold fails here at once rather than while the names are made.
+        rows = params.n_products * params.n_periods
+        if params.n_instruments > rows:
+            raise ValueError(f"{params.n_instruments} cost shifters as instruments, more than a "
+                             f"market's {rows} rows")
+        np.empty(rows * (params.n_characteristics + params.n_instruments + 2))
     spec = simulate.default_model_spec(params, estimator=estimator, covariance=covariance)
 
     summary = simulate.run_monte_carlo(params, spec, replications)

@@ -223,8 +223,9 @@ def load_panel(path) -> PanelDataset:
     cell is missing.
 
     When `<path>.panel.npz`, the sidecar `write_inverted_csv` writes, records the sha256 of the
-    file's bytes as they are, the panel is read from it (`_read_sidecar`): it holds the panel
-    parsing gives. Any other sidecar is ignored and the file parsed.
+    file's bytes as they are and the loader's (`_loader`), the panel is read from it
+    (`_read_sidecar`): it holds the panel parsing gives. Any other sidecar is ignored and the
+    file parsed, so a change to this module's parse makes every sidecar written before it stale.
 
     Blank records (empty, whitespace-only or with every cell empty) are skipped. A fault,
     a byte that is not UTF-8 included, is a `ParseError` on the first faulty line (the
@@ -540,19 +541,17 @@ def write_inverted_csv(data: PanelDataset, source, path, loaded):
 #: What `str.rstrip` strips from a record to drop its line end, whichever of the three it is.
 _EOL = "\r\n"
 _CHANGED = "the file changed after it was loaded"
-#: The format of `_write_sidecar`'s file; `_read_sidecar` ignores one of another version.
-SIDECAR_VERSION = 1
 
 
 def _write_sidecar(data: PanelDataset, source_lines, path):
     """Write `<path>.panel.npz`: `data` with `source_lines`, as `load_panel(path)` parses it,
     and the sha256 of `path`'s bytes. Each array is its own entry, a value column under its
-    position in the header; the unit levels, the column names, the hash and `SIDECAR_VERSION`
-    are one JSON text, as bytes, since a numpy string array drops a trailing NUL. The file is
-    written beside its name and then moved onto it."""
+    position in the header; the unit levels, the column names, the hash and `_loader()` are one
+    JSON text, as bytes, since a numpy string array drops a trailing NUL. The file is written
+    beside its name and then moved onto it."""
     sidecar = f"{path}.panel.npz"
     temp = f"{sidecar}.{os.getpid()}.tmp"
-    meta = {"version": SIDECAR_VERSION, "sha256": _sha256(path),
+    meta = {"loader": _loader(), "sha256": _sha256(path),
             "unit_levels": data.unit_levels.tolist(), "columns": list(data.columns)}
     try:
         with open(temp, "wb") as fh:
@@ -568,12 +567,12 @@ def _write_sidecar(data: PanelDataset, source_lines, path):
 
 def _read_sidecar(path):
     """The panel of `<path>.panel.npz`, built by `PanelDataset` and so checked as any panel is;
-    None when there is no such file, or it is not one `_write_sidecar` wrote in this version of
-    `path`'s bytes as they are now, or its panel fails a check."""
+    None when there is no such file, or it is not one `_write_sidecar` wrote, with this loader,
+    of `path`'s bytes as they are now, or its panel fails a check."""
     try:
         with np.load(f"{path}.panel.npz", allow_pickle=False) as npz:
             meta = json.loads(npz["meta"].tobytes())
-            if meta["version"] != SIDECAR_VERSION or meta["sha256"] != _sha256(path):
+            if meta["loader"] != _loader() or meta["sha256"] != _sha256(path):
                 return None
             return PanelDataset(
                 np.array(meta["unit_levels"], dtype=object), npz["unit_codes"],
@@ -585,6 +584,15 @@ def _read_sidecar(path):
     # hash or the panel's checks, each with errors of its own), the file is parsed instead.
     except Exception:
         return None
+
+
+def _loader() -> str:
+    """What a parse depends on besides the file: the sha256 of this module's source, which
+    holds the parse and the sidecar's format, and the numpy and Python versions, whose readers
+    it calls."""
+    import platform  # here, as `_sha256` imports hashlib
+
+    return f"{_sha256(__file__)} numpy {np.__version__} python {platform.python_version()}"
 
 
 def _sha256(path) -> str:

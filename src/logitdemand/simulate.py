@@ -433,13 +433,21 @@ def run_monte_carlo(params: DgpParams, spec: estimators.ModelSpec | None = None,
         raise ValueError("need at least one replication")
     if spec is None:
         spec = default_model_spec(params)
-    generated = {*params.characteristic_names(), "price", *params.instrument_names(),
-                 "quantity", "market_size", dataio.DEPENDENT_COLUMN}
+    generated = {*params.characteristic_names(), "price", "quantity", "market_size",
+                 dataio.DEPENDENT_COLUMN}
     for name in (spec.dependent, *spec.regressors, *spec.instruments):
-        if name not in generated:
+        if name not in generated and not _is_cost_shifter(name, params.n_instruments):
             raise UnknownColumnError(name)
     records = _replications(params, spec, replication_seeds(params.seed, replications))
     return _summarize(params, replications, records)
+
+
+def _is_cost_shifter(name, n_instruments) -> bool:
+    """Whether `name` is one of `DgpParams.instrument_names()`, cost1 to cost<n_instruments>,
+    found by its number: there may be too many cost shifters to name them all."""
+    number = name.removeprefix("cost")
+    return (number.isascii() and number.isdigit() and len(number) <= len(str(n_instruments))
+            and name == f"cost{int(number)}" and 1 <= int(number) <= n_instruments)
 
 
 class _Replication(NamedTuple):

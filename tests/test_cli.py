@@ -903,10 +903,11 @@ def test_simulate_bundled_params(capsys):
 PARAM_KEYS = [f.name for f in dataclasses.fields(DgpParams)] + [
     "estimator", "covariance", "replications", "typo", "N_PRODUCTS", ""]
 #: JSON values of each type, small, zero, negative and extreme. An extreme count is past what
-#: one numpy array holds, so that no draw allocates a market that large.
+#: one numpy array holds, or, at 2**40, gives a market of tens of TiB of draws, which `simulate`
+#: allocates, and fails to, before anything is made per cost shifter.
 PARAM_VALUES = st.one_of(
     st.none(), st.booleans(),
-    st.sampled_from([0, 1, 2, 3, -1, 2**63 - 1, 2**63, 2**64, -2**63, 10**30, 10**400]),
+    st.sampled_from([0, 1, 2, 3, -1, 2**40, 2**63 - 1, 2**63, 2**64, -2**63, 10**30, 10**400]),
     st.sampled_from([0.0, -0.0, 0.5, 2.5, -1.5, 5e-324, 1e-300, 1e154, 1e308, -1e308]),
     st.sampled_from(["", "x", "1", "ols", "tsls", "two_way_fe", "classical", "robust_hc0",
                      "\udcff"]),
@@ -950,6 +951,25 @@ def test_a_market_too_large_to_allocate_exits_5_with_one_line(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert re.fullmatch(r"error: Unable to allocate .*\n", captured.err), captured.err
+
+
+@pytest.mark.parametrize("estimator, message", [
+    ("tsls", "1099511627776 cost shifters as instruments, more than a market's 6 rows"),
+    ("ols", "Unable to allocate .*"),
+])
+def test_a_count_of_cost_shifters_too_large_to_draw_exits_5_before_any_is_named(
+        tmp_path, capsys, monkeypatch, estimator, message):
+    """2**40 cost shifters in a 6-row market: 2SLS could use none of them, and their draws are
+    tens of TiB, which numpy fails to allocate. Either is refused at once, before the spec or
+    the draws name a single cost shifter."""
+    params_path = tmp_path / "params.json"
+    params_path.write_text(json.dumps({"n_products": 3, "n_periods": 2, "n_instruments": 2**40,
+                                       "estimator": estimator}), encoding="utf-8")
+    monkeypatch.setattr(DgpParams, "instrument_names", None)  # a call would raise TypeError
+    assert main(["simulate", "--params", str(params_path)]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(f"error: {message}\n", captured.err), captured.err
 
 
 def test_an_error_without_a_message_is_named_by_its_class(tmp_path, capsys, monkeypatch):
@@ -999,6 +1019,8 @@ def test_simulate_rejects_unknown_keys(tmp_path, capsys, key):
     ({"n_instruments": 2**63 - 1}, "a market's draws, n_products * n_periods * "
                                    "(n_characteristics + n_instruments + 2) values, must fit one "
                                    "numpy array"),
+    # More cost shifters than a market's 6 rows: no first stage could use them, and none is named.
+    ({"n_instruments": 7}, "7 cost shifters as instruments, more than a market's 6 rows"),
 ])
 def test_simulate_rejects_invalid_values(tmp_path, capsys, override, message):
     params_path = tmp_path / "params.json"

@@ -9,7 +9,6 @@ from logitdemand import dataio
 from logitdemand.dataio import (
     BLOCK_RECORDS,
     DEPENDENT_COLUMN,
-    SIDECAR_VERSION,
     PanelDataset,
     check_columns,
     compute_dependent,
@@ -28,6 +27,7 @@ from logitdemand.errors import (
     UnknownKeyError,
 )
 from logitdemand.estimators import ModelSpec, estimate_ols
+from test_loader_properties import _exactly
 
 BASIC_CSV = """unit,period,quantity,market_size,Price,Subscribe
 ps4,2015,50,200,399,0
@@ -331,15 +331,6 @@ def _inverted(tmp_path, text=SIDECAR_CSV):
     return out
 
 
-def _exactly(data):
-    """A panel's levels, codes, source lines, column order and columns, with every dtype."""
-    arrays = {"unit_levels": data.unit_levels, "unit_codes": data.unit_codes,
-              "period_levels": data.period_levels, "period_codes": data.period_codes,
-              "source_lines": data.source_lines, **data.columns}
-    return [(name, arr.dtype.str, arr.tobytes() if arr.dtype != object else arr.tolist())
-            for name, arr in arrays.items()]
-
-
 def _rewrite(sidecar, **entries):
     """Write `sidecar` again with `entries` set, or dropped where None."""
     with np.load(sidecar) as npz:
@@ -367,13 +358,13 @@ def test_a_sidecar_holds_the_panel_the_file_parses_to(tmp_path):
 
 
 @pytest.mark.parametrize("fault", [
-    "csv_byte_edited", "truncated", "other_version", "entry_missing", "codes_out_of_range",
+    "csv_byte_edited", "truncated", "other_loader", "entry_missing", "codes_out_of_range",
     "repeated_key", "not_a_zip", "byte_flipped",
 ])
 def test_a_sidecar_that_is_not_of_the_file_is_ignored(tmp_path, fault):
     """A sidecar whose hash is not the file's, that is cut short, not a zip or has a byte
-    flipped, of another version, without an entry, or whose arrays fail the panel's checks:
-    the file is parsed."""
+    flipped, written by another loader, without an entry, or whose arrays fail the panel's
+    checks: the file is parsed."""
     out = _inverted(tmp_path)
     sidecar = tmp_path / "inverted.csv.panel.npz"
     cached = load_panel(out)
@@ -387,8 +378,8 @@ def test_a_sidecar_that_is_not_of_the_file_is_ignored(tmp_path, fault):
         content = bytearray(sidecar.read_bytes())
         content[len(content) // 2] ^= 0xFF
         sidecar.write_bytes(bytes(content))
-    elif fault == "other_version":
-        _rewrite(sidecar, meta=_meta(sidecar, version=SIDECAR_VERSION + 1))
+    elif fault == "other_loader":
+        _rewrite(sidecar, meta=_meta(sidecar, loader=dataio._loader().replace("numpy", "NumPy")))
     elif fault == "entry_missing":
         _rewrite(sidecar, column0=None)
     elif fault == "codes_out_of_range":
@@ -400,6 +391,19 @@ def test_a_sidecar_that_is_not_of_the_file_is_ignored(tmp_path, fault):
     assert _exactly(load_panel(out)) == _exactly(load_panel(reference))
     price = load_panel(out).column("Price").tolist()
     assert (398.0 in price) == (fault == "csv_byte_edited")
+
+
+def test_a_sidecar_is_keyed_to_the_loader_source(tmp_path, monkeypatch):
+    """A sidecar records the sha256 of `dataio`'s source, so an edit to the parse, which is an
+    edit to that file, makes every sidecar written before it stale."""
+    out = _inverted(tmp_path)
+    assert dataio._sha256(dataio.__file__) in dataio._loader()
+    edited = tmp_path / "dataio.py"
+    edited.write_bytes(Path(dataio.__file__).read_bytes() + b"\n")
+    monkeypatch.setattr(dataio, "__file__", str(edited))
+    assert dataio._read_sidecar(out) is None
+    monkeypatch.undo()
+    assert dataio._read_sidecar(out) is not None
 
 
 def test_row_order_never_affects_estimates(tmp_path):
