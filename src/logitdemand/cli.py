@@ -6,6 +6,7 @@ import argparse
 import dataclasses
 import json
 import math
+import stat
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -119,6 +120,10 @@ def _load(args):
 
 def cmd_invert(args) -> int:
     loaded = Path(args.data).stat()
+    # A pipe read once has nothing left for the copy, which would wait on it for ever.
+    if not stat.S_ISREG(loaded.st_mode):
+        raise ValueError(f"{args.data} is not a regular file: invert reads --data twice, to load "
+                         "it and to copy its records")
     data = dataio.compute_dependent(dataio.load_panel(args.data))
     shares = dataio.outside_shares(data)
     dataio.write_inverted_csv(data, args.data, args.output, loaded)

@@ -1,15 +1,14 @@
 """Synthetic logit markets with endogenous prices, and a Monte Carlo harness.
 
-The data-generating process mirrors the estimation model: mean utility is
-x'beta - alpha * price + xi, with xi = unit effect + period effect + noise.
-Price loads on cost shifters (the instruments) and, through the endogeneity
-weight, on xi itself, so OLS is inconsistent while 2SLS is not. Everything is
-driven by a single seed; the Monte Carlo takes one independent seed per
-replication from it, the children numpy's SeedSequence spawns, so runs with
-different seeds share no market. It draws its markets a chunk at a time, each
-from numpy's `default_rng(seed)` stream on its own seed, and fits every
-estimator, two-way fixed effects included, on the chunk's stack through the
-regression code of a single panel. The SeedSequence words behind both the
+The data-generating process mirrors the estimation model: mean utility is x'beta - alpha * price +
+xi, with xi = unit effect + period effect + noise. Price loads on cost shifters (the instruments)
+and, through the endogeneity weight, on xi itself, so OLS is inconsistent while 2SLS is not.
+Everything is driven by a single seed; the Monte Carlo takes one independent seed per replication
+from it, the children numpy's SeedSequence spawns, so runs with different seeds share no market. It
+draws its markets a chunk at a time, each from numpy's `default_rng(seed)` stream on its own seed,
+and fits every estimator, two-way fixed effects included, on the chunk's stack through the
+regression code of a single panel. Each chunk hands back its outcomes as arrays, one row per
+market, and the summary reduces them under their masks. The SeedSequence words behind both the
 spawned seeds and the generators are computed here, for a whole chunk at once.
 """
 
@@ -220,21 +219,21 @@ def draw_markets(params: DgpParams, seeds):
     for _ in range(_MAX_REDRAWS):
         for r in todo:
             rngs[r].standard_normal(out=block[r])
-        rows = slice(None) if todo.size == stack else todo  # in place when every market draws
+        rows = slice(None) if todo.size == stack else todo  # views, not copies, when all draw
 
         # An overflow leaves a utility that is not finite or a share of 0: a rejected draw.
         with np.errstate(over="ignore", invalid="ignore"):
             for view, (_, loc, scale) in zip(views, parts):
                 view[rows] *= scale
                 view[rows] += loc
-            xi = effects.reshape(-1) + dxi[todo]
-            p = (params.instrument_strength * costs[todo].sum(axis=2) + params.price_endogeneity * xi
-                 + noise[todo])
-            d = (x[todo] @ np.array(params.beta) if k else np.zeros(p.shape)) - params.alpha * p + xi
+            xi = effects.reshape(-1) + dxi[rows]
+            p = (params.instrument_strength * costs[rows].sum(axis=2) + params.price_endogeneity * xi
+                 + noise[rows])
+            d = (x[rows] @ np.array(params.beta) if k else np.zeros(p.shape)) - params.alpha * p + xi
             finite = np.isfinite(d)
             s, s0 = demand.predict_shares(np.where(finite, d, 0.0), codes[:todo.size])
         s, s0 = s.reshape(p.shape), s0.reshape(-1, t)
-        price[todo], delta[todo], inside[todo], outside[todo] = p, d, s, s0
+        price[rows], delta[rows], inside[rows], outside[rows] = p, d, s, s0
         degenerate = ((s0 < _MIN_SHARE) | (s.reshape(-1, j, t).min(axis=1) < _MIN_SHARE)
                       | ~finite.reshape(-1, j, t).all(axis=1))
         if params.consumers is None:
@@ -408,24 +407,20 @@ def run_monte_carlo(params: DgpParams, spec: estimators.ModelSpec | None = None,
     """Generate, estimate and test `replications` markets; aggregate the results.
 
     Replication r draws its market on numpy's `default_rng` stream of the r-th seed of
-    `replication_seeds(params.seed, replications)`. Replications run in
-    chunks of at most `_STACK_ROWS` (5,000) rows: `draw_markets` draws a
-    chunk's markets together, and they are inverted together and fitted by
-    the regression code of a single panel (`estimators.absorb` and
-    `pooled_fit`, `diagnostics.first_stage_stats`, `sargan_stats`) with one
-    stacked solve per regression, one n-row factor per 2SLS fit. Only a 2SLS
-    spec is tested, from that factor: F for one endogenous regressor, J when m > k. A
-    market that gave up re-drawing fails with `DegenerateSharesError`. Every
-    other replication's outcome comes from its chunk's stack, and a market
-    fails with the error class its own panel raises in `estimate`,
-    `first_stage_f` or `sargan_j`. An F or J that is not finite (inf for an
-    exact first stage) is reported as it is.
+    `replication_seeds(params.seed, replications)`. Replications run in chunks of at most
+    `_STACK_ROWS` (5,000) rows: `draw_markets` draws a chunk's markets together, and they are
+    inverted together and fitted by the regression code of a single panel (`estimators.absorb`
+    and `pooled_fit`, `diagnostics.first_stage_stats`, `sargan_stats`) with one stacked solve
+    per regression, one n-row factor per 2SLS fit. Only a 2SLS spec is tested, from that
+    factor: F for one endogenous regressor, J when m > k. A market that gave up re-drawing
+    fails with `DegenerateSharesError`, any other with the error class its own panel raises in
+    `estimate`, `first_stage_f` or `sargan_j`. An F or J that is not finite (inf for an exact
+    first stage) is reported as it is. Each chunk hands back its outcomes as arrays with one
+    row per market (`_Outcomes`); the summary joins them and reduces them under their masks.
 
-    Per-replication estimator failures are counted by error class, not fatal.
-    Coverage uses the +-1.96 * SE interval per coefficient. Raises
-    `ValueError` unless `replications` is an integer of at least 1, and
-    `UnknownColumnError` for the first column the spec names that the
-    generator does not make.
+    Failures are counted by error class, not fatal. Coverage uses the +-1.96 * SE interval per
+    coefficient. Raises `ValueError` unless `replications` is an integer of at least 1, and
+    `UnknownColumnError` for the first column the spec names that the generator does not make.
     """
     if isinstance(replications, bool) or not isinstance(replications, (int, np.integer)):
         raise ValueError("replications must be an integer")
@@ -438,8 +433,8 @@ def run_monte_carlo(params: DgpParams, spec: estimators.ModelSpec | None = None,
     for name in (spec.dependent, *spec.regressors, *spec.instruments):
         if name not in generated and not _is_cost_shifter(name, params.n_instruments):
             raise UnknownColumnError(name)
-    records = _replications(params, spec, replication_seeds(params.seed, replications))
-    return _summarize(params, replications, records)
+    outcomes = _replications(params, spec, replication_seeds(params.seed, replications))
+    return _summarize(params, replications, outcomes)
 
 
 def _is_cost_shifter(name, n_instruments) -> bool:
@@ -450,21 +445,33 @@ def _is_cost_shifter(name, n_instruments) -> bool:
             and name == f"cost{int(number)}" and 1 <= int(number) <= n_instruments)
 
 
-class _Replication(NamedTuple):
-    """One replication's outcome; a failed one names its error class in `failure`.
+class _Outcomes(NamedTuple):
+    """Markets' outcomes as arrays, one row per market in seed order.
 
-    A first-stage F computed before a later step failed is kept: the summary's
-    mean F has always counted it.
+    `failure` names the error class of a market's first failing step, '' where it completed;
+    `coefficients` and `standard_errors`, (R, k) in the order of `names`, are read only there.
+    `first_stage_f` is read where `has_f`, kept where a later step failed; `sargan_j` and
+    `sargan_p_value` where `has_j`, which holds only where a market completed.
     """
 
-    names: tuple = ()
-    coefficients: np.ndarray | None = None
-    standard_errors: np.ndarray | None = None
-    first_stage_f: float | None = None
-    sargan_j: float | None = None
-    sargan_p_value: float | None = None
-    redraws: int = 0
-    failure: str | None = None
+    names: tuple
+    coefficients: np.ndarray
+    standard_errors: np.ndarray
+    first_stage_f: np.ndarray
+    sargan_j: np.ndarray
+    sargan_p_value: np.ndarray
+    has_f: np.ndarray
+    has_j: np.ndarray
+    failure: np.ndarray
+    redraws: np.ndarray
+
+
+def _unfitted(spec: estimators.ModelSpec, stack, failure="") -> _Outcomes:
+    """`stack` markets' outcomes before any fit: none computed, each failing with `failure`."""
+    names = (estimators.INTERCEPT_NAME,) * spec.include_intercept + spec.regressors
+    return _Outcomes(names, *np.full((2, stack, len(names)), np.nan), *np.full((3, stack), np.nan),
+                     *np.zeros((2, stack), dtype=bool), np.full(stack, failure, dtype=object),
+                     np.zeros(stack, dtype=np.int64))
 
 
 def _reported_tests(spec: estimators.ModelSpec):
@@ -475,35 +482,36 @@ def _reported_tests(spec: estimators.ModelSpec):
     return tsls and k == 1, tsls and len(spec.instruments) > k
 
 
-def _replications(params: DgpParams, spec: estimators.ModelSpec, seeds) -> list:
-    """Every replication's outcome in seed order, drawn and fitted in stacked chunks."""
+def _replications(params: DgpParams, spec: estimators.ModelSpec, seeds) -> _Outcomes:
+    """Every replication's outcome in seed order: the outcomes of its stacked chunks, joined."""
     per_chunk = max(1, _STACK_ROWS // (params.n_products * params.n_periods))
-    records = []
-    for start in range(0, len(seeds), per_chunk):
-        records += _fit_chunk(params, spec, seeds[start:start + per_chunk])
-    return records
+    chunks = [_fit_chunk(params, spec, seeds[start:start + per_chunk])
+              for start in range(0, len(seeds), per_chunk)]
+    return _Outcomes(chunks[0].names, *map(np.concatenate, list(zip(*chunks))[1:]))
 
 
-def _fit_chunk(params: DgpParams, spec: estimators.ModelSpec, seeds) -> list:
-    """One chunk's outcomes, from its stacked fits; a market that gave up fails with
-    `DegenerateSharesError` and 0 re-draws."""
+def _fit_chunk(params: DgpParams, spec: estimators.ModelSpec, seeds) -> _Outcomes:
+    """A chunk's outcomes; a market that gave up fails with `DegenerateSharesError`, 0 re-draws."""
     columns, *_, redraws = draw_markets(params, seeds)
-    drawn = np.flatnonzero(redraws < _MAX_REDRAWS)
-    records = [_Replication(failure=DegenerateSharesError.__name__)] * len(seeds)
-    if drawn.size:
-        columns = {name: values[drawn] for name, values in columns.items()}
-        # `compute_dependent`'s rule: shares q / N, outside 1 - their sum per period (code r * T + t).
-        shape, t = columns["quantity"].shape, params.n_periods
-        codes = (np.arange(shape[0])[:, None] * t + np.arange(shape[1]) % t).reshape(-1)
-        inside = (columns["quantity"] / columns["market_size"]).reshape(-1)
-        delta = demand.invert_shares(inside, 1.0 - np.bincount(codes, weights=inside), codes)
-        columns[dataio.DEPENDENT_COLUMN] = delta.reshape(shape)
-        for i, record in zip(drawn, _fit_stack(spec, columns, params.n_periods)):
-            records[i] = record._replace(redraws=int(redraws[i]))
-    return records
+    drawn = redraws < _MAX_REDRAWS
+    outcomes = _unfitted(spec, len(seeds), DegenerateSharesError.__name__)
+    if not drawn.any():
+        return outcomes
+    rows = slice(None) if drawn.all() else drawn  # views, not copies, when every market drew
+    columns = {name: values[rows] for name, values in columns.items()}
+    # `compute_dependent`'s rule: shares q / N, outside 1 - their sum per period (code r * T + t).
+    shape, t = columns["quantity"].shape, params.n_periods
+    codes = (np.arange(shape[0])[:, None] * t + np.arange(shape[1]) % t).reshape(-1)
+    inside = (columns["quantity"] / columns["market_size"]).reshape(-1)
+    delta = demand.invert_shares(inside, 1.0 - np.bincount(codes, weights=inside), codes)
+    columns[dataio.DEPENDENT_COLUMN] = delta.reshape(shape)
+    fitted = _fit_stack(spec, columns, params.n_periods)._replace(redraws=redraws[rows])
+    for whole, part in zip(outcomes[1:], fitted[1:]):
+        whole[rows] = part
+    return outcomes
 
 
-def _fit_stack(spec: estimators.ModelSpec, columns, n_periods) -> list:
+def _fit_stack(spec: estimators.ModelSpec, columns, n_periods) -> _Outcomes:
     """Every market's outcome, for a stack of markets whose rows run over units, `n_periods`
     periods inside, through the code `estimate`, `first_stage_f` and `sargan_j` share.
 
@@ -511,16 +519,16 @@ def _fit_stack(spec: estimators.ModelSpec, columns, n_periods) -> list:
     it: a within transform that is not finite (`EstimationError`), a fit that is not full rank
     (`CollinearWithFixedEffectsError` under two-way fixed effects) or not finite, then a Sargan
     design that is not full rank. The F and J are read from the fit's certified `first_stage`
-    factor: the F takes no solve, and it is kept once the fit has passed.
-    `InsufficientObservationsError` depends on the shape alone, so it fails every market that
-    has not failed yet.
+    factor: the F takes no solve, and it is kept once the fit has passed. Too few rows
+    (`InsufficientObservationsError`) depend on the shape alone and fail every market still
+    standing. No re-draws are counted.
     """
     stack, n = columns[spec.dependent].shape
-    failure, f, j, p_value = ([None] * stack for _ in range(4))
+    outcomes = _unfitted(spec, stack)
+    failure = outcomes.failure
 
     def refuse(failed, error):
-        for r in np.flatnonzero(failed):
-            failure[r] = failure[r] or error.__name__
+        failure[failed & (failure == "")] = error.__name__
 
     has_f, has_j = _reported_tests(spec)
     rows = np.arange(n)
@@ -533,46 +541,38 @@ def _fit_stack(spec: estimators.ModelSpec, columns, n_periods) -> list:
                else RankDeficientError)
         refuse(~fit.finite, EstimationError)
         if has_f:
-            stats = diagnostics.first_stage_stats(fit.first_stage.nested_rss[:, 0],
-                                                  len(spec.instruments), n)[0]
-            f = [None if failed else float(v) for failed, v in zip(failure, stats)]
+            outcomes.first_stage_f[:] = diagnostics.first_stage_stats(
+                fit.first_stage.nested_rss[:, 0], len(spec.instruments), n)[0]
+            outcomes.has_f[:] = failure == ""
         if has_j:
-            j, p_value, *_, ok = diagnostics.sargan_stats(spec, fit.first_stage, fit.coefficients, n)
+            outcomes.sargan_j[:], outcomes.sargan_p_value[:], *_, ok = diagnostics.sargan_stats(
+                spec, fit.first_stage, fit.coefficients, n)
             refuse(~ok, RankDeficientError)
+            outcomes.has_j[:] = failure == ""
     except InsufficientObservationsError:
         refuse(np.ones(stack, dtype=bool), InsufficientObservationsError)
-        return [_Replication(first_stage_f=v, failure=failed) for v, failed in zip(f, failure)]
+        return outcomes
     lead = len(fit_spec.regressors) - len(spec.regressors)  # the absorbed period dummies
-    se = estimators.standard_errors(fit.covariance)
-    return [
-        _Replication(fit.names[lead:], fit.coefficients[r, lead:], se[r, lead:], f[r],
-                     _float(j[r]), _float(p_value[r])) if failure[r] is None else
-        _Replication(first_stage_f=f[r], failure=failure[r])
-        for r in range(stack)
-    ]
+    return outcomes._replace(coefficients=fit.coefficients[:, lead:],
+                             standard_errors=estimators.standard_errors(fit.covariance)[:, lead:])
 
 
-def _float(value):
-    return None if value is None else float(value)
-
-
-def _summarize(params: DgpParams, replications: int, records) -> McSummary:
-    completed = [r for r in records if r.failure is None]
-    failures = dict(sorted(Counter(r.failure for r in records if r.failure is not None).items()))
-    if not completed:
+def _summarize(params: DgpParams, replications: int, outcomes: _Outcomes) -> McSummary:
+    completed = outcomes.failure == ""
+    failures = dict(sorted(Counter(outcomes.failure[~completed].tolist()).items()))
+    if not completed.any():
         by_class = ", ".join(f"{name} {count}" for name, count in failures.items())
         raise DegenerateSharesError(f"every replication failed ({by_class}); nothing to summarize")
-    f_stats = [r.first_stage_f for r in records if r.first_stage_f is not None]
-    sargan_rejects = [r.sargan_p_value < 0.05 for r in completed if r.sargan_p_value is not None]
+    f_stats = outcomes.first_stage_f[outcomes.has_f]
+    sargan_rejects = outcomes.sargan_p_value[outcomes.has_j] < 0.05
 
-    names = completed[-1].names
-    est = np.vstack([r.coefficients for r in completed])
-    se = np.vstack([r.standard_errors for r in completed])
+    names = outcomes.names
+    est, se = outcomes.coefficients[completed], outcomes.standard_errors[completed]
     truths = params.true_coefficients()
     true_values = {name: truths.get(name, float("nan")) for name in names}
     truth_vec = np.array([true_values[name] for name in names])
 
-    n_done = len(completed)
+    n_done = len(est)
     bias = est.mean(axis=0) - truth_vec
     spread = est.std(axis=0, ddof=1) if n_done > 1 else np.zeros(len(names))
     rmse = np.sqrt(np.mean((est - truth_vec) ** 2, axis=0))
@@ -584,13 +584,13 @@ def _summarize(params: DgpParams, replications: int, records) -> McSummary:
         completed=n_done,
         failed=replications - n_done,
         failures=failures,
-        redraws=sum(r.redraws for r in records),
-        coefficient_names=tuple(names),
+        redraws=int(outcomes.redraws.sum()),
+        coefficient_names=names,
         true_values=true_values,
         mean_bias={n: float(b) for n, b in zip(names, bias)},
         mean_bias_se={n: float(s / np.sqrt(n_done)) for n, s in zip(names, spread)},
         rmse={n: float(v) for n, v in zip(names, rmse)},
         ci_coverage_95={n: float(c) for n, c in zip(names, coverage)},
-        mean_first_stage_f=float(np.mean(f_stats)) if f_stats else float("nan"),
-        sargan_rejection_rate=float(np.mean(sargan_rejects)) if sargan_rejects else float("nan"),
+        mean_first_stage_f=float(np.mean(f_stats)) if f_stats.size else float("nan"),
+        sargan_rejection_rate=float(np.mean(sargan_rejects)) if sargan_rejects.size else float("nan"),
     )

@@ -2,7 +2,10 @@ import dataclasses
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -192,6 +195,23 @@ def test_a_file_that_changes_after_loading_exits_2_and_writes_nothing(tmp_path, 
     monkeypatch.setattr(dataio, "load_panel", load_then_edit)
     argv = ["invert", "--data", str(src), "--output", str(tmp_path / "out.csv")]
     assert _run_under_the_exit_contract(argv) == (2, f"error: {error}\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["panel.csv"]
+
+
+def test_invert_on_a_named_pipe_exits_2_without_reading_it(tmp_path):
+    # `invert` reads --data twice, and a pipe read once has nothing left for the copy, which
+    # would wait on it for ever. It runs in a subprocess under a timeout, so that a regression
+    # fails here instead of hanging.
+    fifo = tmp_path / "panel.csv"
+    os.mkfifo(fifo)
+    src = Path(__file__).resolve().parents[1] / "src"
+    run = subprocess.run([sys.executable, "-m", "logitdemand.cli", "invert", "--data", str(fifo),
+                          "--output", str(tmp_path / "out.csv")],
+                         capture_output=True, text=True, timeout=30,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert (run.returncode, run.stdout) == (2, "")
+    assert run.stderr == (f"error: {fifo} is not a regular file: invert reads --data twice, to "
+                          "load it and to copy its records\n")
     assert [p.name for p in tmp_path.iterdir()] == ["panel.csv"]
 
 

@@ -487,3 +487,13 @@ def test_a_target_off_the_design_rows_is_refused():
         solve_least_squares(np.ones((4, 2)), np.ones(3))
     with pytest.raises(ValueError, match="need X"):
         solve_least_squares(np.ones((2, 4, 2)), np.ones((2, 5)))
+
+
+def test_a_y_whose_squares_overflow_has_every_nested_rss_infinite():
+    # y'y beyond the float range makes every nested RSS inf, one design or a stack alike. Without
+    # the finite y'y condition, inf <= tol^2 * inf would read each entry as an exact fit's 0.0.
+    rng = np.random.default_rng(29)
+    x, z = rng.normal(size=(2, 40, 3)), rng.normal(size=(2, 40))
+    for sol in (solve_least_squares(x[0], 1e160 * z[0]), solve_least_squares(x, 1e160 * z)):
+        assert sol.nested_rss.shape[-1] == 4
+        assert np.all(sol.nested_rss == math.inf)

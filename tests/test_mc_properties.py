@@ -4,16 +4,19 @@
 `draw_markets` call and fits the chunk as a stack (R, n, p) through
 `estimators.absorb` and `pooled_fit`, `diagnostics.first_stage_stats` and
 `sargan_stats`. Every replication's outcome, failures included, comes from
-that stack. `_replicate` below is the reference: it draws one replication with
-`generate_market` and fits it on its own panel through `estimate`,
-`first_stage_f` and `sargan_j`, which raise where that panel fails. Two-way
-fixed-effects specs are compared too. The two must agree replication by
-replication: the same failure classes, re-draws and first-stage F, the same
-numbers within 1e-10, and the same F or J where it is not finite. The chunk
-bound is lowered so that a few replications already span several chunks. The
-draws themselves are checked bit for bit against the per-replication draw loop
-in `test_draw_properties.py`, and the regression code against an independent
-lstsq oracle in `test_regression_oracle.py`.
+that stack, and each chunk hands its outcomes back as arrays with one row per
+market (`simulate._Outcomes`): coefficients and SEs, F, J and p-value with
+masks of where they were computed, the failure class and the re-draws, joined
+across chunks. `_replicate` below is the reference: it draws one replication
+with `generate_market` and fits it on its own panel through `estimate`,
+`first_stage_f` and `sargan_j`, which raise where that panel fails, into one
+`Replication` record. Two-way fixed-effects specs are compared too. The two
+must agree replication by replication: the same failure classes, re-draws and
+first-stage F, the same numbers within 1e-10, and the same F or J where it is
+not finite. The chunk bound is lowered so that a few replications already span
+several chunks. The draws themselves are checked bit for bit against the
+per-replication draw loop in `test_draw_properties.py`, and the regression
+code against an independent lstsq oracle in `test_regression_oracle.py`.
 """
 
 import dataclasses
@@ -22,6 +25,7 @@ import math
 import subprocess
 import sys
 from pathlib import Path
+from typing import NamedTuple
 from unittest import mock
 
 import numpy as np
@@ -40,6 +44,19 @@ from logitdemand.simulate import DgpParams, default_model_spec, generate_market,
 TOL = 1e-10
 
 
+class Replication(NamedTuple):
+    """One replication of the reference; a failed one names its error class in `failure`."""
+
+    names: tuple = ()
+    coefficients: np.ndarray | None = None
+    standard_errors: np.ndarray | None = None
+    first_stage_f: float | None = None
+    sargan_j: float | None = None
+    sargan_p_value: float | None = None
+    redraws: int = 0
+    failure: str | None = None
+
+
 def _replicate(params, spec, seed):
     """One replication drawn and fitted on its own panel: the reference the stacked chunks
     must match. A failure keeps the F computed before it; a market that gave up re-drawing
@@ -56,10 +73,26 @@ def _replicate(params, spec, seed):
             report = sargan_j(result, spec, data)
             j, p_value = report.j_statistic, report.p_value
     except LogitDemandError as exc:
-        return simulate._Replication(first_stage_f=f, failure=type(exc).__name__,
-                                     redraws=0 if redraws == simulate._MAX_REDRAWS else redraws)
-    return simulate._Replication(result.names, result.coefficients, result.standard_errors,
-                                 f, j, p_value, redraws)
+        return Replication(first_stage_f=f, failure=type(exc).__name__,
+                           redraws=0 if redraws == simulate._MAX_REDRAWS else redraws)
+    return Replication(result.names, result.coefficients, result.standard_errors, f, j, p_value,
+                       redraws)
+
+
+def _as_outcomes(spec, reference):
+    """The reference records as the arrays a chunk hands back, for `simulate._summarize`."""
+    outcomes = simulate._unfitted(spec, len(reference))
+    for i, r in enumerate(reference):
+        outcomes.failure[i], outcomes.redraws[i] = r.failure or "", r.redraws
+        if r.first_stage_f is not None:
+            outcomes.first_stage_f[i], outcomes.has_f[i] = r.first_stage_f, True
+        if r.sargan_j is not None:
+            outcomes.sargan_j[i], outcomes.sargan_p_value[i] = r.sargan_j, r.sargan_p_value
+            outcomes.has_j[i] = True
+        if r.failure is None:
+            assert r.names == outcomes.names
+            outcomes.coefficients[i], outcomes.standard_errors[i] = r.coefficients, r.standard_errors
+    return outcomes
 
 
 def _close(a, b, scale):
@@ -78,28 +111,29 @@ def _largest_finite(values):
 
 
 def _assert_same_replications(batched, reference):
-    assert len(batched) == len(reference)
+    """The stacked outcome arrays against the reference records, market by market."""
+    assert all(len(values) == len(reference) for values in batched[1:])
+    assert batched.failure.tolist() == [r.failure or "" for r in reference]
+    assert batched.redraws.tolist() == [r.redraws for r in reference]
+    assert batched.has_f.tolist() == [r.first_stage_f is not None for r in reference]
+    assert batched.has_j.tolist() == [r.sargan_j is not None for r in reference]
     # F and J are compared relative to the largest finite one of the run: J's R^2 = 1 - RSS/TSS
     # carries absolute rounding of a few eps in either path, which is large relative to a J near 0.
     f_scale = _largest_finite(r.first_stage_f for r in reference)
     j_scale = _largest_finite(r.sargan_j for r in reference)
-    for got, want in zip(batched, reference):
-        assert got.failure == want.failure
-        assert got.redraws == want.redraws
-        assert (got.first_stage_f is None) == (want.first_stage_f is None)
+    for i, want in enumerate(reference):
         if want.first_stage_f is not None:
-            assert _same_test(got.first_stage_f, want.first_stage_f, f_scale)
+            assert _same_test(batched.first_stage_f[i], want.first_stage_f, f_scale)
         if want.failure is not None:
             continue
-        assert got.names == want.names
-        assert _close(got.coefficients, want.coefficients, np.max(np.abs(want.coefficients)))
-        assert _close(got.standard_errors, want.standard_errors,
+        assert batched.names == want.names
+        assert _close(batched.coefficients[i], want.coefficients, np.max(np.abs(want.coefficients)))
+        assert _close(batched.standard_errors[i], want.standard_errors,
                       np.max(np.abs(want.standard_errors)))
-        assert (got.sargan_j is None) == (want.sargan_j is None)
         if want.sargan_j is not None:
-            assert _same_test(got.sargan_j, want.sargan_j, j_scale)
+            assert _same_test(batched.sargan_j[i], want.sargan_j, j_scale)
             if abs(want.sargan_p_value - 0.05) > TOL:
-                assert (got.sargan_p_value < 0.05) == (want.sargan_p_value < 0.05)
+                assert (batched.sargan_p_value[i] < 0.05) == (want.sargan_p_value < 0.05)
 
 
 def _compare(params, spec, replications, chunk_markets):
@@ -116,9 +150,19 @@ def _compare(params, spec, replications, chunk_markets):
     if summary is None:
         assert all(r.failure is not None for r in reference)
         return reference
-    want = simulate._summarize(params, replications, reference)
+    want = simulate._summarize(params, replications, _as_outcomes(spec, reference))
     assert (summary.completed, summary.failed, summary.failures, summary.redraws) == (
         want.completed, want.failed, want.failures, want.redraws)
+    assert summary.coefficient_names == want.coefficient_names
+    # The mean F over the replications that report one, failed ones included, and the Sargan
+    # rejection rate over the completed ones that report a J; nan where none does.
+    f_stats = [r.first_stage_f for r in reference if r.first_stage_f is not None]
+    assert _same_test(summary.mean_first_stage_f, np.mean(f_stats) if f_stats else math.nan,
+                      _largest_finite(f_stats))
+    p_values = [r.sargan_p_value for r in reference if r.failure is None and r.sargan_j is not None]
+    if all(abs(p - 0.05) > TOL for p in p_values):
+        rejected = np.mean(np.less(p_values, 0.05)) if p_values else math.nan
+        assert np.array_equal(summary.sargan_rejection_rate, rejected, equal_nan=True)
     return reference
 
 
@@ -236,7 +280,7 @@ def test_a_tsls_chunk_solves_its_first_stage_once():
     rows = []
 
     with _counted_solver(estimators, rows) as fits, _counted_solver(diagnostics, rows) as tests:
-        records = simulate._fit_chunk(_SEED_17, spec, replication_seeds(_SEED_17.seed, 8))
+        outcomes = simulate._fit_chunk(_SEED_17, spec, replication_seeds(_SEED_17.seed, 8))
         # One factor over the n rows, the first stage's; the second stage and the Sargan
         # regression are small solves in its coordinates, and the F reads it.
         assert (fits.call_count, tests.call_count) == (2, 1)
@@ -249,8 +293,8 @@ def test_a_tsls_chunk_solves_its_first_stage_once():
         sargan_j(estimate(spec, data), spec, data)
         assert (fits.call_count, tests.call_count) == (4, 1)
         assert rows.count(n) == 3
-    assert all(r.failure is None and r.first_stage_f is not None and r.sargan_j is not None
-               for r in records)
+    assert outcomes.failure.tolist() == [""] * 8
+    assert outcomes.has_f.all() and outcomes.has_j.all()
 
 
 def test_a_diagnose_solves_its_first_stage_once(tmp_path, capsys):
@@ -308,9 +352,11 @@ def test_exact_first_stage_gives_an_infinite_f_on_both_paths():
     reference = [_replicate(params, spec, seed) for seed in seeds]
     with mock.patch.object(simulate, "_STACK_ROWS", 4 * params.n_products * params.n_periods):
         batched = simulate._replications(params, spec, seeds)
-    assert [r.first_stage_f for r in batched] == [r.first_stage_f for r in reference]
+    assert batched.has_f.all()
+    assert batched.first_stage_f.tolist() == [r.first_stage_f for r in reference]
     assert [r.first_stage_f for r in reference] == [math.inf] * 6
-    assert [r.failure for r in batched] == [r.failure for r in reference] == [None] * 6
+    assert batched.failure.tolist() == [""] * 6
+    assert [r.failure for r in reference] == [None] * 6
     assert simulate.run_monte_carlo(params, spec, 6).mean_first_stage_f == math.inf
 
 
@@ -377,11 +423,33 @@ def test_a_market_that_gave_up_fails_without_the_per_replication_path():
     gave_up = simulate.draw_markets(params, seeds)[-1] == simulate._MAX_REDRAWS
     assert 0 < gave_up.sum() < len(seeds)
     spec = default_model_spec(params)
-    records = simulate._replications(params, spec, seeds)
+    outcomes = simulate._replications(params, spec, seeds)
     expected = [(DegenerateSharesError.__name__, 0)] * int(gave_up.sum())
-    assert [(r.failure, r.redraws) for r, g in zip(records, gave_up) if g] == expected
+    assert list(zip(outcomes.failure[gave_up], outcomes.redraws[gave_up].tolist())) == expected
     reference = [_replicate(params, spec, seed) for seed, g in zip(seeds, gave_up) if g]
     assert [(r.failure, r.redraws) for r in reference] == expected
+
+
+def test_the_summary_reads_each_outcome_under_its_mask():
+    # Market 0 failed at the Sargan step and keeps its F; what else it holds is not read. Markets
+    # 1 and 2 completed, and market 3 gave up re-drawing.
+    spec = default_model_spec(_SEED_17)
+    truth = np.array([0.0, 1.0, -0.5, -1.0])
+    outcomes = simulate._unfitted(spec, 4)
+    outcomes.failure[[0, 3]] = "RankDeficientError", DegenerateSharesError.__name__
+    outcomes.coefficients[:] = truth + np.array([[1e9], [0.1], [-0.1], [1e9]])
+    outcomes.standard_errors[:] = 0.1
+    outcomes.first_stage_f[:3], outcomes.has_f[:3] = (4.0, 10.0, 16.0), True
+    outcomes.sargan_j[:3], outcomes.sargan_p_value[:3] = 1.0, (0.01, 0.5, 0.01)
+    outcomes.has_j[1:3] = True
+    outcomes.redraws[:] = 0, 2, 3, 0
+    summary = simulate._summarize(_SEED_17, 4, outcomes)
+    assert (summary.completed, summary.failed, summary.redraws) == (2, 2, 5)
+    assert summary.failures == {"DegenerateSharesError": 1, "RankDeficientError": 1}
+    assert summary.coefficient_names == ("const", "x1", "x2", "price")
+    assert summary.mean_bias == pytest.approx(dict.fromkeys(summary.coefficient_names, 0.0))
+    assert summary.ci_coverage_95 == dict.fromkeys(summary.coefficient_names, 1.0)
+    assert (summary.mean_first_stage_f, summary.sargan_rejection_rate) == (10.0, 0.5)
 
 
 _CONSTANT_X1 = DgpParams(n_products=5, n_periods=4, n_characteristics=1, beta=(1.0,),
@@ -462,11 +530,13 @@ def test_tsls_with_copied_regressors_as_instruments_is_ols(seed, n, covariance):
     tsls_stack = simulate._fit_stack(tsls_spec, columns, n_periods=1)
     _, first = estimators.first_stage(tsls_spec, columns)
     f = diagnostics.first_stage_stats(first.nested_rss[:, 0], 1, n)[0]
-    assert [a.first_stage_f for a in tsls_stack] == f.tolist()
-    for a, b in zip(tsls_stack, ols_stack):
-        assert a.failure is None
-        assert _close(a.coefficients, b.coefficients, np.max(np.abs(b.coefficients)))
-        assert _close(a.standard_errors, b.standard_errors, np.max(b.standard_errors))
+    assert tsls_stack.has_f.all()
+    assert tsls_stack.first_stage_f.tolist() == f.tolist()
+    assert tsls_stack.failure.tolist() == ols_stack.failure.tolist() == [""] * 3
+    for a, b, a_se, b_se in zip(tsls_stack.coefficients, ols_stack.coefficients,
+                                tsls_stack.standard_errors, ols_stack.standard_errors):
+        assert _close(a, b, np.max(np.abs(b)))
+        assert _close(a_se, b_se, np.max(b_se))
 
 
 def test_cli_and_monte_carlo_run_without_scipy(tmp_path):

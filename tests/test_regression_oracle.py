@@ -184,19 +184,20 @@ def test_stacked_fits_and_tests_match_the_lstsq_oracle(seed, stack, n, k, m, int
     columns = _market(np.random.default_rng(seed), (stack, n), k, m)
     for estimator in ("ols", "tsls"):
         spec = _spec(estimator, k, m, intercept, covariance)
-        records = simulate._fit_stack(spec, columns, n_periods=1)
-        for r, record in enumerate(records):
+        outcomes = simulate._fit_stack(spec, columns, n_periods=1)
+        assert outcomes.failure.tolist() == [""] * stack
+        for r in range(stack):
             market = {name: col[r] for name, col in columns.items()}
             beta, se, _, u = _oracle_fit(spec, market)
-            assert _close(record.coefficients, beta)
-            assert _close(record.standard_errors, se)
+            assert _close(outcomes.coefficients[r], beta)
+            assert _close(outcomes.standard_errors[r], se)
             # The Monte Carlo reports F for a spec with instruments, and J when it is over-identified.
-            assert (record.first_stage_f is None) == (estimator == "ols")
-            if record.first_stage_f is not None:
-                assert _close(record.first_stage_f, _oracle_f(spec, market)[0], 1.0)
-            assert (record.sargan_j is None) == (estimator == "ols" or m == 1)
-            if record.sargan_j is not None:
-                assert _close(record.sargan_j, _oracle_j(spec, market, u)[0], 1.0)
+            assert outcomes.has_f[r] == (estimator != "ols")
+            if outcomes.has_f[r]:
+                assert _close(outcomes.first_stage_f[r], _oracle_f(spec, market)[0], 1.0)
+            assert outcomes.has_j[r] == (estimator != "ols" and m > 1)
+            if outcomes.has_j[r]:
+                assert _close(outcomes.sargan_j[r], _oracle_j(spec, market, u)[0], 1.0)
 
 
 def _scaled(columns, name, c):
@@ -212,9 +213,11 @@ def _fits(spec, columns):
     if spec.estimator == "tsls":
         tests.append(sargan_j(result, spec, data).j_statistic)
     stack = simulate._fit_stack(spec, columns, n_periods=1)
-    return ([result.coefficients, *(r.coefficients for r in stack)],
-            [result.standard_errors, *(r.standard_errors for r in stack)],
-            tests + [t for r in stack for t in (r.first_stage_f, r.sargan_j) if t is not None])
+    # Each market's F, then its J where it has one.
+    stack_tests = np.column_stack([stack.first_stage_f, stack.sargan_j])[
+        np.column_stack([stack.has_f, stack.has_j])]
+    return ([result.coefficients, *stack.coefficients],
+            [result.standard_errors, *stack.standard_errors], tests + stack_tests.tolist())
 
 
 @settings(max_examples=60, deadline=None)
